@@ -3,7 +3,8 @@
 Every value is a 2-D float64 matrix wrapped in a :class:`Value` node. Operations
 build a provenance DAG; :func:`backward` walks it once in reverse topological
 order and accumulates gradients, so shared subexpressions receive the sum of all
-path contributions. The DAG is dropped after backward (no persistent tape).
+path contributions. The DAG is freed during backward (no persistent tape), and
+only leaf gradients survive it.
 
 Scalars are 1x1 matrices. Sparse matrices (:class:`SparseMatrix`) are constants:
 they never receive gradients and only appear as the left operand of :func:`spmm`.
@@ -29,6 +30,7 @@ __all__ = [
     "matmul",
     "spmm",
     "add",
+    "add_row",
     "sub",
     "hadamard",
     "scale",
@@ -92,7 +94,7 @@ class Value:
     closure that routes this node's gradient to them.
     """
 
-    __slots__ = ("data", "grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "op", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, op="leaf"):
         self.data = _as_matrix(data)
@@ -187,6 +189,23 @@ def add(a, b):
     def _back(g):
         _accumulate(a, g)
         _accumulate(b, g)
+
+    out._backward = _back
+    return out
+
+
+def add_row(a, b):
+    """Add the 1 x q row ``b`` to every row of the n x q matrix ``a``.
+
+    The gradient is ``g`` for ``a`` and the column sums of ``g`` for ``b``.
+    """
+    if b.data.shape[0] != 1 or b.data.shape[1] != a.data.shape[1]:
+        raise ValueError(f"add_row: cannot add {b.data.shape} to rows of {a.data.shape}")
+    out = Value(a.data + b.data, parents=(a, b), op="add_row")
+
+    def _back(g):
+        _accumulate(a, g)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
 
     out._backward = _back
     return out
@@ -369,27 +388,42 @@ def _toposort(root):
 
 
 def backward(loss, retain_graph=False):
-    """Accumulate gradients of a 1x1 loss into every reachable Value.
+    """Accumulate gradients of a 1x1 loss into every reachable leaf.
 
-    Returns a dict mapping each reachable Value to its gradient array. Unless
-    ``retain_graph`` is set, the provenance DAG is cleared afterwards, so a
-    second backward needs a fresh forward pass.
+    Returns a dict mapping each reachable leaf Value to its gradient array.
+    Unless ``retain_graph`` is set, each interior node's gradient, parents and
+    backward closure are dropped as soon as its closure has run, so the DAG is
+    freed during the walk and a second backward needs a fresh forward pass.
+    With ``retain_graph`` interior gradients are kept and returned as well.
+
+    Gradient arrays may be shared between nodes; treat them as read-only.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a 1x1 loss, got shape {loss.data.shape}")
     order = _toposort(loss)
-    # Interior nodes get a fresh gradient per pass; leaf gradients accumulate
-    # across passes until zero_grad, so optimizers see the usual semantics.
+    # Interior nodes get a fresh gradient per pass, allocated by their first
+    # contribution; leaf gradients accumulate across passes until zero_grad,
+    # so optimizers see the usual semantics.
     for node in order:
-        if node._parents or node.grad is None:
-            node.grad = np.zeros_like(node.data)
+        if node._parents:
+            node.grad = None
     _accumulate(loss, np.ones((1, 1), dtype=np.float64))
-    for node in reversed(order):
+    grads = {}
+    # Popping walks the nodes in reverse topological order, so a node has all
+    # its contributions when it is reached, and its arrays can go as soon as
+    # its closure has run.
+    while order:
+        node = order.pop()
+        if not node._parents:
+            if node.grad is not None:
+                grads[node] = node.grad
+            continue
         if node._backward is not None:
             node._backward(node.grad)
-    grads = {node: node.grad for node in order}
-    if not retain_graph:
-        for node in order:
+        if retain_graph:
+            grads[node] = node.grad
+        else:
+            node.grad = None
             node._parents = ()
             node._backward = None
     return grads

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Value, add, backward, scale, softmax_ce, sum_squares
+from .engine import (Value, _accumulate, add, add_row, backward, scale,
+                     softmax_ce, sum_squares)
 from .graphs import batch_graphs
 from .models import readout_sum
 from .training import Adam
 
 DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
-
-
-def _accumulate(node, g):
-    node.grad = g if node.grad is None else node.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +169,13 @@ def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
         targets = np.eye(out_dim)[labels]
         degenerate = len(np.unique(labels)) < 2
 
-    n, d = reprs.shape
+    d = reprs.shape[1]
     W = Value(0.01 * rng.standard_normal((d, out_dim)))
     b = Value(np.zeros((1, out_dim)))
     x = Value(reprs)
-    ones = Value(np.ones((n, 1)))
     optimizer = Adam([W, b], lr=lr)
     for _ in range(epochs):
-        logits = add(x @ W, ones @ b)
+        logits = add_row(x @ W, b)
         if multilabel:
             loss = _sigmoid_bce(logits, targets)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Value, add, matmul, relu, spmm
+from .engine import Value, _accumulate, add, add_row, matmul, relu, spmm
 
 __all__ = [
     "xavier_init",
@@ -34,10 +34,6 @@ def xavier_init(rows, cols, rng):
         raise ValueError("xavier_init needs positive dimensions")
     a = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-a, a, size=(rows, cols))
-
-
-def _accumulate(node, g):
-    node.grad = g if node.grad is None else node.grad + g
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
@@ -67,12 +63,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         _accumulate(beta, g.sum(axis=0, keepdims=True))
         dxhat = g * gamma.data
         if training:
+            # dx = (inv / n) * (n * dxhat - s1 - xhat * s2), built in place
             n = x.data.shape[0]
-            dx = (inv / n) * (
-                n * dxhat
-                - dxhat.sum(axis=0, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=0, keepdims=True)
-            )
+            s1 = dxhat.sum(axis=0, keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=0, keepdims=True)
+            dx = dxhat
+            dx *= n
+            dx -= s1
+            dx -= xhat * s2
+            dx *= inv / n
         else:
             dx = dxhat * inv
         _accumulate(x, dx)
@@ -108,15 +107,14 @@ class BatchNorm:
 
 
 class Linear:
-    """Affine map x @ W + b; the bias broadcast is a rank-one matmul."""
+    """Affine map x @ W + b; ``add_row`` broadcasts the 1 x q bias over rows."""
 
     def __init__(self, in_dim, out_dim, rng):
         self.W = Value(xavier_init(in_dim, out_dim, rng))
         self.b = Value(np.zeros((1, out_dim)))
 
     def __call__(self, x):
-        ones = Value(np.ones((x.data.shape[0], 1)))
-        return add(matmul(x, self.W), matmul(ones, self.b))
+        return add_row(matmul(x, self.W), self.b)
 
     def named_parameters(self, prefix):
         return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]

@@ -40,6 +40,7 @@ import time
 import numpy as np
 import pytest
 
+import latentgraph
 from latentgraph.bounds import (
     SyntheticSetup,
     check_dae_inner_product,
@@ -479,13 +480,21 @@ def _write_ring_corpus(root):
     return str(d)
 
 
+def _child_pythonpath():
+    """The child runs from "/", so put this package's absolute source
+    directory first on its PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latentgraph.__file__)))
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
 def test_criterion_11_training_determinism():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         root = __import__("pathlib").Path(tmp)
         corpus = _write_ring_corpus(root)
-        env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1")
+        env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
+                   PYTHONPATH=_child_pythonpath())
         logs = []
         for run in ("a", "b"):
             out = root / run

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import latentgraph
 import latentgraph.cli as cli
 from latentgraph.cli import _derive_seed, build_parser, main, schema_path
 from latentgraph.graphs import NodeSplit, make_sbm_graph, write_nodelevel
@@ -26,6 +27,13 @@ def check(doc, schema_name):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def child_pythonpath():
+    """The child runs from "/", so put this package's absolute source
+    directory first on its PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latentgraph.__file__)))
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 def write_graph_corpus(root, name="BLOBS", num_graphs=12, num_node_labels=2,
@@ -210,7 +218,8 @@ class TestTrain:
 
     def test_same_seed_same_bytes_in_deterministic_mode(self, corpus,
                                                         tmp_path):
-        env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1")
+        env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
+                   PYTHONPATH=child_pythonpath())
         logs = []
         for run in ("a", "b"):
             out = tmp_path / run

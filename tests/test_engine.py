@@ -2,6 +2,9 @@
 checks for every operation, DAG accumulation, and the strict deterministic
 matrix product."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from latentgraph.engine import (
     SparseMatrix,
     Value,
     add,
+    add_row,
     backward,
     constant,
     grad_check,
@@ -85,6 +89,12 @@ class TestForwardOracles:
         x = Value([[1.0, 2.0], [3.0, 4.0]])
         y = Value(x.data.copy())
         assert mse_per(x, y, 4.0).item() == 0.0
+
+    def test_add_row_broadcasts_over_rows(self):
+        a = Value([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        b = Value([[10.0, 20.0]])
+        np.testing.assert_array_equal(add_row(a, b).data,
+                                      [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
 
     def test_sqrt_eps_at_zero(self):
         assert sqrt_eps(Value([[0.0]]), eps=1e-12).item() == pytest.approx(1e-6)
@@ -172,6 +182,44 @@ class TestBackward:
         assert y._parents == ()
         assert y._backward is None
 
+    def test_default_backward_returns_leaf_gradients_only(self):
+        rng = np.random.default_rng(5)
+        x, w, b = rand_value(rng, 4, 3), rand_value(rng, 3, 2), rand_value(rng, 1, 2)
+        h = add_row(matmul(x, w), b)
+        z = relu(h)
+        loss = sum_squares(z)
+        grads = backward(loss)
+        assert set(grads) == {x, w, b}
+        assert all(isinstance(g, np.ndarray) for g in grads.values())
+        assert grads[w] is w.grad
+        for interior in (h, z, loss):
+            assert interior.grad is None
+            assert interior._parents == ()
+
+    def test_interior_values_are_freed_once_the_loss_is_dropped(self):
+        rng = np.random.default_rng(6)
+        x, w = rand_value(rng, 4, 3), rand_value(rng, 3, 2)
+        h = matmul(x, w)
+        ref = weakref.ref(h)
+        loss = sum_squares(relu(h))
+        del h
+        grads = backward(loss)
+        del loss
+        gc.collect()
+        assert ref() is None
+        assert set(grads) == {x, w}
+
+    def test_retain_graph_returns_interior_gradients(self):
+        rng = np.random.default_rng(7)
+        w = rand_value(rng, 2, 2)
+        h = scale(w, 3.0)
+        loss = sum_squares(h)
+        grads = backward(loss, retain_graph=True)
+        assert set(grads) == {w, h, loss}
+        np.testing.assert_allclose(grads[h], 2.0 * h.data)
+        np.testing.assert_allclose(grads[w], 18.0 * w.data)
+        assert h._parents == (w,)
+
     def test_retain_graph_allows_second_pass(self):
         w = Value([[2.0]])
         y = sum_squares(w)
@@ -209,6 +257,12 @@ class TestGradChecks:
         d = rand_value(rng, 5, 3)
         target = rng.uniform(-2, 2, size=(5, 3))
         self.check(lambda: mse_per(spmm(s, d), Value(target), 5.0), [d])
+
+    def test_add_row(self):
+        rng = np.random.default_rng(22)
+        a, b = rand_value(rng, 5, 3), rand_value(rng, 1, 3)
+        target = rng.uniform(-2, 2, size=(5, 3))
+        self.check(lambda: mse_per(add_row(a, b), Value(target), 5.0), [a, b])
 
     def test_add_sub_hadamard_scale(self):
         rng = np.random.default_rng(12)
@@ -311,6 +365,12 @@ class TestErrors:
     def test_add_shape_error(self):
         with pytest.raises(ValueError):
             add(Value(np.ones((2, 3))), Value(np.ones((3, 2))))
+
+    def test_add_row_shape_error(self):
+        a = Value(np.ones((2, 3)))
+        for bad in (np.ones((1, 2)), np.ones((2, 3)), np.ones((3, 1))):
+            with pytest.raises(ValueError):
+                add_row(a, Value(bad))
 
     def test_spmm_shape_error(self):
         s = SparseMatrix.from_dense(np.ones((2, 2)))
