@@ -39,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SparseMatrix
-from .objectives import mask_size
+from .graphs import normalize_adjacency
+from .models import xavier_init
+from .objectives import MaskSpec, apply_mask, mask_size, sample_mask
 
 _GRAPH_MODELS = ("er", "fixed")
 _PRIORS = ("gaussian", "uniform")
-_MASK_MODES = ("gaussian", "zeros")
 _PREDICTOR_KINDS = ("gcn", "gin")
 
 
@@ -89,16 +90,17 @@ class SyntheticSetup:
             raise ValueError("noise_sd must be nonnegative")
         if self.sigma is not None and self.sigma < self.noise_sd:
             raise ValueError("sigma must dominate the generator's noise_sd")
-        if not 0.0 < self.mask_ratio <= 1.0:
-            raise ValueError("mask_ratio must be in (0, 1]")
-        if self.mask_noise_sd < 0:
-            raise ValueError("mask_noise_sd must be nonnegative")
-        if self.mask_mode not in _MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {_MASK_MODES}")
+        # MaskSpec rejects a bad mask_ratio, mask_noise_sd or mask_mode
+        self.mask_spec
 
     @property
     def sigma_bound(self):
         return self.noise_sd if self.sigma is None else self.sigma
+
+    @property
+    def mask_spec(self):
+        """The pretext corruption, as the trainer's MaskSpec."""
+        return MaskSpec(self.mask_ratio, self.mask_noise_sd, self.mask_mode)
 
     @property
     def mask_count(self):
@@ -144,27 +146,8 @@ def gen_pair(setup, rng):
     return adj, latent, observed
 
 
-def _corrupt_stack(observed, indices, setup, rng):
-    """Corrupted copies: rows `indices` of every matrix in the stack get
-    fresh noise added (or are blanked in zeros mode)."""
-    out = observed.copy()
-    if setup.mask_mode == "gaussian":
-        noise = rng.normal(0.0, setup.mask_noise_sd,
-                           size=(observed.shape[0], len(indices), observed.shape[2]))
-        out[:, indices, :] += noise
-    else:
-        out[:, indices, :] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # predictors over stacks
-
-
-def _normalized_adjacency_dense(adj):
-    deg = adj.sum(axis=1) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return inv_sqrt[:, None] * (adj + np.eye(adj.shape[0])) * inv_sqrt[None, :]
 
 
 class StackPredictor:
@@ -185,11 +168,18 @@ class StackPredictor:
         self.kind = kind
         self.encoder_weights = [np.asarray(w, dtype=float) for w in encoder_weights]
         self.decoder_weights = [np.asarray(w, dtype=float) for w in decoder_weights]
+        self._mixed = None  # (adjacency, mixing matrix) of the last embed
 
     def _mixing_matrix(self, adj):
-        if self.kind == "gcn":
-            return _normalized_adjacency_dense(adj)
-        return adj + np.eye(adj.shape[0])
+        # an estimate embeds one adjacency ten times or more: build its
+        # mixing matrix once
+        if self._mixed is None or not np.array_equal(self._mixed[0], adj):
+            if self.kind == "gcn":
+                mix = normalize_adjacency(SparseMatrix.from_dense(adj)).to_dense()
+            else:
+                mix = adj + np.eye(adj.shape[0])
+            self._mixed = (np.array(adj, dtype=float), mix)
+        return self._mixed[1]
 
     def embed(self, adj, x_stack):
         mix = self._mixing_matrix(adj)
@@ -214,17 +204,12 @@ class StackPredictor:
 def make_random_predictor(feature_dim, hidden_dim, encoder_layers,
                           decoder_layers, kind, rng):
     """Xavier-initialized StackPredictor mapping d -> d features."""
-
-    def xavier(rows, cols):
-        bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
     enc_dims = [feature_dim] + [hidden_dim] * encoder_layers
     dec_dims = [hidden_dim] * decoder_layers + [feature_dim]
     return StackPredictor(
         kind,
-        [xavier(a, b) for a, b in zip(enc_dims[:-1], enc_dims[1:])],
-        [xavier(a, b) for a, b in zip(dec_dims[:-1], dec_dims[1:])],
+        [xavier_init(a, b, rng) for a, b in zip(enc_dims[:-1], enc_dims[1:])],
+        [xavier_init(a, b, rng) for a, b in zip(dec_dims[:-1], dec_dims[1:])],
     )
 
 
@@ -249,55 +234,30 @@ def identity_predictor():
 # Lipschitz machinery
 
 
-def spectral_norm(matrix, tol=1e-6, max_iter=10000):
-    """Largest singular value by power iteration on W^T W.
-
-    Deterministic start vector; converges when successive estimates agree to
-    relative tolerance. Raises if the cap is hit first.
-    """
+def spectral_norm(matrix):
+    """Largest singular value, from an SVD: a power iteration approaches it
+    from below and would understate the Lipschitz bound."""
     w = np.asarray(matrix, dtype=float)
     if w.ndim != 2:
         raise ValueError("spectral_norm expects a 2-D matrix")
-    if not np.any(w):
-        return 0.0
-    gram = w.T @ w
-    v = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
-    previous = 0.0
-    for _ in range(max_iter):
-        v_next = gram @ v
-        norm = np.linalg.norm(v_next)
-        if norm == 0.0:
-            # start vector lay in the null space; restart off-axis
-            v = np.zeros(gram.shape[0])
-            v[0] = 1.0
-            previous = 0.0
-            continue
-        v = v_next / norm
-        estimate = np.sqrt(v @ gram @ v)
-        if abs(estimate - previous) <= tol * max(estimate, 1e-30):
-            return float(estimate)
-        previous = estimate
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    return float(np.linalg.norm(w, 2))
 
 
-def lipschitz_upper(weights, tol=1e-6, max_iter=10000):
+def lipschitz_upper(weights):
     """Upper bound on the Lipschitz constant of a dense relu network: the
     product of its weight matrices' spectral norms.
 
-    Accepts a list of matrices, a StackPredictor (its head is used), or any
-    object exposing weight_matrices().
+    Accepts a list of matrices or a StackPredictor (its head is used).
     """
     if isinstance(weights, StackPredictor):
         mats = weights.decoder_weights
-    elif hasattr(weights, "weight_matrices"):
-        mats = weights.weight_matrices()
     else:
         mats = list(weights)
     if not mats:
         raise ValueError("no weight matrices given")
     bound = 1.0
     for w in mats:
-        bound *= spectral_norm(w, tol=tol, max_iter=max_iter)
+        bound *= spectral_norm(w)
     return float(bound)
 
 
@@ -352,14 +312,24 @@ def _delta_se(columns, grad):
     return float(np.sqrt(max(grad @ cov @ grad, 0.0) / n))
 
 
-def _estimate_bound(which, predict, gap_stack, multiplier, setup, n_mc,
+def _gap(clean, noisy, indices):
+    """Per-draw summed squared disagreement, an (S,) vector: on the rows
+    `indices` of a stack that keeps the node axis, (S, n, q), and on the
+    whole of a pooled one, (S, q)."""
+    if clean.ndim == 3:
+        clean, noisy = clean[:, indices, :], noisy[:, indices, :]
+    return np.sum((clean - noisy) ** 2, axis=tuple(range(1, clean.ndim)))
+
+
+def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
                     mask_draws, rng):
     """Shared Monte-Carlo core.
 
     predict: (adj, x_stack) -> prediction stack, the f whose reconstruction
         errors form both sides of the bound.
-    gap_stack: (adj, x_stack, corrupted_stack, indices) -> per-draw summed
-        squared invariance gap, an (S,) vector.
+    gap_map: (adj, x_stack) -> the stack whose clean-vs-corrupted
+        disagreement (see `_gap`) forms the invariance gap: `predict`
+        itself, an embedding, or a pooled readout.
     multiplier: the constant in front of E_J[sqrt(gap / |J|)].
     """
     if n_mc < 2:
@@ -381,12 +351,14 @@ def _estimate_bound(which, predict, gap_stack, multiplier, setup, n_mc,
     lhs_draws = to_latent + noise_energy
     cross = recon - lhs_draws  # equals -2 <f - F, X - F> draw by draw
 
+    spec = setup.mask_spec
     k_mask = setup.mask_count
+    clean = predicted if gap_map is predict else gap_map(adj, observed)
     gap_columns = np.empty((n_mc, mask_draws))
     for m in range(mask_draws):
-        indices = np.sort(rng.choice(setup.num_nodes, size=k_mask, replace=False))
-        corrupted = _corrupt_stack(observed, indices, setup, rng)
-        gap_columns[:, m] = gap_stack(adj, observed, corrupted, indices) / k_mask
+        indices, noise = sample_mask(observed.shape, spec, rng)
+        corrupted = apply_mask(observed, indices, noise, spec.mode)
+        gap_columns[:, m] = _gap(clean, gap_map(adj, corrupted), indices) / k_mask
 
     u = gap_columns.mean(axis=0)
     roots = np.sqrt(u)
@@ -428,17 +400,8 @@ def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    cache = {}
-
-    def gap(adj, observed, corrupted, indices):
-        if "clean" not in cache:
-            cache["clean"] = predict(adj, observed)
-        clean = cache["clean"][:, indices, :]
-        noisy = predict(adj, corrupted)[:, indices, :]
-        return np.sum((clean - noisy) ** 2, axis=(1, 2))
-
     multiplier = (2.0 * setup.sigma_bound * setup.num_nodes) * penalty_scale
-    return _estimate_bound("theorem1", predict, gap, multiplier, setup,
+    return _estimate_bound("theorem1", predict, predict, multiplier, setup,
                            n_mc, mask_draws, rng)
 
 
@@ -458,32 +421,19 @@ def estimate_corollary(level, predictor, setup, bounds=None, n_mc=512,
         bounds = LipschitzBounds(ell=lipschitz_upper(predictor),
                                  k=float(np.sqrt(setup.num_nodes)))
 
-    cache = {}
-
-    def clean_embedding(adj, observed):
-        if "clean" not in cache:
-            cache["clean"] = predictor.embed(adj, observed)
-        return cache["clean"]
-
     if level == "node":
         which = "corollary1"
         multiplier = 2.0 * setup.sigma_bound * setup.num_nodes * bounds.ell
-
-        def gap(adj, observed, corrupted, indices):
-            clean = clean_embedding(adj, observed)[:, indices, :]
-            noisy = predictor.embed(adj, corrupted)[:, indices, :]
-            return np.sum((clean - noisy) ** 2, axis=(1, 2))
+        gap_map = predictor.embed
     else:
         which = "corollary2"
         multiplier = (2.0 * setup.sigma_bound * setup.num_nodes
                       * bounds.k * bounds.ell)
 
-        def gap(adj, observed, corrupted, indices):
-            clean = predictor.readout(clean_embedding(adj, observed))
-            noisy = predictor.readout(predictor.embed(adj, corrupted))
-            return np.sum((clean - noisy) ** 2, axis=1)
+        def gap_map(adj, x_stack):
+            return predictor.readout(predictor.embed(adj, x_stack))
 
-    return _estimate_bound(which, predictor.predict, gap,
+    return _estimate_bound(which, predictor.predict, gap_map,
                            multiplier * penalty_scale, setup, n_mc,
                            mask_draws, rng)
 
@@ -523,14 +473,14 @@ def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, rng=None,
     chunk = n_mc // mask_draws
     if chunk < 2:
         raise ValueError("n_mc too small for the requested mask draws")
+    spec = setup.mask_spec
     adj = gen_adjacency(setup, rng)
     values = []
     for _ in range(mask_draws):
         latent = gen_latent_stack(setup, rng, chunk)
         observed = gen_observation_stack(latent, setup, rng)
-        indices = np.sort(rng.choice(setup.num_nodes, size=setup.mask_count,
-                                     replace=False))
-        corrupted = _corrupt_stack(observed, indices, setup, rng)
+        indices, noise = sample_mask(observed.shape, spec, rng)
+        corrupted = apply_mask(observed, indices, noise, spec.mode)
         inputs = observed if pass_full_input else corrupted
         predicted = predict(adj, inputs)
         err = predicted[:, indices, :] - latent[:, indices, :]

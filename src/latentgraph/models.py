@@ -216,12 +216,7 @@ class Encoder:
         the same graph structure.
         """
         adjacency = self.adjacency_for(batch)
-        if features is None:
-            h = Value(batch.features)
-        elif isinstance(features, Value):
-            h = features
-        else:
-            h = Value(features)
+        h = Value(batch.features if features is None else features)
         outputs = []
         for layer in self.layers:
             h = layer(adjacency, h, training)
@@ -280,9 +275,6 @@ class Decoder:
                     z = self.bns[i](z, training)
                 z = relu(z)
         return z
-
-    def weight_matrices(self):
-        return [lin.W.data for lin in self.linears]
 
     def named_parameters(self, prefix="decoder"):
         out = []

@@ -65,19 +65,22 @@ def mask_size(num_nodes, ratio):
     return max(1, int(np.floor(ratio * num_nodes + 0.5)))
 
 
-def sample_mask(num_nodes, feature_dim, spec, rng):
-    """Draw the corrupted-node index set and its noise rows for one graph.
+def sample_mask(shape, spec, rng):
+    """Draw the corrupted-node index set and its noise for features of shape
+    (..., n, d): one graph's matrix, or a stack of matrices over the same n
+    nodes that all share the index set.
 
-    Returns (indices, noise): sorted node indices, and a matrix of additive
-    noise aligned with them (all zeros in "zeros" mode, where apply_mask
-    blanks the rows instead of adding).
+    Returns (indices, noise): sorted node indices, and additive noise of shape
+    (..., k, d) aligned with them (all zeros in "zeros" mode, where
+    apply_mask blanks the rows instead of adding).
     """
+    *lead, num_nodes, feature_dim = shape
     k = mask_size(num_nodes, spec.ratio)
     indices = np.sort(rng.choice(num_nodes, size=k, replace=False))
     if spec.mode == "gaussian":
-        noise = rng.normal(0.0, spec.noise_sd, size=(k, feature_dim))
+        noise = rng.normal(0.0, spec.noise_sd, size=(*lead, k, feature_dim))
     else:
-        noise = np.zeros((k, feature_dim))
+        noise = np.zeros((*lead, k, feature_dim))
     return indices, noise
 
 
@@ -89,19 +92,20 @@ def sample_batch_mask(batch, spec, rng):
     d = batch.features.shape[1]
     for i in range(batch.num_graphs):
         start, end = batch.node_range(i)
-        idx, noise = sample_mask(end - start, d, spec, rng)
+        idx, noise = sample_mask((end - start, d), spec, rng)
         all_indices.append(idx + start)
         all_noise.append(noise)
     return np.concatenate(all_indices), np.vstack(all_noise)
 
 
 def apply_mask(features, indices, noise, mode="gaussian"):
-    """Return a corrupted copy of `features`; the original is untouched."""
+    """Return a corrupted copy of `features`, shape (..., n, d), with rows
+    `indices` of the node axis noised or blanked; the original is untouched."""
     out = np.array(features, dtype=float, copy=True)
     if mode == "gaussian":
-        out[indices] = out[indices] + noise
+        out[..., indices, :] += noise
     elif mode == "zeros":
-        out[indices] = 0.0
+        out[..., indices, :] = 0.0
     else:
         raise ValueError(f"mask mode must be one of {_MASK_MODES}, got {mode!r}")
     return out

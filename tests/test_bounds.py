@@ -142,11 +142,6 @@ class TestLipschitz:
         expected = np.linalg.svd(w, compute_uv=False)[0]
         assert spectral_norm(w) == pytest.approx(expected, rel=1e-5)
 
-    def test_non_convergence_raises(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(RuntimeError, match="converge"):
-            spectral_norm(rng.normal(size=(6, 6)), tol=0.0, max_iter=3)
-
     def test_not_two_dimensional(self):
         with pytest.raises(ValueError):
             spectral_norm(np.ones(3))
@@ -158,6 +153,17 @@ class TestLipschitz:
     def test_empty_weight_list(self):
         with pytest.raises(ValueError):
             lipschitz_upper([])
+
+    def test_bound_covers_the_heads_top_singular_values(self):
+        # heads shaped like the verifier's: an estimate from below would
+        # shrink the corollaries' penalty
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            predictor = make_random_predictor(int(rng.integers(2, 9)), 8, 2, 2,
+                                              "gin", rng)
+            product = np.prod([np.linalg.svd(w, compute_uv=False)[0]
+                               for w in predictor.decoder_weights])
+            assert lipschitz_upper(predictor) >= product
 
     def test_head_is_actually_lipschitz(self):
         rng = np.random.default_rng(8)
@@ -194,6 +200,21 @@ class TestStackPredictor:
         for i in range(4):
             single = predictor.predict(adj, stack[i:i + 1])[0]
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_embed_follows_a_changed_adjacency(self, kind):
+        rng = np.random.default_rng(10)
+        predictor = make_random_predictor(3, 5, 2, 2, kind, rng)
+        setup = small_setup(feature_dim=3)
+        stack = rng.normal(size=(2, setup.num_nodes, 3))
+        adj = gen_adjacency(setup, rng)
+        first = predictor.embed(adj, stack)
+        adj[0, 1] = adj[1, 0] = 1.0 - adj[0, 1]  # flip one edge in place
+        fresh = StackPredictor(kind, predictor.encoder_weights,
+                               predictor.decoder_weights)
+        np.testing.assert_array_equal(predictor.embed(adj, stack),
+                                      fresh.embed(adj, stack))
+        assert not np.array_equal(predictor.embed(adj, stack), first)
 
     def test_gin_isolated_node_hand_value(self):
         # single node, no edges: embed = relu(x W); weights of ones

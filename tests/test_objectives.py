@@ -51,14 +51,14 @@ class TestMaskSpec:
     def test_sample_mask_shapes_and_order(self):
         rng = np.random.default_rng(0)
         spec = MaskSpec(ratio=0.5, noise_sd=2.0)
-        idx, noise = sample_mask(10, 3, spec, rng)
+        idx, noise = sample_mask((10, 3), spec, rng)
         assert idx.shape == (5,) and noise.shape == (5, 3)
         assert np.all(np.diff(idx) > 0)
         assert idx.min() >= 0 and idx.max() < 10
 
     def test_zeros_mode_noise_is_zero(self):
         rng = np.random.default_rng(1)
-        _, noise = sample_mask(8, 2, MaskSpec(ratio=0.25, mode="zeros"), rng)
+        _, noise = sample_mask((8, 2), MaskSpec(ratio=0.25, mode="zeros"), rng)
         np.testing.assert_array_equal(noise, 0.0)
 
     def test_apply_mask_gaussian_touches_only_masked_rows(self):
@@ -76,6 +76,21 @@ class TestMaskSpec:
         np.testing.assert_array_equal(out[[0, 3]], 0.0)
         np.testing.assert_array_equal(out[[1, 2]], 1.0)
         np.testing.assert_array_equal(x, 1.0)  # input untouched
+
+    @pytest.mark.parametrize("mode", ["gaussian", "zeros"])
+    def test_stack_mask_corrupts_every_slice_alike(self, mode):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 8, 3))
+        spec = MaskSpec(ratio=0.25, noise_sd=0.7, mode=mode)
+        idx, noise = sample_mask(stack.shape, spec, rng)
+        assert idx.shape == (2,) and noise.shape == (5, 2, 3)
+        out = apply_mask(stack, idx, noise, mode)
+        rest = np.setdiff1d(np.arange(8), idx)
+        np.testing.assert_array_equal(out[:, rest, :], stack[:, rest, :])
+        for s in range(stack.shape[0]):
+            np.testing.assert_array_equal(
+                out[s], apply_mask(stack[s], idx, noise[s], mode))
+        assert not np.array_equal(out[:, idx, :], stack[:, idx, :])
 
     def test_batch_mask_covers_every_graph(self):
         rng = np.random.default_rng(3)
