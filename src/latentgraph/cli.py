@@ -9,7 +9,8 @@ LAGRAPH_STRICT_DETERMINISM=1 environment variable set, re-execution
 reproduces outputs bit for bit.
 
 Exit codes: 0 on success, 1 when a verification suite finds a hard failure,
-2 for configuration or usage errors.
+2 for configuration or usage errors, including a training run stopped by a
+non-finite loss.
 """
 
 import argparse
@@ -46,11 +47,13 @@ from .models import build_model
 from .objectives import VARIANTS
 from .training import (
     CheckpointError,
+    NonFiniteLossError,
     TrainConfig,
     load_checkpoint,
     load_config,
     preset_config,
     train,
+    write_atomic,
 )
 
 BATCH_GRID = (8, 32, 128, 256)
@@ -79,9 +82,7 @@ def _utc_now():
 
 
 def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
 
 
 def _derive_seed(base, index):
@@ -726,7 +727,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except CliError as exc:
+    except (CliError, NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,10 @@ Every value is a 2-D float64 matrix wrapped in a :class:`Value` node. Operations
 build a provenance DAG; :func:`backward` walks it once in reverse topological
 order and accumulates gradients, so shared subexpressions receive the sum of all
 path contributions. The DAG is freed during backward (no persistent tape), and
-only leaf gradients survive it.
+only leaf gradients survive it. Inside ``with no_grad():`` ops record nothing:
+each result is a parentless Value, so an intermediate array is freed as soon
+as the next op has consumed it. Inference (representation extraction) runs
+this way; training and anything that calls :func:`backward` must not.
 
 Scalars are 1x1 matrices. Sparse matrices (:class:`SparseMatrix`) are constants:
 they never receive gradients and only appear as the left operand of :func:`spmm`.
@@ -18,6 +21,7 @@ environment variable (read once at import).
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +46,7 @@ __all__ = [
     "softmax_ce",
     "kl_div",
     "backward",
+    "no_grad",
     "zero_grad",
     "grad_check",
     "GradCheckReport",
@@ -61,6 +66,25 @@ def set_strict_determinism(flag):
 
 def strict_determinism_enabled():
     return _STRICT
+
+
+_RECORDING = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff DAG while the block runs.
+
+    Op results inside the block keep their data but record no parents and no
+    backward closure. Recording resumes on exit, also when the block raises;
+    nested blocks restore the state they found.
+    """
+    global _RECORDING
+    previous, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = previous
 
 
 def _mm(a, b):
@@ -91,7 +115,8 @@ class Value:
     ``data`` is the 2-D float64 payload, ``grad`` the accumulated gradient
     (``None`` until backward reaches the node), ``op`` a short tag naming the
     producing operation, ``_parents`` the input nodes and ``_backward`` a
-    closure that routes this node's gradient to them.
+    closure that routes this node's gradient to them. Under :func:`no_grad`
+    the constructor drops ``parents`` and ``backward``.
     """
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward", "__weakref__")
@@ -100,8 +125,12 @@ class Value:
         self.data = _as_matrix(data)
         self.grad = None
         self.op = op
-        self._parents = tuple(parents)
-        self._backward = backward
+        if _RECORDING:
+            self._parents = tuple(parents)
+            self._backward = backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -157,14 +186,12 @@ def matmul(a, b):
     """Matrix product a @ b with gradients g @ b.T and a.T @ g."""
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims disagree {a.data.shape} vs {b.data.shape}")
-    out = Value(_mm(a.data, b.data), parents=(a, b), op="matmul")
 
     def _back(g):
         _accumulate(a, _mm(g, b.data.T))
         _accumulate(b, _mm(a.data.T, g))
 
-    out._backward = _back
-    return out
+    return Value(_mm(a.data, b.data), parents=(a, b), backward=_back, op="matmul")
 
 
 def spmm(s, d):
@@ -173,25 +200,21 @@ def spmm(s, d):
         raise TypeError("spmm expects a SparseMatrix left operand")
     if s.shape[1] != d.data.shape[0]:
         raise ValueError(f"spmm: inner dims disagree {s.shape} vs {d.data.shape}")
-    out = Value(s.matmat(d.data), parents=(d,), op="spmm")
 
     def _back(g):
         _accumulate(d, s.transpose().matmat(g))
 
-    out._backward = _back
-    return out
+    return Value(s.matmat(d.data), parents=(d,), backward=_back, op="spmm")
 
 
 def add(a, b):
     _check_same_shape(a, b, "add")
-    out = Value(a.data + b.data, parents=(a, b), op="add")
 
     def _back(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    out._backward = _back
-    return out
+    return Value(a.data + b.data, parents=(a, b), backward=_back, op="add")
 
 
 def add_row(a, b):
@@ -201,61 +224,51 @@ def add_row(a, b):
     """
     if b.data.shape[0] != 1 or b.data.shape[1] != a.data.shape[1]:
         raise ValueError(f"add_row: cannot add {b.data.shape} to rows of {a.data.shape}")
-    out = Value(a.data + b.data, parents=(a, b), op="add_row")
 
     def _back(g):
         _accumulate(a, g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    out._backward = _back
-    return out
+    return Value(a.data + b.data, parents=(a, b), backward=_back, op="add_row")
 
 
 def sub(a, b):
     _check_same_shape(a, b, "sub")
-    out = Value(a.data - b.data, parents=(a, b), op="sub")
 
     def _back(g):
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    out._backward = _back
-    return out
+    return Value(a.data - b.data, parents=(a, b), backward=_back, op="sub")
 
 
 def hadamard(a, b):
     _check_same_shape(a, b, "hadamard")
-    out = Value(a.data * b.data, parents=(a, b), op="hadamard")
 
     def _back(g):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    out._backward = _back
-    return out
+    return Value(a.data * b.data, parents=(a, b), backward=_back, op="hadamard")
 
 
 def scale(a, c):
     c = float(c)
-    out = Value(a.data * c, parents=(a,), op="scale")
 
     def _back(g):
         _accumulate(a, g * c)
 
-    out._backward = _back
-    return out
+    return Value(a.data * c, parents=(a,), backward=_back, op="scale")
 
 
 def relu(a):
     """Elementwise max(0, x); the derivative at exactly 0 is taken as 0."""
     mask = a.data > 0.0
-    out = Value(np.where(mask, a.data, 0.0), parents=(a,), op="relu")
 
     def _back(g):
         _accumulate(a, g * mask)
 
-    out._backward = _back
-    return out
+    return Value(np.where(mask, a.data, 0.0), parents=(a,), backward=_back, op="relu")
 
 
 def row_select(h, indices):
@@ -264,26 +277,23 @@ def row_select(h, indices):
     n = h.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"row_select: index out of range for {n} rows")
-    out = Value(h.data[idx], parents=(h,), op="row_select")
 
     def _back(g):
         gh = np.zeros_like(h.data)
         np.add.at(gh, idx, g)
         _accumulate(h, gh)
 
-    out._backward = _back
-    return out
+    return Value(h.data[idx], parents=(h,), backward=_back, op="row_select")
 
 
 def sum_squares(a):
     """Squared Frobenius norm as a 1x1 Value."""
-    out = Value(np.sum(a.data * a.data), parents=(a,), op="sum_squares")
 
     def _back(g):
         _accumulate(a, (2.0 * g[0, 0]) * a.data)
 
-    out._backward = _back
-    return out
+    return Value(np.sum(a.data * a.data), parents=(a,), backward=_back,
+                 op="sum_squares")
 
 
 def mse_per(a, b, divisor):
@@ -293,15 +303,14 @@ def mse_per(a, b, divisor):
     if divisor <= 0.0:
         raise ValueError("mse_per: divisor must be positive")
     diff = a.data - b.data
-    out = Value(np.sum(diff * diff) / divisor, parents=(a, b), op="mse_per")
 
     def _back(g):
         gd = (2.0 * g[0, 0] / divisor) * diff
         _accumulate(a, gd)
         _accumulate(b, -gd)
 
-    out._backward = _back
-    return out
+    return Value(np.sum(diff * diff) / divisor, parents=(a, b), backward=_back,
+                 op="mse_per")
 
 
 def sqrt_eps(x, eps=1e-12):
@@ -311,13 +320,11 @@ def sqrt_eps(x, eps=1e-12):
     if x.data[0, 0] < 0.0:
         raise ValueError("sqrt_eps: negative input")
     root = np.sqrt(x.data[0, 0] + eps)
-    out = Value(root, parents=(x,), op="sqrt_eps")
 
     def _back(g):
         _accumulate(x, g * (0.5 / root))
 
-    out._backward = _back
-    return out
+    return Value(root, parents=(x,), backward=_back, op="sqrt_eps")
 
 
 def _log_softmax(z):
@@ -337,13 +344,12 @@ def softmax_ce(logits, targets):
         raise ValueError("softmax_ce: target rows must sum to 1")
     n = logits.data.shape[0]
     logp = _log_softmax(logits.data)
-    out = Value(-np.sum(t * logp) / n, parents=(logits,), op="softmax_ce")
 
     def _back(g):
         _accumulate(logits, (g[0, 0] / n) * (np.exp(logp) - t))
 
-    out._backward = _back
-    return out
+    return Value(-np.sum(t * logp) / n, parents=(logits,), backward=_back,
+                 op="softmax_ce")
 
 
 def kl_div(p_logits, q_logits):
@@ -354,15 +360,14 @@ def kl_div(p_logits, q_logits):
     lq = _log_softmax(q_logits.data)
     p = np.exp(lp)
     row_kl = np.sum(p * (lp - lq), axis=1, keepdims=True)
-    out = Value(row_kl.sum() / max(n, 1), parents=(p_logits, q_logits), op="kl_div")
 
     def _back(g):
         gs = g[0, 0] / max(n, 1)
         _accumulate(p_logits, gs * p * ((lp - lq) - row_kl))
         _accumulate(q_logits, gs * (np.exp(lq) - p))
 
-    out._backward = _back
-    return out
+    return Value(row_kl.sum() / max(n, 1), parents=(p_logits, q_logits),
+                 backward=_back, op="kl_div")
 
 
 def _toposort(root):

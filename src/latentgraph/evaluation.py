@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Value, _accumulate, add, add_row, backward, scale,
-                     softmax_ce, sum_squares)
+from .engine import (Value, _accumulate, add, add_row, backward, no_grad,
+                     scale, softmax_ce, sum_squares)
 from .graphs import batch_graphs
 from .models import readout_sum
 from .training import Adam
@@ -29,7 +29,7 @@ DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 def extract_graph_repr(dataset, encoder, batch_size=256):
     """Per-graph representation: sum-pooled embeddings of every encoder
-    layer, concatenated, via eval-mode forward passes.
+    layer, concatenated, via eval-mode forward passes under ``no_grad``.
 
     Returns a (num_graphs, num_layers * hidden_dim) matrix.
     """
@@ -37,17 +37,19 @@ def extract_graph_repr(dataset, encoder, batch_size=256):
     for start in range(0, len(dataset), batch_size):
         graphs = [dataset[i] for i in range(start, min(start + batch_size, len(dataset)))]
         batch = batch_graphs(graphs)
-        layers = encoder.encode(batch, training=False)
-        pooled = [readout_sum(h, batch).data for h in layers]
+        with no_grad():
+            layers = encoder.encode(batch, training=False)
+            pooled = [readout_sum(h, batch).data for h in layers]
         chunks.append(np.hstack(pooled))
     return np.vstack(chunks)
 
 
 def extract_node_repr(graph, encoder, concat_raw=True):
-    """Per-node representation: last-layer embedding, optionally prefixed
-    with the raw input features."""
+    """Per-node representation: last-layer embedding (an eval-mode forward
+    under ``no_grad``), optionally prefixed with the raw input features."""
     batch = batch_graphs([graph])
-    h_last = encoder.encode(batch, training=False)[-1].data
+    with no_grad():
+        h_last = encoder.encode(batch, training=False)[-1].data
     if concat_raw:
         return np.hstack([batch.features, h_last])
     return h_last
@@ -107,14 +109,12 @@ def _sigmoid_bce(logits, targets):
     if t.shape != z.shape:
         raise ValueError("sigmoid_bce: shape mismatch")
     loss = np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))))
-    out = Value(loss, parents=(logits,), op="sigmoid_bce")
 
     def _back(g):
         p = 1.0 / (1.0 + np.exp(-z))
         _accumulate(logits, (g[0, 0] / z.size) * (p - t))
 
-    out._backward = _back
-    return out
+    return Value(loss, parents=(logits,), backward=_back, op="sigmoid_bce")
 
 
 @dataclass

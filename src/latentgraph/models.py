@@ -56,7 +56,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Value(gamma.data * xhat + beta.data, parents=(x, gamma, beta), op="batch_norm")
 
     def _back(g):
         _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
@@ -76,8 +75,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             dx = dxhat * inv
         _accumulate(x, dx)
 
-    out._backward = _back
-    return out
+    return Value(gamma.data * xhat + beta.data, parents=(x, gamma, beta),
+                 backward=_back, op="batch_norm")
 
 
 class BatchNorm:

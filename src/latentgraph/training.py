@@ -10,8 +10,10 @@ little-endian float64 bytes, which round-trip exactly.
 """
 
 import base64
+import contextlib
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,10 @@ _DECODERS = ("mlp", "gcn")
 
 class CheckpointError(Exception):
     """Raised when a checkpoint file is malformed or does not fit the model."""
+
+
+class NonFiniteLossError(ArithmeticError):
+    """Raised when a training step's loss or one of its terms is NaN or inf."""
 
 
 @dataclass
@@ -221,13 +227,24 @@ def _log_step(log_fh, record):
         log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _check_finite(epoch, step, out):
+    terms = (("reconstruction", out.reconstruction),
+             ("invariance", out.invariance), ("total", out.total.item()))
+    for name, value in terms:
+        if not np.isfinite(value):
+            raise NonFiniteLossError(
+                f"non-finite {name} loss ({value}) at epoch {epoch}, step {step}")
+
+
 def train(model, data, config, log_fh=None, checkpoint_path=None):
     """Run the masked-prediction training loop.
 
     `data` is a GraphDataset (graph level) or a single Graph (node level).
     Returns per-epoch mean loss statistics. When `log_fh` is given, one JSON
     line per optimization step is written to it. When `checkpoint_path` is
-    given, the final weights are saved there.
+    given, the final weights are saved there. A step whose reconstruction,
+    invariance or total loss is not finite raises `NonFiniteLossError`
+    before the step is logged or applied.
     """
     from .graphs import Graph, batch_graphs
 
@@ -248,6 +265,9 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
         if not isinstance(data, Graph):
             raise TypeError("node-level training expects a single Graph")
         step_batches = None
+        sample_subgraphs = 0 < config.subgraph_nodes < data.num_nodes
+        # the full graph never changes: batch and normalise it once
+        full_batch = None if sample_subgraphs else batch_graphs([data])
     else:
         if isinstance(data, Graph):
             raise TypeError("graph-level training expects a GraphDataset")
@@ -257,10 +277,11 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     for epoch in range(config.epochs):
         losses, recons, invs = [], [], []
         if config.level == "node":
-            graph = data
-            if 0 < config.subgraph_nodes < graph.num_nodes:
-                graph = sample_node_subset(data, config.subgraph_nodes, subgraph_rng)
-            batches = [batch_graphs([graph])]
+            if sample_subgraphs:
+                batches = [batch_graphs([sample_node_subset(
+                    data, config.subgraph_nodes, subgraph_rng)])]
+            else:
+                batches = [full_batch]
         else:
             order = shuffle_rng.permutation(step_batches)
             batches = [
@@ -270,6 +291,7 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
         for step, batch in enumerate(batches):
             out = objective(model, batch, spec, mask_rng, config.alpha,
                             config.variant, training=True)
+            _check_finite(epoch, step, out)
             grads = backward(out.total)
             optimizer.step(grads)
             losses.append(out.total.item())
@@ -327,9 +349,26 @@ def save_checkpoint(model, path, meta=None):
         "arrays": {name: _encode_array(arr)
                    for name, arr in model.state_arrays().items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, lambda fh: json.dump(doc, fh, sort_keys=True))
+
+
+def write_atomic(path, write):
+    """Replace `path` with what `write(fh)` writes, plus a final newline.
+
+    The text goes to a temporary file next to `path` that then replaces it in
+    one step, so a failed write leaves any earlier file intact and no
+    temporary file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_level=None):

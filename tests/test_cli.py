@@ -216,6 +216,37 @@ class TestTrain:
         capsys.readouterr()
         assert list(out.iterdir()) == []
 
+    def test_non_finite_loss_is_one_error_line(self, corpus, tmp_path,
+                                               monkeypatch, capsys):
+        import latentgraph.training as training
+        real = training.objective
+
+        def diverging(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.invariance = float("nan")
+            return out
+
+        monkeypatch.setattr(training, "objective", diverging)
+        out = tmp_path / "diverged"
+        rc = main(["train", "--dataset", corpus["graph_dir"],
+                   "--out", str(out), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "non-finite invariance loss" in err[0]
+        assert "epoch 0, step 0" in err[0]
+        assert list(out.iterdir()) == []
+
+    def test_failed_json_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(str(path), {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_same_seed_same_bytes_in_deterministic_mode(self, corpus,
                                                         tmp_path):
         env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",

@@ -22,6 +22,7 @@ from latentgraph.engine import (
     kl_div,
     matmul,
     mse_per,
+    no_grad,
     relu,
     row_select,
     scale,
@@ -504,3 +505,50 @@ class TestStrictDeterminism:
             assert engine.strict_determinism_enabled()
         finally:
             engine.set_strict_determinism(False)
+
+
+class TestNoGrad:
+    def all_ops(self, rng):
+        """One result of every engine op plus batch norm, in both modes."""
+        from latentgraph.models import batch_norm
+
+        a, b = rand_value(rng, 3, 4), rand_value(rng, 3, 4)
+        w, row = rand_value(rng, 4, 2), rand_value(rng, 1, 4)
+        s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
+        targets = np.full((3, 4), 0.25)
+        return [
+            matmul(a, w), spmm(s, a), add(a, b), add_row(a, row), sub(a, b),
+            hadamard(a, b), scale(a, 1.5), relu(a), row_select(a, [2, 0]),
+            sum_squares(a), mse_per(a, b, 2.0), sqrt_eps(sum_squares(a)),
+            softmax_ce(a, targets), kl_div(a, b),
+            batch_norm(a, Value(np.ones((1, 4))), Value(np.zeros((1, 4))),
+                       np.zeros((1, 4)), np.ones((1, 4)), training=False),
+        ]
+
+    def test_ops_record_no_parents_and_no_closure(self):
+        recorded = self.all_ops(np.random.default_rng(30))
+        with no_grad():
+            bare = self.all_ops(np.random.default_rng(30))
+        assert len(bare) == 15
+        for rec, out in zip(recorded, bare):
+            assert rec._parents and rec._backward is not None, rec.op
+            assert out._parents == () and out._backward is None, out.op
+            assert out.op == rec.op
+            np.testing.assert_array_equal(out.data, rec.data)
+
+    def test_recording_resumes_after_the_block(self):
+        a = Value(np.ones((2, 2)))
+        with no_grad():
+            with no_grad():
+                pass
+            assert scale(a, 2.0)._parents == ()
+        out = scale(a, 2.0)
+        assert out._parents == (a,)
+        assert backward(sum_squares(out))[a] is not None
+
+    def test_recording_resumes_when_the_block_raises(self):
+        a = Value(np.ones((2, 2)))
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert scale(a, 2.0)._backward is not None

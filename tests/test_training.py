@@ -10,10 +10,12 @@ from latentgraph.engine import Value
 from latentgraph.graphs import make_blob_dataset, make_sbm_graph, batch_graphs
 from latentgraph.models import build_model
 from latentgraph.objectives import mask_size
+from latentgraph import graphs, training
 from latentgraph.training import (
     Adam,
     CheckpointError,
     EpochStats,
+    NonFiniteLossError,
     TrainConfig,
     load_checkpoint,
     load_config,
@@ -238,6 +240,64 @@ class TestTrainLoop:
             record = json.loads(line)
             assert record["mask_count"] == mask_size(10, cfg.mask_ratio)
 
+    def test_full_graph_is_batched_once(self, monkeypatch):
+        calls = []
+
+        def counting(graph_list):
+            calls.append(len(graph_list))
+            return batch_graphs(graph_list)
+
+        monkeypatch.setattr(graphs, "batch_graphs", counting)
+        graph = make_sbm_graph(30, 2, 0.3, 0.05, 5, np.random.default_rng(4))
+        cfg = TrainConfig(level="node", encoder="gcn", hidden_dim=8,
+                          encoder_layers=2, decoder_layers=1, epochs=3,
+                          lr=1e-3, seed=9).validate()
+        model = build_model("node", "gcn", 5, 8, 2, 1, np.random.default_rng(0))
+        history = train(model, graph, cfg)
+        assert [h.steps for h in history] == [1, 1, 1]
+        assert calls == [1]
+
+    @pytest.mark.parametrize("term", ["reconstruction", "invariance", "total"])
+    def test_non_finite_loss_stops_naming_epoch_step_and_term(self, term,
+                                                              monkeypatch):
+        real = training.objective
+        seen = []
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out)
+            if len(seen) == 5:  # three steps per epoch: epoch 1, step 1
+                if term == "total":
+                    out.total.data[0, 0] = np.inf
+                else:
+                    setattr(out, term, np.nan)
+            return out
+
+        monkeypatch.setattr(training, "objective", poisoned)
+        data = self.make_data()
+        cfg = tiny_config(epochs=3, batch_size=4)
+        model = build_model("graph", cfg.encoder, data.feature_dim,
+                            cfg.hidden_dim, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0))
+        import io
+        log = io.StringIO()
+        with pytest.raises(NonFiniteLossError,
+                           match=f"non-finite {term} loss .* epoch 1, step 1"):
+            train(model, data, cfg, log_fh=log)
+        assert len(seen) == 5
+        assert len(log.getvalue().splitlines()) == 4
+
+    def test_nan_parameters_stop_training_at_the_first_step(self):
+        data = self.make_data()
+        cfg = tiny_config()
+        model = build_model("graph", cfg.encoder, data.feature_dim,
+                            cfg.hidden_dim, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0))
+        model.decoder.linears[-1].W.data[:] = np.nan
+        with pytest.raises(NonFiniteLossError,
+                           match="non-finite reconstruction loss .* epoch 0, step 0"):
+            train(model, data, cfg)
+
     def test_level_mismatch_between_config_and_model(self):
         data = self.make_data()
         model = build_model("node", "gcn", data.feature_dim, 4, 1, 1,
@@ -333,6 +393,19 @@ class TestCheckpoints:
         model = Model(Encoder("gin", 3, 4, 1, rng), Decoder(4, 3, 1, rng), "graph")
         with pytest.raises(CheckpointError, match="build_spec"):
             save_checkpoint(model, tmp_path / "x.ckpt")
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        model = self.build()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        model.parameters()[0].data = model.parameters()[0].data + 1.0
+        # json.dump streams "arrays" to the file before it reaches the
+        # unserialisable "meta" entry
+        with pytest.raises(TypeError):
+            save_checkpoint(model, path, meta={"bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_train_writes_checkpoint(self, tmp_path):
         data = make_blob_dataset(6, 2, np.random.default_rng(5), feature_dim=4)
