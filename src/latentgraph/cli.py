@@ -48,6 +48,7 @@ from .objectives import VARIANTS
 from .training import (
     CheckpointError,
     NonFiniteLossError,
+    PRESETS,
     TrainConfig,
     load_checkpoint,
     load_config,
@@ -155,7 +156,7 @@ def _add_config_arguments(parser):
     the preset/config-file values.
     """
     group = parser.add_argument_group("training configuration")
-    group.add_argument("--preset", choices=("molecule", "protein", "node"),
+    group.add_argument("--preset", choices=sorted(PRESETS),
                        help="named hyperparameter bundle to start from")
     group.add_argument("--config", metavar="FILE",
                        help="key = value configuration file")

@@ -202,7 +202,7 @@ def spmm(s, d):
         raise ValueError(f"spmm: inner dims disagree {s.shape} vs {d.data.shape}")
 
     def _back(g):
-        _accumulate(d, s.transpose().matmat(g))
+        _accumulate(d, s.rmatmat(g))
 
     return Value(s.matmat(d.data), parents=(d,), backward=_back, op="spmm")
 
@@ -511,14 +511,13 @@ class SparseMatrix:
     strictly increasing within each row. Products are delegated to scipy.
     """
 
-    __slots__ = ("_csr", "_transpose")
+    __slots__ = ("_csr",)
 
     def __init__(self, csr):
         csr = sp.csr_matrix(csr, dtype=np.float64)
         csr.sum_duplicates()
         csr.sort_indices()
         self._csr = csr
-        self._transpose = None
 
     @classmethod
     def from_dense(cls, a):
@@ -563,12 +562,15 @@ class SparseMatrix:
         return np.asarray(self._csr.todense(), dtype=np.float64)
 
     def transpose(self):
-        if self._transpose is None:
-            self._transpose = SparseMatrix(self._csr.T.tocsr())
-        return self._transpose
+        return SparseMatrix(self._csr.T.tocsr())
 
     def matmat(self, dense):
         out = self._csr @ np.asarray(dense, dtype=np.float64)
+        return np.ascontiguousarray(out)
+
+    def rmatmat(self, dense):
+        """``self.T @ dense`` through scipy's CSC view of the same arrays, no copy."""
+        out = self._csr.T @ np.asarray(dense, dtype=np.float64)
         return np.ascontiguousarray(out)
 
     def __matmul__(self, dense):

@@ -63,10 +63,7 @@ class Graph:
         return self.features.shape[1]
 
     def degrees(self):
-        deg = np.zeros(self.num_nodes, dtype=np.intp)
-        np.add.at(deg, self.adjacency.indices, 1)
-        # symmetric matrix: column counts equal row counts
-        return deg
+        return np.diff(self.adjacency.indptr).astype(np.intp)
 
 
 @dataclass
@@ -132,9 +129,7 @@ class GraphBatch:
         self.offsets = offsets
         self.membership = np.repeat(np.arange(len(graphs), dtype=np.intp), counts)
         self.block_adjacency = SparseMatrix.from_coo(
-            np.concatenate(rows) if rows else [],
-            np.concatenate(cols) if cols else [],
-            np.concatenate(vals) if vals else [],
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
             shape=(total, total),
         )
         self.features = np.vstack([g.features for g in graphs])
@@ -165,25 +160,22 @@ def batch_graphs(graphs):
     return GraphBatch(graphs)
 
 
-def _symmetrized_adjacency(num_nodes, pairs):
-    """Deduplicated symmetric binary adjacency from (u, v) pairs, no loops."""
-    pairs = [(u, v) for u, v in pairs if u != v]
-    if pairs:
-        arr = np.array(pairs, dtype=np.intp)
-        both = np.vstack([arr, arr[:, ::-1]])
-        rows, cols = both[:, 0], both[:, 1]
-        vals = np.ones(len(both))
-    else:
-        rows = cols = vals = np.empty(0)
-    adj = SparseMatrix.from_coo(rows, cols, vals, shape=(num_nodes, num_nodes))
-    # duplicate edges collapse to 1
-    adj = SparseMatrix.from_coo(
-        np.repeat(np.arange(num_nodes, dtype=np.intp), np.diff(adj.indptr)),
-        adj.indices,
-        np.ones(adj.nnz),
-        shape=(num_nodes, num_nodes),
-    )
-    return adj
+def _symmetrized_adjacency(num_nodes, u, v):
+    """Deduplicated symmetric binary adjacency from endpoint arrays, no loops."""
+    u = np.asarray(u, dtype=np.intp)
+    v = np.asarray(v, dtype=np.intp)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    return SparseMatrix.from_coo(keys // num_nodes, keys % num_nodes,
+                                 np.ones(len(keys)), shape=(num_nodes, num_nodes))
+
+
+def _group_by(keys, num_groups):
+    """Stable order sorting ``keys`` in 0..num_groups-1, and each group's start in it."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=num_groups))])
+    return order, starts
 
 
 def _read_int_lines(path, what):
@@ -222,8 +214,7 @@ def parse_tudataset(directory, dataset_name):
 
     indicator = np.array(_read_int_lines(indicator_path, "graph_indicator"), dtype=np.intp)
     total_nodes = len(indicator)
-    graph_ids = np.unique(indicator)
-    id_to_pos = {int(gid): i for i, gid in enumerate(graph_ids)}
+    graph_ids, graph_pos = np.unique(indicator, return_inverse=True)
 
     raw_labels = _read_int_lines(labels_path, "graph_labels")
     if len(raw_labels) != len(graph_ids):
@@ -233,7 +224,7 @@ def parse_tudataset(directory, dataset_name):
     classes = sorted(set(raw_labels))
     class_map = {c: i for i, c in enumerate(classes)}
 
-    edges = []
+    us, vs = [], []
     with open(edge_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -253,7 +244,8 @@ def parse_tudataset(directory, dataset_name):
                     f"edge file: edge ({u}, {v}) crosses graph boundaries "
                     f"(graphs {indicator[u - 1]} and {indicator[v - 1]})"
                 )
-            edges.append((u - 1, v - 1))
+            us.append(u - 1)
+            vs.append(v - 1)
 
     node_labels = None
     if os.path.exists(node_labels_path):
@@ -263,45 +255,37 @@ def parse_tudataset(directory, dataset_name):
                 f"node_labels has {len(node_labels)} entries for {total_nodes} nodes"
             )
 
-    # global node id -> (graph position, local id)
-    local_ids = np.zeros(total_nodes, dtype=np.intp)
-    counts = np.zeros(len(graph_ids), dtype=np.intp)
-    graph_pos = np.array([id_to_pos[int(g)] for g in indicator], dtype=np.intp)
-    for i in range(total_nodes):
-        local_ids[i] = counts[graph_pos[i]]
-        counts[graph_pos[i]] += 1
+    # local id = rank of a node among its graph's nodes in file order
+    order, starts = _group_by(graph_pos, len(graph_ids))
+    local_ids = np.empty(total_nodes, dtype=np.intp)
+    local_ids[order] = np.arange(total_nodes) - starts[graph_pos[order]]
+    us, vs = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
+    edge_order, edge_starts = _group_by(graph_pos[us], len(graph_ids))
+    edge_u, edge_v = local_ids[us[edge_order]], local_ids[vs[edge_order]]
 
-    per_graph_edges = [[] for _ in graph_ids]
-    for u, v in edges:
-        per_graph_edges[graph_pos[u]].append((local_ids[u], local_ids[v]))
-
+    # feature rows in graph-grouped order: graph g owns rows starts[g]:starts[g + 1]
     if node_labels is not None:
-        label_values = sorted(set(int(x) for x in node_labels))
-        value_pos = {v: i for i, v in enumerate(label_values)}
-        feature_dim = len(label_values)
+        label_values, label_pos = np.unique(node_labels, return_inverse=True)
+        features = np.zeros((total_nodes, len(label_values)))
+        features[np.arange(total_nodes), label_pos[order]] = 1.0
     else:
-        feature_dim = 1  # placeholder constant feature; callers usually swap in degree one-hots
+        # placeholder constant feature; callers usually swap in degree one-hots
+        features = np.ones((total_nodes, 1))
 
     graphs = []
-    for gpos, gid in enumerate(graph_ids):
-        n = int(counts[gpos])
-        adj = _symmetrized_adjacency(n, per_graph_edges[gpos])
-        if node_labels is not None:
-            feats = np.zeros((n, feature_dim))
-            mask = graph_pos == gpos
-            feats[local_ids[mask], [value_pos[int(x)] for x in node_labels[mask]]] = 1.0
-        else:
-            feats = np.ones((n, 1))
+    for gpos in range(len(graph_ids)):
+        e0, e1 = edge_starts[gpos], edge_starts[gpos + 1]
+        n = int(starts[gpos + 1] - starts[gpos])
         graphs.append(Graph(
             num_nodes=n,
-            adjacency=adj,
-            features=feats,
+            adjacency=_symmetrized_adjacency(n, edge_u[e0:e1], edge_v[e0:e1]),
+            features=features[starts[gpos]:starts[gpos + 1]],
             label=class_map[raw_labels[gpos]],
         ))
     return GraphDataset(
         graphs=graphs,
         num_classes=len(classes),
-        feature_dim=feature_dim,
+        feature_dim=features.shape[1],
         name=dataset_name,
     )
 
@@ -384,19 +368,23 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
             if not line:
                 continue
             try:
-                feats.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise ValueError(f"feature file: bad row on line {lineno}") from exc
+            if feats and len(row) != len(feats[0]):
+                raise ValueError(f"feature file: row on line {lineno} has {len(row)} values, "
+                                 f"expected {len(feats[0])}")
+            feats.append(row)
+    if not feats:
+        raise ValueError("feature file has no rows")
     features = np.array(feats)
-    if features.ndim != 2:
-        raise ValueError("feature file must contain uniform-width rows")
     num_nodes = features.shape[0]
 
     labels = np.array(_read_int_lines(label_file, "labels"), dtype=np.intp)
     if len(labels) != num_nodes:
         raise ValueError(f"label file has {len(labels)} entries for {num_nodes} nodes")
 
-    pairs = []
+    us, vs = [], []
     with open(edge_file, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -405,14 +393,18 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"edge file: expected two tokens on line {lineno}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"edge file: non-integer tokens on line {lineno}: {line!r}") from exc
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValueError(f"edge file: node id out of range on line {lineno}")
-            pairs.append((u, v))
+            us.append(u)
+            vs.append(v)
 
     graph = Graph(
         num_nodes=num_nodes,
-        adjacency=_symmetrized_adjacency(num_nodes, pairs),
+        adjacency=_symmetrized_adjacency(num_nodes, us, vs),
         features=features,
         node_labels=labels,
     )
@@ -428,7 +420,11 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
                 parts = line.split()
                 if len(parts) != 2 or parts[0] not in buckets:
                     raise ValueError(f"split file: bad line {lineno}: {line!r}")
-                node = int(parts[1])
+                try:
+                    node = int(parts[1])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"split file: non-integer node id on line {lineno}: {line!r}") from exc
                 if not (0 <= node < num_nodes):
                     raise ValueError(f"split file: node id out of range on line {lineno}")
                 buckets[parts[0]].append(node)
@@ -487,7 +483,7 @@ def make_sbm_graph(num_nodes, num_blocks, p_in, p_out, feature_dim, rng,
     features = means[labels] + noise_sd * rng.normal(size=(num_nodes, feature_dim))
 
     # sample edges block-pair by block-pair to stay O(expected edges)
-    rows, cols = [], []
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for a in range(num_blocks):
         ia = np.flatnonzero(labels == a)
         for b in range(a, num_blocks):
@@ -503,12 +499,9 @@ def make_sbm_graph(num_nodes, num_blocks, p_in, p_out, feature_dim, rng,
             keep = u != v
             rows.append(u[keep])
             cols.append(v[keep])
-    pairs = []
-    if rows:
-        pairs = list(zip(np.concatenate(rows), np.concatenate(cols)))
     return Graph(
         num_nodes=num_nodes,
-        adjacency=_symmetrized_adjacency(num_nodes, pairs),
+        adjacency=_symmetrized_adjacency(num_nodes, np.concatenate(rows), np.concatenate(cols)),
         features=features,
         node_labels=labels.astype(np.intp),
     )
@@ -530,10 +523,9 @@ def make_blob_dataset(num_graphs, num_classes, rng, nodes_range=(6, 14),
         n = int(rng.integers(nodes_range[0], nodes_range[1] + 1))
         feats = means[label] + noise_sd * rng.normal(size=(n, feature_dim))
         upper = np.triu(rng.uniform(0, 1, size=(n, n)) < p_edge, k=1)
-        pairs = list(zip(*np.nonzero(upper)))
         graphs.append(Graph(
             num_nodes=n,
-            adjacency=_symmetrized_adjacency(n, pairs),
+            adjacency=_symmetrized_adjacency(n, *np.nonzero(upper)),
             features=feats,
             label=label,
         ))

@@ -129,16 +129,16 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 def _coerce(name, text):
     kind = _CONFIG_FIELDS[name]
     text = text.strip()
-    if kind == "bool" or kind is bool:
+    if kind is bool:
         low = text.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {name!r}: expected a boolean, got {text!r}")
-    if kind == "int" or kind is int:
+    if kind is int:
         return int(text)
-    if kind == "float" or kind is float:
+    if kind is float:
         return float(text)
     return text
 

@@ -130,6 +130,12 @@ class TestParserAndHelpers:
         for command in ("train", "eval", "verify", "ablate"):
             assert command in text
 
+    def test_preset_choices_follow_the_preset_table(self, monkeypatch):
+        monkeypatch.setitem(cli.PRESETS, "tiny", dict(cli.PRESETS["molecule"], hidden_dim=4))
+        args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o",
+                                          "--preset", "tiny"])
+        assert args.preset == "tiny"
+
     def test_derived_seeds_are_stable_and_distinct(self):
         seeds = [_derive_seed(0, i) for i in range(8)]
         assert seeds == [_derive_seed(0, i) for i in range(8)]

@@ -471,6 +471,19 @@ class TestSparseMatrix:
         d = rng.normal(size=(4, 2))
         np.testing.assert_array_equal(s.transpose().matmat(d), dense.T @ d)
 
+    def test_rmatmat_equals_the_transposed_product_bitwise(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            m = int(rng.integers(1, 40))
+            k = int(rng.integers(1, 40))
+            dense = np.where(rng.uniform(0, 1, (m, k)) < 0.3, rng.normal(size=(m, k)), 0.0)
+            s = SparseMatrix.from_dense(dense)
+            g = rng.normal(size=(m, int(rng.integers(1, 6))))
+            out = s.rmatmat(g)
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, s.transpose().matmat(g))
+            np.testing.assert_allclose(out, dense.T @ g, rtol=1e-13, atol=1e-15)
+
 
 class TestStrictDeterminism:
     def test_strict_matmul_is_slice_stable(self):

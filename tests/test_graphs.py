@@ -33,6 +33,23 @@ def write_tud(tmp_path, name, edges, indicator, labels, node_labels=None):
     return tmp_path
 
 
+def dense_reference(n, u, v):
+    """Binary symmetric adjacency with zero diagonal, built entry by entry."""
+    a = np.zeros((n, n))
+    a[u, v] = a[v, u] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def assert_canonical(adj, dense):
+    """The CSR equals ``dense`` with sorted columns and every stored value 1."""
+    np.testing.assert_array_equal(adj.to_dense(), dense)
+    assert adj.nnz == np.count_nonzero(dense)
+    np.testing.assert_array_equal(adj.data, np.ones(adj.nnz))
+    for r in range(adj.shape[0]):
+        assert (np.diff(adj.indices[adj.indptr[r]:adj.indptr[r + 1]]) > 0).all()
+
+
 def triangle():
     return Graph(3, SparseMatrix.from_dense(np.ones((3, 3)) - np.eye(3)), np.eye(3))
 
@@ -101,6 +118,47 @@ class TestTUDatasetParser:
         dense = g.adjacency.to_dense()
         np.testing.assert_array_equal(dense, dense.T)
         np.testing.assert_array_equal(np.diag(dense), np.zeros(8))
+
+    def test_interleaved_indicator_with_unsorted_graph_ids(self, tmp_path):
+        rng = np.random.default_rng(8)
+        indicator = rng.choice([7, 2, 5], size=40)  # graphs interleaved, ids unsorted
+        node_labels = rng.choice([3, -1, 9, 4], size=40)
+        edges = []
+        for _ in range(120):
+            u = int(rng.integers(40))
+            same = np.flatnonzero(indicator == indicator[u])
+            edges.append((u, int(rng.choice(same))))  # self-loops and repeats included
+        root = write_tud(tmp_path, "TOY",
+                         "".join(f"{u + 1}, {v + 1}\n" for u, v in edges),
+                         "".join(f"{g}\n" for g in indicator), "1\n0\n1\n",
+                         node_labels="".join(f"{x}\n" for x in node_labels))
+        ds = parse_tudataset(str(root), "TOY")
+        assert [g.label for g in ds.graphs] == [1, 0, 1]
+        values = np.unique(node_labels)
+        assert ds.feature_dim == len(values)
+        for g, gid in zip(ds.graphs, [2, 5, 7]):
+            nodes = np.flatnonzero(indicator == gid)  # local id = rank in file order
+            local = {int(x): i for i, x in enumerate(nodes)}
+            inside = [(local[u], local[v]) for u, v in edges if u in local]
+            u, v = np.array(inside, dtype=np.intp).T
+            reference = dense_reference(len(nodes), u, v)
+            assert g.num_nodes == len(nodes)
+            assert_canonical(g.adjacency, reference)
+            np.testing.assert_array_equal(g.degrees(), reference.sum(axis=1))
+            expected = (node_labels[nodes, None] == values[None, :]).astype(float)
+            np.testing.assert_array_equal(g.features, expected)
+
+    def test_duplicate_reversed_and_self_loop_edges(self, tmp_path):
+        edges = [(1, 2), (2, 1), (1, 2), (3, 3), (4, 2), (2, 4), (4, 2), (5, 6), (6, 6)]
+        root = write_tud(tmp_path, "TOY",
+                         "".join(f"{u}, {v}\n" for u, v in edges),
+                         "1\n1\n1\n1\n2\n2\n", "0\n1\n")
+        first, second = parse_tudataset(str(root), "TOY").graphs
+        assert_canonical(first.adjacency, dense_reference(4, [0, 1, 0, 3, 1, 3],
+                                                          [1, 0, 1, 1, 3, 1]))
+        assert_canonical(second.adjacency, dense_reference(2, [0], [1]))
+        np.testing.assert_array_equal(first.degrees(), [1, 2, 0, 1])
+        np.testing.assert_array_equal(first.features, np.ones((4, 1)))
 
 
 class TestDegreeOnehot:
@@ -281,6 +339,40 @@ class TestNodeLevelFormat:
         with pytest.raises(ValueError, match="label file"):
             parse_nodelevel(tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt")
 
+    def write_files(self, tmp_path, edges="0\t1\n", feats="1.0\n2.0\n", labels="0\n1\n",
+                    split=None):
+        paths = []
+        for name, text in (("e.txt", edges), ("x.txt", feats), ("y.txt", labels),
+                           ("s.txt", split)):
+            if text is not None:
+                (tmp_path / name).write_text(text)
+                paths.append(tmp_path / name)
+        return paths
+
+    def test_non_integer_edge_token_names_file_and_line(self, tmp_path):
+        paths = self.write_files(tmp_path, edges="0\t1\n1\tx\n")
+        with pytest.raises(ValueError, match="edge file: non-integer tokens on line 2"):
+            parse_nodelevel(*paths)
+
+    def test_non_integer_split_token_names_file_and_line(self, tmp_path):
+        paths = self.write_files(tmp_path, split="train 0\ntest one\n")
+        with pytest.raises(ValueError, match="split file: non-integer node id on line 2"):
+            parse_nodelevel(*paths)
+
+    def test_ragged_feature_row_names_line_and_widths(self, tmp_path):
+        paths = self.write_files(tmp_path, feats="1.0,2.0\n\n3.0\n")
+        with pytest.raises(ValueError,
+                           match="feature file: row on line 3 has 1 values, expected 2"):
+            parse_nodelevel(*paths)
+
+    def test_duplicate_reversed_and_self_loop_edges(self, tmp_path):
+        edges = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3)]
+        paths = self.write_files(tmp_path, edges="".join(f"{u}\t{v}\n" for u, v in edges),
+                                 feats="1.0\n2.0\n3.0\n4.0\n", labels="0\n1\n0\n1\n")
+        g, _ = parse_nodelevel(*paths)
+        u, v = np.array(edges).T
+        assert_canonical(g.adjacency, dense_reference(4, u, v))
+
     def test_sbm_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(5)
         g = make_sbm_graph(60, 2, p_in=0.2, p_out=0.02, feature_dim=4, rng=rng)
@@ -315,6 +407,18 @@ class TestSyntheticGenerators:
         counts = np.bincount(ds.labels())
         np.testing.assert_array_equal(counts, [10, 10])
         assert all(g.feature_dim == ds.feature_dim for g in ds.graphs)
+
+    def test_sbm_without_edges(self):
+        g = make_sbm_graph(30, 2, p_in=0.0, p_out=0.0, feature_dim=2,
+                           rng=np.random.default_rng(10))
+        assert g.adjacency.shape == (30, 30)
+        assert_canonical(g.adjacency, np.zeros((30, 30)))
+        np.testing.assert_array_equal(g.degrees(), np.zeros(30))
+
+    def test_blob_dataset_without_edges(self):
+        ds = make_blob_dataset(6, 2, np.random.default_rng(11), p_edge=0.0)
+        for g in ds.graphs:
+            assert_canonical(g.adjacency, np.zeros((g.num_nodes, g.num_nodes)))
 
     def test_dataset_invariants_enforced(self):
         g1 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 2)), label=0)
