@@ -40,12 +40,11 @@ import numpy as np
 
 from .engine import SparseMatrix
 from .graphs import normalize_adjacency
-from .models import xavier_init
+from .models import ENCODER_KINDS, LEVELS, xavier_init
 from .objectives import MaskSpec, apply_mask, mask_size, sample_mask
 
 _GRAPH_MODELS = ("er", "fixed")
 _PRIORS = ("gaussian", "uniform")
-_PREDICTOR_KINDS = ("gcn", "gin")
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,8 @@ class StackPredictor:
     """
 
     def __init__(self, kind, encoder_weights, decoder_weights):
-        if kind not in _PREDICTOR_KINDS:
-            raise ValueError(f"kind must be one of {_PREDICTOR_KINDS}")
+        if kind not in ENCODER_KINDS:
+            raise ValueError(f"kind must be one of {ENCODER_KINDS}")
         if not encoder_weights or not decoder_weights:
             raise ValueError("need at least one encoder and one decoder weight")
         self.kind = kind
@@ -413,8 +412,8 @@ def estimate_corollary(level, predictor, setup, bounds=None, n_mc=512,
     When `bounds` is omitted, ell comes from the predictor's head via
     spectral norms and k is sqrt(num_nodes).
     """
-    if level not in ("node", "graph"):
-        raise ValueError(f"level must be 'node' or 'graph', got {level!r}")
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     if bounds is None:

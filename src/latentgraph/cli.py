@@ -44,8 +44,8 @@ from .evaluation import (
 )
 from .graphs import parse_nodelevel, parse_tudataset, with_degree_features
 from .models import build_model
-from .objectives import VARIANTS
 from .training import (
+    CHOICES,
     CheckpointError,
     NonFiniteLossError,
     PRESETS,
@@ -60,7 +60,25 @@ from .training import (
 BATCH_GRID = (8, 32, 128, 256)
 SUBGRAPH_GRID = (100, 1000, 10000)
 SUITES = ("theorem1", "corollaries", "dae", "all")
-STUDIES = ("batch-size", "subgraph", "objective", "concat")
+
+# study -> (the configuration level it needs, its cells for the loaded data).
+# A cell overrides TrainConfig fields, or only sets the node probe's `concat`.
+STUDIES = {
+    "batch-size": ("graph", lambda data: [{"batch_size": b} for b in BATCH_GRID]),
+    "subgraph": ("node", lambda data: [
+        {"subgraph_nodes": c} for c in SUBGRAPH_GRID if c < data.num_nodes]
+        + [{"subgraph_nodes": 0}]),
+    "objective": ("graph", lambda data: [{"variant": v}
+                                         for v in CHOICES["variant"]]),
+    "concat": ("node", lambda data: [{"concat": True}, {"concat": False}]),
+}
+
+# help strings of the training flags derived from TrainConfig's fields
+_FLAG_HELP = {
+    "variant": "objective variant",
+    "alpha": "invariance regularization weight",
+    "subgraph_nodes": "node-level: train on induced subgraphs this size",
+}
 
 
 class CliError(Exception):
@@ -77,9 +95,10 @@ def schema_path(name):
 # shared plumbing
 
 
-def _utc_now():
-    return datetime.datetime.now(datetime.timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
+def _clock():
+    """A run's start: the UTC time for its manifest, and a monotonic time."""
+    utc = datetime.datetime.now(datetime.timezone.utc)
+    return utc.strftime("%Y-%m-%dT%H:%M:%SZ"), time.monotonic()
 
 
 def _write_json(path, doc):
@@ -91,66 +110,78 @@ def _derive_seed(base, index):
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
 
 
-def _manifest_doc(command, argv, config, dataset, seed, started, elapsed,
-                  outputs):
-    return {
-        "command": command,
-        "argv": [str(a) for a in argv],
+def _write_outputs(args, argv, started, docs, config, seed, dataset=None,
+                   written=None):
+    """Write each of `docs` ({output key: JSON document}) to --out/<key>.json,
+    then --out/manifest.json, which lists those files, the ones in `written`
+    ({output key: file name}) that the command wrote itself, and itself."""
+    os.makedirs(args.out, exist_ok=True)
+    outputs = dict(written or {})
+    for key, doc in docs.items():
+        outputs[key] = key + ".json"
+        _write_json(os.path.join(args.out, outputs[key]), doc)
+    outputs["manifest"] = "manifest.json"
+    started_utc, t0 = started
+    _write_json(os.path.join(args.out, outputs["manifest"]), {
+        "command": args.command,
+        "argv": argv,
         "config": config,
-        "dataset": dataset,
+        "dataset": None if dataset is None else {
+            "name": dataset, "path": os.path.abspath(args.dataset)},
         "seed": int(seed),
         "deterministic": strict_determinism_enabled(),
-        "started_utc": started,
-        "wall_clock_seconds": float(elapsed),
+        "started_utc": started_utc,
+        "wall_clock_seconds": time.monotonic() - t0,
         "outputs": outputs,
         "toolkit_version": __version__,
-    }
+    })
 
 
-def _load_graph_dataset(path, degree_features=0):
-    """Load a multi-graph benchmark directory; returns (dataset, name)."""
-    path = os.path.normpath(path)
+def _load_data(args, level, purpose=None):
+    """Load --dataset as a graph corpus or a single node-level graph; returns
+    (data, split_or_None, name).
+
+    With a `purpose` (what the data is for, to name in errors), also check
+    what that level's linear probe needs: at least --folds graphs, or node
+    labels and a split file with train and test nodes.
+    """
+    path = os.path.normpath(args.dataset)
     name = os.path.basename(path)
-    directory = os.path.dirname(path) or "."
+    split = None
     try:
-        dataset = parse_tudataset(directory, name)
+        if level == "graph":
+            data = parse_tudataset(os.path.dirname(path) or ".", name)
+        else:
+            edges, features, labels, split_file = (
+                os.path.join(path, f"{args.file_prefix}_{kind}.txt")
+                for kind in ("edges", "features", "labels", "split"))
+            data, split = parse_nodelevel(
+                edges, features, labels,
+                split_file if os.path.exists(split_file) else None)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load graph dataset at {path!r}: {exc}") from exc
-    if degree_features > 0:
-        dataset = with_degree_features(dataset, degree_features)
-    return dataset, name
-
-
-def _load_node_dataset(path, prefix="graph"):
-    """Load a single-graph node classification directory; returns
-    (graph, split_or_None, name)."""
-    path = os.path.normpath(path)
-    files = {kind: os.path.join(path, f"{prefix}_{kind}.txt")
-             for kind in ("edges", "features", "labels")}
-    missing = [p for p in files.values() if not os.path.exists(p)]
-    if missing:
         raise CliError(
-            f"cannot load node dataset at {path!r}: missing {missing[0]}")
-    split_file = os.path.join(path, f"{prefix}_split.txt")
-    if not os.path.exists(split_file):
-        split_file = None
-    try:
-        graph, split = parse_nodelevel(files["edges"], files["features"],
-                                       files["labels"], split_file)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load node dataset at {path!r}: {exc}") from exc
-    return graph, split, os.path.basename(path)
-
-
-_OVERRIDE_FIELDS = (
-    "level", "encoder", "hidden_dim", "encoder_layers", "decoder_layers",
-    "decoder_kind", "variant", "alpha", "mask_ratio", "noise_sd", "mask_mode",
-    "lr", "weight_decay", "batch_size", "epochs", "seed", "subgraph_nodes",
-)
+            f"cannot load {level} dataset at {path!r}: {exc}") from exc
+    if level == "graph":
+        if args.degree_features > 0:
+            data = with_degree_features(data, args.degree_features)
+        if purpose and len(data) < args.folds:
+            raise CliError(f"{purpose} needs at least {args.folds} graphs for "
+                           f"{args.folds} folds, {name} has {len(data)}")
+    elif purpose:
+        if split is None:
+            raise CliError(f"{purpose} needs a split file")
+        if data.node_labels is None:
+            raise CliError(f"{purpose} needs node labels")
+        for section in ("train", "test"):
+            if len(getattr(split, section)) == 0:
+                raise CliError(f"{purpose} needs {section} nodes, and the "
+                               f"split file of {name} lists none")
+    return data, split, name
 
 
 def _add_config_arguments(parser):
-    """Training-configuration flags shared by `train` and `ablate`.
+    """Training-configuration flags shared by `train` and `ablate`: one per
+    TrainConfig field.
 
     Defaults are None so that only flags the user actually passed override
     the preset/config-file values.
@@ -160,30 +191,16 @@ def _add_config_arguments(parser):
                        help="named hyperparameter bundle to start from")
     group.add_argument("--config", metavar="FILE",
                        help="key = value configuration file")
-    group.add_argument("--level", choices=("graph", "node"))
-    group.add_argument("--encoder", choices=("gin", "gcn"))
-    group.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    group.add_argument("--encoder-layers", type=int, dest="encoder_layers")
-    group.add_argument("--decoder-layers", type=int, dest="decoder_layers")
-    group.add_argument("--decoder-kind", choices=("mlp", "gcn"),
-                       dest="decoder_kind")
-    group.add_argument("--no-batchnorm", action="store_true",
-                       help="disable batch normalization")
-    group.add_argument("--variant", choices=VARIANTS,
-                       help="objective variant")
-    group.add_argument("--alpha", type=float,
-                       help="invariance regularization weight")
-    group.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-    group.add_argument("--noise-sd", type=float, dest="noise_sd")
-    group.add_argument("--mask-mode", choices=("gaussian", "zeros"),
-                       dest="mask_mode")
-    group.add_argument("--lr", type=float)
-    group.add_argument("--weight-decay", type=float, dest="weight_decay")
-    group.add_argument("--batch-size", type=int, dest="batch_size")
-    group.add_argument("--epochs", type=int)
-    group.add_argument("--seed", type=int)
-    group.add_argument("--subgraph-nodes", type=int, dest="subgraph_nodes",
-                       help="node-level: train on induced subgraphs this size")
+    for field in dataclasses.fields(TrainConfig):
+        if field.name == "use_bn":
+            group.add_argument("--no-batchnorm", action="store_false",
+                               dest="use_bn", default=None,
+                               help="disable batch normalization")
+        else:
+            group.add_argument("--" + field.name.replace("_", "-"),
+                               dest=field.name, type=field.type,
+                               choices=CHOICES.get(field.name),
+                               help=_FLAG_HELP.get(field.name))
 
 
 def _add_dataset_arguments(parser):
@@ -210,19 +227,12 @@ def _resolve_config(args):
     try:
         base = preset_config(args.preset) if args.preset else TrainConfig()
         config = load_config(args.config, base=base) if args.config else base
-        overrides = {}
-        for name in _OVERRIDE_FIELDS:
-            value = getattr(args, name)
-            if value is not None:
-                overrides[name] = value
-        if args.no_batchnorm:
-            overrides["use_bn"] = False
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        config.validate()
+        overrides = {field.name: getattr(args, field.name)
+                     for field in dataclasses.fields(TrainConfig)
+                     if getattr(args, field.name) is not None}
+        return dataclasses.replace(config, **overrides).validate()
     except (OSError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
-    return config
 
 
 def _build_from_config(config, feature_dim):
@@ -232,6 +242,25 @@ def _build_from_config(config, feature_dim):
                        rng=np.random.default_rng(config.seed),
                        use_bn=config.use_bn,
                        decoder_kind=config.decoder_kind)
+
+
+def _extract(level, data, encoder, concat_raw=True):
+    if level == "graph":
+        return extract_graph_repr(data, encoder)
+    return extract_node_repr(data, encoder, concat_raw=concat_raw)
+
+
+def _prober(args, data, split):
+    """The linear probe of the data's level, as `probe(reprs, seed)`: k-fold
+    SVM on graph labels, or logistic regression on the node split."""
+    if split is None:
+        labels = data.labels()
+        return lambda reprs, seed: linsvm_kfold(reprs, labels,
+                                                folds=args.folds, seed=seed)
+    return lambda reprs, seed: evaluate_node_split(
+        reprs, data.node_labels, split, lr=args.probe_lr,
+        weight_decay=args.probe_weight_decay, epochs=args.probe_epochs,
+        seed=seed)
 
 
 def _remove_files(paths):
@@ -248,34 +277,20 @@ def _remove_files(paths):
 
 def cmd_train(args, argv):
     config = _resolve_config(args)
-    if config.level == "graph":
-        data, dataset_name = _load_graph_dataset(args.dataset,
-                                                 args.degree_features)
-        feature_dim = data.feature_dim
-    else:
-        data, _, dataset_name = _load_node_dataset(args.dataset,
-                                                   args.file_prefix)
-        feature_dim = data.feature_dim
+    data, _, dataset_name = _load_data(args, config.level)
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = {
-        "checkpoint": "checkpoint.json",
-        "loss_log": "loss_log.jsonl",
-        "manifest": "manifest.json",
-    }
+    written = {"checkpoint": "checkpoint.json", "loss_log": "loss_log.jsonl"}
     paths = {key: os.path.join(args.out, name)
-             for key, name in outputs.items()}
-    started, t0 = _utc_now(), time.monotonic()
+             for key, name in dict(written, manifest="manifest.json").items()}
+    started = _clock()
     try:
-        model = _build_from_config(config, feature_dim)
+        model = _build_from_config(config, data.feature_dim)
         with open(paths["loss_log"], "w", encoding="utf-8") as fh:
             history = train(model, data, config, log_fh=fh,
                             checkpoint_path=paths["checkpoint"])
-        manifest = _manifest_doc(
-            "train", argv, dataclasses.asdict(config),
-            {"name": dataset_name, "path": os.path.abspath(args.dataset)},
-            config.seed, started, time.monotonic() - t0, outputs)
-        _write_json(paths["manifest"], manifest)
+        _write_outputs(args, argv, started, {}, dataclasses.asdict(config),
+                       config.seed, dataset_name, written)
     except BaseException:
         _remove_files(paths.values())
         raise
@@ -304,45 +319,22 @@ def cmd_eval(args, argv):
     except (OSError, CheckpointError) as exc:
         raise CliError(f"cannot load checkpoint: {exc}") from exc
 
-    started, t0 = _utc_now(), time.monotonic()
-    reports = []
-    if model.level == "graph":
-        dataset, dataset_name = _load_graph_dataset(args.dataset,
-                                                    args.degree_features)
-        if dataset.feature_dim != model.build_spec["feature_dim"]:
-            raise CliError(
-                f"dataset feature dim {dataset.feature_dim} does not match "
-                f"checkpoint feature dim {model.build_spec['feature_dim']}")
-        reprs = extract_graph_repr(dataset, model.encoder)
-        labels = dataset.labels()
-        for rep in range(args.reps):
-            reports.append(linsvm_kfold(reprs, labels, folds=args.folds,
-                                        seed=args.seed + rep))
-        folds = args.folds
-    else:
-        graph, split, dataset_name = _load_node_dataset(args.dataset,
-                                                        args.file_prefix)
-        if split is None:
-            raise CliError("node-level evaluation needs a split file")
-        if graph.node_labels is None:
-            raise CliError("node-level evaluation needs node labels")
-        if graph.feature_dim != model.build_spec["feature_dim"]:
-            raise CliError(
-                f"dataset feature dim {graph.feature_dim} does not match "
-                f"checkpoint feature dim {model.build_spec['feature_dim']}")
-        reprs = extract_node_repr(graph, model.encoder,
-                                  concat_raw=not args.no_concat)
-        for rep in range(args.reps):
-            reports.append(evaluate_node_split(
-                reprs, graph.node_labels, split, lr=args.probe_lr,
-                weight_decay=args.probe_weight_decay,
-                epochs=args.probe_epochs, seed=args.seed + rep))
-        folds = 1
+    started = _clock()
+    data, split, dataset_name = _load_data(args, model.level,
+                                           f"{model.level}-level evaluation")
+    if data.feature_dim != model.build_spec["feature_dim"]:
+        raise CliError(
+            f"dataset feature dim {data.feature_dim} does not match "
+            f"checkpoint feature dim {model.build_spec['feature_dim']}")
+    reprs = _extract(model.level, data, model.encoder,
+                     concat_raw=not args.no_concat)
+    probe = _prober(args, data, split)
+    reports = [probe(reprs, args.seed + rep) for rep in range(args.reps)]
 
     means = [report.mean for report in reports]
     doc = {
         "level": model.level,
-        "folds": folds,
+        "folds": args.folds if model.level == "graph" else 1,
         "reps": args.reps,
         "reports": [report.as_dict() for report in reports],
         "summary": {
@@ -351,19 +343,14 @@ def cmd_eval(args, argv):
             "mean_within_run_std": float(np.mean([r.std for r in reports])),
         },
     }
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"eval_report": "eval_report.json", "manifest": "manifest.json"}
-    _write_json(os.path.join(args.out, outputs["eval_report"]), doc)
-    manifest = _manifest_doc(
-        "eval", argv,
+    _write_outputs(
+        args, argv, started, {"eval_report": doc},
         {"checkpoint": os.path.abspath(args.checkpoint), "folds": args.folds,
          "reps": args.reps, "level": model.level,
          "concat_raw": not args.no_concat, "probe_lr": args.probe_lr,
          "probe_epochs": args.probe_epochs,
          "probe_weight_decay": args.probe_weight_decay},
-        {"name": dataset_name, "path": os.path.abspath(args.dataset)},
-        args.seed, started, time.monotonic() - t0, outputs)
-    _write_json(os.path.join(args.out, outputs["manifest"]), manifest)
+        args.seed, dataset_name)
 
     summary = doc["summary"]
     print(f"eval level {model.level} on {dataset_name}: accuracy "
@@ -415,14 +402,18 @@ def _inner_product_record(trial, which, estimate, expected):
 def cmd_verify(args, argv):
     if args.trials < 1:
         raise CliError(f"trials must be at least 1, got {args.trials}")
-    if args.suite not in SUITES:
-        raise CliError(f"suite must be one of {SUITES}")
-    run_bounds = args.suite in ("theorem1", "all")
-    run_corollaries = args.suite in ("corollaries", "all")
+    if args.samples < 2:
+        raise CliError(f"samples must be at least 2, got {args.samples}")
+    if args.mask_draws < 1:
+        raise CliError(f"mask-draws must be at least 1, got {args.mask_draws}")
     run_dae = args.suite in ("dae", "all")
+    if run_dae and args.samples // args.mask_draws < 2:
+        raise CliError(
+            f"suite {args.suite!r} needs at least 2 samples per mask draw, "
+            f"got {args.samples} samples for {args.mask_draws} mask draws")
     scale = args.corrupt_multiplier
 
-    started, t0 = _utc_now(), time.monotonic()
+    started = _clock()
     records = []
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial]))
@@ -430,62 +421,45 @@ def cmd_verify(args, argv):
         kind = "gin" if trial % 2 else "gcn"
         predictor = make_random_predictor(setup.feature_dim, 8, 2, 2, kind,
                                           rng)
-        if run_bounds:
+        mc = dict(n_mc=args.samples, mask_draws=args.mask_draws, rng=rng)
+        if args.suite in ("theorem1", "all"):
             # three regimes: a random network, the identity map (where the
             # penalty term is what keeps the bound true), and a constant
             # (where the bound collapses to an equality)
-            est = estimate_theorem1(predictor.predict, setup,
-                                    n_mc=args.samples,
-                                    mask_draws=args.mask_draws, rng=rng,
-                                    penalty_scale=scale)
-            records.append(_bound_record(trial, est, "random-gnn", "lower"))
-            est = estimate_theorem1(identity_predictor(), setup,
-                                    n_mc=args.samples,
-                                    mask_draws=args.mask_draws, rng=rng,
-                                    penalty_scale=scale)
-            records.append(_bound_record(trial, est, "identity", "lower"))
             target = np.zeros((setup.num_nodes, setup.feature_dim))
-            est = estimate_theorem1(constant_predictor(target), setup,
-                                    n_mc=args.samples,
-                                    mask_draws=args.mask_draws, rng=rng,
-                                    penalty_scale=scale)
-            records.append(_bound_record(trial, est, "constant", "equality"))
-        if run_corollaries:
-            for level in ("node", "graph"):
-                est = estimate_corollary(level, predictor, setup,
-                                         n_mc=args.samples,
-                                         mask_draws=args.mask_draws, rng=rng,
-                                         penalty_scale=scale)
-                records.append(_bound_record(trial, est, "random-gnn",
-                                             "lower"))
+            for name, predict, criterion in (
+                    ("random-gnn", predictor.predict, "lower"),
+                    ("identity", identity_predictor(), "lower"),
+                    ("constant", constant_predictor(target), "equality")):
+                est = estimate_theorem1(predict, setup, penalty_scale=scale,
+                                        **mc)
+                records.append(_bound_record(trial, est, name, criterion))
+        if args.suite in ("corollaries", "all"):
             # relu passthrough on an edgeless graph correlates predictions
             # with the observation noise, so these records genuinely need
             # the penalty term
             eye = np.eye(setup.feature_dim)
-            stress = StackPredictor("gin", [eye], [eye])
             stress_setup = dataclasses.replace(
                 setup, graph_model="fixed",
                 adjacency=np.zeros((setup.num_nodes, setup.num_nodes)))
-            for level in ("node", "graph"):
-                est = estimate_corollary(level, stress, stress_setup,
-                                         n_mc=args.samples,
-                                         mask_draws=args.mask_draws, rng=rng,
-                                         penalty_scale=scale)
-                records.append(_bound_record(trial, est, "relu-passthrough",
-                                             "lower"))
+            for name, network, network_setup in (
+                    ("random-gnn", predictor, setup),
+                    ("relu-passthrough", StackPredictor("gin", [eye], [eye]),
+                     stress_setup)):
+                for level in ("node", "graph"):
+                    est = estimate_corollary(level, network, network_setup,
+                                             penalty_scale=scale, **mc)
+                    records.append(_bound_record(trial, est, name, "lower"))
         if run_dae:
             blind_setup = dataclasses.replace(setup, mask_mode="zeros")
-            est = check_dae_inner_product(predictor.predict, blind_setup,
-                                          n_mc=args.samples,
-                                          mask_draws=args.mask_draws, rng=rng)
-            records.append(_inner_product_record(trial, "dae_blind", est, 0.0))
-            control = check_dae_inner_product(identity_predictor(),
-                                              blind_setup, n_mc=args.samples,
-                                              mask_draws=args.mask_draws,
-                                              rng=rng, pass_full_input=True)
-            records.append(_inner_product_record(
-                trial, "dae_identity_control", control,
-                dae_identity_expectation(blind_setup)))
+            for which, predict, leaky, expected in (
+                    ("dae_blind", predictor.predict, False, 0.0),
+                    ("dae_identity_control", identity_predictor(), True,
+                     dae_identity_expectation(blind_setup))):
+                est = check_dae_inner_product(predict, blind_setup,
+                                              pass_full_input=leaky, **mc)
+                records.append(_inner_product_record(trial, which, est,
+                                                     expected))
 
     failed = sum(1 for record in records if not record["passed"])
     doc = {
@@ -499,15 +473,11 @@ def cmd_verify(args, argv):
         "failed": failed,
         "ok": failed == 0,
     }
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"verification": "verification.json", "manifest": "manifest.json"}
-    _write_json(os.path.join(args.out, outputs["verification"]), doc)
-    manifest = _manifest_doc(
-        "verify", argv,
+    _write_outputs(
+        args, argv, started, {"verification": doc},
         {"suite": args.suite, "trials": args.trials, "samples": args.samples,
          "mask_draws": args.mask_draws, "penalty_scale": scale},
-        None, args.seed, started, time.monotonic() - t0, outputs)
-    _write_json(os.path.join(args.out, outputs["manifest"]), manifest)
+        args.seed)
 
     for record in records:
         if not record["passed"]:
@@ -534,86 +504,34 @@ def _cell_label(cell):
 
 
 def cmd_ablate(args, argv):
-    if args.study not in STUDIES:
-        raise CliError(f"study must be one of {STUDIES}")
     if args.folds < 2:
         raise CliError(f"folds must be at least 2, got {args.folds}")
     config = _resolve_config(args)
-    started, t0 = _utc_now(), time.monotonic()
+    level, grid = STUDIES[args.study]
+    if config.level != level:
+        raise CliError(f"study {args.study!r} needs a {level}-level "
+                       f"configuration, got level {config.level!r}")
+    started = _clock()
+    data, split, dataset_name = _load_data(args, level,
+                                           f"study {args.study!r}")
+    probe = _prober(args, data, split)
+
     cells_out = []
-
-    if args.study in ("batch-size", "objective"):
-        if config.level != "graph":
-            raise CliError(f"study {args.study!r} needs a graph-level "
-                           f"configuration, got level {config.level!r}")
-        dataset, dataset_name = _load_graph_dataset(args.dataset,
-                                                    args.degree_features)
-        labels = dataset.labels()
-        if args.study == "batch-size":
-            cells = [{"batch_size": b} for b in BATCH_GRID]
-        else:
-            cells = [{"variant": v} for v in VARIANTS]
-        for index, cell in enumerate(cells):
-            seed = _derive_seed(config.seed, index)
-            cell_config = dataclasses.replace(config, seed=seed, **cell)
-            model = _build_from_config(cell_config, dataset.feature_dim)
-            history = train(model, dataset, cell_config)
-            reprs = extract_graph_repr(dataset, model.encoder)
-            report = linsvm_kfold(reprs, labels, folds=args.folds, seed=seed)
-            cells_out.append({
-                "cell": cell,
-                "seed": seed,
-                "final_loss": float(history[-1].loss),
-                "report": report.as_dict(),
-            })
-    else:
-        if config.level != "node":
-            raise CliError(f"study {args.study!r} needs a node-level "
-                           f"configuration, got level {config.level!r}")
-        graph, split, dataset_name = _load_node_dataset(args.dataset,
-                                                        args.file_prefix)
-        if split is None:
-            raise CliError(f"study {args.study!r} needs a split file")
-        if graph.node_labels is None:
-            raise CliError(f"study {args.study!r} needs node labels")
-
-        def probe(reprs, seed):
-            return evaluate_node_split(
-                reprs, graph.node_labels, split, lr=args.probe_lr,
-                weight_decay=args.probe_weight_decay,
-                epochs=args.probe_epochs, seed=seed)
-
-        if args.study == "subgraph":
-            counts = [c for c in SUBGRAPH_GRID if c < graph.num_nodes] + [0]
-            for index, count in enumerate(counts):
-                seed = _derive_seed(config.seed, index)
-                cell_config = dataclasses.replace(config, seed=seed,
-                                                  subgraph_nodes=count)
-                model = _build_from_config(cell_config, graph.feature_dim)
-                history = train(model, graph, cell_config)
-                reprs = extract_node_repr(graph, model.encoder,
-                                          concat_raw=True)
-                cells_out.append({
-                    "cell": {"subgraph_nodes": count},
-                    "seed": seed,
-                    "final_loss": float(history[-1].loss),
-                    "report": probe(reprs, seed).as_dict(),
-                })
-        else:  # concat: one trained model, probed with and without raw input
-            seed = _derive_seed(config.seed, 0)
-            cell_config = dataclasses.replace(config, seed=seed)
-            model = _build_from_config(cell_config, graph.feature_dim)
-            history = train(model, graph, cell_config)
-            for index, concat in enumerate((True, False)):
-                reprs = extract_node_repr(graph, model.encoder,
-                                          concat_raw=concat)
-                cells_out.append({
-                    "cell": {"concat": concat},
-                    "seed": _derive_seed(config.seed, index),
-                    "final_loss": float(history[-1].loss),
-                    "report": probe(reprs, _derive_seed(config.seed,
-                                                        index)).as_dict(),
-                })
+    for index, cell in enumerate(grid(data)):
+        seed = _derive_seed(config.seed, index)
+        overrides = {k: v for k, v in cell.items() if k != "concat"}
+        # a cell that changes only the probe reuses the first cell's model
+        if index == 0 or overrides:
+            cell_config = dataclasses.replace(config, seed=seed, **overrides)
+            model = _build_from_config(cell_config, data.feature_dim)
+            final_loss = float(train(model, data, cell_config)[-1].loss)
+        reprs = _extract(level, data, model.encoder, cell.get("concat", True))
+        cells_out.append({
+            "cell": cell,
+            "seed": seed,
+            "final_loss": final_loss,
+            "report": probe(reprs, seed).as_dict(),
+        })
 
     accuracy_by_cell = {_cell_label(c["cell"]): c["report"]["mean"]
                         for c in cells_out}
@@ -629,16 +547,11 @@ def cmd_ablate(args, argv):
             "spread": max(values) - min(values),
         },
     }
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"ablation": "ablation.json", "manifest": "manifest.json"}
-    _write_json(os.path.join(args.out, outputs["ablation"]), doc)
-    manifest = _manifest_doc(
-        "ablate", argv,
+    _write_outputs(
+        args, argv, started, {"ablation": doc},
         {"study": args.study, "folds": args.folds,
          "config": dataclasses.asdict(config)},
-        {"name": dataset_name, "path": os.path.abspath(args.dataset)},
-        config.seed, started, time.monotonic() - t0, outputs)
-    _write_json(os.path.join(args.out, outputs["manifest"]), manifest)
+        config.seed, dataset_name)
 
     for label, value in accuracy_by_cell.items():
         print(f"  {label}: accuracy {value:.4f}")
@@ -679,7 +592,7 @@ def build_parser():
     p_eval.add_argument("--checkpoint", required=True, metavar="PATH")
     _add_dataset_arguments(p_eval)
     p_eval.add_argument("--out", required=True, metavar="DIR")
-    p_eval.add_argument("--level", choices=("graph", "node"),
+    p_eval.add_argument("--level", choices=CHOICES["level"],
                         help="expected checkpoint level (checked)")
     p_eval.add_argument("--folds", type=int, default=10)
     p_eval.add_argument("--reps", type=int, default=5,

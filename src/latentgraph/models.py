@@ -27,6 +27,12 @@ __all__ = [
     "build_model",
 ]
 
+# The representation levels and the encoder and decoder kinds `build_model`
+# accepts; `training.CHOICES` offers the same tuples as configuration values.
+LEVELS = ("graph", "node")
+ENCODER_KINDS = ("gin", "gcn")
+DECODER_KINDS = ("mlp", "gcn")
+
 
 def xavier_init(rows, cols, rng):
     """Uniform(-a, a) with a = sqrt(6 / (rows + cols))."""
@@ -188,7 +194,7 @@ class Encoder:
     """Stack of GCN or GIN layers; ``encode`` returns every layer's output."""
 
     def __init__(self, kind, feature_dim, hidden_dim, num_layers, rng, use_bn=True):
-        if kind not in ("gcn", "gin"):
+        if kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind: {kind!r}")
         if num_layers < 1:
             raise ValueError("encoder needs at least one layer")
@@ -243,7 +249,7 @@ class Decoder:
     """
 
     def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True, kind="mlp"):
-        if kind not in ("mlp", "gcn"):
+        if kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind: {kind!r}")
         if num_layers < 1:
             raise ValueError("decoder needs at least one layer")
@@ -302,7 +308,7 @@ class Model:
     """Encoder + decoder pair with a declared representation level."""
 
     def __init__(self, encoder, decoder, level):
-        if level not in ("node", "graph"):
+        if level not in LEVELS:
             raise ValueError(f"unknown level: {level!r}")
         self.encoder = encoder
         self.decoder = decoder

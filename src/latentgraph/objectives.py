@@ -31,7 +31,7 @@ from .models import readout_sum
 
 VARIANTS = ("mse-embed", "mse-output", "ce-embed", "ce-output")
 
-_MASK_MODES = ("gaussian", "zeros")
+MASK_MODES = ("gaussian", "zeros")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class MaskSpec:
             raise ValueError(f"mask ratio must be in (0, 1], got {self.ratio}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
-        if self.mode not in _MASK_MODES:
-            raise ValueError(f"mask mode must be one of {_MASK_MODES}, got {self.mode!r}")
+        if self.mode not in MASK_MODES:
+            raise ValueError(f"mask mode must be one of {MASK_MODES}, got {self.mode!r}")
 
 
 def mask_size(num_nodes, ratio):
@@ -107,7 +107,7 @@ def apply_mask(features, indices, noise, mode="gaussian"):
     elif mode == "zeros":
         out[..., indices, :] = 0.0
     else:
-        raise ValueError(f"mask mode must be one of {_MASK_MODES}, got {mode!r}")
+        raise ValueError(f"mask mode must be one of {MASK_MODES}, got {mode!r}")
     return out
 
 

@@ -20,15 +20,21 @@ import numpy as np
 
 from .engine import backward
 from .graphs import sample_node_subset
-from .models import build_model
-from .objectives import MaskSpec, VARIANTS, objective
+from .models import DECODER_KINDS, ENCODER_KINDS, LEVELS, build_model
+from .objectives import MASK_MODES, MaskSpec, VARIANTS, objective
 
 CHECKPOINT_FORMAT = "latentgraph-checkpoint"
 CHECKPOINT_VERSION = 1
 
-_LEVELS = ("node", "graph")
-_ENCODERS = ("gcn", "gin")
-_DECODERS = ("mlp", "gcn")
+# The allowed values of each string-valued TrainConfig field: `validate`
+# checks them and the CLI offers them as its flags' choices.
+CHOICES = {
+    "level": LEVELS,
+    "encoder": ENCODER_KINDS,
+    "decoder_kind": DECODER_KINDS,
+    "variant": VARIANTS,
+    "mask_mode": MASK_MODES,
+}
 
 
 class CheckpointError(Exception):
@@ -68,15 +74,10 @@ class TrainConfig:
     subgraph_nodes: int = 0
 
     def validate(self):
-        if self.level not in _LEVELS:
-            raise ValueError(f"level must be one of {_LEVELS}, got {self.level!r}")
-        if self.encoder not in _ENCODERS:
-            raise ValueError(f"encoder must be one of {_ENCODERS}, got {self.encoder!r}")
-        if self.decoder_kind not in _DECODERS:
-            raise ValueError(
-                f"decoder_kind must be one of {_DECODERS}, got {self.decoder_kind!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         for name in ("hidden_dim", "encoder_layers", "decoder_layers",
                      "batch_size", "epochs"):
             if getattr(self, name) < 1:
@@ -355,15 +356,18 @@ def save_checkpoint(model, path, meta=None):
 def write_atomic(path, write):
     """Replace `path` with what `write(fh)` writes, plus a final newline.
 
-    The text goes to a temporary file next to `path` that then replaces it in
-    one step, so a failed write leaves any earlier file intact and no
-    temporary file behind.
+    The text goes to a temporary file next to `path`, is synced to disk, and
+    then replaces `path` in one step. A failed write leaves any earlier file
+    intact and no temporary file behind, and a power loss after the replace
+    cannot leave `path` empty.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             write(fh)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import latentgraph
 import latentgraph.cli as cli
 from latentgraph.cli import _derive_seed, build_parser, main, schema_path
 from latentgraph.graphs import NodeSplit, make_sbm_graph, write_nodelevel
+from latentgraph.training import CHOICES, TrainConfig
 
 
 def load_schema(name):
@@ -67,7 +70,8 @@ def write_graph_corpus(root, name="BLOBS", num_graphs=12, num_node_labels=2,
     return str(d)
 
 
-def write_node_corpus(root, with_split=True, num_nodes=150, seed=7):
+def write_node_corpus(root, with_split=True, num_nodes=150, seed=7,
+                      drop_split_section=None):
     rng = np.random.default_rng(seed)
     graph = make_sbm_graph(num_nodes, 2, 0.08, 0.01, 6, rng,
                            feature_shift=2.0, noise_sd=0.6)
@@ -77,9 +81,19 @@ def write_node_corpus(root, with_split=True, num_nodes=150, seed=7):
         cut1, cut2 = int(0.6 * num_nodes), int(0.7 * num_nodes)
         split = NodeSplit(train=perm[:cut1], valid=perm[cut1:cut2],
                           test=perm[cut2:])
+        if drop_split_section is not None:
+            split = dataclasses.replace(
+                split, **{drop_split_section: perm[:0]})
     directory = str(root / "sbm")
     write_nodelevel(graph, directory, split=split)
     return directory
+
+
+def subparsers():
+    """The `lagraph` subcommands' parsers, by name."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +149,58 @@ class TestParserAndHelpers:
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o",
                                           "--preset", "tiny"])
         assert args.preset == "tiny"
+
+    def test_option_strings_are_frozen(self):
+        config_flags = [
+            "--preset", "--config", "--level", "--encoder", "--hidden-dim",
+            "--encoder-layers", "--decoder-layers", "--decoder-kind",
+            "--no-batchnorm", "--variant", "--alpha", "--mask-ratio",
+            "--noise-sd", "--mask-mode", "--lr", "--weight-decay",
+            "--batch-size", "--epochs", "--seed", "--subgraph-nodes"]
+        dataset_flags = ["--dataset", "--degree-features", "--file-prefix"]
+        probe_flags = ["--probe-lr", "--probe-epochs", "--probe-weight-decay"]
+        expected = {
+            "train": ["-h", "--help", *dataset_flags, "--out", *config_flags],
+            "eval": ["-h", "--help", "--checkpoint", *dataset_flags, "--out",
+                     "--level", "--folds", "--reps", "--seed", "--no-concat",
+                     *probe_flags],
+            "verify": ["-h", "--help", "--out", "--suite", "--trials",
+                       "--seed", "--samples", "--mask-draws",
+                       "--corrupt-multiplier"],
+            "ablate": ["-h", "--help", "--study", *dataset_flags, "--out",
+                       "--folds", *config_flags, *probe_flags],
+        }
+        actual = {name: [s for action in parser._actions
+                         for s in action.option_strings]
+                  for name, parser in subparsers().items()}
+        assert actual == expected
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_every_config_field_has_a_flag_that_reaches_the_config(
+            self, command):
+        parser = subparsers()[command]
+        required = ["--dataset", "d", "--out", "o"]
+        if command == "ablate":
+            required += ["--study", "objective"]
+        default = TrainConfig()
+        for field in dataclasses.fields(TrainConfig):
+            if field.type is bool:
+                continue
+            flag = "--" + field.name.replace("_", "-")
+            action = parser._option_string_actions[flag]
+            assert action.choices == CHOICES.get(field.name)
+            old = getattr(default, field.name)
+            if field.name in CHOICES:
+                value = next(c for c in reversed(CHOICES[field.name])
+                             if c != old)
+            else:
+                value = old + 1 if field.type is int else old + 0.5
+            args = parser.parse_args([*required, flag, str(value)])
+            assert getattr(cli._resolve_config(args), field.name) == value
+
+        args = parser.parse_args([*required, "--no-batchnorm"])
+        assert cli._resolve_config(args).use_bn is False
+        assert cli._resolve_config(parser.parse_args(required)).use_bn is True
 
     def test_derived_seeds_are_stable_and_distinct(self):
         seeds = [_derive_seed(0, i) for i in range(8)]
@@ -327,6 +393,26 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_more_folds_than_graphs(self, corpus, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", corpus["graph_ckpt"],
+                   "--dataset", corpus["graph_dir"], "--out", str(out),
+                   "--folds", "20"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "20 folds" in err and "has 12" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["train", "test"])
+    def test_empty_split_section(self, corpus, tmp_path, capsys, section):
+        data = write_node_corpus(tmp_path, drop_split_section=section)
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", corpus["node_ckpt"],
+                   "--dataset", data, "--out", str(out), "--reps", "1"])
+        assert rc == 2
+        assert f"needs {section} nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_level_mismatch(self, corpus, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", corpus["node_ckpt"],
                    "--dataset", corpus["node_dir"],
@@ -419,6 +505,23 @@ class TestVerify:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("suite,samples,mask_draws", [
+        ("theorem1", "1", "1"),
+        ("corollaries", "64", "0"),
+        ("dae", "10", "8"),
+        ("all", "15", "8"),
+    ])
+    def test_sample_sizes_are_usage_errors(self, tmp_path, capsys, suite,
+                                           samples, mask_draws):
+        out = tmp_path / "x"
+        rc = main(["verify", "--out", str(out), "--suite", suite,
+                   "--trials", "1", "--samples", samples,
+                   "--mask-draws", mask_draws])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_same_seed_reproduces_report(self, tmp_path, capsys):
         blobs = []
         for run in ("a", "b"):
@@ -494,6 +597,20 @@ class TestAblate:
         assert [c["cell"]["concat"] for c in doc["cells"]] == [True, False]
         losses = {c["final_loss"] for c in doc["cells"]}
         assert len(losses) == 1  # a single training backs both cells
+
+    def test_more_folds_than_graphs(self, corpus, tmp_path, capsys):
+        rc = main(["ablate", "--study", "objective",
+                   "--dataset", corpus["graph_dir"],
+                   "--out", str(tmp_path / "x"), "--folds", "13"])
+        assert rc == 2
+        assert "13 folds" in capsys.readouterr().err
+
+    def test_empty_split_section(self, tmp_path, capsys):
+        data = write_node_corpus(tmp_path, drop_split_section="train")
+        rc = main(["ablate", "--study", "concat", "--preset", "node",
+                   "--dataset", data, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "needs train nodes" in capsys.readouterr().err
 
     def test_study_level_mismatch(self, corpus, tmp_path, capsys):
         rc = main(["ablate", "--study", "subgraph",

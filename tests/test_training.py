@@ -316,6 +316,29 @@ class TestCheckpoints:
     def build(self, seed=0):
         return build_model("graph", "gin", 4, 6, 2, 2, np.random.default_rng(seed))
 
+    def test_atomic_write_syncs_the_data_before_the_replace(self, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "doc.json"
+        calls = []
+        real_fsync, real_replace = training.os.fsync, training.os.replace
+
+        def fsync(fd):
+            # the whole text is written when it is synced, and the target is
+            # not yet there
+            calls.append(("fsync", training.os.fstat(fd).st_size,
+                          path.exists()))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(training.os, "fsync", fsync)
+        monkeypatch.setattr(training.os, "replace", replace)
+        training.write_atomic(str(path), lambda fh: fh.write("abc"))
+        assert calls == [("fsync", 4, False), ("replace", str(path))]
+        assert path.read_text() == "abc\n"
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         model = self.build()
         # make the arrays non-trivial, including running stats
