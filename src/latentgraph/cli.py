@@ -10,7 +10,7 @@ reproduces outputs bit for bit.
 
 Exit codes: 0 on success, 1 when a verification suite finds a hard failure,
 2 for configuration or usage errors, including a training run stopped by a
-non-finite loss.
+non-finite loss or gradient.
 """
 
 import argparse
@@ -18,10 +18,15 @@ import dataclasses
 import datetime
 import json
 import os
+import platform
+import resource
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import (
@@ -110,19 +115,42 @@ def _derive_seed(base, index):
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
 
 
+def _environment():
+    """The numeric environment a run's numbers depend on: the Python, numpy
+    and scipy versions and numpy's BLAS (null when numpy does not say)."""
+    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    blas = deps.get("blas") or {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas.get("version")}
+        if blas.get("name") else None,
+    }
+
+
+def _peak_rss_mib():
+    """The process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_outputs(args, argv, started, docs, config, seed, dataset=None,
-                   written=None):
+                   written=None, directory=None):
     """Write each of `docs` ({output key: JSON document}) to --out/<key>.json,
     then --out/manifest.json, which lists those files, the ones in `written`
-    ({output key: file name}) that the command wrote itself, and itself."""
-    os.makedirs(args.out, exist_ok=True)
+    ({output key: file name}) that the command wrote itself, and itself.
+    `directory` replaces --out as the place the files go."""
+    directory = args.out if directory is None else directory
+    os.makedirs(directory, exist_ok=True)
     outputs = dict(written or {})
     for key, doc in docs.items():
         outputs[key] = key + ".json"
-        _write_json(os.path.join(args.out, outputs[key]), doc)
+        _write_json(os.path.join(directory, outputs[key]), doc)
     outputs["manifest"] = "manifest.json"
     started_utc, t0 = started
-    _write_json(os.path.join(args.out, outputs["manifest"]), {
+    _write_json(os.path.join(directory, outputs["manifest"]), {
         "command": args.command,
         "argv": argv,
         "config": config,
@@ -134,6 +162,8 @@ def _write_outputs(args, argv, started, docs, config, seed, dataset=None,
         "wall_clock_seconds": time.monotonic() - t0,
         "outputs": outputs,
         "toolkit_version": __version__,
+        "environment": _environment(),
+        "peak_rss_mib": _peak_rss_mib(),
     })
 
 
@@ -263,14 +293,6 @@ def _prober(args, data, split):
         seed=seed)
 
 
-def _remove_files(paths):
-    for path in paths:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -279,21 +301,28 @@ def cmd_train(args, argv):
     config = _resolve_config(args)
     data, _, dataset_name = _load_data(args, config.level)
 
+    # The run writes into a staging directory inside --out and moves its
+    # files over the final names only once all of them are written, so a
+    # failed run leaves an earlier run's outputs in --out untouched.
     os.makedirs(args.out, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".train-", dir=args.out)
     written = {"checkpoint": "checkpoint.json", "loss_log": "loss_log.jsonl"}
-    paths = {key: os.path.join(args.out, name)
-             for key, name in dict(written, manifest="manifest.json").items()}
     started = _clock()
     try:
         model = _build_from_config(config, data.feature_dim)
-        with open(paths["loss_log"], "w", encoding="utf-8") as fh:
+        with open(os.path.join(staging, written["loss_log"]), "w",
+                  encoding="utf-8") as fh:
             history = train(model, data, config, log_fh=fh,
-                            checkpoint_path=paths["checkpoint"])
+                            checkpoint_path=os.path.join(
+                                staging, written["checkpoint"]))
         _write_outputs(args, argv, started, {}, dataclasses.asdict(config),
-                       config.seed, dataset_name, written)
-    except BaseException:
-        _remove_files(paths.values())
-        raise
+                       config.seed, dataset_name, written, directory=staging)
+        # the manifest goes last: its presence marks a complete run
+        for name in (*written.values(), "manifest.json"):
+            os.replace(os.path.join(staging, name),
+                       os.path.join(args.out, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     final = history[-1]
     print(f"trained {config.epochs} epoch(s) on {dataset_name}; "
@@ -318,6 +347,9 @@ def cmd_eval(args, argv):
                                        expect_level=args.level)
     except (OSError, CheckpointError) as exc:
         raise CliError(f"cannot load checkpoint: {exc}") from exc
+    if args.no_concat and model.level == "graph":
+        raise CliError("--no-concat applies to node-level evaluation only, "
+                       "and the checkpoint holds a graph-level model")
 
     started = _clock()
     data, split, dataset_name = _load_data(args, model.level,

@@ -4,10 +4,20 @@ Every value is a 2-D float64 matrix wrapped in a :class:`Value` node. Operations
 build a provenance DAG; :func:`backward` walks it once in reverse topological
 order and accumulates gradients, so shared subexpressions receive the sum of all
 path contributions. The DAG is freed during backward (no persistent tape), and
-only leaf gradients survive it. Inside ``with no_grad():`` ops record nothing:
-each result is a parentless Value, so an intermediate array is freed as soon
-as the next op has consumed it. Inference (representation extraction) runs
-this way; training and anything that calls :func:`backward` must not.
+only leaf gradients survive it.
+
+An op's backward closure captures, when the forward runs, every array and
+shape it will read (its inputs' data, masks, normalized activations); it never
+reads a parent's ``.data`` during backward. So backward needs no node's data,
+and :func:`release` may drop an interior Value's data once no later forward op
+reads it: the array then stays alive only if some closure captured it.
+Releasing can never change a gradient; a released Value is unusable as the
+input of a later op.
+
+Inside ``with no_grad():`` ops record nothing: each result is a parentless
+Value, so an intermediate array is freed as soon as the next op has consumed
+it. Inference (representation extraction) runs this way; training and anything
+that calls :func:`backward` must not.
 
 Scalars are 1x1 matrices. Sparse matrices (:class:`SparseMatrix`) are constants:
 they never receive gradients and only appear as the left operand of :func:`spmm`.
@@ -46,6 +56,7 @@ __all__ = [
     "softmax_ce",
     "kl_div",
     "backward",
+    "release",
     "no_grad",
     "zero_grad",
     "grad_check",
@@ -117,6 +128,12 @@ class Value:
     producing operation, ``_parents`` the input nodes and ``_backward`` a
     closure that routes this node's gradient to them. Under :func:`no_grad`
     the constructor drops ``parents`` and ``backward``.
+
+    The closure holds the arrays it reads, captured at forward time, so an
+    interior node's ``data`` is needed only by the forward ops that consume
+    it. Once they have run, :func:`release` may set it to ``None``; the node
+    then still takes part in backward, but must not be the input of any
+    further op. Leaves keep their data.
     """
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward", "__weakref__")
@@ -145,7 +162,8 @@ class Value:
         return backward(self, retain_graph=retain_graph)
 
     def __repr__(self):
-        return f"Value(shape={self.data.shape}, op={self.op!r})"
+        shape = "released" if self.data is None else self.data.shape
+        return f"Value(shape={shape}, op={self.op!r})"
 
     def __add__(self, other):
         return add(self, other)
@@ -187,11 +205,13 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims disagree {a.data.shape} vs {b.data.shape}")
 
-    def _back(g):
-        _accumulate(a, _mm(g, b.data.T))
-        _accumulate(b, _mm(a.data.T, g))
+    a_data, b_data = a.data, b.data
 
-    return Value(_mm(a.data, b.data), parents=(a, b), backward=_back, op="matmul")
+    def _back(g):
+        _accumulate(a, _mm(g, b_data.T))
+        _accumulate(b, _mm(a_data.T, g))
+
+    return Value(_mm(a_data, b_data), parents=(a, b), backward=_back, op="matmul")
 
 
 def spmm(s, d):
@@ -245,11 +265,13 @@ def sub(a, b):
 def hadamard(a, b):
     _check_same_shape(a, b, "hadamard")
 
-    def _back(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    a_data, b_data = a.data, b.data
 
-    return Value(a.data * b.data, parents=(a, b), backward=_back, op="hadamard")
+    def _back(g):
+        _accumulate(a, g * b_data)
+        _accumulate(b, g * a_data)
+
+    return Value(a_data * b_data, parents=(a, b), backward=_back, op="hadamard")
 
 
 def scale(a, c):
@@ -274,12 +296,12 @@ def relu(a):
 def row_select(h, indices):
     """Gather rows of ``h`` in the given order; gradient scatters back."""
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    n = h.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"row_select: index out of range for {n} rows")
+    shape = h.data.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
+        raise IndexError(f"row_select: index out of range for {shape[0]} rows")
 
     def _back(g):
-        gh = np.zeros_like(h.data)
+        gh = np.zeros(shape)
         np.add.at(gh, idx, g)
         _accumulate(h, gh)
 
@@ -288,11 +310,12 @@ def row_select(h, indices):
 
 def sum_squares(a):
     """Squared Frobenius norm as a 1x1 Value."""
+    a_data = a.data
 
     def _back(g):
-        _accumulate(a, (2.0 * g[0, 0]) * a.data)
+        _accumulate(a, (2.0 * g[0, 0]) * a_data)
 
-    return Value(np.sum(a.data * a.data), parents=(a,), backward=_back,
+    return Value(np.sum(a_data * a_data), parents=(a,), backward=_back,
                  op="sum_squares")
 
 
@@ -432,6 +455,22 @@ def backward(loss, retain_graph=False):
             node._parents = ()
             node._backward = None
     return grads
+
+
+def release(*values):
+    """Drop the data of interior Values that no later forward op will read.
+
+    Backward closures capture what they read at forward time, so this cannot
+    change any gradient; it only lets an activation that no closure captured
+    be freed before backward runs. A leaf keeps its data, and under
+    :func:`no_grad` nothing is released. Passing a released Value to an op
+    fails there, loudly.
+    """
+    if not _RECORDING:
+        return
+    for v in values:
+        if v._parents:
+            v.data = None
 
 
 def zero_grad(values):

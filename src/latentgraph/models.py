@@ -1,7 +1,10 @@
 """Encoders, decoder heads, batch normalization, readout, initialization.
 
 Layers are small parameter containers whose ``__call__`` builds engine ops, so
-gradients flow through the same DAG as every other operation. Batch
+gradients flow through the same DAG as every other operation. A layer
+releases (:func:`engine.release`) each intermediate that never leaves its
+``__call__`` as soon as the next op has consumed it, so only the arrays that
+backward closures captured stay alive until backward. Batch
 normalization is the one custom node: its forward uses batch statistics in
 training mode and running statistics in eval mode, and its backward is the
 closed-form expression obtained by differentiating through mean and variance.
@@ -9,9 +12,11 @@ closed-form expression obtained by differentiating through mean and variance.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .engine import Value, _accumulate, add, add_row, matmul, relu, spmm
+from .engine import Value, _accumulate, add, add_row, matmul, relu, release, spmm
 
 __all__ = [
     "xavier_init",
@@ -62,14 +67,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
+    n = x.data.shape[0]
+    gamma_data = gamma.data
 
     def _back(g):
         _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
         _accumulate(beta, g.sum(axis=0, keepdims=True))
-        dxhat = g * gamma.data
+        dxhat = g * gamma_data
         if training:
             # dx = (inv / n) * (n * dxhat - s1 - xhat * s2), built in place
-            n = x.data.shape[0]
             s1 = dxhat.sum(axis=0, keepdims=True)
             s2 = (dxhat * xhat).sum(axis=0, keepdims=True)
             dx = dxhat
@@ -81,8 +87,30 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             dx = dxhat * inv
         _accumulate(x, dx)
 
-    return Value(gamma.data * xhat + beta.data, parents=(x, gamma, beta),
+    return Value(gamma_data * xhat + beta.data, parents=(x, gamma, beta),
                  backward=_back, op="batch_norm")
+
+
+def _chain(x, *stages):
+    """Apply the non-None ``stages`` to ``x`` in order; return the last result.
+
+    Every Value made in between is private to the chain, so it is released
+    as soon as the next stage has consumed it. ``x`` itself is not released.
+    """
+    out = x
+    for stage in stages:
+        if stage is None:
+            continue
+        y = stage(out)
+        if out is not x:
+            release(out)
+        out = y
+    return out
+
+
+def _norm_stage(bn, training):
+    """The batch-norm stage of a layer's chain; None for a layer without one."""
+    return None if bn is None else functools.partial(bn, training=training)
 
 
 class BatchNorm:
@@ -119,7 +147,10 @@ class Linear:
         self.b = Value(np.zeros((1, out_dim)))
 
     def __call__(self, x):
-        return add_row(matmul(x, self.W), self.b)
+        xw = matmul(x, self.W)
+        out = add_row(xw, self.b)
+        release(xw)
+        return out
 
     def named_parameters(self, prefix):
         return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
@@ -136,10 +167,8 @@ class GCNLayer:
         self.bn = BatchNorm(out_dim) if use_bn else None
 
     def __call__(self, adjacency, h, training):
-        z = spmm(adjacency, self.lin(h))
-        if self.bn is not None:
-            z = self.bn(z, training)
-        return relu(z)
+        return _chain(h, self.lin, functools.partial(spmm, adjacency),
+                      _norm_stage(self.bn, training), relu)
 
     def named_parameters(self, prefix):
         out = self.lin.named_parameters(f"{prefix}.lin")
@@ -164,15 +193,10 @@ class GINLayer:
         self.bn2 = BatchNorm(out_dim) if use_bn else None
 
     def __call__(self, adjacency, h, training):
-        agg = add(h, spmm(adjacency, h))
-        z = self.lin1(agg)
-        if self.bn1 is not None:
-            z = self.bn1(z, training)
-        z = relu(z)
-        z = self.lin2(z)
-        if self.bn2 is not None:
-            z = self.bn2(z, training)
-        return relu(z)
+        return _chain(h, functools.partial(spmm, adjacency),
+                      functools.partial(add, h),
+                      self.lin1, _norm_stage(self.bn1, training), relu,
+                      self.lin2, _norm_stage(self.bn2, training), relu)
 
     def named_parameters(self, prefix):
         out = self.lin1.named_parameters(f"{prefix}.lin1")
@@ -269,17 +293,15 @@ class Decoder:
             if batch is None:
                 raise ValueError("gcn decoder needs the graph batch")
             adjacency = batch.normalized_adjacency()
-        z = h
+        stages = []
         last = len(self.linears) - 1
         for i, lin in enumerate(self.linears):
-            z = lin(z)
+            stages.append(lin)
             if adjacency is not None:
-                z = spmm(adjacency, z)
+                stages.append(functools.partial(spmm, adjacency))
             if i < last:
-                if self.bns[i] is not None:
-                    z = self.bns[i](z, training)
-                z = relu(z)
-        return z
+                stages += [_norm_stage(self.bns[i], training), relu]
+        return _chain(h, *stages)
 
     def named_parameters(self, prefix="decoder"):
         out = []

@@ -45,6 +45,10 @@ class NonFiniteLossError(ArithmeticError):
     """Raised when a training step's loss or one of its terms is NaN or inf."""
 
 
+class NonFiniteGradientError(NonFiniteLossError):
+    """Raised when a training step's gradient of a parameter holds NaN or inf."""
+
+
 @dataclass
 class TrainConfig:
     """Everything a training run needs besides the data.
@@ -237,6 +241,14 @@ def _check_finite(epoch, step, out):
                 f"non-finite {name} loss ({value}) at epoch {epoch}, step {step}")
 
 
+def _check_finite_grads(epoch, step, named_params, grads):
+    for name, param in named_params:
+        grad = grads.get(param)
+        if grad is not None and not np.isfinite(grad).all():
+            raise NonFiniteGradientError(
+                f"non-finite gradient of {name} at epoch {epoch}, step {step}")
+
+
 def train(model, data, config, log_fh=None, checkpoint_path=None):
     """Run the masked-prediction training loop.
 
@@ -244,8 +256,9 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     Returns per-epoch mean loss statistics. When `log_fh` is given, one JSON
     line per optimization step is written to it. When `checkpoint_path` is
     given, the final weights are saved there. A step whose reconstruction,
-    invariance or total loss is not finite raises `NonFiniteLossError`
-    before the step is logged or applied.
+    invariance or total loss is not finite raises `NonFiniteLossError`,
+    and one whose gradient of a parameter is not finite raises
+    `NonFiniteGradientError`, before the step is logged or applied.
     """
     from .graphs import Graph, batch_graphs
 
@@ -260,6 +273,7 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
 
     optimizer = Adam(model.parameters(), lr=config.lr,
                      weight_decay=config.weight_decay)
+    named_params = model.named_parameters()
     spec = config.mask_spec()
 
     if config.level == "node":
@@ -294,6 +308,7 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
                             config.variant, training=True)
             _check_finite(epoch, step, out)
             grads = backward(out.total)
+            _check_finite_grads(epoch, step, named_params, grads)
             optimizer.step(grads)
             losses.append(out.total.item())
             recons.append(out.reconstruction)

@@ -10,6 +10,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 
 import latentgraph
 import latentgraph.cli as cli
@@ -227,6 +228,13 @@ class TestTrain:
         assert manifest["config"]["batch_size"] == 4
         assert manifest["dataset"]["name"] == "BLOBS"
         assert manifest["seed"] == 3
+        env = manifest["environment"]
+        assert env["python"] == sys.version.split()[0]
+        assert (env["numpy"], env["scipy"]) == (np.__version__,
+                                                scipy.__version__)
+        assert manifest["peak_rss_mib"] > 0
+        assert sorted(os.listdir(run_dir)) == [
+            "checkpoint.json", "loss_log.jsonl", "manifest.json"]
         check(read_json(corpus["graph_ckpt"]), "checkpoint")
         with open(os.path.join(run_dir, "loss_log.jsonl")) as fh:
             lines = [json.loads(line) for line in fh]
@@ -310,6 +318,48 @@ class TestTrain:
         assert "epoch 0, step 0" in err[0]
         assert list(out.iterdir()) == []
 
+    def test_failed_rerun_keeps_the_earlier_run(self, corpus, tmp_path,
+                                                capsys):
+        out = tmp_path / "run"
+        args = ["train", "--dataset", corpus["graph_dir"], "--out", str(out),
+                "--epochs", "1"]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["checkpoint.json", "loss_log.jsonl",
+                                  "manifest.json"]
+        with np.errstate(all="ignore"):
+            # the second epoch runs on the parameters the first one blew up
+            rc = main(args + ["--epochs", "2", "--lr", "1e300",
+                              "--alpha", "1e300"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_non_finite_gradient_is_one_error_line(self, corpus, tmp_path,
+                                                   monkeypatch, capsys):
+        import latentgraph.training as training
+        real = training.backward
+
+        def poisoned(loss):
+            grads = real(loss)
+            for value in grads:
+                if value.shape == (1, 8):  # the first bias of width 8
+                    grads[value] = np.full(value.shape, np.inf)
+                    break
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        out = tmp_path / "diverged"
+        rc = main(["train", "--dataset", corpus["graph_dir"],
+                   "--out", str(out), "--epochs", "1", "--hidden-dim", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: non-finite gradient of ")
+        assert "epoch 0, step 0" in err[0]
+        assert list(out.iterdir()) == []
+
     def test_failed_json_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "report.json"
         cli._write_json(str(path), {"a": 1})
@@ -381,6 +431,18 @@ class TestEval:
         capsys.readouterr()
         manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["config"]["concat_raw"] is False
+
+    def test_no_concat_on_a_graph_checkpoint_is_an_error(self, corpus,
+                                                         tmp_path, capsys):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", corpus["graph_ckpt"],
+                   "--dataset", corpus["graph_dir"], "--out", str(out),
+                   "--no-concat"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --no-concat applies to node-level")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ("--folds", "1"),

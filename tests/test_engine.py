@@ -23,6 +23,7 @@ from latentgraph.engine import (
     matmul,
     mse_per,
     no_grad,
+    release,
     relu,
     row_select,
     scale,
@@ -565,3 +566,90 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError("inside")
         assert scale(a, 2.0)._backward is not None
+
+
+class TestRelease:
+    """``release`` drops an interior Value's data; closures keep what they read."""
+
+    def test_leaf_keeps_its_data(self):
+        w = Value(np.ones((2, 3)))
+        data = w.data
+        release(w, constant([[1.0]]))
+        assert w.data is data
+
+    def test_nothing_is_released_under_no_grad(self):
+        a = Value(np.ones((2, 2)))
+        recorded = scale(a, 2.0)
+        with no_grad():
+            bare = scale(a, 2.0)
+            release(recorded, bare, a)
+        for v in (recorded, bare, a):
+            assert v.data is not None
+
+    def test_interior_value_drops_its_data(self):
+        h = scale(Value(np.ones((2, 2))), 2.0)
+        release(h)
+        assert h.data is None
+        assert "released" in repr(h)
+        with pytest.raises(AttributeError):
+            matmul(h, Value(np.ones((2, 2))))
+
+    def test_released_matmul_input_leaves_gradients_unchanged(self):
+        def grads(release_input):
+            rng = np.random.default_rng(40)
+            x, w = rand_value(rng, 4, 3), rand_value(rng, 3, 2)
+            a = scale(x, 1.0)
+            out = matmul(a, w)
+            if release_input:
+                release(a)
+                assert a.data is None
+            g = backward(sum_squares(out))
+            return g[x], g[w]
+
+        for kept, released in zip(grads(False), grads(True)):
+            np.testing.assert_array_equal(kept, released)
+
+    def test_every_op_backward_ignores_released_inputs(self):
+        from latentgraph.models import batch_norm
+        s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
+        targets = np.full((3, 4), 0.25)
+        ops = {
+            "matmul": lambda a, b, w: matmul(a, w),
+            "spmm": lambda a, b, w: spmm(s, a),
+            "add": lambda a, b, w: add(a, b),
+            "add_row": lambda a, b, w: add_row(a, row_select(b, [0])),
+            "sub": lambda a, b, w: sub(a, b),
+            "hadamard": lambda a, b, w: hadamard(a, b),
+            "scale": lambda a, b, w: scale(a, 1.5),
+            "relu": lambda a, b, w: relu(a),
+            "row_select": lambda a, b, w: row_select(a, [2, 0, 2]),
+            "sum_squares": lambda a, b, w: sum_squares(a),
+            "mse_per": lambda a, b, w: mse_per(a, b, 2.0),
+            "sqrt_eps": lambda a, b, w: sqrt_eps(sum_squares(a)),
+            "softmax_ce": lambda a, b, w: softmax_ce(a, targets),
+            "kl_div": lambda a, b, w: kl_div(a, b),
+            "batch_norm": lambda a, b, w: batch_norm(
+                a, w, row_select(b, [1]), np.zeros((1, 4)), np.ones((1, 4)),
+                training=True),
+        }
+
+        def grads(op, release_inputs):
+            rng = np.random.default_rng(41)
+            leaves = [rand_value(rng, 3, 4), rand_value(rng, 3, 4)]
+            # scaled by one: interior Values holding the leaves' numbers
+            a, b = (scale(leaf, 1.0) for leaf in leaves)
+            w_leaf = rand_value(rng, 4, 4)
+            w = row_select(w_leaf, [0]) if op == "batch_norm" else scale(w_leaf, 1.0)
+            out = ops[op](a, b, w)
+            if release_inputs:
+                release(a, b, w)
+            g = backward(sum_squares(out))
+            return [g.get(v) for v in leaves + [w_leaf]]
+
+        for op in ops:
+            for kept, released in zip(grads(op, False), grads(op, True)):
+                if kept is None:
+                    assert released is None, op
+                else:
+                    np.testing.assert_array_equal(kept, released, err_msg=op)
+

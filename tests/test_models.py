@@ -4,7 +4,7 @@ gradient checks through full encoder/decoder stacks."""
 import numpy as np
 import pytest
 
-from latentgraph import engine
+from latentgraph import engine, models
 from latentgraph.engine import SparseMatrix, Value, grad_check, mse_per
 from latentgraph.graphs import Graph, batch_graphs
 from latentgraph.models import (
@@ -372,6 +372,54 @@ class TestDecoder:
         assert report.ok, (
             f"max rel err {report.max_rel_err:.3e} at {report.worst_param}/{report.worst_coord}"
         )
+
+
+class TestReleasedIntermediates:
+    """Layers release their private intermediates during the forward; the
+    parameter gradients stay bitwise those of the same ops without it."""
+
+    LAYERS = {
+        "gcn": lambda rng, bn: (GCNLayer(3, 5, rng, use_bn=bn),
+                                lambda layer, batch, h: layer(
+                                    batch.normalized_adjacency(), h, True)),
+        "gin": lambda rng, bn: (GINLayer(3, 5, rng, use_bn=bn),
+                                lambda layer, batch, h: layer(
+                                    batch.block_adjacency, h, True)),
+        "decoder-mlp": lambda rng, bn: (Decoder(3, 4, 3, rng, use_bn=bn),
+                                        lambda layer, batch, h: layer(
+                                            h, training=True)),
+        "decoder-gcn": lambda rng, bn: (Decoder(3, 4, 3, rng, use_bn=bn,
+                                                kind="gcn"),
+                                        lambda layer, batch, h: layer(
+                                            h, batch=batch, training=True)),
+    }
+
+    def grads(self, kind, use_bn):
+        rng = np.random.default_rng(31)
+        dense = np.triu((rng.uniform(size=(7, 7)) < 0.4).astype(float), 1)
+        graph = Graph(7, SparseMatrix.from_dense(dense + dense.T),
+                      rng.normal(size=(7, 3)))
+        batch = batch_graphs([graph])
+        layer, run = self.LAYERS[kind](rng, use_bn)
+        h = Value(graph.features)
+        out = run(layer, batch, h)
+        released = sum(v.data is None for v in engine._toposort(out))
+        grads = engine.backward(mse_per(out, Value(np.ones(out.shape)), 7.0))
+        params = [v for _, v in layer.named_parameters("layer")]
+        return released, [grads[p] for p in params + [h]]
+
+    @pytest.mark.parametrize("use_bn", [True, False])
+    @pytest.mark.parametrize("kind", sorted(LAYERS))
+    def test_gradients_are_bitwise_those_without_release(self, kind, use_bn,
+                                                        monkeypatch):
+        released, with_release = self.grads(kind, use_bn)
+        assert released > 0
+        monkeypatch.setattr(models, "release", lambda *values: None)
+        none_released, without = self.grads(kind, use_bn)
+        assert none_released == 0
+        assert len(with_release) == len(without)
+        for a, b in zip(with_release, without):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestReadout:

@@ -15,6 +15,7 @@ from latentgraph.training import (
     Adam,
     CheckpointError,
     EpochStats,
+    NonFiniteGradientError,
     NonFiniteLossError,
     TrainConfig,
     load_checkpoint,
@@ -286,6 +287,35 @@ class TestTrainLoop:
             train(model, data, cfg, log_fh=log)
         assert len(seen) == 5
         assert len(log.getvalue().splitlines()) == 4
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        data = self.make_data()
+        cfg = tiny_config(epochs=3, batch_size=4)
+        model = build_model("graph", cfg.encoder, data.feature_dim,
+                            cfg.hidden_dim, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0))
+        bias = model.decoder.linears[0].b
+        real = training.backward
+        calls, before = [], {}
+
+        def poisoned(loss):
+            grads = real(loss)
+            calls.append(1)
+            if len(calls) == 5:  # three steps per epoch: epoch 1, step 1
+                grads[bias] = np.full(bias.shape, np.nan)
+                before.update((name, v.data.copy())
+                              for name, v in model.named_parameters())
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        import io
+        log = io.StringIO()
+        with pytest.raises(NonFiniteGradientError,
+                           match="gradient of decoder.0.b at epoch 1, step 1"):
+            train(model, data, cfg, log_fh=log)
+        assert len(log.getvalue().splitlines()) == 4
+        for name, v in model.named_parameters():
+            np.testing.assert_array_equal(v.data, before[name])
 
     def test_nan_parameters_stop_training_at_the_first_step(self):
         data = self.make_data()
