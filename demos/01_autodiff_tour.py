@@ -34,10 +34,16 @@ def main():
     loss = sum_squares(out)
     print(f"   loss = sum of squares = {loss.data.item():.6f}")
 
-    print("3. backward() fills .grad on every reachable leaf.")
-    loss.backward()
+    print("3. backward() returns the gradient of this loss on every reachable")
+    print("   leaf, also left in its .grad; nothing carries over between calls.")
+    first = loss.backward(retain_graph=True)
     print(f"   |dL/dw1| Frobenius = {np.linalg.norm(w1.grad):.6f}")
     print(f"   |dL/dw2| Frobenius = {np.linalg.norm(w2.grad):.6f}")
+    second = loss.backward()
+    same = all(np.array_equal(second[w], first[w]) for w in (x, w1, w2))
+    print(f"   a second backward over the retained graph gives the same "
+          f"gradient: {same}")
+    assert same
 
     print("4. Sparse adjacency matrices flow through spmm.")
     adj = np.zeros((4, 4))

@@ -2,9 +2,11 @@
 
 Every value is a 2-D float64 matrix wrapped in a :class:`Value` node. Operations
 build a provenance DAG; :func:`backward` walks it once in reverse topological
-order and accumulates gradients, so shared subexpressions receive the sum of all
-path contributions. The DAG is freed during backward (no persistent tape), and
-only leaf gradients survive it.
+order and sums gradients within that walk, so shared subexpressions receive the
+sum of all path contributions. The gradient a backward call returns covers that
+call's loss only: every node it reaches starts the walk with no gradient, so
+nothing carries over from an earlier call. The DAG is freed during backward (no
+persistent tape), and only leaf gradients survive it.
 
 An op's backward closure captures, when the forward runs, every array and
 shape it will read (its inputs' data, masks, normalized activations); it never
@@ -58,7 +60,6 @@ __all__ = [
     "backward",
     "release",
     "no_grad",
-    "zero_grad",
     "grad_check",
     "GradCheckReport",
     "constant",
@@ -123,10 +124,10 @@ def _as_matrix(data):
 class Value:
     """A matrix node in the autodiff DAG.
 
-    ``data`` is the 2-D float64 payload, ``grad`` the accumulated gradient
-    (``None`` until backward reaches the node), ``op`` a short tag naming the
-    producing operation, ``_parents`` the input nodes and ``_backward`` a
-    closure that routes this node's gradient to them. Under :func:`no_grad`
+    ``data`` is the 2-D float64 payload, ``grad`` the gradient from the last
+    backward that reached the node (``None`` before that), ``op`` a short tag
+    naming the producing operation, ``_parents`` the input nodes and
+    ``_backward`` a closure that routes this node's gradient to them. Under :func:`no_grad`
     the constructor drops ``parents`` and ``backward``.
 
     The closure holds the arrays it reads, captured at forward time, so an
@@ -164,26 +165,6 @@ class Value:
     def __repr__(self):
         shape = "released" if self.data is None else self.data.shape
         return f"Value(shape={shape}, op={self.op!r})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Value):
-            return hadamard(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(data):
@@ -416,25 +397,26 @@ def _toposort(root):
 
 
 def backward(loss, retain_graph=False):
-    """Accumulate gradients of a 1x1 loss into every reachable leaf.
+    """Gradients of a 1x1 loss with respect to every reachable leaf.
 
-    Returns a dict mapping each reachable leaf Value to its gradient array.
-    Unless ``retain_graph`` is set, each interior node's gradient, parents and
-    backward closure are dropped as soon as its closure has run, so the DAG is
-    freed during the walk and a second backward needs a fresh forward pass.
-    With ``retain_graph`` interior gradients are kept and returned as well.
+    Returns a dict mapping each reachable leaf Value to the gradient of this
+    loss alone, which is also left in the leaf's ``.grad``; a gradient from an
+    earlier call is replaced, never added to. Unless ``retain_graph`` is set,
+    each interior node's gradient, parents and backward closure are dropped as
+    soon as its closure has run, so the DAG is freed during the walk and a
+    second backward needs a fresh forward pass. With ``retain_graph`` interior
+    gradients are kept and returned as well, and a second backward over the
+    same graph returns the same gradients.
 
     Gradient arrays may be shared between nodes; treat them as read-only.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a 1x1 loss, got shape {loss.data.shape}")
     order = _toposort(loss)
-    # Interior nodes get a fresh gradient per pass, allocated by their first
-    # contribution; leaf gradients accumulate across passes until zero_grad,
-    # so optimizers see the usual semantics.
+    # Every reached node, leaf or interior, starts this pass with no gradient;
+    # its first contribution allocates it.
     for node in order:
-        if node._parents:
-            node.grad = None
+        node.grad = None
     _accumulate(loss, np.ones((1, 1), dtype=np.float64))
     grads = {}
     # Popping walks the nodes in reverse topological order, so a node has all
@@ -473,11 +455,6 @@ def release(*values):
             v.data = None
 
 
-def zero_grad(values):
-    for v in values:
-        v.grad = None
-
-
 @dataclass
 class GradCheckReport:
     """Outcome of comparing analytic gradients to central finite differences.
@@ -505,18 +482,16 @@ class GradCheckReport:
 def grad_check(f, params, step=1e-3, tol=1e-4):
     """Check analytic gradients of ``f()`` w.r.t. ``params`` coordinate-wise.
 
-    ``f`` rebuilds the loss from the params' current data each call. Central
-    differences use the given step; every coordinate is perturbed in place and
-    restored. Returns a :class:`GradCheckReport`; ``report.ok`` is the verdict.
+    ``f`` rebuilds the loss from the params' current data each call. The
+    analytic gradients are the map one :func:`backward` of ``f()`` returns (a
+    param it does not reach counts as zero). Central differences use the given
+    step; every coordinate is perturbed in place and restored. Returns a
+    :class:`GradCheckReport`; ``report.ok`` is the verdict.
     """
     if step <= 0.0:
         raise ValueError("grad_check: step must be positive")
-    zero_grad(params)
-    loss = f()
-    backward(loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
+    grads = backward(f())
+    analytic = [grads.get(p, np.zeros_like(p.data)) for p in params]
     report = GradCheckReport(max_rel_err=0.0, tol=tol, step=step, coords_checked=0)
     for pi, p in enumerate(params):
         flat = p.data.reshape(-1)
@@ -539,7 +514,6 @@ def grad_check(f, params, step=1e-3, tol=1e-4):
                 report.worst_numeric = float(numeric)
             if err > tol:
                 report.failures.append((pi, j, float(ga[j]), float(numeric), float(err)))
-    zero_grad(params)
     return report
 
 
@@ -572,10 +546,6 @@ class SparseMatrix:
         if cols.size and shape[1] > 0 and (cols.min() < 0 or cols.max() >= shape[1]):
             raise IndexError("column index out of range")
         return cls(sp.csr_matrix((values, (rows, cols)), shape=shape))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, format="csr", dtype=np.float64))
 
     @property
     def shape(self):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Value, _accumulate, add, add_row, backward, no_grad,
-                     scale, softmax_ce, sum_squares)
+from .engine import (Value, _accumulate, add, add_row, backward, matmul,
+                     no_grad, scale, softmax_ce, sum_squares)
 from .graphs import batch_graphs
 from .models import readout_sum
 from .training import Adam
@@ -175,7 +175,7 @@ def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
     x = Value(reprs)
     optimizer = Adam([W, b], lr=lr)
     for _ in range(epochs):
-        logits = add_row(x @ W, b)
+        logits = add_row(matmul(x, W), b)
         if multilabel:
             loss = _sigmoid_bce(logits, targets)
         else:

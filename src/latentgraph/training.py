@@ -49,6 +49,17 @@ class NonFiniteGradientError(NonFiniteLossError):
     """Raised when a training step's gradient of a parameter holds NaN or inf."""
 
 
+class NonFiniteUpdateError(NonFiniteLossError):
+    """Raised when an optimizer step would leave a parameter NaN or inf.
+
+    `param` is that parameter's Value; no parameter has been changed.
+    """
+
+    def __init__(self, message, param):
+        super().__init__(message)
+        self.param = param
+
+
 @dataclass
 class TrainConfig:
     """Everything a training run needs besides the data.
@@ -182,7 +193,10 @@ class Adam:
 
     Decay multiplies each parameter by (1 - lr * weight_decay) using its
     pre-update value, independent of the adaptive step. Parameters that do
-    not appear in the gradient map are skipped entirely.
+    not appear in the gradient map are skipped entirely. A step computes
+    every new moment and parameter value before it assigns any; if one of
+    those values is NaN or inf it raises `NonFiniteUpdateError` and leaves
+    the parameters and the optimizer's state as they were.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -200,22 +214,27 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads):
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = grads.get(p)
-            if g is None:
-                continue
-            if self.weight_decay:
-                p.data = p.data * (1.0 - self.lr * self.weight_decay)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        t = self.t + 1
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        updates = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, p in enumerate(self.params):
+                g = grads.get(p)
+                if g is None:
+                    continue
+                data = p.data
+                if self.weight_decay:
+                    data = data * (1.0 - self.lr * self.weight_decay)
+                m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
+                v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+                new = data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if not np.isfinite(new).all():
+                    raise NonFiniteUpdateError("non-finite update of a parameter", p)
+                updates.append((i, p, new, m, v))
+        self.t = t
+        for i, p, new, m, v in updates:
+            p.data, self._m[i], self._v[i] = new, m, v
 
 
 @dataclass
@@ -256,9 +275,11 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     Returns per-epoch mean loss statistics. When `log_fh` is given, one JSON
     line per optimization step is written to it. When `checkpoint_path` is
     given, the final weights are saved there. A step whose reconstruction,
-    invariance or total loss is not finite raises `NonFiniteLossError`,
-    and one whose gradient of a parameter is not finite raises
-    `NonFiniteGradientError`, before the step is logged or applied.
+    invariance or total loss is not finite raises `NonFiniteLossError`, one
+    whose gradient of a parameter is not finite raises
+    `NonFiniteGradientError`, and one whose update would leave a parameter
+    not finite raises `NonFiniteUpdateError`, all before the step is logged
+    or applied.
     """
     from .graphs import Graph, batch_graphs
 
@@ -309,7 +330,13 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
             _check_finite(epoch, step, out)
             grads = backward(out.total)
             _check_finite_grads(epoch, step, named_params, grads)
-            optimizer.step(grads)
+            try:
+                optimizer.step(grads)
+            except NonFiniteUpdateError as exc:
+                name = next(n for n, p in named_params if p is exc.param)
+                raise NonFiniteUpdateError(
+                    f"non-finite update of {name} at epoch {epoch}, step {step}",
+                    exc.param) from None
             losses.append(out.total.item())
             recons.append(out.reconstruction)
             invs.append(out.invariance)

@@ -360,6 +360,24 @@ class TestTrain:
         assert "epoch 0, step 0" in err[0]
         assert list(out.iterdir()) == []
 
+    def test_overflowing_update_is_one_error_line_at_its_own_step(
+            self, corpus, tmp_path):
+        # a child process, so numpy's warnings would reach its real stderr
+        out = tmp_path / "diverged"
+        result = subprocess.run(
+            [sys.executable, "-m", "latentgraph", "train",
+             "--dataset", corpus["graph_dir"], "--out", str(out),
+             "--epochs", "2", "--batch-size", "8", "--lr", "1e300",
+             "--alpha", "1e300"],
+            capture_output=True, text=True, cwd="/",
+            env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1, result.stderr
+        assert err[0].startswith("error: non-finite update of ")
+        assert "epoch 0, step 0" in err[0]
+        assert list(out.iterdir()) == []
+
     def test_failed_json_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "report.json"
         cli._write_json(str(path), {"a": 1})

@@ -1,6 +1,6 @@
 """Engine tests: hand-computed forward oracles, finite-difference gradient
-checks for every operation, DAG accumulation, and the strict deterministic
-matrix product."""
+checks for every operation, DAG accumulation within one backward (and none
+across calls), and the strict deterministic matrix product."""
 
 import gc
 import weakref
@@ -223,12 +223,26 @@ class TestBackward:
         assert h._parents == (w,)
 
     def test_retain_graph_allows_second_pass(self):
+        # the second pass returns this loss's gradient again, not twice it
         w = Value([[2.0]])
         y = sum_squares(w)
-        backward(y, retain_graph=True)
-        first = w.grad.copy()
-        backward(y)
-        np.testing.assert_allclose(w.grad, 2.0 * first)
+        first = backward(y, retain_graph=True)[w]
+        second = backward(y)
+        np.testing.assert_array_equal(second[w], first)
+        assert w.grad is second[w]
+
+    def test_each_backward_returns_only_its_own_gradient(self):
+        rng = np.random.default_rng(8)
+        x, w = rand_value(rng, 4, 3), rand_value(rng, 3, 2)
+        first = backward(sum_squares(matmul(x, w)))
+        np.testing.assert_allclose(
+            first[w], 2.0 * x.data.T @ (x.data @ w.data), rtol=1e-12)
+        kept = first[w].copy()
+        second = backward(sum_squares(scale(w, 3.0)))
+        assert set(second) == {w}
+        np.testing.assert_allclose(second[w], 18.0 * w.data, rtol=1e-12)
+        assert w.grad is second[w]
+        np.testing.assert_array_equal(first[w], kept)
 
 
 class TestGradChecks:

@@ -32,6 +32,7 @@ from latentgraph.graphs import (
     make_sbm_graph,
 )
 from latentgraph.models import build_model, readout_sum
+from latentgraph.training import Adam
 
 
 def blobs(rng, n_per_class, dim=2, spread=6.0):
@@ -134,6 +135,32 @@ class TestLogreg:
         metrics = logreg_eval(clf, x, labels)
         assert metrics["micro_f1"] > 0.95
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    def test_each_epoch_steps_on_its_own_gradient(self, monkeypatch):
+        # the gradient Adam receives at epoch 2 is the closed-form softmax
+        # cross-entropy gradient at the weights epoch 2 starts from
+        rng = np.random.default_rng(7)
+        x, y = blobs(rng, 15, dim=3)
+        real_step = Adam.step
+        seen = []
+
+        def recording(optimizer, grads):
+            W, b = optimizer.params
+            seen.append((W.data.copy(), b.data.copy(), grads[W].copy(),
+                         grads[b].copy()))
+            return real_step(optimizer, grads)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        logreg_fit(x, y, lr=0.05, epochs=3, rng=rng)
+        assert len(seen) == 3
+        W, b, grad_W, grad_b = seen[1]
+        logits = x @ W + b
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        residual = (p - np.eye(2)[y]) / len(y)
+        np.testing.assert_allclose(grad_W, x.T @ residual, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(grad_b, residual.sum(axis=0, keepdims=True),
+                                   rtol=1e-9, atol=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="finite"):

@@ -1,12 +1,13 @@
 """Optimizer math, config handling, the training loop's determinism, and
 bit-exact checkpoint round-trips."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from latentgraph.engine import Value
+from latentgraph.engine import Value, backward
 from latentgraph.graphs import make_blob_dataset, make_sbm_graph, batch_graphs
 from latentgraph.models import build_model
 from latentgraph.objectives import mask_size
@@ -17,6 +18,7 @@ from latentgraph.training import (
     EpochStats,
     NonFiniteGradientError,
     NonFiniteLossError,
+    NonFiniteUpdateError,
     TrainConfig,
     load_checkpoint,
     load_config,
@@ -64,6 +66,20 @@ class TestAdam:
             Adam([p], lr=-1.0)
         with pytest.raises(ValueError):
             Adam([p], beta1=1.0)
+
+    def test_non_finite_update_changes_nothing(self):
+        # lr * m_hat overflows for the second parameter only; the first,
+        # updated earlier in the loop, must not be assigned either
+        p = Value(np.array([[1.0, -2.0]]))
+        q = Value(np.array([[0.5]]))
+        opt = Adam([p, q], lr=1e300)
+        with pytest.raises(NonFiniteUpdateError) as info:
+            opt.step({p: np.array([[1e-3, 2e-3]]), q: np.array([[1e10]])})
+        assert info.value.param is q
+        np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
+        np.testing.assert_array_equal(q.data, [[0.5]])
+        assert opt.t == 0
+        assert not any(m.any() for m in opt._m + opt._v)
 
     def test_converges_on_quadratic(self):
         p = Value(np.array([[5.0, -3.0]]))
@@ -316,6 +332,59 @@ class TestTrainLoop:
         assert len(log.getvalue().splitlines()) == 4
         for name, v in model.named_parameters():
             np.testing.assert_array_equal(v.data, before[name])
+
+    def test_non_finite_update_stops_before_any_parameter_moves(self):
+        data = self.make_data()
+        cfg = tiny_config(lr=1e300, alpha=1e300)
+        model = build_model("graph", cfg.encoder, data.feature_dim,
+                            cfg.hidden_dim, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0))
+        before = {name: v.data.copy() for name, v in model.named_parameters()}
+        import io
+        log = io.StringIO()
+        with pytest.raises(NonFiniteUpdateError,
+                           match=r"update of \S+ at epoch 0, step 0"):
+            train(model, data, cfg, log_fh=log)
+        assert log.getvalue() == ""
+        for name, v in model.named_parameters():
+            np.testing.assert_array_equal(v.data, before[name])
+
+    def test_optimizer_gets_the_gradient_of_its_own_step_only(self,
+                                                              monkeypatch):
+        # the map Adam receives at its second step must equal the gradient
+        # of the second step's objective, recomputed from the parameters and
+        # the mask draw in effect just before that step
+        data = self.make_data()
+        cfg = tiny_config(epochs=1, batch_size=4)
+        model = build_model("graph", cfg.encoder, data.feature_dim,
+                            cfg.hidden_dim, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0))
+        real_objective, real_step = training.objective, Adam.step
+        before, received = [], []
+
+        def snapshot(model_, batch, spec, rng, *args, **kwargs):
+            before.append(({n: v.data.copy() for n, v in
+                            model_.named_parameters()},
+                           batch, copy.deepcopy(rng), args, kwargs))
+            return real_objective(model_, batch, spec, rng, *args, **kwargs)
+
+        def recording(optimizer, grads):
+            received.append({p: g.copy() for p, g in grads.items()})
+            return real_step(optimizer, grads)
+
+        monkeypatch.setattr(training, "objective", snapshot)
+        monkeypatch.setattr(Adam, "step", recording)
+        train(model, data, cfg)
+        assert len(received) == 3
+
+        params, batch, rng, args, kwargs = before[1]
+        for name, v in model.named_parameters():
+            v.data = params[name]
+        expected = backward(real_objective(model, batch, cfg.mask_spec(), rng,
+                                           *args, **kwargs).total)
+        for name, v in model.named_parameters():
+            np.testing.assert_allclose(received[1][v], expected[v],
+                                       rtol=1e-12, atol=0, err_msg=name)
 
     def test_nan_parameters_stop_training_at_the_first_step(self):
         data = self.make_data()
