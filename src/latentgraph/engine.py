@@ -21,8 +21,12 @@ Value, so an intermediate array is freed as soon as the next op has consumed
 it. Inference (representation extraction) runs this way; training and anything
 that calls :func:`backward` must not.
 
-Scalars are 1x1 matrices. Sparse matrices (:class:`SparseMatrix`) are constants:
-they never receive gradients and only appear as the left operand of :func:`spmm`.
+Scalars are 1x1 matrices. A :func:`constant` leaf never receives a gradient,
+and no op computes one for it. Sparse matrices (:class:`SparseMatrix`) are
+constants too: they only appear as the left operand of :func:`spmm`. They keep
+their CSR arrays in numpy; ``scipy.sparse`` is imported at the first sparse
+product, so a process that builds and densifies sparse matrices but never
+multiplies one (the bound lab) never loads it.
 
 A strict deterministic mode replaces the BLAS matrix product with a per-row
 GEMV loop whose result does not depend on how rows are later sliced or stacked,
@@ -38,7 +42,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Value",
@@ -168,11 +171,13 @@ class Value:
 
 
 def constant(data):
-    """Leaf Value holding fixed data (still receives a gradient if reachable)."""
+    """Leaf Value holding fixed data; it never receives a gradient."""
     return Value(data, op="const")
 
 
 def _accumulate(node, g):
+    if node.op == "const":
+        return
     node.grad = g if node.grad is None else node.grad + g
 
 
@@ -182,15 +187,20 @@ def _check_same_shape(a, b, opname):
 
 
 def matmul(a, b):
-    """Matrix product a @ b with gradients g @ b.T and a.T @ g."""
+    """Matrix product a @ b with gradients g @ b.T and a.T @ g.
+
+    The gradient of a :func:`constant` operand is never computed.
+    """
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims disagree {a.data.shape} vs {b.data.shape}")
 
     a_data, b_data = a.data, b.data
 
     def _back(g):
-        _accumulate(a, _mm(g, b_data.T))
-        _accumulate(b, _mm(a_data.T, g))
+        if a.op != "const":
+            _accumulate(a, _mm(g, b_data.T))
+        if b.op != "const":
+            _accumulate(b, _mm(a_data.T, g))
 
     return Value(_mm(a_data, b_data), parents=(a, b), backward=_back, op="matmul")
 
@@ -520,70 +530,102 @@ def grad_check(f, params, step=1e-3, tol=1e-4):
 class SparseMatrix:
     """Immutable CSR matrix used for adjacency and pooling indicators.
 
-    Exposes the raw CSR fields (indptr, indices, data); column indices are
-    strictly increasing within each row. Products are delegated to scipy.
+    Holds canonical CSR arrays in numpy: ``indptr``, ``indices`` (strictly
+    increasing within each row, so no duplicates), float64 ``data`` and
+    ``shape``. Index arrays are int32 whenever scipy would pick int32 for the
+    same shape and nnz, and int64 otherwise. Building, normalising and
+    densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` run scipy's
+    kernels: the first product imports ``scipy.sparse`` and caches a CSR view
+    that shares these arrays, no copy, so a process that never multiplies
+    never loads it.
     """
 
-    __slots__ = ("_csr",)
-
-    def __init__(self, csr):
-        csr = sp.csr_matrix(csr, dtype=np.float64)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._csr = csr
+    __slots__ = ("indptr", "indices", "data", "shape", "_csr")
 
     @classmethod
     def from_dense(cls, a):
-        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise ValueError(f"from_dense expects a matrix, got ndim={a.ndim}")
+        rows, cols = np.nonzero(a)
+        return cls._from_sorted_coo(rows, cols, a[rows, cols], a.shape)
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape):
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.size and shape[0] > 0 and (rows.min() < 0 or rows.max() >= shape[0]):
-            raise IndexError("row index out of range")
-        if cols.size and shape[1] > 0 and (cols.min() < 0 or cols.max() >= shape[1]):
-            raise IndexError("column index out of range")
-        return cls(sp.csr_matrix((values, (rows, cols)), shape=shape))
+        """CSR of the COO triplets, checked against ``shape``.
 
-    @property
-    def shape(self):
-        return self._csr.shape
+        Explicit zeros are kept and duplicates are summed in input order, as
+        scipy's COO-to-CSR conversion does for rows of up to 16 entries (its
+        sort is not stable beyond that).
+        """
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not rows.size == cols.size == values.size:
+            raise ValueError("from_coo: rows, cols and values differ in length")
+        shape = tuple(int(n) for n in shape)
+        if len(shape) != 2 or min(shape) < 0 or shape[0] * shape[1] >= 2**63:
+            raise ValueError(f"from_coo: bad shape {shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]):
+            raise IndexError("row index out of range")
+        if cols.size and (cols.min() < 0 or cols.max() >= shape[1]):
+            raise IndexError("column index out of range")
+        # a stable sort keeps duplicates in input order, and runs that are
+        # already sorted (most callers' rows) cost little
+        key = rows.astype(np.int64, copy=False) * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key, rows, cols, values = key[order], rows[order], cols[order], values[order]
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            # scipy's order: each entry starts at its first duplicate and the
+            # rest are added one at a time.
+            summed = values[first]
+            np.add.at(summed, np.cumsum(first)[~first] - 1, values[~first])
+            rows, cols, values = rows[first], cols[first], summed
+        return cls._from_sorted_coo(rows, cols, values, shape)
+
+    @classmethod
+    def _from_sorted_coo(cls, rows, cols, values, shape):
+        """Trusted constructor: the entries must already be sorted by row, then
+        column, with no duplicate and in range. Nothing is checked."""
+        shape = (int(shape[0]), int(shape[1]))
+        small = max(shape[0], shape[1], len(values)) <= np.iinfo(np.int32).max
+        index = np.int32 if small else np.int64
+        self = object.__new__(cls)
+        self.shape = shape
+        self.indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
+        self.indices = np.asarray(cols, dtype=index)
+        self.data = np.asarray(values, dtype=np.float64)
+        self._csr = None
+        return self
 
     @property
     def nnz(self):
-        return self._csr.nnz
-
-    @property
-    def indptr(self):
-        return self._csr.indptr
-
-    @property
-    def indices(self):
-        return self._csr.indices
-
-    @property
-    def data(self):
-        return self._csr.data
+        return self.data.size
 
     def to_dense(self):
-        return np.asarray(self._csr.todense(), dtype=np.float64)
+        out = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        out[rows, self.indices] += self.data
+        return out
 
-    def transpose(self):
-        return SparseMatrix(self._csr.T.tocsr())
+    def _scipy(self):
+        if self._csr is None:
+            import scipy.sparse as sp
+            self._csr = sp.csr_matrix((self.data, self.indices, self.indptr),
+                                      shape=self.shape, copy=False)
+        return self._csr
 
     def matmat(self, dense):
-        out = self._csr @ np.asarray(dense, dtype=np.float64)
+        out = self._scipy() @ np.asarray(dense, dtype=np.float64)
         return np.ascontiguousarray(out)
 
     def rmatmat(self, dense):
         """``self.T @ dense`` through scipy's CSC view of the same arrays, no copy."""
-        out = self._csr.T @ np.asarray(dense, dtype=np.float64)
+        out = self._scipy().T @ np.asarray(dense, dtype=np.float64)
         return np.ascontiguousarray(out)
-
-    def __matmul__(self, dense):
-        return self.matmat(dense)
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"

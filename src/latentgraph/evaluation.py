@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Value, _accumulate, add, add_row, backward, matmul,
-                     no_grad, scale, softmax_ce, sum_squares)
+from .engine import (Value, _accumulate, add, add_row, backward, constant,
+                     matmul, no_grad, scale, softmax_ce, sum_squares)
 from .graphs import batch_graphs
 from .models import readout_sum
 from .training import Adam
@@ -172,7 +172,7 @@ def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
     d = reprs.shape[1]
     W = Value(0.01 * rng.standard_normal((d, out_dim)))
     b = Value(np.zeros((1, out_dim)))
-    x = Value(reprs)
+    x = constant(reprs)
     optimizer = Adam([W, b], lr=lr)
     for _ in range(epochs):
         logits = add_row(matmul(x, W), b)

@@ -128,7 +128,8 @@ class GraphBatch:
         self.total_nodes = total
         self.offsets = offsets
         self.membership = np.repeat(np.arange(len(graphs), dtype=np.intp), counts)
-        self.block_adjacency = SparseMatrix.from_coo(
+        # each block is canonical and starts below and right of the previous one
+        self.block_adjacency = SparseMatrix._from_sorted_coo(
             np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
             shape=(total, total),
         )
@@ -147,7 +148,7 @@ class GraphBatch:
     def pool_matrix(self):
         """num_graphs x total_nodes indicator; spmm with it sum-pools rows."""
         if self._pool is None:
-            self._pool = SparseMatrix.from_coo(
+            self._pool = SparseMatrix._from_sorted_coo(
                 self.membership,
                 np.arange(self.total_nodes, dtype=np.intp),
                 np.ones(self.total_nodes),
@@ -167,8 +168,9 @@ def _symmetrized_adjacency(num_nodes, u, v):
     keep = u != v
     u, v = u[keep], v[keep]
     keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
-    return SparseMatrix.from_coo(keys // num_nodes, keys % num_nodes,
-                                 np.ones(len(keys)), shape=(num_nodes, num_nodes))
+    # unique sorted keys are canonical CSR order
+    return SparseMatrix._from_sorted_coo(keys // num_nodes, keys % num_nodes,
+                                         np.ones(len(keys)), shape=(num_nodes, num_nodes))
 
 
 def _group_by(keys, num_groups):
@@ -323,8 +325,7 @@ def normalize_adjacency(a):
     rows = np.concatenate([rows, np.arange(n, dtype=np.intp)])
     cols = np.concatenate([cols, np.arange(n, dtype=np.intp)])
     vals = np.concatenate([vals, np.ones(n)])
-    deg = np.zeros(n)
-    np.add.at(deg, rows, vals)
+    deg = np.bincount(rows, weights=vals, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(deg)
     scaled = vals * inv_sqrt[rows] * inv_sqrt[cols]
     return SparseMatrix.from_coo(rows, cols, scaled, shape=(n, n))
@@ -340,7 +341,8 @@ def sample_node_subset(g, n, rng):
     rows = np.repeat(np.arange(g.num_nodes, dtype=np.intp), np.diff(g.adjacency.indptr))
     cols = g.adjacency.indices
     inside = (position[rows] >= 0) & (position[cols] >= 0)
-    adj = SparseMatrix.from_coo(
+    # ``position`` is increasing on the kept nodes, so CSR order survives
+    adj = SparseMatrix._from_sorted_coo(
         position[rows[inside]], position[cols[inside]],
         np.ones(int(inside.sum())), shape=(n, n),
     )

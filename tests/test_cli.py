@@ -615,6 +615,36 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
+class TestSparseImport:
+    """``scipy.sparse`` loads at the first sparse product and not before, so
+    a command that multiplies no sparse matrix never pays for its import."""
+
+    @staticmethod
+    def sparse_loaded_after(argv):
+        code = ("import sys\n"
+                "from latentgraph import cli\n"
+                f"rc = cli.main({argv!r})\n"
+                "print(rc, 'scipy.sparse' in sys.modules)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+        assert result.returncode == 0, result.stderr
+        rc, loaded = result.stdout.split()[-2:]
+        assert rc == "0", result.stdout
+        return loaded == "True"
+
+    def test_verify_never_loads_scipy_sparse(self, tmp_path):
+        assert not self.sparse_loaded_after(
+            ["verify", "--out", str(tmp_path / "verify"), "--suite", "all",
+             "--trials", "2", "--samples", "64", "--mask-draws", "2"])
+
+    def test_training_loads_it_for_its_first_product(self, corpus, tmp_path):
+        assert self.sparse_loaded_after(
+            ["train", "--dataset", corpus["graph_dir"],
+             "--out", str(tmp_path / "run"), "--epochs", "1",
+             "--batch-size", "4", "--hidden-dim", "8"])
+
+
 class TestAblate:
     def test_objective_study(self, corpus, tmp_path, capsys):
         out = str(tmp_path / "abl")

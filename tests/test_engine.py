@@ -244,6 +244,16 @@ class TestBackward:
         assert w.grad is second[w]
         np.testing.assert_array_equal(first[w], kept)
 
+    def test_constant_leaf_gets_no_gradient(self):
+        rng = np.random.default_rng(9)
+        x, w = rng.normal(size=(5, 3)), rand_value(rng, 3, 2)
+        ordinary = backward(sum_squares(add(matmul(Value(x), w), Value(np.ones((5, 2))))))[w]
+        c = constant(x)
+        grads = backward(sum_squares(add(matmul(c, w), constant(np.ones((5, 2))))))
+        assert set(grads) == {w}
+        assert c.grad is None
+        np.testing.assert_array_equal(grads[w], ordinary)
+
 
 class TestGradChecks:
     """Central differences at step 1e-3 against analytic gradients, error
@@ -478,14 +488,6 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             SparseMatrix.from_coo([0], [5], [1.0], (2, 3))
 
-    def test_transpose_round_trip(self):
-        rng = np.random.default_rng(31)
-        dense = np.where(rng.uniform(0, 1, (4, 6)) < 0.5, 1.0, 0.0)
-        s = SparseMatrix.from_dense(dense)
-        np.testing.assert_array_equal(s.transpose().to_dense(), dense.T)
-        d = rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(s.transpose().matmat(d), dense.T @ d)
-
     def test_rmatmat_equals_the_transposed_product_bitwise(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
@@ -496,8 +498,117 @@ class TestSparseMatrix:
             g = rng.normal(size=(m, int(rng.integers(1, 6))))
             out = s.rmatmat(g)
             assert out.flags.c_contiguous
-            np.testing.assert_array_equal(out, s.transpose().matmat(g))
+            np.testing.assert_array_equal(out, SparseMatrix.from_dense(dense.T).matmat(g))
             np.testing.assert_allclose(out, dense.T @ g, rtol=1e-13, atol=1e-15)
+
+
+class TestSparseMatrixAgainstScipy:
+    """``SparseMatrix`` builds its CSR arrays in numpy; scipy's own
+    construction is the oracle, down to the bits of ``data`` and the index
+    dtype."""
+
+    @staticmethod
+    def scipy_csr(rows, cols, values, shape):
+        import scipy.sparse as sp
+        csr = sp.csr_matrix((np.asarray(values, dtype=np.float64),
+                             (np.asarray(rows, dtype=np.intp),
+                              np.asarray(cols, dtype=np.intp))), shape=shape)
+        csr.sum_duplicates()
+        csr.sort_indices()
+        return csr
+
+    @staticmethod
+    def assert_same_csr(s, csr):
+        assert s.shape == csr.shape
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(s, name), getattr(csr, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+
+    @pytest.mark.parametrize("rows, cols, values, shape", [
+        # unsorted rows and columns
+        ([2, 0, 1, 0, 2], [1, 3, 0, 0, 0], [1.5, -2.0, 3.0, 4.0, 0.25], (3, 4)),
+        # duplicates, one summed from three non-dyadic terms in input order
+        ([0, 1, 0, 0, 1], [2, 0, 2, 2, 0], [0.1, 1.0, 0.2, 0.3, -1.0], (2, 3)),
+        # explicit zeros, a negative zero and a duplicate pair that cancels
+        ([0, 1, 1, 2], [0, 1, 1, 2], [0.0, 2.5, -2.5, -0.0], (3, 3)),
+        # empty rows in the middle and at the end
+        ([3, 1, 3], [2, 0, 0], [1.0, 2.0, 3.0], (7, 3)),
+        ([], [], [], (4, 2)),
+        ([], [], [], (0, 0)),
+    ])
+    def test_from_coo_matches_scipy(self, rows, cols, values, shape):
+        self.assert_same_csr(SparseMatrix.from_coo(rows, cols, values, shape),
+                             self.scipy_csr(rows, cols, values, shape))
+
+    def test_from_coo_matches_scipy_on_random_triplets(self):
+        # dyadic values: scipy's sort is not stable on rows of more than 16
+        # entries, so its order of summing three or more duplicates is its own
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+            nnz = int(rng.integers(0, 60))
+            rows = rng.integers(0, shape[0], size=nnz)
+            cols = rng.integers(0, shape[1], size=nnz)
+            values = rng.integers(-8, 9, size=nnz) / 4.0
+            self.assert_same_csr(SparseMatrix.from_coo(rows, cols, values, shape),
+                                 self.scipy_csr(rows, cols, values, shape))
+
+    def test_from_dense_and_to_dense_round_trip(self):
+        import scipy.sparse as sp
+        rng = np.random.default_rng(36)
+        for m, k in [(1, 1), (5, 3), (3, 9), (12, 12)]:
+            dense = np.where(rng.uniform(size=(m, k)) < 0.4, rng.normal(size=(m, k)), 0.0)
+            dense[-1] = 0.0  # a trailing empty row
+            s = SparseMatrix.from_dense(dense)
+            self.assert_same_csr(s, sp.csr_matrix(dense))
+            back = s.to_dense()
+            assert back.dtype == np.float64 and back.flags.c_contiguous
+            assert back.tobytes() == dense.tobytes()
+            self.assert_same_csr(SparseMatrix.from_dense(back), sp.csr_matrix(dense))
+        s = SparseMatrix.from_coo([0, 1, 1], [1, 0, 1], [-0.0, 2.0, 0.0], (2, 2))
+        assert s.to_dense().tobytes() == \
+            self.scipy_csr([0, 1, 1], [1, 0, 1], [-0.0, 2.0, 0.0], (2, 2)).toarray().tobytes()
+
+    def test_trusted_constructor_equals_from_coo_on_every_callers_input(self, monkeypatch):
+        from latentgraph import graphs
+
+        calls = []
+        trusted = SparseMatrix._from_sorted_coo.__func__
+
+        def recording(cls, rows, cols, values, shape):
+            calls.append(tuple(np.array(a) for a in (rows, cols, values)) + (shape,))
+            return trusted(cls, rows, cols, values, shape)
+
+        monkeypatch.setattr(SparseMatrix, "_from_sorted_coo", classmethod(recording))
+        rng = np.random.default_rng(37)
+        blobs = list(graphs.make_blob_dataset(6, 2, rng, feature_dim=3))
+        # self-loops, repeated and one-sided edges, an isolated last node
+        loops = graphs._symmetrized_adjacency(5, [0, 2, 2, 1, 3], [0, 1, 1, 2, 3])
+        blobs.append(graphs.Graph(5, loops, np.ones((5, 3))))
+        batch = graphs.batch_graphs(blobs)
+        batch.pool_matrix()
+        sbm = graphs.make_sbm_graph(60, 3, 0.2, 0.02, 4, rng)
+        graphs.sample_node_subset(sbm, 25, rng)
+        monkeypatch.undo()
+        # 7 graphs, the SBM graph, the block adjacency, the pool, the subset
+        assert len(calls) == 11
+        for rows, cols, values, shape in calls:
+            self.assert_same_csr(SparseMatrix._from_sorted_coo(rows, cols, values, shape),
+                                 SparseMatrix.from_coo(rows, cols, values, shape))
+
+    def test_products_share_the_arrays(self):
+        rng = np.random.default_rng(38)
+        dense = np.where(rng.uniform(size=(6, 4)) < 0.5, rng.normal(size=(6, 4)), 0.0)
+        s = SparseMatrix.from_dense(dense)
+        d, g = rng.normal(size=(4, 3)), rng.normal(size=(6, 2))
+        np.testing.assert_allclose(s.matmat(d), dense @ d, rtol=1e-13)
+        np.testing.assert_allclose(s.rmatmat(g), dense.T @ g, rtol=1e-13)
+        view = s._csr
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(view, name), getattr(s, name)), name
+        s.matmat(d)
+        assert s._csr is view
 
 
 class TestStrictDeterminism:
