@@ -16,6 +16,7 @@ non-finite loss or gradient.
 import argparse
 import dataclasses
 import datetime
+import glob
 import json
 import os
 import platform
@@ -115,9 +116,31 @@ def _derive_seed(base, index):
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
 
 
+def _blas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, or None when there is
+    none to ask."""
+    import ctypes  # only the manifest needs it
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                        "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
 def _environment():
     """The numeric environment a run's numbers depend on: the Python, numpy
-    and scipy versions and numpy's BLAS (null when numpy does not say)."""
+    and scipy versions, numpy's BLAS (null when numpy does not say) and its
+    thread count (null when it cannot be read)."""
     deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = deps.get("blas") or {}
     return {
@@ -126,6 +149,7 @@ def _environment():
         "scipy": scipy.__version__,
         "blas": {"name": blas["name"], "version": blas.get("version")}
         if blas.get("name") else None,
+        "blas_threads": _blas_threads(),
     }
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import (Value, _accumulate, add, add_row, backward, constant,
                      matmul, no_grad, scale, softmax_ce, sum_squares)
-from .graphs import batch_graphs
+from .graphs import _sorted_unique, batch_graphs
 from .models import readout_sum
 from .training import Adam
 
@@ -167,7 +167,7 @@ def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
         if labels.max() >= out_dim:
             raise ValueError("logreg_fit: label out of range")
         targets = np.eye(out_dim)[labels]
-        degenerate = len(np.unique(labels)) < 2
+        degenerate = bool(labels.min() == labels.max())
 
     d = reprs.shape[1]
     W = Value(0.01 * rng.standard_normal((d, out_dim)))
@@ -265,7 +265,8 @@ def stratified_folds(labels, folds, rng):
         raise ValueError(f"need at least 2 folds, got {folds}")
     if labels.shape[0] < folds:
         raise ValueError(f"{labels.shape[0]} samples cannot fill {folds} folds")
-    classes, counts = np.unique(labels, return_counts=True)
+    classes, class_of = _sorted_unique(labels, return_inverse=True)
+    counts = np.bincount(class_of)
     assignments = [[] for _ in range(folds)]
     if counts.min() < folds:
         warnings.warn(

@@ -5,20 +5,23 @@ float feature matrix. Collections live in a :class:`GraphDataset`; mini-batches
 are block-diagonal :class:`GraphBatch` objects on which an encoder forward pass
 equals the per-graph passes row for row.
 
-Two plain-text formats are supported:
+Two plain-text formats are read, each file as a table with one row per
+non-blank line (no comment lines, no digit separators such as ``1_000``):
 
-* the classic multi-graph benchmark layout: ``<DS>_A.txt`` (comma-separated
-  1-indexed edge pairs), ``<DS>_graph_indicator.txt``, ``<DS>_graph_labels.txt``
-  and optional ``<DS>_node_labels.txt``;
-* a single-graph node classification layout: tab-separated 0-indexed edges,
-  CSV feature rows, one label per line, and a split file with ``train``/
-  ``valid``/``test`` sections.
+* the classic multi-graph benchmark layout: ``<DS>_A.txt`` (1-indexed edge
+  pairs split by commas, whitespace or both), ``<DS>_graph_indicator.txt``,
+  ``<DS>_graph_labels.txt`` and optional ``<DS>_node_labels.txt``;
+* a single-graph node classification layout: whitespace-separated 0-indexed
+  edges, CSV feature rows, one label per line, and a split file with
+  ``train``/``valid``/``test`` sections that list each node at most once.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,37 +164,96 @@ def batch_graphs(graphs):
     return GraphBatch(graphs)
 
 
+def _sorted_unique(values, return_inverse=False):
+    """``np.unique(values, return_inverse=...)`` by one sort and a neighbour
+    compare: ``np.unique`` hashes, slower here, and imports ``numpy.ma``."""
+    values = np.asarray(values).reshape(-1)
+    order = np.argsort(values) if return_inverse else None
+    ordered = np.sort(values) if order is None else values[order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])[:ordered.size]
+    if order is None:
+        return ordered[first]
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _symmetrized_adjacency(num_nodes, u, v):
     """Deduplicated symmetric binary adjacency from endpoint arrays, no loops."""
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
     keep = u != v
     u, v = u[keep], v[keep]
-    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
-    # unique sorted keys are canonical CSR order
+    keys = _sorted_unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    # sorted distinct keys are canonical CSR order
     return SparseMatrix._from_sorted_coo(keys // num_nodes, keys % num_nodes,
                                          np.ones(len(keys)), shape=(num_nodes, num_nodes))
 
 
-def _group_by(keys, num_groups):
-    """Stable order sorting ``keys`` in 0..num_groups-1, and each group's start in it."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=num_groups))])
-    return order, starts
-
-
-def _read_int_lines(path, what):
-    out = []
+def _records(path):
+    """(line number, stripped text) of each non-blank line: the table rows."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+        yield from ((n, line.strip()) for n, line in enumerate(fh, 1) if line.strip())
+
+
+def _check_rows(path, bad, message):
+    """Raise ``message``, formatted with the line, for the first row in ``bad``."""
+    for row in np.flatnonzero(bad)[:1]:
+        lineno, line = next(itertools.islice(_records(path), int(row), None))
+        raise ValueError(message.format(lineno=lineno, line=line))
+
+
+def _read_table(path, dtype, complaint, width=None, delimiter=None,
+                commas_are_spaces=False):
+    """The non-blank lines of a text file as an array, one row per line.
+
+    Fields are split at ``delimiter`` (None: whitespace), or at commas and
+    whitespace with ``commas_are_spaces``. A line holds ``width`` fields
+    (None: as many as the first) of ``dtype``, or of a structured ``dtype``'s
+    columns, giving a 1-D table. numpy's C parser reads the file; if it fails,
+    the first bad line raises ``ValueError(complaint(lineno, text, fields,
+    width, parses))``, ``parses`` telling whether its fields convert.
+    """
+    names = np.dtype(dtype).names
+    width = len(names) if names else width
+
+    def load(source, delimiter, width):
+        with warnings.catch_warnings():
+            # a file without rows is a table without rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None,
+                               encoding="utf-8", ndmin=1 if names else 2)
+        if not names and len(table) and width not in (None, table.shape[1]):
+            raise ValueError(f"{table.shape[1]} columns, expected {width}")
+        return table if names or len(table) else table.reshape(0, width or 0)
+
+    try:
+        return load(path, "," if commas_are_spaces else delimiter, width)
+    except ValueError:
+        delimiter = None if commas_are_spaces else delimiter
+    records = [(lineno, line, line.replace(",", " ") if commas_are_spaces else line)
+               for lineno, line in _records(path)]
+    try:
+        # whitespace-only lines among comma-separated ones, or spaces where
+        # commas may be, stop numpy's reader but not the format
+        return load([text for *_, text in records], delimiter, width)
+    except ValueError:
+        for lineno, line, text in records:
+            fields = text.split(delimiter)
+            width = len(fields) if width is None else width
             try:
-                out.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{what}: non-integer token on line {lineno}: {line!r}") from exc
-    return out
+                load([text], delimiter, None)
+            except ValueError:
+                raise ValueError(complaint(lineno, line, fields, width, False)) from None
+            if len(fields) != width:
+                raise ValueError(complaint(lineno, line, fields, width, True)) from None
+        raise
+
+
+def _read_ints(path, what):
+    """The integer on each non-blank line of a text file."""
+    return _read_table(path, np.intp, width=1, complaint=lambda lineno, line, *_:
+                       f"{what}: non-integer token on line {lineno}: {line!r}")[:, 0]
 
 
 def parse_tudataset(directory, dataset_name):
@@ -206,90 +268,61 @@ def parse_tudataset(directory, dataset_name):
     if not os.path.exists(prefix + "_A.txt"):
         # also accept the files directly in `directory`
         prefix = os.path.join(directory, dataset_name)
-    edge_path = prefix + "_A.txt"
-    indicator_path = prefix + "_graph_indicator.txt"
-    labels_path = prefix + "_graph_labels.txt"
-    node_labels_path = prefix + "_node_labels.txt"
+    edge_path, indicator_path, labels_path, node_labels_path = (
+        f"{prefix}_{kind}.txt" for kind in ("A", "graph_indicator", "graph_labels", "node_labels"))
     for path in (edge_path, indicator_path, labels_path):
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory file: {path}")
 
-    indicator = np.array(_read_int_lines(indicator_path, "graph_indicator"), dtype=np.intp)
+    indicator = _read_ints(indicator_path, "graph_indicator")
     total_nodes = len(indicator)
-    graph_ids, graph_pos = np.unique(indicator, return_inverse=True)
+    graph_ids, graph_pos = _sorted_unique(indicator, return_inverse=True)
+    classes, graph_labels = _sorted_unique(_read_ints(labels_path, "graph_labels"),
+                                           return_inverse=True)
+    if len(graph_labels) != len(graph_ids):
+        raise ValueError(f"graph_labels has {len(graph_labels)} entries "
+                         f"for {len(graph_ids)} graphs")
 
-    raw_labels = _read_int_lines(labels_path, "graph_labels")
-    if len(raw_labels) != len(graph_ids):
-        raise ValueError(
-            f"graph_labels has {len(raw_labels)} entries for {len(graph_ids)} graphs"
-        )
-    classes = sorted(set(raw_labels))
-    class_map = {c: i for i, c in enumerate(classes)}
-
-    us, vs = [], []
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"edge file: expected two tokens on line {lineno}: {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"edge file: non-integer tokens on line {lineno}: {line!r}") from exc
-            if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
-                raise ValueError(f"edge file: node id out of range on line {lineno}: {line!r}")
-            if indicator[u - 1] != indicator[v - 1]:
-                raise ValueError(
-                    f"edge file: edge ({u}, {v}) crosses graph boundaries "
-                    f"(graphs {indicator[u - 1]} and {indicator[v - 1]})"
-                )
-            us.append(u - 1)
-            vs.append(v - 1)
+    edges = _read_table(
+        edge_path, np.intp, width=2, delimiter=",", commas_are_spaces=True,
+        complaint=lambda lineno, line, fields, *_: "edge file: {} on line {}: {!r}".format(
+            "expected two tokens" if len(fields) != 2 else "non-integer tokens", lineno, line))
+    _check_rows(edge_path, ((edges < 1) | (edges > total_nodes)).any(axis=1),
+                "edge file: node id out of range on line {lineno}: {line!r}")
+    us, vs = edges[:, 0] - 1, edges[:, 1] - 1
+    for u, v in edges[indicator[us] != indicator[vs]][:1]:
+        raise ValueError(f"edge file: edge ({u}, {v}) crosses graph boundaries "
+                         f"(graphs {indicator[u - 1]} and {indicator[v - 1]})")
 
     node_labels = None
     if os.path.exists(node_labels_path):
-        node_labels = np.array(_read_int_lines(node_labels_path, "node_labels"), dtype=np.intp)
+        node_labels = _read_ints(node_labels_path, "node_labels")
         if len(node_labels) != total_nodes:
-            raise ValueError(
-                f"node_labels has {len(node_labels)} entries for {total_nodes} nodes"
-            )
+            raise ValueError(f"node_labels has {len(node_labels)} entries for {total_nodes} nodes")
 
-    # local id = rank of a node among its graph's nodes in file order
-    order, starts = _group_by(graph_pos, len(graph_ids))
-    local_ids = np.empty(total_nodes, dtype=np.intp)
-    local_ids[order] = np.arange(total_nodes) - starts[graph_pos[order]]
-    us, vs = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
-    edge_order, edge_starts = _group_by(graph_pos[us], len(graph_ids))
-    edge_u, edge_v = local_ids[us[edge_order]], local_ids[vs[edge_order]]
-
-    # feature rows in graph-grouped order: graph g owns rows starts[g]:starts[g + 1]
+    # graph g owns rows starts[g]:starts[g + 1] of the graph-grouped node
+    # order, which keeps file order within a graph (a node's local id)
+    order = np.argsort(graph_pos, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(graph_pos, minlength=len(graph_ids)))])
+    grouped = np.argsort(order)  # each node's row in that order
     if node_labels is not None:
-        label_values, label_pos = np.unique(node_labels, return_inverse=True)
+        label_values, label_pos = _sorted_unique(node_labels, return_inverse=True)
         features = np.zeros((total_nodes, len(label_values)))
         features[np.arange(total_nodes), label_pos[order]] = 1.0
     else:
         # placeholder constant feature; callers usually swap in degree one-hots
         features = np.ones((total_nodes, 1))
 
+    # one block-diagonal adjacency for the corpus; no edge crosses graphs,
+    # so graph g's entries are one run of its CSR order
+    whole = _symmetrized_adjacency(total_nodes, grouped[us], grouped[vs])
+    rows, cuts = np.repeat(np.arange(total_nodes), np.diff(whole.indptr)), whole.indptr[starts]
     graphs = []
-    for gpos in range(len(graph_ids)):
-        e0, e1 = edge_starts[gpos], edge_starts[gpos + 1]
-        n = int(starts[gpos + 1] - starts[gpos])
-        graphs.append(Graph(
-            num_nodes=n,
-            adjacency=_symmetrized_adjacency(n, edge_u[e0:e1], edge_v[e0:e1]),
-            features=features[starts[gpos]:starts[gpos + 1]],
-            label=class_map[raw_labels[gpos]],
-        ))
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=len(classes),
-        feature_dim=features.shape[1],
-        name=dataset_name,
-    )
+    for s, e, a, b, label in zip(starts[:-1], starts[1:], cuts[:-1], cuts[1:], graph_labels):
+        adjacency = SparseMatrix._from_sorted_coo(rows[a:b] - s, whole.indices[a:b] - s,
+                                                  np.ones(b - a), shape=(e - s, e - s))
+        graphs.append(Graph(int(e - s), adjacency, features[s:e], int(label)))
+    return GraphDataset(graphs, len(classes), features.shape[1], name=dataset_name)
 
 
 def degree_onehot(g, threshold):
@@ -355,87 +388,61 @@ def sample_node_subset(g, n, rng):
     )
 
 
+SPLIT_SECTIONS = ("train", "valid", "test")
+
+
 def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
     """Parse the single-graph node classification layout.
 
     Edges: tab- or space-separated 0-indexed pairs, one per line. Features:
     comma-separated floats, one node per line. Labels: one integer per line.
-    Split file (optional): lines ``train <id>``, ``valid <id>``, ``test <id>``.
-    Returns (Graph, NodeSplit | None).
+    Split file (optional): lines ``train <id>``, ``valid <id>``, ``test <id>``,
+    each node at most once. Returns (Graph, NodeSplit | None).
     """
-    feats = []
-    with open(feature_file, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"feature file: bad row on line {lineno}") from exc
-            if feats and len(row) != len(feats[0]):
-                raise ValueError(f"feature file: row on line {lineno} has {len(row)} values, "
-                                 f"expected {len(feats[0])}")
-            feats.append(row)
-    if not feats:
+    features = _read_table(
+        feature_file, np.float64, delimiter=",", complaint=lambda lineno, _, fields, width, ok: (
+            f"feature file: row on line {lineno} has {len(fields)} values, expected {width}"
+            if ok else f"feature file: bad row on line {lineno}"))
+    if not len(features):
         raise ValueError("feature file has no rows")
-    features = np.array(feats)
     num_nodes = features.shape[0]
 
-    labels = np.array(_read_int_lines(label_file, "labels"), dtype=np.intp)
+    labels = _read_ints(label_file, "labels")
     if len(labels) != num_nodes:
         raise ValueError(f"label file has {len(labels)} entries for {num_nodes} nodes")
 
-    us, vs = [], []
-    with open(edge_file, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"edge file: expected two tokens on line {lineno}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"edge file: non-integer tokens on line {lineno}: {line!r}") from exc
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge file: node id out of range on line {lineno}")
-            us.append(u)
-            vs.append(v)
+    edges = _read_table(edge_file, np.intp, width=2, complaint=lambda lineno, line, fields, *_: (
+        f"edge file: expected two tokens on line {lineno}" if len(fields) != 2
+        else f"edge file: non-integer tokens on line {lineno}: {line!r}"))
+    _check_rows(edge_file, ((edges < 0) | (edges >= num_nodes)).any(axis=1),
+                "edge file: node id out of range on line {lineno}")
+    graph = Graph(num_nodes, _symmetrized_adjacency(num_nodes, edges[:, 0], edges[:, 1]),
+                  features, node_labels=labels)
+    if split_file is None:
+        return graph, None
 
-    graph = Graph(
-        num_nodes=num_nodes,
-        adjacency=_symmetrized_adjacency(num_nodes, us, vs),
-        features=features,
-        node_labels=labels,
-    )
-
-    split = None
-    if split_file is not None:
-        buckets = {"train": [], "valid": [], "test": []}
-        with open(split_file, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2 or parts[0] not in buckets:
-                    raise ValueError(f"split file: bad line {lineno}: {line!r}")
-                try:
-                    node = int(parts[1])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"split file: non-integer node id on line {lineno}: {line!r}") from exc
-                if not (0 <= node < num_nodes):
-                    raise ValueError(f"split file: node id out of range on line {lineno}")
-                buckets[parts[0]].append(node)
-        split = NodeSplit(
-            train=np.array(buckets["train"], dtype=np.intp),
-            valid=np.array(buckets["valid"], dtype=np.intp),
-            test=np.array(buckets["test"], dtype=np.intp),
-        )
-    return graph, split
+    # a longer name is cut to six characters, which no section name has
+    table = _read_table(
+        split_file, [("section", "U6"), ("node", np.intp)],
+        complaint=lambda lineno, line, fields, *_: (
+            f"split file: bad line {lineno}: {line!r}"
+            if len(fields) != 2 or fields[0] not in SPLIT_SECTIONS
+            else f"split file: non-integer node id on line {lineno}: {line!r}"))
+    sections = [table["section"] == name for name in SPLIT_SECTIONS]
+    _check_rows(split_file, ~np.any(sections, axis=0), "split file: bad line {lineno}: {line!r}")
+    nodes = table["node"]
+    _check_rows(split_file, (nodes < 0) | (nodes >= num_nodes),
+                "split file: node id out of range on line {lineno}")
+    # a node listed twice would let its label reach training from a held-out
+    # section; name the earliest second listing and the one before it
+    order = np.argsort(nodes, kind="stable")
+    again = np.flatnonzero(nodes[order[1:]] == nodes[order[:-1]])
+    if again.size:
+        k = again[np.argmin(order[1:][again])]
+        lines = [lineno for lineno, _ in _records(split_file)]
+        raise ValueError(f"split file: node {nodes[order[k]]} is listed on line "
+                         f"{lines[order[k]]} and again on line {lines[order[k + 1]]}")
+    return graph, NodeSplit(*(nodes[listed] for listed in sections))
 
 
 def write_nodelevel(graph, directory, split=None, prefix="graph"):
@@ -443,33 +450,25 @@ def write_nodelevel(graph, directory, split=None, prefix="graph"):
 
     Returns the four file paths (edge, feature, label, split-or-None).
     """
-    os.makedirs(directory, exist_ok=True)
-    edge_path = os.path.join(directory, f"{prefix}_edges.txt")
-    feat_path = os.path.join(directory, f"{prefix}_features.txt")
-    label_path = os.path.join(directory, f"{prefix}_labels.txt")
-    with open(edge_path, "w", encoding="utf-8") as fh:
-        rows = np.repeat(np.arange(graph.num_nodes, dtype=np.intp),
-                         np.diff(graph.adjacency.indptr))
-        for u, v in zip(rows, graph.adjacency.indices):
-            if u < v:  # store each undirected edge once
-                fh.write(f"{u}\t{v}\n")
-    with open(feat_path, "w", encoding="utf-8") as fh:
-        for row in graph.features:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(label_path, "w", encoding="utf-8") as fh:
-        labels = graph.node_labels
-        if labels is None:
-            raise ValueError("graph has no node labels to write")
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
-    split_path = None
+    if graph.node_labels is None:
+        raise ValueError("graph has no node labels to write")
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.adjacency.indptr))
+    upper = rows < graph.adjacency.indices  # store each undirected edge once
+    edges = zip(rows[upper], graph.adjacency.indices[upper])
+    texts = {
+        "edges": "".join(f"{u}\t{v}\n" for u, v in edges),
+        "features": "".join(",".join(map(repr, row)) + "\n" for row in graph.features.tolist()),
+        "labels": "".join(f"{int(label)}\n" for label in graph.node_labels),
+    }
     if split is not None:
-        split_path = os.path.join(directory, f"{prefix}_split.txt")
-        with open(split_path, "w", encoding="utf-8") as fh:
-            for name, ids in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-                for node in ids:
-                    fh.write(f"{name} {int(node)}\n")
-    return edge_path, feat_path, label_path, split_path
+        texts["split"] = "".join(f"{name} {int(node)}\n" for name in SPLIT_SECTIONS
+                                 for node in getattr(split, name))
+    os.makedirs(directory, exist_ok=True)
+    paths = {kind: os.path.join(directory, f"{prefix}_{kind}.txt") for kind in texts}
+    for kind, text in texts.items():
+        with open(paths[kind], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return paths["edges"], paths["features"], paths["labels"], paths.get("split")
 
 
 def make_sbm_graph(num_nodes, num_blocks, p_in, p_out, feature_dim, rng,

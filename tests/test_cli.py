@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -233,6 +234,7 @@ class TestTrain:
         assert (env["numpy"], env["scipy"]) == (np.__version__,
                                                 scipy.__version__)
         assert manifest["peak_rss_mib"] > 0
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
         assert sorted(os.listdir(run_dir)) == [
             "checkpoint.json", "loss_log.jsonl", "manifest.json"]
         check(read_json(corpus["graph_ckpt"]), "checkpoint")
@@ -523,6 +525,24 @@ class TestEval:
         assert rc == 2
         assert "split" in capsys.readouterr().err
 
+    def test_node_listed_twice_in_the_split(self, corpus, tmp_path, capsys):
+        data = write_node_corpus(tmp_path, num_nodes=60)
+        path = os.path.join(data, "graph_split.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        first_test = next(i for i, line in enumerate(lines) if line.startswith("test"))
+        node = lines[first_test].split()[1]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"train {node}\n")  # a test label would reach training
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", corpus["node_ckpt"],
+                   "--dataset", data, "--out", str(out), "--reps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"split file: node {node} is listed on line {first_test + 1} "
+                f"and again on line {len(lines) + 1}") in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_all_suites_pass_and_validate(self, tmp_path, capsys):
@@ -643,6 +663,84 @@ class TestSparseImport:
             ["train", "--dataset", corpus["graph_dir"],
              "--out", str(tmp_path / "run"), "--epochs", "1",
              "--batch-size", "4", "--hidden-dim", "8"])
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_threads_follow_openblas(self, threads):
+        """The manifest's blas_threads is what numpy's bundled OpenBLAS runs
+        with, and null without one."""
+        code = "from latentgraph import cli\nprint(cli._environment()['blas_threads'])\n"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd="/",
+            env=dict(os.environ, PYTHONPATH=child_pythonpath(),
+                     OPENBLAS_NUM_THREADS=threads))
+        assert result.returncode == 0, result.stderr
+        bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                         "numpy.libs", "*openblas*"))
+        assert result.stdout.split()[-1] == (threads if bundled else "None")
+
+
+class TestMaskedArrayImport:
+    """No command loads ``numpy.ma`` itself (``np.unique`` would, on its first
+    call). Importing ``scipy.sparse`` loads it, so the child records whether
+    it was loaded when ``scipy.sparse`` started to load, or else at the end."""
+
+    @staticmethod
+    def ma_loaded_before_sparse(argv):
+        code = ("import sys\n"
+                "class Watch:\n"
+                "    ma = None\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'scipy.sparse' and Watch.ma is None:\n"
+                "            Watch.ma = 'numpy.ma' in sys.modules\n"
+                "sys.meta_path.insert(0, Watch())\n"
+                "from latentgraph import cli\n"
+                f"rc = cli.main({argv!r})\n"
+                "ma = 'numpy.ma' in sys.modules if Watch.ma is None else Watch.ma\n"
+                "print(rc, ma)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+        assert result.returncode == 0, result.stderr
+        rc, loaded = result.stdout.split()[-2:]
+        assert rc == "0", result.stdout
+        return loaded == "True"
+
+    @pytest.mark.parametrize("command", ["train-graph", "train-node", "eval-graph",
+                                         "eval-node", "verify"])
+    def test_no_command_loads_it(self, corpus, tmp_path, command):
+        out = str(tmp_path / "out")
+        argv = {
+            "train-graph": ["train", "--dataset", corpus["graph_dir"], "--epochs", "1",
+                            "--batch-size", "4", "--hidden-dim", "8"],
+            "train-node": ["train", "--dataset", corpus["node_dir"], "--preset", "node",
+                           "--hidden-dim", "8", "--epochs", "1"],
+            "eval-graph": ["eval", "--checkpoint", corpus["graph_ckpt"],
+                           "--dataset", corpus["graph_dir"], "--folds", "3", "--reps", "1"],
+            "eval-node": ["eval", "--checkpoint", corpus["node_ckpt"],
+                          "--dataset", corpus["node_dir"], "--reps", "1"],
+            "verify": ["verify", "--suite", "all", "--trials", "2", "--samples", "64",
+                       "--mask-draws", "2"],
+        }[command]
+        assert not self.ma_loaded_before_sparse(argv + ["--out", out])
+
+    def test_probes_do_not_load_it(self):
+        """The probes' label handling, which runs after the first sparse
+        product in a command, checked where ``scipy.sparse`` never loads."""
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from latentgraph.evaluation import linsvm_kfold, logreg_fit\n"
+                "rng = np.random.default_rng(0)\n"
+                "x, y = rng.normal(size=(12, 3)), np.arange(12) % 3\n"
+                "linsvm_kfold(x, y, folds=2, c_grid=(1.0,))\n"
+                "logreg_fit(x, y, epochs=2)\n"
+                "print('numpy.ma' in sys.modules, 'scipy.sparse' in sys.modules)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-2:] == ["False", "False"]
 
 
 class TestAblate:

@@ -1,5 +1,7 @@
 """Parser, featurization, normalization, batching and sampling tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,17 @@ class TestNodeSubsetSampling:
             sample_node_subset(g, 4, rng)
 
 
+def write_node_files(tmp_path, edges="0\t1\n", feats="1.0\n2.0\n", labels="0\n1\n",
+                     split=None):
+    paths = []
+    for name, text in (("e.txt", edges), ("x.txt", feats), ("y.txt", labels),
+                       ("s.txt", split)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+            paths.append(tmp_path / name)
+    return paths
+
+
 class TestNodeLevelFormat:
     def test_three_node_path(self, tmp_path):
         (tmp_path / "e.txt").write_text("0\t1\n1\t2\n")
@@ -339,15 +352,7 @@ class TestNodeLevelFormat:
         with pytest.raises(ValueError, match="label file"):
             parse_nodelevel(tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt")
 
-    def write_files(self, tmp_path, edges="0\t1\n", feats="1.0\n2.0\n", labels="0\n1\n",
-                    split=None):
-        paths = []
-        for name, text in (("e.txt", edges), ("x.txt", feats), ("y.txt", labels),
-                           ("s.txt", split)):
-            if text is not None:
-                (tmp_path / name).write_text(text)
-                paths.append(tmp_path / name)
-        return paths
+    write_files = staticmethod(write_node_files)
 
     def test_non_integer_edge_token_names_file_and_line(self, tmp_path):
         paths = self.write_files(tmp_path, edges="0\t1\n1\tx\n")
@@ -386,6 +391,260 @@ class TestNodeLevelFormat:
         np.testing.assert_array_equal(parsed.adjacency.to_dense(), g.adjacency.to_dense())
         np.testing.assert_array_equal(parsed_split.train, split.train)
         np.testing.assert_array_equal(parsed_split.test, split.test)
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def reference_rows(path, sep=None, commas_are_spaces=False):
+    """Per-line reference reader: the fields of each non-blank line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append((line.replace(",", " ") if commas_are_spaces else line).split(sep))
+    return rows
+
+
+def reference_csr(n, pairs):
+    """CSR arrays of the symmetric binary adjacency of ``pairs``, built from a set."""
+    entries = sorted({e for u, v in pairs if u != v for e in ((u, v), (v, u))})
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.add.at(indptr, [u + 1 for u, _ in entries], 1)
+    return np.cumsum(indptr, dtype=np.int32), np.array([v for _, v in entries], dtype=np.int32)
+
+
+def assert_adjacency(adj, n, pairs):
+    indptr, indices = reference_csr(n, pairs)
+    assert_same_bytes(adj.indptr, indptr)
+    assert_same_bytes(adj.indices, indices)
+    assert_same_bytes(adj.data, np.ones(len(indices)))
+
+
+def untidy(lines, rng):
+    """Lines joined with blank and whitespace-only lines, CRLF endings and
+    padding around the fields, and no newline at the end."""
+    out = []
+    for line in lines:
+        if rng.uniform() < 0.2:
+            out.append(rng.choice(["", "  ", "\t", " \t "]))
+        out.append(" " * int(rng.integers(2)) + line + "\t" * int(rng.integers(2)))
+    return "\r\n".join(out)
+
+
+class TestReaderOracle:
+    """Random files parse to the same bytes as a per-line reference reader."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("tidy", [True, False])
+    def test_node_level_files(self, tmp_path, seed, tidy):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = make_sbm_graph(n, 3, 0.2, 0.05, int(rng.integers(1, 6)), rng)
+        # values across the exponent range, and negative zeros
+        g.features = g.features * 10.0 ** rng.integers(-300, 300, size=g.features.shape)
+        g.features[rng.uniform(size=g.features.shape) < 0.1] = -0.0
+        perm = rng.permutation(n)
+        split = NodeSplit(perm[: n // 3], perm[n // 3: n // 2], perm[n // 2:])
+        paths = write_nodelevel(g, str(tmp_path), split=split)
+        if not tidy:
+            for path in paths:
+                with open(path, encoding="utf-8") as fh:
+                    text = untidy(fh.read().splitlines(), rng)
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+        parsed, parsed_split = parse_nodelevel(*paths)
+
+        edges, labels, sections = (reference_rows(p) for p in (paths[0], paths[2], paths[3]))
+        feats = reference_rows(paths[1], ",")
+        assert_same_bytes(parsed.features, np.array([[float(x) for x in r] for r in feats]))
+        assert_same_bytes(parsed.node_labels, np.array([int(r[0]) for r in labels], dtype=np.intp))
+        assert_adjacency(parsed.adjacency, n, [(int(u), int(v)) for u, v in edges])
+        for name in ("train", "valid", "test"):
+            expected = np.array([int(i) for s, i in sections if s == name], dtype=np.intp)
+            assert_same_bytes(getattr(parsed_split, name), expected)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("tidy", [True, False])
+    def test_tu_files(self, tmp_path, seed, tidy):
+        rng = np.random.default_rng(seed)
+        total = int(rng.integers(8, 60))
+        indicator = rng.choice([9, 2, 5, 4], size=total)  # interleaved, ids unsorted
+        indicator[:4] = [9, 2, 5, 4]  # every graph has a node
+        node_labels = rng.choice([3, -1, 8], size=total)
+        edges = []
+        for _ in range(int(rng.integers(0, 3 * total))):
+            u = int(rng.integers(total))
+            edges.append((u + 1, int(rng.choice(np.flatnonzero(indicator == indicator[u]))) + 1))
+        formats = ["{}, {}", "{},{}", "{} {}", "{} ,\t{}"] if not tidy else ["{}, {}"]
+        edge_lines = [formats[int(rng.integers(len(formats)))].format(*e) for e in edges]
+        columns = [edge_lines, [str(x) for x in indicator], ["-1", "1", "-1", "7"],
+                   [str(x) for x in node_labels]]
+        texts = ["".join(line + "\n" for line in lines) if tidy else untidy(lines, rng)
+                 for lines in columns]
+        root = write_tud(tmp_path, "TOY", *texts[:3], node_labels=texts[3])
+        ds = parse_tudataset(str(root), "TOY")
+
+        prefix = tmp_path / "TOY" / "TOY"
+        ind = [int(r[0]) for r in reference_rows(f"{prefix}_graph_indicator.txt")]
+        raw = [int(r[0]) for r in reference_rows(f"{prefix}_graph_labels.txt")]
+        atoms = [int(r[0]) for r in reference_rows(f"{prefix}_node_labels.txt")]
+        pairs = [(int(u) - 1, int(v) - 1)
+                 for u, v in reference_rows(f"{prefix}_A.txt", commas_are_spaces=True)]
+        classes, values = sorted(set(raw)), sorted(set(atoms))
+        assert (ds.num_classes, ds.feature_dim) == (len(classes), len(values))
+        for g, gid, label in zip(ds.graphs, sorted(set(ind)), raw):
+            nodes = [i for i, x in enumerate(ind) if x == gid]
+            local = {node: k for k, node in enumerate(nodes)}
+            assert g.num_nodes == len(nodes) and g.label == classes.index(label)
+            assert_adjacency(g.adjacency, len(nodes),
+                             [(local[u], local[v]) for u, v in pairs if u in local])
+            onehot = np.zeros((len(nodes), len(values)))
+            onehot[np.arange(len(nodes)), [values.index(atoms[i]) for i in nodes]] = 1.0
+            assert_same_bytes(g.features, onehot)
+
+
+class TestTextFormat:
+    """What the readers accept and what they reject, with which message."""
+
+    @staticmethod
+    def parse(tmp_path, **files):
+        tmp_path.mkdir(exist_ok=True)
+        return parse_nodelevel(*write_node_files(tmp_path, **files))
+
+    def test_blank_crlf_and_unterminated_lines_are_tidy_lines(self, tmp_path):
+        tidy = self.parse(tmp_path / "a", edges="0\t1\n1 2\n", feats="1.0,2.0\n3.0,4.0\n5.5,6.0\n",
+                          labels="0\n1\n0\n", split="train 0\ntest 2\nvalid 1\n")
+        untidy = self.parse(tmp_path / "b", edges="\r\n 0\t1 \r\n\t\r\n1 2",
+                            feats="  \n1.0, 2.0\r\n\r\n \t \n3.0 ,4.0\n5.5,6.0\t",
+                            labels="\n0\r\n \n1\r\n0", split=" train 0\n\n  \ntest\t2\r\nvalid 1")
+        (graph, split), (graph2, split2) = tidy, untidy
+        for name in ("features", "node_labels"):
+            assert_same_bytes(getattr(graph2, name), getattr(graph, name))
+        for name in ("train", "valid", "test"):
+            assert_same_bytes(getattr(split2, name), getattr(split, name))
+        assert_same_bytes(graph2.adjacency.indices, graph.adjacency.indices)
+
+    def test_single_row_files(self, tmp_path):
+        g, split = self.parse(tmp_path, edges="0 0", feats="1.5,-2.5", labels="3",
+                              split="test 0")
+        assert g.num_nodes == 1 and g.adjacency.nnz == 0
+        np.testing.assert_array_equal(g.features, [[1.5, -2.5]])
+        np.testing.assert_array_equal(g.node_labels, [3])
+        assert (split.train.size, split.valid.size, list(split.test)) == (0, 0, [0])
+
+    def test_single_line_tu_files(self, tmp_path):
+        root = write_tud(tmp_path, "TOY", "1 2", "1\n1", "5", node_labels="4\n4")
+        (g,) = parse_tudataset(str(root), "TOY").graphs
+        np.testing.assert_array_equal(g.adjacency.to_dense(), [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("edges", ["", "\n \n"])
+    def test_empty_edge_file_is_an_edgeless_graph(self, tmp_path, edges):
+        g, _ = self.parse(tmp_path, edges=edges)
+        assert g.num_nodes == 2 and g.adjacency.nnz == 0
+        assert_same_bytes(g.adjacency.indptr, np.zeros(3, dtype=np.int32))
+
+    def test_tu_file_without_edges(self, tmp_path):
+        root = write_tud(tmp_path, "TOY", "", "1\n2\n", "0\n1\n")
+        assert [g.adjacency.nnz for g in parse_tudataset(str(root), "TOY").graphs] == [0, 0]
+
+    @pytest.mark.parametrize("feats", ["", "\n  \n"])
+    def test_empty_feature_file_rejected(self, tmp_path, feats):
+        with pytest.raises(ValueError, match="feature file has no rows"):
+            self.parse(tmp_path, feats=feats)
+
+    @pytest.mark.parametrize("files, message", [
+        (dict(edges="# uv\n0\t1\n"), "edge file: non-integer tokens on line 1: '# uv'"),
+        (dict(edges="0\t1 # loop\n"), "edge file: expected two tokens on line 1"),
+        (dict(feats="#x\n1.0\n2.0\n"), "feature file: bad row on line 1"),
+        (dict(labels="0\n1 # b\n"), "labels: non-integer token on line 2: '1 # b'"),
+        (dict(split="# header\n"), "split file: bad line 1: '# header'"),
+    ])
+    def test_hash_is_a_bad_token(self, tmp_path, files, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.parse(tmp_path, **files)
+
+    @pytest.mark.parametrize("files, message", [
+        (dict(edges="0\t1_0\n"), "edge file: non-integer tokens on line 1"),
+        (dict(feats="1.0\n2_0.5\n"), "feature file: bad row on line 2"),
+        (dict(labels="0\n1_000\n"), "labels: non-integer token on line 2: '1_000'"),
+        (dict(split="train 0_1\n"), "split file: non-integer node id on line 1"),
+    ])
+    def test_digit_separators_rejected(self, tmp_path, files, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.parse(tmp_path, **files)
+
+    @pytest.mark.parametrize("files, message", [
+        (dict(edges="0\t1\n\n1\t2\n"), "edge file: node id out of range on line 3"),
+        (dict(edges="0\t1\n-1\t0\n"), "edge file: node id out of range on line 2"),
+        (dict(edges="0\t1\n0 1 1\n"), "edge file: expected two tokens on line 2"),
+        (dict(edges="0\t1\n1\n"), "edge file: expected two tokens on line 2"),
+        (dict(edges="0 1 1\n1 0 0\n"), "edge file: expected two tokens on line 1"),
+        (dict(labels="0 0\n1 1\n"), "labels: non-integer token on line 1: '0 0'"),
+        (dict(edges="0\t1\n1.0\t0\n"), "edge file: non-integer tokens on line 2: '1.0\\t0'"),
+        (dict(edges="0,1\n"), "edge file: expected two tokens on line 1"),
+        (dict(feats="1.0,2.0\n3.0,x\n"), "feature file: bad row on line 2"),
+        (dict(feats="1.0,2.0\n3.0,,4.0\n"), "feature file: bad row on line 2"),
+        (dict(feats="1.0,2.0\n3.0,4.0,5.0\n"),
+         "feature file: row on line 2 has 3 values, expected 2"),
+        (dict(feats="1.0,2.0\n 3.0 4.0\n"), "feature file: bad row on line 2"),
+        (dict(labels="0\n1.5\n"), "labels: non-integer token on line 2: '1.5'"),
+        (dict(labels="0\n1\n2\n"), "label file has 3 entries for 2 nodes"),
+        (dict(split="train 0\nvalid 2\n"), "split file: node id out of range on line 2"),
+        (dict(split="train 0\ntrain\n"), "split file: bad line 2: 'train'"),
+        (dict(split="train 0\nholdout 1\n"), "split file: bad line 2: 'holdout 1'"),
+        (dict(split="train 0\n1 test\n"), "split file: bad line 2: '1 test'"),
+        (dict(split="train 0\ntest 1 1\n"), "split file: bad line 2: 'test 1 1'"),
+    ])
+    def test_node_level_messages(self, tmp_path, files, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.parse(tmp_path, **files)
+
+    @pytest.mark.parametrize("edges, message", [
+        ("1, 2\n2, 4\n", "edge file: node id out of range on line 2: '2, 4'"),
+        ("1, 2\n\n0, 1\n", "edge file: node id out of range on line 3: '0, 1'"),
+        ("1, 2\n2, 3, 1\n", "edge file: expected two tokens on line 2: '2, 3, 1'"),
+        ("1, 2\n2, x\n", "edge file: non-integer tokens on line 2: '2, x'"),
+        ("1, 2\n2,\n", "edge file: expected two tokens on line 2: '2,'"),
+        ("1, 2\n1, 3\n", "edge file: edge (1, 3) crosses graph boundaries (graphs 1 and 2)"),
+    ])
+    def test_tu_edge_messages(self, tmp_path, edges, message):
+        root = write_tud(tmp_path, "TOY", edges, "1\n1\n2\n", "0\n1\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_tudataset(str(root), "TOY")
+
+    @pytest.mark.parametrize("indicator, labels, node_labels, message", [
+        ("1\n1 1\n", "0\n", None, "graph_indicator: non-integer token on line 2: '1 1'"),
+        ("1\n1\n", "a\n", None, "graph_labels: non-integer token on line 1: 'a'"),
+        ("1\n1\n1\n", "0\n", "1\n2\n1_0\n", "node_labels: non-integer token on line 3: '1_0'"),
+    ])
+    def test_tu_integer_file_messages(self, tmp_path, indicator, labels, node_labels, message):
+        root = write_tud(tmp_path, "TOY", "1, 2\n", indicator, labels, node_labels=node_labels)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_tudataset(str(root), "TOY")
+
+
+class TestSplitFile:
+    @pytest.mark.parametrize("split, node, lines", [
+        ("train 0\ntrain 2\ntrain 0\n", 0, (1, 3)),
+        ("train 1\nvalid 2\n\ntest 0\ntest 1\ntest 2\n", 1, (1, 5)),
+        ("train 1\nvalid 2\ntest 0\nvalid 2\ntest 1\n", 2, (2, 4)),
+    ])
+    def test_node_listed_twice_rejected(self, tmp_path, split, node, lines):
+        paths = write_node_files(tmp_path, feats="1.0\n2.0\n3.0\n", labels="0\n1\n0\n",
+                                 split=split)
+        message = f"split file: node {node} is listed on line {lines[0]} and again on line {lines[1]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_nodelevel(*paths)
+
+    def test_sections_keep_file_order(self, tmp_path):
+        paths = write_node_files(tmp_path, feats="1.0\n2.0\n3.0\n4.0\n", labels="0\n1\n0\n1\n",
+                                 split="test 3\ntrain 2\ntest 0\ntrain 1\n")
+        _, split = parse_nodelevel(*paths)
+        assert (list(split.train), list(split.valid), list(split.test)) == ([2, 1], [], [3, 0])
 
 
 class TestSyntheticGenerators:
