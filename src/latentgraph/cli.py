@@ -27,7 +27,6 @@ import tempfile
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import (
@@ -141,6 +140,7 @@ def _environment():
     """The numeric environment a run's numbers depend on: the Python, numpy
     and scipy versions, numpy's BLAS (null when numpy does not say) and its
     thread count (null when it cannot be read)."""
+    import scipy  # only the manifest needs it
     deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = deps.get("blas") or {}
     return {

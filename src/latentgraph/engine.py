@@ -24,9 +24,11 @@ that calls :func:`backward` must not.
 Scalars are 1x1 matrices. A :func:`constant` leaf never receives a gradient,
 and no op computes one for it. Sparse matrices (:class:`SparseMatrix`) are
 constants too: they only appear as the left operand of :func:`spmm`. They keep
-their CSR arrays in numpy; ``scipy.sparse`` is imported at the first sparse
-product, so a process that builds and densifies sparse matrices but never
-multiplies one (the bound lab) never loads it.
+their CSR arrays in numpy, and their products call scipy's compiled CSR
+kernels on those arrays directly. The kernels' extension module is loaded at
+the first sparse product without importing ``scipy`` or ``scipy.sparse``,
+whose package imports load about 300 modules (``numpy.f2py``, ``numpy.ma``,
+``unittest``, ...) that no product needs.
 
 A strict deterministic mode replaces the BLAS matrix product with a per-row
 GEMV loop whose result does not depend on how rows are later sliced or stacked,
@@ -38,6 +40,8 @@ environment variable (read once at import).
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import os
 from dataclasses import dataclass, field
 
@@ -206,14 +210,18 @@ def matmul(a, b):
 
 
 def spmm(s, d):
-    """Sparse-dense product s @ d. ``s`` is constant and gets no gradient."""
+    """Sparse-dense product s @ d. ``s`` is constant and gets no gradient.
+
+    The gradient of a :func:`constant` ``d`` is never computed.
+    """
     if not isinstance(s, SparseMatrix):
         raise TypeError("spmm expects a SparseMatrix left operand")
     if s.shape[1] != d.data.shape[0]:
         raise ValueError(f"spmm: inner dims disagree {s.shape} vs {d.data.shape}")
 
     def _back(g):
-        _accumulate(d, s.rmatmat(g))
+        if d.op != "const":
+            _accumulate(d, s.rmatmat(g))
 
     return Value(s.matmat(d.data), parents=(d,), backward=_back, op="spmm")
 
@@ -527,6 +535,44 @@ def grad_check(f, params, step=1e-3, tol=1e-4):
     return report
 
 
+_SPARSETOOLS = None
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels, ``scipy/sparse/_sparsetools``.
+
+    Loaded at the first call straight from scipy's install directory, found
+    by ``find_spec``, so neither ``scipy/__init__.py`` nor
+    ``scipy/sparse/__init__.py`` runs. Raises ImportError when the installed
+    scipy has no ``csr_matvecs``/``csc_matvecs`` there.
+    """
+    global _SPARSETOOLS
+    if _SPARSETOOLS is None:
+        name = "scipy.sparse._sparsetools"
+        spec = importlib.util.find_spec("scipy")
+        module = None
+        if spec is not None and spec.submodule_search_locations:
+            stem = os.path.join(spec.submodule_search_locations[0], "sparse",
+                                "_sparsetools")
+            for path in (stem + s for s in importlib.machinery.EXTENSION_SUFFIXES):
+                if os.path.exists(path):
+                    loader = importlib.machinery.ExtensionFileLoader(name, path)
+                    module = importlib.util.module_from_spec(
+                        importlib.util.spec_from_loader(name, loader))
+                    loader.exec_module(module)
+                    break
+        if not (hasattr(module, "csr_matvecs") and hasattr(module, "csc_matvecs")):
+            from importlib import metadata  # only the error names the version
+            try:
+                version = metadata.version("scipy")
+            except metadata.PackageNotFoundError:
+                version = "not installed"
+            raise ImportError(f"sparse products need scipy's compiled {name} with "
+                              f"csr_matvecs and csc_matvecs; scipy: {version}")
+        _SPARSETOOLS = module
+    return _SPARSETOOLS
+
+
 class SparseMatrix:
     """Immutable CSR matrix used for adjacency and pooling indicators.
 
@@ -534,13 +580,14 @@ class SparseMatrix:
     increasing within each row, so no duplicates), float64 ``data`` and
     ``shape``. Index arrays are int32 whenever scipy would pick int32 for the
     same shape and nnz, and int64 otherwise. Building, normalising and
-    densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` run scipy's
-    kernels: the first product imports ``scipy.sparse`` and caches a CSR view
-    that shares these arrays, no copy, so a process that never multiplies
-    never loads it.
+    densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` pass these
+    arrays to scipy's compiled ``csr_matvecs`` and ``csc_matvecs``, the calls
+    ``scipy.sparse`` makes for ``csr @ dense`` and ``csr.T @ dense``, so the
+    products are bit for bit scipy's; ``scipy.sparse`` itself is never
+    imported.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_csr")
+    __slots__ = ("indptr", "indices", "data", "shape")
 
     @classmethod
     def from_dense(cls, a):
@@ -598,7 +645,6 @@ class SparseMatrix:
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
         self.indices = np.asarray(cols, dtype=index)
         self.data = np.asarray(values, dtype=np.float64)
-        self._csr = None
         return self
 
     @property
@@ -611,21 +657,27 @@ class SparseMatrix:
         out[rows, self.indices] += self.data
         return out
 
-    def _scipy(self):
-        if self._csr is None:
-            import scipy.sparse as sp
-            self._csr = sp.csr_matrix((self.data, self.indices, self.indptr),
-                                      shape=self.shape, copy=False)
-        return self._csr
-
     def matmat(self, dense):
-        out = self._scipy() @ np.asarray(dense, dtype=np.float64)
-        return np.ascontiguousarray(out)
+        """``self @ dense``."""
+        return self._product("csr_matvecs", self.shape, dense)
 
     def rmatmat(self, dense):
-        """``self.T @ dense`` through scipy's CSC view of the same arrays, no copy."""
-        out = self._scipy().T @ np.asarray(dense, dtype=np.float64)
-        return np.ascontiguousarray(out)
+        """``self.T @ dense``: the same arrays read as the CSC form of the
+        transpose, no copy."""
+        return self._product("csc_matvecs", self.shape[::-1], dense)
+
+    def _product(self, kernel, shape, dense):
+        # The kernel reads and writes raw buffers: the operand's shape must
+        # be checked here, and the output must be a contiguous array it
+        # writes through ``ravel``'s view.
+        x = np.asarray(dense, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != shape[1]:
+            raise ValueError(f"sparse product: {shape} matrix times operand of "
+                             f"shape {x.shape}")
+        out = np.zeros((shape[0], x.shape[1]))
+        getattr(_sparsetools(), kernel)(shape[0], shape[1], x.shape[1], self.indptr,
+                                        self.indices, self.data, x.ravel(), out.ravel())
+        return out
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"

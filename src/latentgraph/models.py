@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .engine import Value, _accumulate, add, add_row, matmul, relu, release, spmm
+from .engine import Value, _accumulate, add, add_row, constant, matmul, relu, release, spmm
 
 __all__ = [
     "xavier_init",
@@ -242,10 +242,11 @@ class Encoder:
 
         `features` optionally replaces `batch.features` as the input matrix,
         which lets callers push corrupted copies of the node features through
-        the same graph structure.
+        the same graph structure. The input is a :func:`engine.constant` leaf,
+        so backward computes no gradient for it.
         """
         adjacency = self.adjacency_for(batch)
-        h = Value(batch.features if features is None else features)
+        h = constant(batch.features if features is None else features)
         outputs = []
         for layer in self.layers:
             h = layer(adjacency, h, training)

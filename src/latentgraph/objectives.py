@@ -203,6 +203,10 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
     inv = _invariance_term(variant, model.level, clean_layers, corrupt_layers,
                            clean_out, corrupt_out, batch, indices, eps)
     total = engine.add(recon, scale(inv, float(alpha)))
+    # every array backward reads is captured by now; the layer outputs
+    # themselves need not live until backward
+    engine.release(*clean_layers, *corrupt_layers, clean_out,
+                   *([] if corrupt_out is None else [corrupt_out]))
     return LossBreakdown(
         total=total,
         reconstruction=recon.data.item(),

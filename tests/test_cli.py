@@ -635,34 +635,53 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
-class TestSparseImport:
-    """``scipy.sparse`` loads at the first sparse product and not before, so
-    a command that multiplies no sparse matrix never pays for its import."""
+def command_argv(corpus, command):
+    """The argv of a small run of each command that builds sparse matrices
+    (and of ``verify``, which builds none)."""
+    return {
+        "train-graph": ["train", "--dataset", corpus["graph_dir"], "--epochs", "1",
+                        "--batch-size", "4", "--hidden-dim", "8"],
+        "train-node": ["train", "--dataset", corpus["node_dir"], "--preset", "node",
+                       "--hidden-dim", "8", "--epochs", "1"],
+        "eval-graph": ["eval", "--checkpoint", corpus["graph_ckpt"],
+                       "--dataset", corpus["graph_dir"], "--folds", "3", "--reps", "1"],
+        "eval-node": ["eval", "--checkpoint", corpus["node_ckpt"],
+                      "--dataset", corpus["node_dir"], "--reps", "1"],
+        "verify": ["verify", "--suite", "all", "--trials", "2", "--samples", "64",
+                   "--mask-draws", "2"],
+    }[command]
 
-    @staticmethod
-    def sparse_loaded_after(argv):
-        code = ("import sys\n"
-                "from latentgraph import cli\n"
-                f"rc = cli.main({argv!r})\n"
-                "print(rc, 'scipy.sparse' in sys.modules)\n")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
-        assert result.returncode == 0, result.stderr
-        rc, loaded = result.stdout.split()[-2:]
-        assert rc == "0", result.stdout
-        return loaded == "True"
+
+def loaded_after(argv, module):
+    """Whether ``module`` is in ``sys.modules`` once a fresh process has run
+    the command to a successful end."""
+    code = ("import sys\n"
+            "from latentgraph import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            f"print(rc, {module!r} in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+    assert result.returncode == 0, result.stderr
+    rc, loaded = result.stdout.split()[-2:]
+    assert rc == "0", result.stdout
+    return loaded == "True"
+
+
+class TestSparseImport:
+    """Sparse products call scipy's compiled kernels without importing
+    ``scipy.sparse``, so no command pays for its package import."""
 
     def test_verify_never_loads_scipy_sparse(self, tmp_path):
-        assert not self.sparse_loaded_after(
+        assert not loaded_after(
             ["verify", "--out", str(tmp_path / "verify"), "--suite", "all",
-             "--trials", "2", "--samples", "64", "--mask-draws", "2"])
+             "--trials", "2", "--samples", "64", "--mask-draws", "2"], "scipy.sparse")
 
-    def test_training_loads_it_for_its_first_product(self, corpus, tmp_path):
-        assert self.sparse_loaded_after(
-            ["train", "--dataset", corpus["graph_dir"],
-             "--out", str(tmp_path / "run"), "--epochs", "1",
-             "--batch-size", "4", "--hidden-dim", "8"])
+    @pytest.mark.parametrize("command", ["train-graph", "train-node", "eval-graph",
+                                         "eval-node"])
+    def test_no_command_loads_it(self, corpus, tmp_path, command):
+        argv = command_argv(corpus, command) + ["--out", str(tmp_path / "out")]
+        assert not loaded_after(argv, "scipy.sparse")
 
 
 class TestEnvironment:
@@ -682,52 +701,17 @@ class TestEnvironment:
 
 
 class TestMaskedArrayImport:
-    """No command loads ``numpy.ma`` itself (``np.unique`` would, on its first
-    call). Importing ``scipy.sparse`` loads it, so the child records whether
-    it was loaded when ``scipy.sparse`` started to load, or else at the end."""
-
-    @staticmethod
-    def ma_loaded_before_sparse(argv):
-        code = ("import sys\n"
-                "class Watch:\n"
-                "    ma = None\n"
-                "    def find_spec(self, name, path=None, target=None):\n"
-                "        if name == 'scipy.sparse' and Watch.ma is None:\n"
-                "            Watch.ma = 'numpy.ma' in sys.modules\n"
-                "sys.meta_path.insert(0, Watch())\n"
-                "from latentgraph import cli\n"
-                f"rc = cli.main({argv!r})\n"
-                "ma = 'numpy.ma' in sys.modules if Watch.ma is None else Watch.ma\n"
-                "print(rc, ma)\n")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
-        assert result.returncode == 0, result.stderr
-        rc, loaded = result.stdout.split()[-2:]
-        assert rc == "0", result.stdout
-        return loaded == "True"
+    """No command loads ``numpy.ma``: neither our code (``np.unique`` would,
+    on its first call) nor the sparse products (``scipy.sparse`` would)."""
 
     @pytest.mark.parametrize("command", ["train-graph", "train-node", "eval-graph",
                                          "eval-node", "verify"])
     def test_no_command_loads_it(self, corpus, tmp_path, command):
-        out = str(tmp_path / "out")
-        argv = {
-            "train-graph": ["train", "--dataset", corpus["graph_dir"], "--epochs", "1",
-                            "--batch-size", "4", "--hidden-dim", "8"],
-            "train-node": ["train", "--dataset", corpus["node_dir"], "--preset", "node",
-                           "--hidden-dim", "8", "--epochs", "1"],
-            "eval-graph": ["eval", "--checkpoint", corpus["graph_ckpt"],
-                           "--dataset", corpus["graph_dir"], "--folds", "3", "--reps", "1"],
-            "eval-node": ["eval", "--checkpoint", corpus["node_ckpt"],
-                          "--dataset", corpus["node_dir"], "--reps", "1"],
-            "verify": ["verify", "--suite", "all", "--trials", "2", "--samples", "64",
-                       "--mask-draws", "2"],
-        }[command]
-        assert not self.ma_loaded_before_sparse(argv + ["--out", out])
+        argv = command_argv(corpus, command) + ["--out", str(tmp_path / "out")]
+        assert not loaded_after(argv, "numpy.ma")
 
     def test_probes_do_not_load_it(self):
-        """The probes' label handling, which runs after the first sparse
-        product in a command, checked where ``scipy.sparse`` never loads."""
+        """The probes' label handling, checked without a command around it."""
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from latentgraph.evaluation import linsvm_kfold, logreg_fit\n"

@@ -3,6 +3,9 @@ checks for every operation, DAG accumulation within one backward (and none
 across calls), and the strict deterministic matrix product."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -252,6 +255,20 @@ class TestBackward:
         grads = backward(sum_squares(add(matmul(c, w), constant(np.ones((5, 2))))))
         assert set(grads) == {w}
         assert c.grad is None
+        np.testing.assert_array_equal(grads[w], ordinary)
+
+    def test_spmm_computes_no_gradient_for_a_constant(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        s = SparseMatrix.from_dense(np.eye(5)[::-1])
+        x, w = rng.normal(size=(5, 3)), rand_value(rng, 3, 2)
+        ordinary = backward(sum_squares(matmul(spmm(s, Value(x)), w)))[w]
+
+        def unused(self, dense):
+            raise AssertionError("rmatmat of a constant operand")
+
+        monkeypatch.setattr(SparseMatrix, "rmatmat", unused)
+        grads = backward(sum_squares(matmul(spmm(s, constant(x)), w)))
+        assert set(grads) == {w}
         np.testing.assert_array_equal(grads[w], ordinary)
 
 
@@ -597,18 +614,85 @@ class TestSparseMatrixAgainstScipy:
             self.assert_same_csr(SparseMatrix._from_sorted_coo(rows, cols, values, shape),
                                  SparseMatrix.from_coo(rows, cols, values, shape))
 
-    def test_products_share_the_arrays(self):
+    @staticmethod
+    def product_cases(rng):
+        """Matrices with empty rows, no entries or no rows, one with int64
+        index arrays set by hand."""
+        cases = []
+        for m, k in [(6, 4), (30, 17), (1, 9), (9, 1)]:
+            dense = np.where(rng.uniform(size=(m, k)) < 0.4, rng.normal(size=(m, k)), 0.0)
+            dense[m // 2] = 0.0
+            cases.append(SparseMatrix.from_dense(dense))
+        wide = SparseMatrix.from_dense(cases[1].to_dense())
+        wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+        cases.append(wide)
+        cases += [SparseMatrix.from_coo([], [], [], shape) for shape in [(5, 3), (0, 4), (4, 0)]]
+        return cases
+
+    def test_products_match_scipy_bitwise(self):
+        import scipy.sparse as sp
         rng = np.random.default_rng(38)
-        dense = np.where(rng.uniform(size=(6, 4)) < 0.5, rng.normal(size=(6, 4)), 0.0)
-        s = SparseMatrix.from_dense(dense)
-        d, g = rng.normal(size=(4, 3)), rng.normal(size=(6, 2))
-        np.testing.assert_allclose(s.matmat(d), dense @ d, rtol=1e-13)
-        np.testing.assert_allclose(s.rmatmat(g), dense.T @ g, rtol=1e-13)
-        view = s._csr
-        for name in ("indptr", "indices", "data"):
-            assert np.shares_memory(getattr(view, name), getattr(s, name)), name
-        s.matmat(d)
-        assert s._csr is view
+        for s in self.product_cases(rng):
+            m, k = s.shape
+            csr = sp.csr_matrix((s.data, s.indices, s.indptr), shape=s.shape)
+            for width in (0, 1, 3):
+                d, g = rng.normal(size=(k, 2 * width)), rng.normal(size=(m, 2 * width))
+                # contiguous, Fortran-ordered and strided operands
+                for dd, gg in [(d[:, :width], g[:, :width]),
+                               (np.asfortranarray(d[:, :width]), np.asfortranarray(g[:, :width])),
+                               (d[:, ::2], g[:, ::2])]:
+                    for ours, theirs in [(s.matmat(dd), csr @ dd), (s.rmatmat(gg), csr.T @ gg)]:
+                        assert ours.shape == theirs.shape
+                        assert ours.flags.c_contiguous
+                        assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+    def test_products_reject_a_mismatched_operand(self):
+        s = SparseMatrix.from_dense(np.eye(3, 2))
+        for bad in (np.ones((3, 2)), np.ones(2), np.ones((2, 2, 1))):
+            with pytest.raises(ValueError):
+                s.matmat(bad)
+        with pytest.raises(ValueError):
+            s.rmatmat(np.ones((2, 2)))
+
+    def test_installed_scipy_has_the_kernels(self):
+        import scipy.sparse._sparsetools as sparsetools
+        for name in ("csr_matvecs", "csc_matvecs"):
+            assert callable(getattr(sparsetools, name))
+            assert getattr(engine._sparsetools(), name) is not None
+
+    def test_missing_kernels_name_the_scipy_version(self, monkeypatch):
+        import importlib.machinery
+
+        import scipy
+        monkeypatch.setattr(engine, "_SPARSETOOLS", None)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=f"scipy: {scipy.__version__}$"):
+            SparseMatrix.from_dense(np.eye(2)).matmat(np.ones((2, 1)))
+
+    @pytest.mark.parametrize("first", ["scipy.sparse", "product"])
+    def test_products_stay_right_whichever_loads_first(self, first):
+        """One process that imports ``scipy.sparse`` before or after its
+        first product gets scipy's products throughout."""
+        code = ("import numpy as np\n"
+                f"if {first!r} == 'scipy.sparse':\n"
+                "    import scipy.sparse\n"
+                "from latentgraph.engine import SparseMatrix\n"
+                "rng = np.random.default_rng(39)\n"
+                "a = np.where(rng.uniform(size=(20, 15)) < 0.3, rng.normal(size=(20, 15)), 0.0)\n"
+                "s = SparseMatrix.from_dense(a)\n"
+                "d, g = rng.normal(size=(15, 4)), rng.normal(size=(20, 3))\n"
+                "early = [s.matmat(d), s.rmatmat(g)]\n"
+                "import scipy.sparse as sp\n"
+                "csr = sp.csr_matrix((s.data, s.indices, s.indptr), shape=s.shape)\n"
+                "late = [s.matmat(d), s.rmatmat(g)]\n"
+                "want = [csr @ d, csr.T @ g] * 2\n"
+                "print(all(x.tobytes() == y.tobytes() for x, y in zip(early + late, want)))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, cwd="/", env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-1] == "True"
 
 
 class TestStrictDeterminism:
