@@ -40,8 +40,11 @@ from .bounds import (
     identity_predictor,
     make_random_predictor,
 )
-from .engine import strict_determinism_enabled
+from .engine import scipy_version, strict_determinism_enabled
 from .evaluation import (
+    PROBE_EPOCHS,
+    PROBE_LR,
+    PROBE_WEIGHT_DECAY,
     evaluate_node_split,
     extract_graph_repr,
     extract_node_repr,
@@ -140,13 +143,12 @@ def _environment():
     """The numeric environment a run's numbers depend on: the Python, numpy
     and scipy versions, numpy's BLAS (null when numpy does not say) and its
     thread count (null when it cannot be read)."""
-    import scipy  # only the manifest needs it
     deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = deps.get("blas") or {}
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version(),
         "blas": {"name": blas["name"], "version": blas.get("version")}
         if blas.get("name") else None,
         "blas_threads": _blas_threads(),
@@ -269,11 +271,11 @@ def _add_dataset_arguments(parser):
 
 def _add_probe_arguments(parser):
     group = parser.add_argument_group("linear probe")
-    group.add_argument("--probe-lr", type=float, default=0.01, dest="probe_lr")
-    group.add_argument("--probe-epochs", type=int, default=300,
+    group.add_argument("--probe-lr", type=float, default=PROBE_LR, dest="probe_lr")
+    group.add_argument("--probe-epochs", type=int, default=PROBE_EPOCHS,
                        dest="probe_epochs")
-    group.add_argument("--probe-weight-decay", type=float, default=0.0,
-                       dest="probe_weight_decay")
+    group.add_argument("--probe-weight-decay", type=float,
+                       default=PROBE_WEIGHT_DECAY, dest="probe_weight_decay")
 
 
 def _resolve_config(args):

@@ -72,6 +72,7 @@ __all__ = [
     "constant",
     "set_strict_determinism",
     "strict_determinism_enabled",
+    "scipy_version",
 ]
 
 _STRICT = os.environ.get("LAGRAPH_STRICT_DETERMINISM", "") == "1"
@@ -535,6 +536,24 @@ def grad_check(f, params, step=1e-3, tol=1e-4):
     return report
 
 
+def _scipy_dir():
+    """scipy's install directory, named by ``find_spec`` without running
+    ``scipy/__init__.py``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    return spec.submodule_search_locations[0]
+
+
+def scipy_version():
+    """``scipy.__version__``, read from scipy's ``version.py`` without
+    importing the package."""
+    namespace = {}
+    with open(os.path.join(_scipy_dir(), "version.py"), encoding="utf-8") as fh:
+        exec(fh.read(), namespace)
+    return namespace["version"]
+
+
 _SPARSETOOLS = None
 
 
@@ -543,32 +562,24 @@ def _sparsetools():
 
     Loaded at the first call straight from scipy's install directory, found
     by ``find_spec``, so neither ``scipy/__init__.py`` nor
-    ``scipy/sparse/__init__.py`` runs. Raises ImportError when the installed
-    scipy has no ``csr_matvecs``/``csc_matvecs`` there.
+    ``scipy/sparse/__init__.py`` runs. Raises ImportError when scipy is not
+    installed or has no ``csr_matvecs``/``csc_matvecs`` there.
     """
     global _SPARSETOOLS
     if _SPARSETOOLS is None:
         name = "scipy.sparse._sparsetools"
-        spec = importlib.util.find_spec("scipy")
+        stem = os.path.join(_scipy_dir(), "sparse", "_sparsetools")
         module = None
-        if spec is not None and spec.submodule_search_locations:
-            stem = os.path.join(spec.submodule_search_locations[0], "sparse",
-                                "_sparsetools")
-            for path in (stem + s for s in importlib.machinery.EXTENSION_SUFFIXES):
-                if os.path.exists(path):
-                    loader = importlib.machinery.ExtensionFileLoader(name, path)
-                    module = importlib.util.module_from_spec(
-                        importlib.util.spec_from_loader(name, loader))
-                    loader.exec_module(module)
-                    break
+        for path in (stem + s for s in importlib.machinery.EXTENSION_SUFFIXES):
+            if os.path.exists(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                break
         if not (hasattr(module, "csr_matvecs") and hasattr(module, "csc_matvecs")):
-            from importlib import metadata  # only the error names the version
-            try:
-                version = metadata.version("scipy")
-            except metadata.PackageNotFoundError:
-                version = "not installed"
             raise ImportError(f"sparse products need scipy's compiled {name} with "
-                              f"csr_matvecs and csc_matvecs; scipy: {version}")
+                              f"csr_matvecs and csc_matvecs; scipy: {scipy_version()}")
         _SPARSETOOLS = module
     return _SPARSETOOLS
 

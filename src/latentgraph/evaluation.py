@@ -4,7 +4,10 @@ Representations come out of a trained encoder in eval mode; classification
 quality is then measured with linear models only, so the numbers reflect the
 representations rather than a downstream network's capacity. Graph-level
 corpora use a k-fold linear SVM, node-level corpora a logistic regression on
-a fixed train/test split. Both classifiers are trained from scratch here.
+a fixed train/test split. Both classifiers are trained from scratch here and
+both return a :class:`LinearClassifier`. Labels are single-label class ids
+(one per graph or node), so the logistic probe's reported micro-F1 is its
+accuracy.
 """
 
 import dataclasses
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Value, _accumulate, add, add_row, backward, constant,
-                     matmul, no_grad, scale, softmax_ce, sum_squares)
+from .engine import (Value, add, add_row, backward, constant, matmul, no_grad,
+                     scale, softmax_ce, sum_squares)
 from .graphs import _sorted_unique, batch_graphs
 from .models import readout_sum
 from .training import Adam
@@ -69,82 +72,35 @@ def accuracy_score(y_true, y_pred):
     return float(np.mean(y_true == y_pred))
 
 
-def micro_f1_score(y_true, y_pred, num_classes=None):
-    """Micro-averaged F1.
-
-    Accepts integer label vectors (single-label multiclass) or 0/1 indicator
-    matrices (multi-label). For single-label input where every sample gets
-    exactly one prediction, this equals plain accuracy.
-    """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("micro_f1_score: shape mismatch")
-    if y_true.ndim == 1:
-        if num_classes is None:
-            num_classes = int(max(y_true.max(), y_pred.max())) + 1
-        true_hot = np.eye(num_classes, dtype=bool)[y_true]
-        pred_hot = np.eye(num_classes, dtype=bool)[y_pred]
-    else:
-        true_hot = y_true.astype(bool)
-        pred_hot = y_pred.astype(bool)
-    tp = np.sum(true_hot & pred_hot)
-    fp = np.sum(~true_hot & pred_hot)
-    fn = np.sum(true_hot & ~pred_hot)
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return 0.0
-    return float(2 * tp / denom)
-
-
 # ---------------------------------------------------------------------------
 # logistic regression (node-level probe)
 
-
-def _sigmoid_bce(logits, targets):
-    """Mean element-wise binary cross entropy on sigmoid(logits); the
-    targets are a constant 0/1 matrix."""
-    t = np.asarray(targets, dtype=float)
-    z = logits.data
-    if t.shape != z.shape:
-        raise ValueError("sigmoid_bce: shape mismatch")
-    loss = np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))))
-
-    def _back(g):
-        p = 1.0 / (1.0 + np.exp(-z))
-        _accumulate(logits, (g[0, 0] / z.size) * (p - t))
-
-    return Value(loss, parents=(logits,), backward=_back, op="sigmoid_bce")
+PROBE_LR = 0.01
+PROBE_EPOCHS = 300
+PROBE_WEIGHT_DECAY = 0.0
 
 
 @dataclass
 class LinearClassifier:
-    """A trained linear probe: scores are reprs @ W + b."""
+    """A trained linear probe of either kind: scores are reprs @ W + b, and
+    the prediction is the highest-scoring class."""
 
     W: np.ndarray
     b: np.ndarray
-    multilabel: bool = False
     degenerate: bool = False
 
-    def scores(self, reprs):
-        return np.asarray(reprs, dtype=float) @ self.W + self.b
-
     def predict(self, reprs):
-        s = self.scores(reprs)
-        if self.multilabel:
-            return (s > 0.0).astype(np.intp)
-        return np.argmax(s, axis=1)
+        return np.argmax(np.asarray(reprs, dtype=float) @ self.W + self.b, axis=1)
 
 
-def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
-               num_classes=None):
-    """Full-batch logistic regression trained with Adam.
+def logreg_fit(reprs, labels, lr=PROBE_LR, weight_decay=PROBE_WEIGHT_DECAY,
+               epochs=PROBE_EPOCHS, rng=None, num_classes=None):
+    """Full-batch softmax regression trained with Adam.
 
-    Single-label mode (1-D integer labels) minimizes softmax cross entropy;
-    multi-label mode (2-D indicator labels) minimizes element-wise sigmoid
-    cross entropy. `weight_decay` adds an L2 penalty on the weight matrix to
-    the loss. A training set with a single observed class is allowed but the
-    returned classifier is flagged degenerate.
+    Labels are a 1-D vector of nonnegative class ids. `weight_decay` adds an
+    L2 penalty on the weight matrix to the loss. A training set with a single
+    observed class is allowed but the returned classifier is flagged
+    degenerate.
     """
     reprs = np.asarray(reprs, dtype=float)
     labels = np.asarray(labels)
@@ -152,56 +108,37 @@ def logreg_fit(reprs, labels, lr=0.01, weight_decay=0.0, epochs=300, rng=None,
         raise ValueError("logreg_fit: representations must be finite")
     if reprs.shape[0] != labels.shape[0]:
         raise ValueError("logreg_fit: representation/label count mismatch")
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or labels.min() < 0:
+        raise ValueError("logreg_fit: labels must be a 1-D vector of "
+                         "nonnegative integers")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    multilabel = labels.ndim == 2
-    if multilabel:
-        out_dim = labels.shape[1]
-        targets = labels.astype(float)
-        degenerate = False
-    else:
-        if labels.min() < 0:
-            raise ValueError("logreg_fit: labels must be nonnegative integers")
-        out_dim = int(num_classes) if num_classes else int(labels.max()) + 1
-        if labels.max() >= out_dim:
-            raise ValueError("logreg_fit: label out of range")
-        targets = np.eye(out_dim)[labels]
-        degenerate = bool(labels.min() == labels.max())
-
+    out_dim = int(num_classes) if num_classes else int(labels.max()) + 1
+    if labels.max() >= out_dim:
+        raise ValueError("logreg_fit: label out of range")
+    targets = np.eye(out_dim)[labels]
     d = reprs.shape[1]
     W = Value(0.01 * rng.standard_normal((d, out_dim)))
     b = Value(np.zeros((1, out_dim)))
     x = constant(reprs)
     optimizer = Adam([W, b], lr=lr)
     for _ in range(epochs):
-        logits = add_row(matmul(x, W), b)
-        if multilabel:
-            loss = _sigmoid_bce(logits, targets)
-        else:
-            loss = softmax_ce(logits, targets)
+        loss = softmax_ce(add_row(matmul(x, W), b), targets)
         if weight_decay:
             loss = add(loss, scale(sum_squares(W), weight_decay))
         grads = backward(loss)
         optimizer.step(grads)
     return LinearClassifier(W=W.data.copy(), b=b.data.copy(),
-                            multilabel=multilabel, degenerate=degenerate)
+                            degenerate=bool(labels.min() == labels.max()))
 
 
 def logreg_eval(classifier, reprs, labels):
-    """Accuracy and micro-F1 of a trained probe on held-out data.
-
-    Multi-label accuracy is the exact-match rate over full label sets.
-    """
-    labels = np.asarray(labels)
-    pred = classifier.predict(reprs)
-    if classifier.multilabel:
-        accuracy = float(np.mean(np.all(pred == labels, axis=1)))
-        f1 = micro_f1_score(labels, pred)
-    else:
-        accuracy = accuracy_score(labels, pred)
-        f1 = micro_f1_score(labels, pred, num_classes=classifier.W.shape[1])
-    return {"accuracy": accuracy, "micro_f1": f1,
+    """Accuracy of a trained probe on held-out data, also reported as
+    micro-F1: with one label and one prediction per sample, micro-F1 is
+    2c / 2n, the accuracy c / n to the bit."""
+    accuracy = accuracy_score(labels, classifier.predict(reprs))
+    return {"accuracy": accuracy, "micro_f1": accuracy,
             "degenerate": classifier.degenerate}
 
 
@@ -247,11 +184,7 @@ def _svm_fit_ovr(x, labels, num_classes, c):
     for k in range(num_classes):
         y = np.where(labels == k, 1.0, -1.0)
         ws[:, k], bs[k] = _svm_fit_binary(x, y, c)
-    return ws, bs
-
-
-def _svm_predict(x, ws, bs):
-    return np.argmax(x @ ws + bs, axis=1)
+    return LinearClassifier(W=ws, b=bs)
 
 
 def stratified_folds(labels, folds, rng):
@@ -294,8 +227,8 @@ def _select_c(x, labels, num_classes, c_grid, rng):
     val_idx, fit_idx = order[:n_val], order[n_val:]
     best_c, best_acc = None, -1.0
     for c in sorted(c_grid):
-        ws, bs = _svm_fit_ovr(x[fit_idx], labels[fit_idx], num_classes, c)
-        acc = accuracy_score(labels[val_idx], _svm_predict(x[val_idx], ws, bs))
+        clf = _svm_fit_ovr(x[fit_idx], labels[fit_idx], num_classes, c)
+        acc = accuracy_score(labels[val_idx], clf.predict(x[val_idx]))
         if acc > best_acc:
             best_c, best_acc = c, acc
     return best_c
@@ -368,24 +301,24 @@ def linsvm_kfold(reprs, labels, folds=10, c_grid=DEFAULT_C_GRID, seed=0):
         x_train = (reprs[train_idx] - mean) / std
         x_test = (reprs[test_idx] - mean) / std
         c = _select_c(x_train, labels[train_idx], num_classes, c_grid, rng)
-        ws, bs = _svm_fit_ovr(x_train, labels[train_idx], num_classes, c)
-        scores.append(accuracy_score(labels[test_idx], _svm_predict(x_test, ws, bs)))
+        clf = _svm_fit_ovr(x_train, labels[train_idx], num_classes, c)
+        scores.append(accuracy_score(labels[test_idx], clf.predict(x_test)))
         chosen.append(c)
     return _make_report("accuracy", scores, {"C": chosen, "c_grid": list(c_grid)},
                         seed, folds, caught)
 
 
-def evaluate_node_split(reprs, labels, split, lr=0.01, weight_decay=0.0,
-                        epochs=300, seed=0):
+def evaluate_node_split(reprs, labels, split, lr=PROBE_LR,
+                        weight_decay=PROBE_WEIGHT_DECAY, epochs=PROBE_EPOCHS,
+                        seed=0):
     """Train a logistic probe on the split's train nodes, score its test
     nodes, and package the result like a single-fold report."""
     clf = logreg_fit(reprs[split.train], np.asarray(labels)[split.train],
                      lr=lr, weight_decay=weight_decay, epochs=epochs,
                      rng=np.random.default_rng(seed))
     metrics = logreg_eval(clf, reprs[split.test], np.asarray(labels)[split.test])
-    report = _make_report(
+    return _make_report(
         "accuracy", [metrics["accuracy"]],
         {"lr": lr, "weight_decay": weight_decay, "epochs": epochs,
          "micro_f1": metrics["micro_f1"]},
         seed, 1, ["degenerate training labels"] if metrics["degenerate"] else [])
-    return report

@@ -525,6 +525,29 @@ class TestEval:
         assert rc == 2
         assert "split" in capsys.readouterr().err
 
+    def test_test_class_absent_from_training(self, corpus, tmp_path, capsys):
+        """A test node may hold a class that no training node has, above
+        every training label: the probe scores it as a miss."""
+        graph = make_sbm_graph(60, 3, 0.2, 0.02, 6, np.random.default_rng(5),
+                               feature_shift=2.0, noise_sd=0.6)
+        seen = np.flatnonzero(graph.node_labels < 2)
+        rest = np.setdiff1d(np.arange(60), seen[::2])
+        split = NodeSplit(train=seen[::2], valid=rest[:4], test=rest[4:])
+        assert graph.node_labels[split.train].max() == 1
+        assert (graph.node_labels[split.test] == 2).any()
+        data = str(tmp_path / "sbm3")
+        write_nodelevel(graph, data, split=split)
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", corpus["node_ckpt"], "--dataset", data,
+                   "--out", str(out), "--reps", "1", "--probe-epochs", "40"])
+        assert rc == 0
+        capsys.readouterr()
+        doc = read_json(out / "eval_report.json")
+        check(doc, "eval_report")
+        report = doc["reports"][0]
+        assert report["hyperparameters"]["micro_f1"] == report["mean"]
+        assert report["mean"] < 1.0
+
     def test_node_listed_twice_in_the_split(self, corpus, tmp_path, capsys):
         data = write_node_corpus(tmp_path, num_nodes=60)
         path = os.path.join(data, "graph_split.txt")
@@ -685,6 +708,15 @@ class TestSparseImport:
 
 
 class TestEnvironment:
+    @pytest.mark.parametrize("command", ["train-graph", "train-node", "eval-graph",
+                                         "eval-node", "verify"])
+    def test_no_command_imports_scipy(self, corpus, tmp_path, command):
+        """The manifest reads scipy's version from its ``version.py``, and the
+        sparse products load only the kernels' extension module, so no
+        command runs scipy's package import."""
+        argv = command_argv(corpus, command) + ["--out", str(tmp_path / "out")]
+        assert not loaded_after(argv, "scipy")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_blas_threads_follow_openblas(self, threads):
         """The manifest's blas_threads is what numpy's bundled OpenBLAS runs

@@ -669,6 +669,15 @@ class TestSparseMatrixAgainstScipy:
         with pytest.raises(ImportError, match=f"scipy: {scipy.__version__}$"):
             SparseMatrix.from_dense(np.eye(2)).matmat(np.ones((2, 1)))
 
+    def test_scipy_version_is_read_from_the_install(self, monkeypatch):
+        import importlib.util
+
+        import scipy
+        assert engine.scipy_version() == scipy.__version__
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            engine.scipy_version()
+
     @pytest.mark.parametrize("first", ["scipy.sparse", "product"])
     def test_products_stay_right_whichever_loads_first(self, first):
         """One process that imports ``scipy.sparse`` before or after its

@@ -8,10 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from latentgraph.engine import Value, grad_check
 from latentgraph.evaluation import (
     EvalReport,
-    _sigmoid_bce,
+    LinearClassifier,
     accuracy_score,
     evaluate_node_split,
     extract_graph_repr,
@@ -19,7 +18,6 @@ from latentgraph.evaluation import (
     linsvm_kfold,
     logreg_eval,
     logreg_fit,
-    micro_f1_score,
     stratified_folds,
 )
 from latentgraph.graphs import (
@@ -53,40 +51,20 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accuracy_score([], [])
 
-    def test_micro_f1_equals_accuracy_for_single_label(self):
+    def test_reported_micro_f1_is_accuracy(self):
+        # micro-F1 from the one-hot counts, 2 TP / (2 TP + FP + FN), is the
+        # accuracy to the bit, and logreg_eval reports that value for both
         rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 4, size=200)
-        y_pred = rng.integers(0, 4, size=200)
-        assert micro_f1_score(y_true, y_pred, num_classes=4) == pytest.approx(
-            accuracy_score(y_true, y_pred), abs=1e-15)
-
-    def test_micro_f1_multilabel_hand_computed(self):
-        y_true = np.array([[1, 0], [1, 1]])
-        y_pred = np.array([[1, 1], [0, 1]])
-        # TP=2, FP=1, FN=1 -> 2*2 / (4+1+1)
-        assert micro_f1_score(y_true, y_pred) == pytest.approx(2 / 3)
-
-    def test_micro_f1_empty_predictions(self):
-        y_true = np.array([[1, 0]])
-        y_pred = np.array([[0, 0]])
-        assert micro_f1_score(y_true, y_pred) == 0.0
-
-
-class TestSigmoidBce:
-    def test_matches_manual_value(self):
-        z = np.array([[0.5, -1.0], [2.0, 0.0]])
-        t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        p = 1 / (1 + np.exp(-z))
-        manual = -np.mean(t * np.log(p) + (1 - t) * np.log(1 - p))
-        out = _sigmoid_bce(Value(z), t)
-        assert out.item() == pytest.approx(manual, rel=1e-12)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(1)
-        z = Value(rng.normal(size=(4, 3)))
-        t = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
-        report = grad_check(lambda: _sigmoid_bce(z, t), [z], step=1e-4, tol=1e-4)
-        assert report.ok, f"max rel err {report.max_rel_err:.3e}"
+        clf = LinearClassifier(W=rng.normal(size=(3, 4)), b=rng.normal(size=4))
+        x = rng.normal(size=(200, 3))
+        y = rng.integers(0, 4, size=200)
+        metrics = logreg_eval(clf, x, y)
+        assert metrics["micro_f1"] == metrics["accuracy"]
+        true_hot, pred_hot = np.eye(4, dtype=bool)[y], np.eye(4, dtype=bool)[clf.predict(x)]
+        tp = np.sum(true_hot & pred_hot)
+        errors = np.sum(true_hot & ~pred_hot) + np.sum(~true_hot & pred_hot)
+        assert 0 < tp < 200
+        assert float(2 * tp / (2 * tp + errors)) == metrics["accuracy"]
 
 
 class TestLogreg:
@@ -126,16 +104,6 @@ class TestLogreg:
                              rng=np.random.default_rng(9))
         assert np.abs(decayed.W).sum() < np.abs(free.W).sum()
 
-    def test_multilabel_mode(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(300, 2))
-        labels = np.stack([(x[:, 0] > 0), (x[:, 1] > 0)], axis=1).astype(int)
-        clf = logreg_fit(x, labels, lr=0.1, epochs=300, rng=rng)
-        assert clf.multilabel
-        metrics = logreg_eval(clf, x, labels)
-        assert metrics["micro_f1"] > 0.95
-        assert 0.0 <= metrics["accuracy"] <= 1.0
-
     def test_each_epoch_steps_on_its_own_gradient(self, monkeypatch):
         # the gradient Adam receives at epoch 2 is the closed-form softmax
         # cross-entropy gradient at the weights epoch 2 starts from
@@ -169,6 +137,15 @@ class TestLogreg:
             logreg_fit(np.zeros((3, 2)), np.array([0, 1]))
         with pytest.raises(ValueError, match="out of range"):
             logreg_fit(np.zeros((3, 2)), np.array([0, 1, 5]), num_classes=2)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([[1, 0], [0, 1], [1, 1]]),  # a multi-label indicator matrix
+        np.array([0, -1, 1]),
+        np.array([0.0, 1.0, 1.0]),
+    ])
+    def test_labels_must_be_single_label_class_ids(self, labels):
+        with pytest.raises(ValueError, match="1-D vector of nonnegative integers"):
+            logreg_fit(np.zeros((3, 2)), labels)
 
 
 class TestStratifiedFolds:
@@ -386,6 +363,20 @@ class TestNodeSplitEvaluation:
         assert report.fold_scores == [1.0]
         assert report.metric == "accuracy"
         assert report.hyperparameters["micro_f1"] == 1.0
+
+    def test_test_class_absent_from_training_is_scored(self):
+        # the probe knows classes 0 and 1 only, so every class-2 test node is
+        # a miss; the rest are separable and all hit
+        rng = np.random.default_rng(24)
+        labels = np.repeat([0, 1, 2], 20)
+        reprs = np.eye(3)[labels] + 0.01 * rng.normal(size=(60, 3))
+        train = np.r_[0:15, 20:35]
+        test = np.r_[15:20, 35:60]
+        split = NodeSplit(train=train, valid=train[:0], test=test)
+        report = evaluate_node_split(reprs, labels, split, lr=0.1, epochs=200)
+        assert report.fold_scores == [10 / 30]
+        assert report.hyperparameters["micro_f1"] == 10 / 30
+        assert report.warnings == []
 
     def test_report_is_seed_deterministic(self):
         rng = np.random.default_rng(23)
