@@ -86,6 +86,7 @@ _FLAG_HELP = {
     "variant": "objective variant",
     "alpha": "invariance regularization weight",
     "subgraph_nodes": "node-level: train on induced subgraphs this size",
+    "dtype": "compute dtype of training and extraction",
 }
 
 
@@ -297,7 +298,7 @@ def _build_from_config(config, feature_dim):
                        config.decoder_layers,
                        rng=np.random.default_rng(config.seed),
                        use_bn=config.use_bn,
-                       decoder_kind=config.decoder_kind)
+                       decoder_kind=config.decoder_kind, dtype=config.dtype)
 
 
 def _extract(level, data, encoder, concat_raw=True):

@@ -1,11 +1,11 @@
 """Dense-matrix reverse-mode autodiff engine.
 
-Every value is a 2-D float64 matrix wrapped in a :class:`Value` node. Operations
-build a provenance DAG; :func:`backward` walks it once in reverse topological
-order and sums gradients within that walk, so shared subexpressions receive the
-sum of all path contributions. The gradient a backward call returns covers that
-call's loss only: every node it reaches starts the walk with no gradient, so
-nothing carries over from an earlier call. The DAG is freed during backward (no
+Every value is a 2-D float64 or float32 matrix wrapped in a :class:`Value` node.
+Operations build a provenance DAG; :func:`backward` walks it once in reverse
+topological order and sums gradients within that walk, so shared subexpressions
+receive the sum of all path contributions. The gradient a backward call
+returns covers that call's loss only: every node it reaches starts the walk
+with no gradient, so nothing carries over from an earlier call. The DAG is freed during backward (no
 persistent tape), and only leaf gradients survive it.
 
 An op's backward closure captures, when the forward runs, every array and
@@ -20,6 +20,10 @@ Inside ``with no_grad():`` ops record nothing: each result is a parentless
 Value, so an intermediate array is freed as soon as the next op has consumed
 it. Inference (representation extraction) runs this way; training and anything
 that calls :func:`backward` must not.
+
+Every op keeps its operands' dtype, forward and backward; mixed float32 and
+float64 operands give float64, as in numpy. A backward closure scales by
+Python floats only, so no numpy float64 scalar upcasts a float32 gradient.
 
 Scalars are 1x1 matrices. A :func:`constant` leaf never receives a gradient,
 and no op computes one for it. Sparse matrices (:class:`SparseMatrix`) are
@@ -112,14 +116,16 @@ def _mm(a, b):
     # are present, unlike the blocked GEMM kernels BLAS picks by shape.
     if not _STRICT:
         return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     for i in range(a.shape[0]):
         out[i] = a[i] @ b
     return out
 
 
 def _as_matrix(data):
-    a = np.asarray(data, dtype=np.float64)
+    a = np.asarray(data)
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -132,7 +138,8 @@ def _as_matrix(data):
 class Value:
     """A matrix node in the autodiff DAG.
 
-    ``data`` is the 2-D float64 payload, ``grad`` the gradient from the last
+    ``data`` is the 2-D float64 or float32 payload (anything else becomes
+    float64), ``grad`` the gradient from the last
     backward that reached the node (``None`` before that), ``op`` a short tag
     naming the producing operation, ``_parents`` the input nodes and
     ``_backward`` a closure that routes this node's gradient to them. Under :func:`no_grad`
@@ -301,7 +308,7 @@ def row_select(h, indices):
         raise IndexError(f"row_select: index out of range for {shape[0]} rows")
 
     def _back(g):
-        gh = np.zeros(shape)
+        gh = np.zeros(shape, dtype=g.dtype)
         np.add.at(gh, idx, g)
         _accumulate(h, gh)
 
@@ -313,7 +320,7 @@ def sum_squares(a):
     a_data = a.data
 
     def _back(g):
-        _accumulate(a, (2.0 * g[0, 0]) * a_data)
+        _accumulate(a, (2.0 * float(g[0, 0])) * a_data)
 
     return Value(np.sum(a_data * a_data), parents=(a,), backward=_back,
                  op="sum_squares")
@@ -328,7 +335,7 @@ def mse_per(a, b, divisor):
     diff = a.data - b.data
 
     def _back(g):
-        gd = (2.0 * g[0, 0] / divisor) * diff
+        gd = (2.0 * float(g[0, 0]) / divisor) * diff
         _accumulate(a, gd)
         _accumulate(b, -gd)
 
@@ -345,7 +352,7 @@ def sqrt_eps(x, eps=1e-12):
     root = np.sqrt(x.data[0, 0] + eps)
 
     def _back(g):
-        _accumulate(x, g * (0.5 / root))
+        _accumulate(x, g * (0.5 / float(root)))
 
     return Value(root, parents=(x,), backward=_back, op="sqrt_eps")
 
@@ -358,18 +365,20 @@ def _log_softmax(z):
 def softmax_ce(logits, targets):
     """Mean row-wise cross-entropy between softmax(logits) and target rows.
 
-    ``targets`` is a constant row-stochastic matrix (one-hot or soft labels).
+    ``targets`` is a constant row-stochastic matrix (one-hot or soft labels),
+    used in the logits' dtype.
     """
     t = _as_matrix(targets)
     if t.shape != logits.data.shape:
         raise ValueError(f"softmax_ce: shape mismatch {logits.data.shape} vs {t.shape}")
     if not np.allclose(t.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("softmax_ce: target rows must sum to 1")
+    t = t.astype(logits.data.dtype, copy=False)
     n = logits.data.shape[0]
     logp = _log_softmax(logits.data)
 
     def _back(g):
-        _accumulate(logits, (g[0, 0] / n) * (np.exp(logp) - t))
+        _accumulate(logits, (float(g[0, 0]) / n) * (np.exp(logp) - t))
 
     return Value(-np.sum(t * logp) / n, parents=(logits,), backward=_back,
                  op="softmax_ce")
@@ -385,7 +394,7 @@ def kl_div(p_logits, q_logits):
     row_kl = np.sum(p * (lp - lq), axis=1, keepdims=True)
 
     def _back(g):
-        gs = g[0, 0] / max(n, 1)
+        gs = float(g[0, 0]) / max(n, 1)
         _accumulate(p_logits, gs * p * ((lp - lq) - row_kl))
         _accumulate(q_logits, gs * (np.exp(lq) - p))
 
@@ -436,7 +445,7 @@ def backward(loss, retain_graph=False):
     # its first contribution allocates it.
     for node in order:
         node.grad = None
-    _accumulate(loss, np.ones((1, 1), dtype=np.float64))
+    _accumulate(loss, np.ones((1, 1), dtype=loss.data.dtype))
     grads = {}
     # Popping walks the nodes in reverse topological order, so a node has all
     # its contributions when it is reached, and its arrays can go as soon as
@@ -505,10 +514,14 @@ def grad_check(f, params, step=1e-3, tol=1e-4):
     analytic gradients are the map one :func:`backward` of ``f()`` returns (a
     param it does not reach counts as zero). Central differences use the given
     step; every coordinate is perturbed in place and restored. Returns a
-    :class:`GradCheckReport`; ``report.ok`` is the verdict.
+    :class:`GradCheckReport`; ``report.ok`` is the verdict. The default step
+    and tolerance hold in float64 only, so every param must be float64.
     """
     if step <= 0.0:
         raise ValueError("grad_check: step must be positive")
+    for p in params:
+        if p.data.dtype != np.float64:
+            raise ValueError(f"grad_check: params must be float64, got {p.data.dtype}")
     grads = backward(f())
     analytic = [grads.get(p, np.zeros_like(p.data)) for p in params]
     report = GradCheckReport(max_rel_err=0.0, tol=tol, step=step, coords_checked=0)
@@ -589,7 +602,8 @@ class SparseMatrix:
 
     Holds canonical CSR arrays in numpy: ``indptr``, ``indices`` (strictly
     increasing within each row, so no duplicates), float64 ``data`` and
-    ``shape``. Index arrays are int32 whenever scipy would pick int32 for the
+    ``shape``; :meth:`astype` gives a float32 copy of ``data`` sharing the
+    index arrays. Index arrays are int32 whenever scipy would pick int32 for the
     same shape and nnz, and int64 otherwise. Building, normalising and
     densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` pass these
     arrays to scipy's compiled ``csr_matvecs`` and ``csc_matvecs``, the calls
@@ -662,8 +676,18 @@ class SparseMatrix:
     def nnz(self):
         return self.data.size
 
+    def astype(self, dtype):
+        """This matrix with its values in ``dtype``: itself when they already
+        are, else a copy of the values sharing the index arrays."""
+        if self.data.dtype == dtype:
+            return self
+        other = object.__new__(SparseMatrix)
+        other.shape, other.indptr, other.indices = self.shape, self.indptr, self.indices
+        other.data = self.data.astype(dtype)
+        return other
+
     def to_dense(self):
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         out[rows, self.indices] += self.data
         return out
@@ -680,14 +704,19 @@ class SparseMatrix:
     def _product(self, kernel, shape, dense):
         # The kernel reads and writes raw buffers: the operand's shape must
         # be checked here, and the output must be a contiguous array it
-        # writes through ``ravel``'s view.
-        x = np.asarray(dense, dtype=np.float64)
+        # writes through ``ravel``'s view. The kernel needs the values, the
+        # operand and the output in one dtype: float32 when both are, else
+        # float64.
+        x = np.asarray(dense)
+        dtype = np.float32 if self.data.dtype == x.dtype == np.float32 else np.float64
+        x = x.astype(dtype, copy=False)
         if x.ndim != 2 or x.shape[0] != shape[1]:
             raise ValueError(f"sparse product: {shape} matrix times operand of "
                              f"shape {x.shape}")
-        out = np.zeros((shape[0], x.shape[1]))
+        out = np.zeros((shape[0], x.shape[1]), dtype=dtype)
         getattr(_sparsetools(), kernel)(shape[0], shape[1], x.shape[1], self.indptr,
-                                        self.indices, self.data, x.ravel(), out.ravel())
+                                        self.indices, self.data.astype(dtype, copy=False),
+                                        x.ravel(), out.ravel())
         return out
 
     def __repr__(self):

@@ -8,6 +8,10 @@ backward closures captured stay alive until backward. Batch
 normalization is the one custom node: its forward uses batch statistics in
 training mode and running statistics in eval mode, and its backward is the
 closed-form expression obtained by differentiating through mean and variance.
+
+A model computes in one dtype, float64 or float32, chosen by
+:func:`build_model`: its parameters and running statistics are created in
+it, and the encoder casts its input features and adjacency to it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
 LEVELS = ("graph", "node")
 ENCODER_KINDS = ("gin", "gcn")
 DECODER_KINDS = ("mlp", "gcn")
+DTYPES = ("float64", "float32")
 
 
 def xavier_init(rows, cols, rng):
@@ -114,11 +119,11 @@ def _norm_stage(bn, training):
 
 
 class BatchNorm:
-    def __init__(self, dim, momentum=0.9, eps=1e-5):
-        self.gamma = Value(np.ones((1, dim)))
-        self.beta = Value(np.zeros((1, dim)))
-        self.running_mean = np.zeros((1, dim))
-        self.running_var = np.ones((1, dim))
+    def __init__(self, dim, momentum=0.9, eps=1e-5, dtype=np.float64):
+        self.gamma = Value(np.ones((1, dim), dtype=dtype))
+        self.beta = Value(np.zeros((1, dim), dtype=dtype))
+        self.running_mean = np.zeros((1, dim), dtype=dtype)
+        self.running_var = np.ones((1, dim), dtype=dtype)
         self.momentum = momentum
         self.eps = eps
 
@@ -142,9 +147,9 @@ class BatchNorm:
 class Linear:
     """Affine map x @ W + b; ``add_row`` broadcasts the 1 x q bias over rows."""
 
-    def __init__(self, in_dim, out_dim, rng):
-        self.W = Value(xavier_init(in_dim, out_dim, rng))
-        self.b = Value(np.zeros((1, out_dim)))
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
+        self.W = Value(xavier_init(in_dim, out_dim, rng).astype(dtype, copy=False))
+        self.b = Value(np.zeros((1, out_dim), dtype=dtype))
 
     def __call__(self, x):
         xw = matmul(x, self.W)
@@ -162,9 +167,9 @@ class Linear:
 class GCNLayer:
     """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency."""
 
-    def __init__(self, in_dim, out_dim, rng, use_bn=True):
-        self.lin = Linear(in_dim, out_dim, rng)
-        self.bn = BatchNorm(out_dim) if use_bn else None
+    def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
+        self.lin = Linear(in_dim, out_dim, rng, dtype)
+        self.bn = BatchNorm(out_dim, dtype=dtype) if use_bn else None
 
     def __call__(self, adjacency, h, training):
         return _chain(h, self.lin, functools.partial(spmm, adjacency),
@@ -186,11 +191,11 @@ class GINLayer:
     Each linear map is followed by batch normalization (when enabled) and relu.
     """
 
-    def __init__(self, in_dim, out_dim, rng, use_bn=True):
-        self.lin1 = Linear(in_dim, out_dim, rng)
-        self.lin2 = Linear(out_dim, out_dim, rng)
-        self.bn1 = BatchNorm(out_dim) if use_bn else None
-        self.bn2 = BatchNorm(out_dim) if use_bn else None
+    def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
+        self.lin1 = Linear(in_dim, out_dim, rng, dtype)
+        self.lin2 = Linear(out_dim, out_dim, rng, dtype)
+        self.bn1 = BatchNorm(out_dim, dtype=dtype) if use_bn else None
+        self.bn2 = BatchNorm(out_dim, dtype=dtype) if use_bn else None
 
     def __call__(self, adjacency, h, training):
         return _chain(h, functools.partial(spmm, adjacency),
@@ -215,9 +220,14 @@ class GINLayer:
 
 
 class Encoder:
-    """Stack of GCN or GIN layers; ``encode`` returns every layer's output."""
+    """Stack of GCN or GIN layers; ``encode`` returns every layer's output.
 
-    def __init__(self, kind, feature_dim, hidden_dim, num_layers, rng, use_bn=True):
+    ``encode`` casts the input features and the adjacency to ``dtype``, the
+    parameters' dtype, so every layer computes in it.
+    """
+
+    def __init__(self, kind, feature_dim, hidden_dim, num_layers, rng, use_bn=True,
+                 dtype=np.float64):
         if kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind: {kind!r}")
         if num_layers < 1:
@@ -225,28 +235,30 @@ class Encoder:
         self.kind = kind
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
+        self.dtype = np.dtype(dtype)
         layer_cls = GCNLayer if kind == "gcn" else GINLayer
         dims = [feature_dim] + [hidden_dim] * num_layers
         self.layers = [
-            layer_cls(dims[i], dims[i + 1], rng, use_bn=use_bn)
+            layer_cls(dims[i], dims[i + 1], rng, use_bn=use_bn, dtype=self.dtype)
             for i in range(num_layers)
         ]
 
     def adjacency_for(self, batch):
         if self.kind == "gcn":
-            return batch.normalized_adjacency()
-        return batch.block_adjacency
+            return batch.normalized_adjacency().astype(self.dtype)
+        return batch.block_adjacency.astype(self.dtype)
 
     def encode(self, batch, training, features=None):
         """Run every layer and return the list of per-layer node embeddings.
 
         `features` optionally replaces `batch.features` as the input matrix,
         which lets callers push corrupted copies of the node features through
-        the same graph structure. The input is a :func:`engine.constant` leaf,
-        so backward computes no gradient for it.
+        the same graph structure. The input, cast to the encoder's dtype, is a
+        :func:`engine.constant` leaf, so backward computes no gradient for it.
         """
         adjacency = self.adjacency_for(batch)
-        h = constant(batch.features if features is None else features)
+        h = constant(np.asarray(batch.features if features is None else features,
+                                dtype=self.dtype))
         outputs = []
         for layer in self.layers:
             h = layer(adjacency, h, training)
@@ -271,9 +283,11 @@ class Decoder:
 
     The MLP variant is row-local: output row v depends on input row v only.
     Hidden layers are linear (+ batch norm) + relu; the final layer is linear.
+    The graph-convolutional head uses the adjacency in its input's dtype.
     """
 
-    def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True, kind="mlp"):
+    def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True, kind="mlp",
+                 dtype=np.float64):
         if kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind: {kind!r}")
         if num_layers < 1:
@@ -282,9 +296,9 @@ class Decoder:
         self.in_dim = in_dim
         self.out_dim = out_dim
         dims = [in_dim] + [in_dim] * (num_layers - 1) + [out_dim]
-        self.linears = [Linear(dims[i], dims[i + 1], rng) for i in range(num_layers)]
+        self.linears = [Linear(dims[i], dims[i + 1], rng, dtype) for i in range(num_layers)]
         self.bns = [
-            BatchNorm(dims[i + 1]) if (use_bn and i < num_layers - 1) else None
+            BatchNorm(dims[i + 1], dtype=dtype) if (use_bn and i < num_layers - 1) else None
             for i in range(num_layers)
         ]
 
@@ -293,7 +307,7 @@ class Decoder:
         if self.kind == "gcn":
             if batch is None:
                 raise ValueError("gcn decoder needs the graph batch")
-            adjacency = batch.normalized_adjacency()
+            adjacency = batch.normalized_adjacency().astype(h.data.dtype)
         stages = []
         last = len(self.linears) - 1
         for i, lin in enumerate(self.linears):
@@ -321,10 +335,11 @@ class Decoder:
 
 
 def readout_sum(h, batch):
-    """Per-graph column sums of node embeddings: one row per graph."""
+    """Per-graph column sums of node embeddings, in their dtype: one row per
+    graph."""
     if h.data.shape[0] != batch.total_nodes:
         raise ValueError("embedding rows disagree with batch node count")
-    return spmm(batch.pool_matrix(), h)
+    return spmm(batch.pool_matrix().astype(h.data.dtype), h)
 
 
 class Model:
@@ -363,11 +378,17 @@ class Model:
 
 
 def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
-                decoder_layers, rng, use_bn=True, decoder_kind="mlp"):
+                decoder_layers, rng, use_bn=True, decoder_kind="mlp",
+                dtype="float64"):
+    """An encoder/decoder pair whose parameters and running statistics are
+    created in ``dtype``, one of ``DTYPES``; the initial values are the
+    float64 draws of ``rng``, rounded."""
+    if dtype not in DTYPES:
+        raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     encoder = Encoder(encoder_kind, feature_dim, hidden_dim, encoder_layers,
-                      rng, use_bn=use_bn)
+                      rng, use_bn=use_bn, dtype=dtype)
     decoder = Decoder(hidden_dim, feature_dim, decoder_layers, rng,
-                      use_bn=use_bn, kind=decoder_kind)
+                      use_bn=use_bn, kind=decoder_kind, dtype=dtype)
     model = Model(encoder, decoder, level)
     model.build_spec = {
         "level": level,
@@ -378,5 +399,6 @@ def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
         "decoder_layers": decoder_layers,
         "use_bn": use_bn,
         "decoder_kind": decoder_kind,
+        "dtype": dtype,
     }
     return model

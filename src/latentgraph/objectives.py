@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Value, kl_div, mse_per, row_select, scale, softmax_ce, sqrt_eps
+from .engine import Value, constant, kl_div, mse_per, row_select, scale, softmax_ce, sqrt_eps
 from .models import readout_sum
 
 VARIANTS = ("mse-embed", "mse-output", "ce-embed", "ce-output")
@@ -133,19 +133,24 @@ def _reconstruction_term(outputs, batch, variant):
 
     Squared-error variants divide each graph's summed squared error by its
     node count; cross-entropy variants average row-wise softmax cross entropy
-    against the (distribution-valued) feature rows.
+    against the (distribution-valued) feature rows, taken in the outputs'
+    dtype. A one-graph batch scores ``outputs`` itself, not a copy of all
+    its rows.
     """
     use_ce = variant.startswith("ce-")
+    features = batch.features.astype(outputs.data.dtype, copy=False)
     total = None
     for i in range(batch.num_graphs):
         start, end = batch.node_range(i)
-        rows = np.arange(start, end)
-        predicted = row_select(outputs, rows)
-        target = batch.features[start:end]
+        if batch.num_graphs == 1:
+            predicted = outputs
+        else:
+            predicted = row_select(outputs, np.arange(start, end))
+        target = features[start:end]
         if use_ce:
             term = softmax_ce(predicted, target)
         else:
-            term = mse_per(predicted, Value(target), float(end - start))
+            term = mse_per(predicted, constant(target), float(end - start))
         total = term if total is None else engine.add(total, term)
     return scale(total, 1.0 / batch.num_graphs)
 

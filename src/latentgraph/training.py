@@ -6,7 +6,9 @@ and subgraph sampling, so a rerun with the same config reproduces the same
 losses (bit for bit under strict determinism).
 
 Checkpoints are single JSON documents; array payloads are base64-encoded
-little-endian float64 bytes, which round-trip exactly.
+little-endian float64 bytes, which round-trip exactly, also for a float32
+model: float32 -> float64 is exact, and the build recipe records the dtype
+the arrays are cast back to.
 """
 
 import base64
@@ -20,7 +22,7 @@ import numpy as np
 
 from .engine import backward
 from .graphs import sample_node_subset
-from .models import DECODER_KINDS, ENCODER_KINDS, LEVELS, build_model
+from .models import DECODER_KINDS, DTYPES, ENCODER_KINDS, LEVELS, build_model
 from .objectives import MASK_MODES, MaskSpec, VARIANTS, objective
 
 CHECKPOINT_FORMAT = "latentgraph-checkpoint"
@@ -34,6 +36,7 @@ CHOICES = {
     "decoder_kind": DECODER_KINDS,
     "variant": VARIANTS,
     "mask_mode": MASK_MODES,
+    "dtype": DTYPES,
 }
 
 
@@ -66,7 +69,8 @@ class TrainConfig:
 
     `subgraph_nodes` only applies to node-level runs: when positive, each
     step trains on a freshly sampled induced subgraph of that many nodes
-    instead of the full graph.
+    instead of the full graph. `dtype` is the model's compute dtype for
+    training and extraction.
     """
 
     level: str = "graph"
@@ -87,6 +91,7 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     subgraph_nodes: int = 0
+    dtype: str = "float64"
 
     def validate(self):
         for name, allowed in CHOICES.items():
@@ -123,10 +128,11 @@ PRESETS = {
     "protein": dict(level="graph", encoder="gin", hidden_dim=32,
                     encoder_layers=3, decoder_layers=2, mask_ratio=0.3,
                     noise_sd=2.0, alpha=1.0, lr=1e-5, batch_size=32),
-    # single large graph with node labels
+    # single large graph with node labels; its large activations are held
+    # in float32
     "node": dict(level="node", encoder="gcn", hidden_dim=512,
                  encoder_layers=2, decoder_layers=1, mask_ratio=0.05,
-                 noise_sd=0.5, alpha=2.0, lr=1e-3),
+                 noise_sd=0.5, alpha=2.0, lr=1e-3, dtype="float32"),
 }
 
 
@@ -287,6 +293,9 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     if config.level != model.level:
         raise ValueError(
             f"config level {config.level!r} does not match model level {model.level!r}")
+    if model.encoder.dtype != config.dtype:
+        raise ValueError(f"config dtype {config.dtype!r} does not match model "
+                         f"dtype {model.encoder.dtype.name!r}")
     streams = np.random.SeedSequence(config.seed).spawn(3)
     mask_rng = np.random.default_rng(streams[0])
     shuffle_rng = np.random.default_rng(streams[1])
@@ -466,7 +475,7 @@ def load_checkpoint(path, expect_level=None):
     buffers = dict(model.named_buffers())
     for name, loaded in arrays.items():
         if name in params:
-            params[name].data = loaded
+            params[name].data = loaded.astype(params[name].data.dtype, copy=False)
         else:
             buffers[name][:] = loaded
     return model, doc.get("meta", {})

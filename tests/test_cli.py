@@ -158,7 +158,7 @@ class TestParserAndHelpers:
             "--encoder-layers", "--decoder-layers", "--decoder-kind",
             "--no-batchnorm", "--variant", "--alpha", "--mask-ratio",
             "--noise-sd", "--mask-mode", "--lr", "--weight-decay",
-            "--batch-size", "--epochs", "--seed", "--subgraph-nodes"]
+            "--batch-size", "--epochs", "--seed", "--subgraph-nodes", "--dtype"]
         dataset_flags = ["--dataset", "--degree-features", "--file-prefix"]
         probe_flags = ["--probe-lr", "--probe-epochs", "--probe-weight-decay"]
         expected = {
@@ -407,6 +407,26 @@ class TestTrain:
             manifest = read_json(str(out / "manifest.json"))
             assert manifest["deterministic"] is True
         assert logs[0] == logs[1]
+
+    def test_node_preset_float32_same_bytes_in_deterministic_mode(
+            self, corpus, tmp_path):
+        env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
+                   PYTHONPATH=child_pythonpath())
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            result = subprocess.run(
+                [sys.executable, "-m", "latentgraph", "train",
+                 "--dataset", corpus["node_dir"], "--out", str(out),
+                 "--preset", "node", "--hidden-dim", "16", "--epochs", "2"],
+                capture_output=True, env=env, cwd="/")
+            assert result.returncode == 0, result.stderr
+            outputs.append([(out / name).read_bytes() for name in
+                            ("loss_log.jsonl", "checkpoint.json")])
+        assert outputs[0] == outputs[1]
+        checkpoint = json.loads(outputs[0][1])
+        check(checkpoint, "checkpoint")
+        assert checkpoint["build"]["dtype"] == "float32"
 
 
 class TestEval:

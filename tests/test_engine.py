@@ -446,6 +446,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             grad_check(lambda: sum_squares(a), [a], step=0.0)
 
+    def test_grad_check_rejects_float32_params(self):
+        # step 1e-3 and tol 1e-4 are float64 tolerances
+        a = Value(np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="float32"):
+            grad_check(lambda: sum_squares(a), [a])
+
 
 class TestSparseMatrix:
     def test_spmm_matches_dense_matmul_exactly_on_integer_data(self):
@@ -871,3 +877,134 @@ class TestRelease:
                 else:
                     np.testing.assert_array_equal(kept, released, err_msg=op)
 
+
+
+def _dtype_cases():
+    """Per op: a builder taking (leaf maker, dtype) that returns the op's
+    output and the leaves it should send a gradient to."""
+    from latentgraph.models import batch_norm
+
+    s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
+    one_hot = np.eye(4)[[0, 3, 1]]  # float64 targets whatever the logits
+
+    def batch_norm_case(training):
+        def build(leaf, dtype):
+            x, gamma, beta = leaf(3, 4), leaf(1, 4), leaf(1, 4)
+            stats = np.zeros((1, 4), dtype=dtype), np.ones((1, 4), dtype=dtype)
+            out = batch_norm(x, gamma, beta, *stats, training=training)
+            assert all(a.dtype == dtype for a in stats)
+            return out, [x, gamma, beta]
+        return build
+
+    def binary(op):
+        def build(leaf, dtype):
+            a, b = leaf(3, 4), leaf(3, 4)
+            return op(a, b), [a, b]
+        return build
+
+    def unary(op, rows=3, cols=4):
+        def build(leaf, dtype):
+            a = leaf(rows, cols)
+            return op(a), [a]
+        return build
+
+    def matmul_case(leaf, dtype):
+        a, b = leaf(3, 4), leaf(4, 2)
+        return matmul(a, b), [a, b]
+
+    def add_row_case(leaf, dtype):
+        a, b = leaf(3, 4), leaf(1, 4)
+        return add_row(a, b), [a, b]
+
+    def sqrt_eps_case(leaf, dtype):
+        x = Value(np.array([[2.0]], dtype=dtype))
+        return sqrt_eps(x), [x]
+
+    return {
+        "matmul": matmul_case,
+        "matmul-strict": matmul_case,
+        "spmm": unary(lambda d: spmm(s.astype(d.data.dtype), d)),
+        "add": binary(add),
+        "add_row": add_row_case,
+        "sub": binary(sub),
+        "hadamard": binary(hadamard),
+        "scale": unary(lambda a: scale(a, 0.5)),
+        "relu": unary(relu),
+        "row_select": unary(lambda h: row_select(h, [2, 0, 2])),
+        "sum_squares": unary(sum_squares),
+        "mse_per": binary(lambda a, b: mse_per(a, b, 3.0)),
+        "sqrt_eps": sqrt_eps_case,
+        "softmax_ce": unary(lambda z: softmax_ce(z, one_hot)),
+        "kl_div": binary(kl_div),
+        "batch_norm-train": batch_norm_case(True),
+        "batch_norm-eval": batch_norm_case(False),
+    }
+
+
+DTYPE_CASES = _dtype_cases()
+# engine.__all__ names that are not differentiable ops
+NOT_OPS = {"Value", "SparseMatrix", "backward", "release", "no_grad", "grad_check",
+           "GradCheckReport", "constant", "set_strict_determinism",
+           "strict_determinism_enabled", "scipy_version"}
+
+
+class TestDtypes:
+    """Every op keeps its operands' dtype, forward and backward: float32 in
+    gives float32 data and float32 gradients, float64 gives float64."""
+
+    def test_every_op_has_a_case(self):
+        ops = {name.split("-")[0] for name in DTYPE_CASES}
+        assert ops == set(engine.__all__) - NOT_OPS | {"batch_norm"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+    def test_op_keeps_its_operands_dtype(self, case, dtype, monkeypatch):
+        monkeypatch.setattr(engine, "_STRICT", case == "matmul-strict")
+        rng = np.random.default_rng(0)
+
+        def leaf(rows, cols):
+            return Value(rng.uniform(-2.0, 2.0, size=(rows, cols)).astype(dtype))
+
+        out, leaves = DTYPE_CASES[case](leaf, dtype)
+        assert out.data.dtype == dtype
+        loss = out if out.shape == (1, 1) else sum_squares(out)
+        grads = backward(loss)
+        assert [grads[v].dtype for v in leaves] == [np.dtype(dtype)] * len(leaves)
+
+    @pytest.mark.parametrize("op", ["sum_squares", "mse_per", "softmax_ce", "kl_div"])
+    def test_a_float64_scalar_gradient_does_not_upcast(self, op):
+        # the incoming 1x1 gradient scales the operands' gradients as a
+        # Python float, so its dtype does not leak into them
+        rng = np.random.default_rng(1)
+
+        def leaf(rows, cols):
+            return Value(rng.normal(size=(rows, cols)).astype(np.float32))
+
+        out, leaves = DTYPE_CASES[op](leaf, np.float32)
+        out._backward(np.ones((1, 1)))
+        assert [v.grad.dtype for v in leaves] == [np.dtype(np.float32)] * len(leaves)
+
+    def test_mixed_operands_promote_to_float64(self):
+        a = Value(np.ones((2, 2), dtype=np.float32))
+        b = Value(np.ones((2, 2)))
+        assert add(a, b).data.dtype == np.float64
+
+    def test_values_other_than_float32_become_float64(self):
+        for data in ([[1, 2]], np.ones((1, 2), dtype=np.int32), np.float16(1.0), 3):
+            assert Value(data).data.dtype == np.float64
+        assert Value(np.float32(1.0)).data.dtype == np.float32
+
+    def test_float32_sparse_products_match_scipy_bitwise(self):
+        import scipy.sparse as sp
+        rng = np.random.default_rng(2)
+        dense = np.where(rng.uniform(size=(6, 5)) < 0.4, rng.normal(size=(6, 5)), 0.0)
+        s = SparseMatrix.from_dense(dense).astype(np.float32)
+        assert s.data.dtype == np.float32 and s.astype(np.float32) is s
+        csr = sp.csr_matrix((s.data, s.indices, s.indptr), shape=s.shape)
+        d = rng.normal(size=(5, 3)).astype(np.float32)
+        g = rng.normal(size=(6, 3)).astype(np.float32)
+        for ours, theirs in [(s.matmat(d), csr @ d), (s.rmatmat(g), csr.T @ g)]:
+            assert ours.dtype == np.float32
+            assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+        # a float64 operand promotes the product, as numpy would
+        assert s.matmat(d.astype(np.float64)).dtype == np.float64

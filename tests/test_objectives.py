@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentgraph.engine import SparseMatrix, backward, grad_check
+from latentgraph import engine, objectives
+from latentgraph.engine import SparseMatrix, Value, backward, grad_check
 from latentgraph.graphs import Graph, batch_graphs, make_sbm_graph
 from latentgraph.models import build_model
 from latentgraph.objectives import (
@@ -310,14 +311,13 @@ class TestObjectiveGradients:
         assert report.ok, f"max rel err {report.max_rel_err:.3e}"
 
 
-def test_node_level_step_peak_memory():
-    # One objective plus backward on a 4000-node SBM through the node
-    # preset's GCN at hidden 64 (two encoder layers, clean and corrupted
-    # passes). When every interior Value kept its data until backward the
-    # traced peak was about 53 MiB; with layers releasing what no backward
-    # closure reads it is about 22 MiB.
+def _node_step_peak(dtype="float64"):
+    """Traced peak bytes of one objective plus backward on a 4000-node SBM
+    through the node preset's GCN at hidden 64 (two encoder layers, clean
+    and corrupted passes)."""
     graph = make_sbm_graph(4000, 4, 0.01, 0.001, 8, np.random.default_rng(0))
-    model = build_model("node", "gcn", 8, 64, 2, 1, np.random.default_rng(1))
+    model = build_model("node", "gcn", 8, 64, 2, 1, np.random.default_rng(1),
+                        dtype=dtype)
     batch = batch_graphs([graph])
     batch.normalized_adjacency()  # cached; not part of the step
     spec = MaskSpec(0.05, 0.5, "gaussian")
@@ -330,5 +330,42 @@ def test_node_level_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(grads) > 0
+    return peak
+
+
+def test_node_level_step_peak_memory():
+    # When every interior Value kept its data until backward the traced
+    # peak was about 53 MiB; with layers releasing what no backward closure
+    # reads it is about 22 MiB.
+    peak = _node_step_peak()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+
+def test_node_level_float32_step_peak_memory():
+    # About 12 MiB, against 21 MiB in float64: one 4000 x 64 array upcast to
+    # float64 for the whole step would add 2 MiB.
+    peak = _node_step_peak("float32")
+    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_one_graph_batch_scores_the_outputs_without_a_row_copy(monkeypatch):
+    rng = np.random.default_rng(15)
+    batch = batch_graphs([small_random_graph(rng, 5, 3)])
+    data = rng.normal(size=(5, 3))
+    selected = []
+
+    def counting_row_select(h, indices):
+        selected.append(indices)
+        return engine.row_select(h, indices)
+
+    monkeypatch.setattr(objectives, "row_select", counting_row_select)
+    outputs = Value(data)
+    term = objectives._reconstruction_term(outputs, batch, "mse-embed")
+    assert selected == []
+    # bit for bit the loss and gradient of scoring a full-range row copy
+    reference = Value(data)
+    expected = engine.scale(engine.mse_per(
+        engine.row_select(reference, np.arange(5)),
+        engine.constant(batch.features), 5.0), 1.0)
+    assert term.item() == expected.item()
+    assert backward(term)[outputs].tobytes() == backward(expected)[reference].tobytes()

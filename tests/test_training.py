@@ -404,6 +404,38 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="level"):
             train(model, data, tiny_config())
 
+    def test_dtype_mismatch_between_config_and_model(self):
+        data = self.make_data()
+        model = build_model("graph", "gin", data.feature_dim, 4, 1, 1,
+                            np.random.default_rng(0), dtype="float32")
+        with pytest.raises(ValueError, match="dtype"):
+            train(model, data, tiny_config())
+
+    def test_one_node_preset_step_stays_in_float32(self, monkeypatch):
+        graph = make_sbm_graph(40, 2, 0.3, 0.05, 5, np.random.default_rng(4))
+        cfg = preset_config("node", hidden_dim=8, epochs=1)
+        assert cfg.dtype == "float32"
+        model = build_model("node", "gcn", 5, 8, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(0),
+                            dtype=cfg.dtype)
+        seen = {}
+        real_step = Adam.step
+
+        def step(optimizer, grads):
+            real_step(optimizer, grads)
+            seen["grads"] = list(grads.values())
+            seen["moments"] = optimizer._m + optimizer._v
+
+        monkeypatch.setattr(Adam, "step", step)
+        assert train(model, graph, cfg)[0].steps == 1
+        arrays = {"grads": seen["grads"], "moments": seen["moments"],
+                  "params": [p.data for p in model.parameters()],
+                  "buffers": [b for _, b in model.named_buffers()]}
+        assert len(arrays["grads"]) == len(arrays["params"])
+        assert arrays["buffers"]
+        for kind, group in arrays.items():
+            assert {a.dtype for a in group} == {np.dtype(np.float32)}, kind
+
     def test_wrong_data_type_for_level(self):
         graph = make_sbm_graph(10, 2, 0.3, 0.1, 3, np.random.default_rng(0))
         model = build_model("graph", "gin", 3, 4, 1, 1, np.random.default_rng(0))
@@ -452,6 +484,45 @@ class TestCheckpoints:
         assert sorted(original) == sorted(restored)
         for name in original:
             np.testing.assert_array_equal(original[name], restored[name], err_msg=name)
+
+    def test_float32_round_trip_is_bit_exact(self, tmp_path):
+        model = build_model("graph", "gin", 4, 6, 2, 2, np.random.default_rng(0),
+                            dtype="float32")
+        data = make_blob_dataset(6, 2, np.random.default_rng(1), feature_dim=4)
+        train(model, data, tiny_config(epochs=1, batch_size=3, dtype="float32"))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["build"]["dtype"] == "float32"
+        loaded, _ = load_checkpoint(path)
+        assert loaded.build_spec == model.build_spec
+        original, restored = model.state_arrays(), loaded.state_arrays()
+        assert sorted(original) == sorted(restored)
+        for name in original:
+            assert restored[name].dtype == np.float32, name
+            assert restored[name].tobytes() == original[name].tobytes(), name
+
+    def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
+        model = self.build()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["build"].pop("dtype") == "float64"
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.build_spec["dtype"] == "float64"
+        for name, arr in loaded.state_arrays().items():
+            assert arr.dtype == np.float64, name
+            np.testing.assert_array_equal(arr, model.state_arrays()[name])
+
+    def test_unknown_dtype_in_build_recipe_raises(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.build(), path)
+        doc = json.loads(path.read_text())
+        doc["build"]["dtype"] = "float16"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="dtype"):
+            load_checkpoint(path)
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         model = self.build(seed=3)
