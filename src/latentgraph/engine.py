@@ -187,6 +187,12 @@ def constant(data):
     return Value(data, op="const")
 
 
+def _recording():
+    """Whether ops record parents and backward closures (false under
+    :func:`no_grad`)."""
+    return _RECORDING
+
+
 def _accumulate(node, g):
     if node.op == "const":
         return
@@ -290,14 +296,25 @@ def scale(a, c):
     return Value(a.data * c, parents=(a,), backward=_back, op="scale")
 
 
+def _rectify(x, out=None):
+    """max(0, x), written to ``out`` when given (``out=x`` works in place).
+    A zero comes out as +0.0 whatever its sign, and a NaN stays NaN."""
+    out = np.maximum(x, 0.0, out=out)
+    out += 0.0  # -0.0 + 0.0 is +0.0
+    return out
+
+
 def relu(a):
-    """Elementwise max(0, x); the derivative at exactly 0 is taken as 0."""
+    """Elementwise max(0, x); the derivative at exactly 0 is taken as 0.
+
+    A NaN input gives a NaN output, so it reaches the loss.
+    """
     mask = a.data > 0.0
 
     def _back(g):
         _accumulate(a, g * mask)
 
-    return Value(np.where(mask, a.data, 0.0), parents=(a,), backward=_back, op="relu")
+    return Value(_rectify(a.data), parents=(a,), backward=_back, op="relu")
 
 
 def row_select(h, indices):

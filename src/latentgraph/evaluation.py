@@ -44,6 +44,8 @@ def extract_graph_repr(dataset, encoder, batch_size=256):
             layers = encoder.encode(batch, training=False)
             pooled = [readout_sum(h, batch).data for h in layers]
         chunks.append(np.hstack(pooled))
+        # free this chunk's batch and layer outputs before the next forward
+        del batch, layers, pooled
     return np.vstack(chunks)
 
 

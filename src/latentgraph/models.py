@@ -5,9 +5,10 @@ gradients flow through the same DAG as every other operation. A layer
 releases (:func:`engine.release`) each intermediate that never leaves its
 ``__call__`` as soon as the next op has consumed it, so only the arrays that
 backward closures captured stay alive until backward. Batch
-normalization is the one custom node: its forward uses batch statistics in
-training mode and running statistics in eval mode, and its backward is the
-closed-form expression obtained by differentiating through mean and variance.
+normalization is the one custom node, fused with the relu after it: its
+forward uses batch statistics in training mode and running statistics in
+eval mode and works in place, and its backward is the closed-form expression
+obtained by differentiating through the relu, mean and variance.
 
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
@@ -20,7 +21,8 @@ import functools
 
 import numpy as np
 
-from .engine import Value, _accumulate, add, add_row, constant, matmul, relu, release, spmm
+from .engine import (Value, _accumulate, _recording, _rectify, add, add_row, constant,
+                     matmul, relu, release, spmm)
 
 __all__ = [
     "xavier_init",
@@ -52,60 +54,91 @@ def xavier_init(rows, cols, rng):
     return rng.uniform(-a, a, size=(rows, cols))
 
 
+# Rows per block of batch norm's backward: its temporaries span this many
+# rows, whatever the batch size.
+_BN_BLOCK_ROWS = 512
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
                momentum=0.9, eps=1e-5):
-    """Column-wise batch normalization with affine scale and shift.
+    """Column-wise batch normalization with affine scale and shift, followed
+    by relu: ``relu(gamma * xhat + beta)`` as one op.
 
     Training mode normalizes with the batch mean and biased batch variance and
     folds them into the running stats in place; eval mode normalizes with the
     running stats only. ``gamma`` and ``beta`` are 1 x q Values.
+
+    The forward makes one centred copy of ``x``, which becomes ``xhat`` in
+    place, and one output array, which first serves as the variance's
+    scratch; in eval mode under :func:`engine.no_grad` the copy is the
+    output. The backward keeps ``xhat`` and 1 x q rows only: it recomputes
+    the relu mask from them with the forward's own float ops, and allocates
+    the input gradient plus temporaries of ``_BN_BLOCK_ROWS`` rows.
     """
+    data, gamma_data, beta_data = x.data, gamma.data, beta.data
+    n = data.shape[0]
+    mu = data.mean(axis=0, keepdims=True) if training else running_mean
+    xhat = data - mu
+    dtype = np.result_type(xhat, gamma_data, beta_data)
+    if training or _recording() or xhat.dtype != dtype:
+        out = np.empty(xhat.shape, dtype)
+    else:
+        out = xhat  # no backward will read xhat
     if training:
-        mu = x.data.mean(axis=0, keepdims=True)
-        var = x.data.var(axis=0, keepdims=True)
+        # np.var's steps on the centred copy, so the same bits
+        var = np.square(xhat, out=out).sum(axis=0, keepdims=True)
+        var /= n
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mu = running_mean
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    n = x.data.shape[0]
-    gamma_data = gamma.data
+    xhat *= inv
+    np.multiply(xhat, gamma_data, out=out)
+    out += beta_data
+    _rectify(out, out=out)
 
     def _back(g):
-        _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
-        _accumulate(beta, g.sum(axis=0, keepdims=True))
-        dxhat = g * gamma_data
+        blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
+        dx = np.empty(xhat.shape, np.result_type(g, dtype))
+        dgamma = np.zeros((1, dx.shape[1]), dx.dtype)
+        dbeta = np.zeros_like(dgamma)
+        scale = gamma_data * inv
+        for rows in blocks:
+            xb = xhat[rows]
+            # the forward's float ops, so the forward's relu mask
+            pre = np.multiply(xb, gamma_data)
+            pre += beta_data
+            gb = np.multiply(g[rows], pre > 0.0, out=dx[rows])
+            dbeta += gb.sum(axis=0, keepdims=True)
+            dgamma += (gb * xb).sum(axis=0, keepdims=True)
+            if not training:
+                gb *= scale
         if training:
-            # dx = (inv / n) * (n * dxhat - s1 - xhat * s2), built in place
-            s1 = dxhat.sum(axis=0, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=0, keepdims=True)
-            dx = dxhat
-            dx *= n
-            dx -= s1
-            dx -= xhat * s2
-            dx *= inv / n
-        else:
-            dx = dxhat * inv
+            # dx = gamma * inv * (gb - mean(gb) - xhat * mean(gb * xhat))
+            mean_g, mean_gx = dbeta / n, dgamma / n
+            for rows in blocks:
+                gb = dx[rows]
+                gb -= mean_g
+                gb -= xhat[rows] * mean_gx
+                gb *= scale
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
         _accumulate(x, dx)
 
-    return Value(gamma_data * xhat + beta.data, parents=(x, gamma, beta),
-                 backward=_back, op="batch_norm")
+    return Value(out, parents=(x, gamma, beta), backward=_back, op="batch_norm")
 
 
 def _chain(x, *stages):
-    """Apply the non-None ``stages`` to ``x`` in order; return the last result.
+    """Apply the ``stages`` to ``x`` in order; return the last result.
 
     Every Value made in between is private to the chain, so it is released
     as soon as the next stage has consumed it. ``x`` itself is not released.
     """
     out = x
     for stage in stages:
-        if stage is None:
-            continue
         y = stage(out)
         if out is not x:
             release(out)
@@ -113,9 +146,10 @@ def _chain(x, *stages):
     return out
 
 
-def _norm_stage(bn, training):
-    """The batch-norm stage of a layer's chain; None for a layer without one."""
-    return None if bn is None else functools.partial(bn, training=training)
+def _activation(bn, training):
+    """The normalise-and-rectify stage of a layer's chain: the fused batch
+    norm and relu, or relu alone for a layer without batch norm."""
+    return relu if bn is None else functools.partial(bn, training=training)
 
 
 class BatchNorm:
@@ -128,6 +162,7 @@ class BatchNorm:
         self.eps = eps
 
     def __call__(self, x, training):
+        """relu(batch norm of ``x``): see :func:`batch_norm`."""
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
                           self.running_var, training, self.momentum, self.eps)
 
@@ -165,7 +200,8 @@ class Linear:
 
 
 class GCNLayer:
-    """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency."""
+    """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency, with
+    the batch norm and relu as one fused op."""
 
     def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
         self.lin = Linear(in_dim, out_dim, rng, dtype)
@@ -173,7 +209,7 @@ class GCNLayer:
 
     def __call__(self, adjacency, h, training):
         return _chain(h, self.lin, functools.partial(spmm, adjacency),
-                      _norm_stage(self.bn, training), relu)
+                      _activation(self.bn, training))
 
     def named_parameters(self, prefix):
         out = self.lin.named_parameters(f"{prefix}.lin")
@@ -188,7 +224,8 @@ class GCNLayer:
 class GINLayer:
     """Two-layer MLP on (1 + 0) h + A h, sum aggregation over raw adjacency.
 
-    Each linear map is followed by batch normalization (when enabled) and relu.
+    Each linear map is followed by the fused batch normalization and relu
+    (relu alone when batch normalization is disabled).
     """
 
     def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
@@ -200,8 +237,8 @@ class GINLayer:
     def __call__(self, adjacency, h, training):
         return _chain(h, functools.partial(spmm, adjacency),
                       functools.partial(add, h),
-                      self.lin1, _norm_stage(self.bn1, training), relu,
-                      self.lin2, _norm_stage(self.bn2, training), relu)
+                      self.lin1, _activation(self.bn1, training),
+                      self.lin2, _activation(self.bn2, training))
 
     def named_parameters(self, prefix):
         out = self.lin1.named_parameters(f"{prefix}.lin1")
@@ -282,7 +319,8 @@ class Decoder:
     """Node-wise MLP head by default; optionally a graph-convolutional head.
 
     The MLP variant is row-local: output row v depends on input row v only.
-    Hidden layers are linear (+ batch norm) + relu; the final layer is linear.
+    Hidden layers are linear + fused batch norm and relu (relu alone without
+    batch norm); the final layer is linear.
     The graph-convolutional head uses the adjacency in its input's dtype.
     """
 
@@ -315,7 +353,7 @@ class Decoder:
             if adjacency is not None:
                 stages.append(functools.partial(spmm, adjacency))
             if i < last:
-                stages += [_norm_stage(self.bns[i], training), relu]
+                stages.append(_activation(self.bns[i], training))
         return _chain(h, *stages)
 
     def named_parameters(self, prefix="decoder"):

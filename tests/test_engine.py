@@ -67,6 +67,22 @@ class TestForwardOracles:
         x = Value([[-1.0, 0.0, 2.0]])
         np.testing.assert_array_equal(relu(x).data, [[0.0, 0.0, 2.0]])
 
+    def test_relu_zeros_are_positive_and_nan_propagates(self):
+        # a NaN input stays NaN, so it reaches the non-finite-loss check
+        out = relu(Value([[-0.0, 0.0, -1.0, np.nan, 2.0]])).data
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0, np.nan, 2.0]])
+        assert not np.signbit(out[0, :3]).any()
+        assert np.isnan(sum_squares(relu(Value([[np.nan, 1.0]]))).item())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_finite_forward_is_bitwise_the_masked_select(self, dtype):
+        x = np.random.default_rng(5).normal(size=(50, 8)).astype(dtype)
+        x[0, :4] = [0.0, -0.0, 1e-300, -1e-300]
+        ref = np.where(x > 0.0, x, 0.0)
+        out = relu(Value(x)).data
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
     def test_hadamard_with_ones_is_identity(self):
         rng = np.random.default_rng(0)
         x = rand_value(rng, 3, 4)

@@ -350,6 +350,29 @@ class TestNoGradExtraction:
         assert reprs.shape == (512, 96)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_a_chunk_is_freed_before_the_next_forward(self):
+        # the same 64 graphs as one chunk and as two: the second chunk's
+        # forward may not run while the first one's batch and layer outputs
+        # are alive, so only the larger output separates the peaks
+        data = make_blob_dataset(64, 2, np.random.default_rng(0))
+        model = build_model("graph", "gin", data.feature_dim, 32, 3, 2,
+                            np.random.default_rng(1))
+
+        def peak(graphs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                reprs = extract_graph_repr(graphs, model.encoder, batch_size=64)
+                return tracemalloc.get_traced_memory()[1] - base, reprs
+            finally:
+                tracemalloc.stop()
+
+        one, _ = peak(data.graphs)
+        two, reprs = peak(data.graphs + data.graphs)
+        assert reprs.shape == (128, 96)
+        assert two <= one + reprs.nbytes + 64 * 2**10, (
+            f"two chunks {two / 2**10:.0f} KiB, one {one / 2**10:.0f} KiB")
+
 
 class TestNodeSplitEvaluation:
     def test_perfect_representations_score_one(self):

@@ -1,11 +1,13 @@
 """Layer semantics, initialization statistics, equivariance properties, and
 gradient checks through full encoder/decoder stacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latentgraph import engine, models
-from latentgraph.engine import SparseMatrix, Value, grad_check, mse_per
+from latentgraph.engine import SparseMatrix, Value, grad_check, mse_per, relu
 from latentgraph.graphs import Graph, batch_graphs
 from latentgraph.models import (
     BatchNorm,
@@ -79,12 +81,16 @@ class TestXavierInit:
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self):
+        # the relu after the normalisation passes everything once beta
+        # lifts every unit above 0, so out - beta is the standardised batch
         rng = np.random.default_rng(2)
         bn = BatchNorm(4)
+        bn.beta.data[:] = 10.0
         x = Value(rng.normal(3.0, 2.0, size=(50, 4)))
         out = bn(x, training=True)
-        np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-3)
+        assert (out.data > 0.0).all()
+        np.testing.assert_allclose((out.data - 10.0).mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose((out.data - 10.0).var(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_blend(self):
         bn = BatchNorm(2, momentum=0.9)
@@ -98,7 +104,7 @@ class TestBatchNorm:
         bn = BatchNorm(3)
         bn.set_identity_stats()
         x = Value(rng.normal(size=(6, 3)))
-        np.testing.assert_array_equal(bn(x, training=False).data, x.data)
+        np.testing.assert_array_equal(bn(x, training=False).data, relu(x).data)
 
     def test_eval_mode_does_not_touch_running_stats(self):
         rng = np.random.default_rng(4)
@@ -137,6 +143,110 @@ class TestBatchNorm:
             [x, bn.gamma, bn.beta], step=1e-3, tol=1e-4,
         )
         assert report.ok, f"max rel err {report.max_rel_err:.3e}"
+
+
+def unfused_bn_relu(x, gamma, beta, running_mean, running_var, training,
+                    momentum=0.9, eps=1e-5):
+    """Reference: batch norm, then relu, as two separate steps in numpy."""
+    if training:
+        mu = x.mean(axis=0, keepdims=True)
+        var = x.var(axis=0, keepdims=True)
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mu
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
+    else:
+        mu, var = running_mean, running_var
+    pre = gamma * ((x - mu) * (1.0 / np.sqrt(var + eps))) + beta
+    return np.where(pre > 0.0, pre, 0.0)
+
+
+class TestFusedBatchNorm:
+    """``batch_norm`` is relu(gamma * xhat + beta) in one op."""
+
+    def test_bitwise_the_unfused_reference(self):
+        rng = np.random.default_rng(60)
+        bn = BatchNorm(7)
+        bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 7))
+        bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 7))
+        stats = bn.running_mean.copy(), bn.running_var.copy()
+        gamma, beta = bn.gamma.data.copy(), bn.beta.data.copy()
+        for training in (True, True, False):
+            x = rng.normal(1.0, 2.0, size=(300, 7))
+            out = bn(Value(x), training=training).data
+            ref = unfused_bn_relu(x, gamma, beta, *stats, training=training)
+            assert 0.0 < (ref > 0.0).mean() < 1.0
+            assert out.tobytes() == ref.tobytes()
+            assert bn.running_mean.tobytes() == stats[0].tobytes()
+            assert bn.running_var.tobytes() == stats[1].tobytes()
+
+    def test_rectifies_like_relu(self):
+        # a -0.0 pre-activation comes out as +0.0 and a NaN stays NaN
+        bn = BatchNorm(5)
+        bn.set_identity_stats()
+        bn.beta.data[:] = -0.0
+        x = Value([[-0.0, 0.0, -1.0, np.nan, 2.0]])
+        out = bn(x, training=False).data
+        np.testing.assert_array_equal(out, relu(x).data)
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0, np.nan, 2.0]])
+        assert not np.signbit(out[0, :3]).any()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradcheck_active_and_inactive_units(self, training):
+        rng = np.random.default_rng(86)
+        bn = BatchNorm(4)
+        bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 4))
+        bn.beta.data = np.array([[-0.4, -0.1, 0.1, 0.4]])
+        running = rng.normal(size=(1, 4)), rng.uniform(0.5, 2.0, size=(1, 4))
+        x = Value(rng.uniform(-2, 2, size=(10, 4)))
+        target = rng.uniform(-2, 2, size=(10, 4))
+
+        def f():
+            # reset the running stats so repeated forward passes are identical
+            bn.running_mean[:], bn.running_var[:] = running
+            return mse_per(bn(x, training=training), Value(target), 10.0)
+
+        # both kinds of unit, none within a step's reach of the kink
+        mu, var = (x.data.mean(axis=0), x.data.var(axis=0)) if training else running
+        pre = bn.gamma.data * (x.data - mu) / np.sqrt(var + bn.eps) + bn.beta.data
+        assert (pre > 0.05).any() and (pre < -0.05).any()
+        assert np.abs(pre).min() > 0.05
+        report = grad_check(f, [x, bn.gamma, bn.beta], step=1e-3, tol=1e-4)
+        assert report.ok, f"max rel err {report.max_rel_err:.3e}"
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_allocates_one_array(self, training):
+        # the input gradient plus row-block temporaries; the unfused batch
+        # norm held two 4000 x 64 arrays besides the incoming gradient
+        rng = np.random.default_rng(62)
+        bn = BatchNorm(64, dtype=np.float32)
+        x = Value(rng.normal(size=(4000, 64)).astype(np.float32))
+        g = rng.normal(size=(4000, 64)).astype(np.float32)
+        out = bn(x, training=training)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == g.shape
+        assert peak < 1.5 * g.nbytes, f"peak {peak / g.nbytes:.2f} arrays"
+
+    def test_eval_forward_under_no_grad_allocates_one_array(self):
+        rng = np.random.default_rng(63)
+        bn = BatchNorm(64, dtype=np.float32)
+        x = Value(rng.normal(size=(4000, 64)).astype(np.float32))
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = bn(x, training=False)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert out.data.shape == x.data.shape
+        assert peak < 1.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} arrays"
 
 
 class TestGCNLayer:
