@@ -10,11 +10,14 @@ persistent tape), and only leaf gradients survive it.
 
 An op's backward closure captures, when the forward runs, every array and
 shape it will read (its inputs' data, masks, normalized activations); it never
-reads a parent's ``.data`` during backward. So backward needs no node's data,
-and :func:`release` may drop an interior Value's data once no later forward op
-reads it: the array then stays alive only if some closure captured it.
-Releasing can never change a gradient; a released Value is unusable as the
-input of a later op.
+reads a parent's ``.data`` during backward. The one exception is an operand
+that can be recomputed: a Value whose ``_recompute`` closure returns its data
+again, bit for bit, from arrays some closure keeps anyway. :func:`matmul`
+captures that closure in place of such a left operand's data and calls it
+during backward. So backward needs no node's data, and :func:`release` may
+drop an interior Value's data once no later forward op reads it: the array
+then stays alive only if some closure captured it. Releasing can never change
+a gradient; a released Value is unusable as the input of a later op.
 
 Inside ``with no_grad():`` ops record nothing: each result is a parentless
 Value, so an intermediate array is freed as soon as the next op has consumed
@@ -150,14 +153,21 @@ class Value:
     it. Once they have run, :func:`release` may set it to ``None``; the node
     then still takes part in backward, but must not be the input of any
     further op. Leaves keep their data.
+
+    ``_recompute`` is ``None``, or, on a recorded node whose data can be
+    rebuilt cheaply, a closure that returns that data again, bit for bit
+    (the fused batch norm sets it). :func:`matmul` captures it instead of
+    the data, so the data need not live until backward.
     """
 
-    __slots__ = ("data", "grad", "op", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "op", "_parents", "_backward", "_recompute",
+                 "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, op="leaf"):
         self.data = _as_matrix(data)
         self.grad = None
         self.op = op
+        self._recompute = None
         if _RECORDING:
             self._parents = tuple(parents)
             self._backward = backward
@@ -207,20 +217,24 @@ def _check_same_shape(a, b, opname):
 def matmul(a, b):
     """Matrix product a @ b with gradients g @ b.T and a.T @ g.
 
-    The gradient of a :func:`constant` operand is never computed.
+    The gradient of a :func:`constant` operand is never computed. A left
+    operand with a ``_recompute`` closure is not held: the backward calls
+    the closure for ``a.T @ g``.
     """
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims disagree {a.data.shape} vs {b.data.shape}")
 
-    a_data, b_data = a.data, b.data
+    b_data, recompute = b.data, a._recompute
+    a_data = a.data if recompute is None else None
 
     def _back(g):
         if a.op != "const":
             _accumulate(a, _mm(g, b_data.T))
         if b.op != "const":
-            _accumulate(b, _mm(a_data.T, g))
+            left = a_data if recompute is None else recompute()
+            _accumulate(b, _mm(left.T, g))
 
-    return Value(_mm(a_data, b_data), parents=(a, b), backward=_back, op="matmul")
+    return Value(_mm(a.data, b_data), parents=(a, b), backward=_back, op="matmul")
 
 
 def spmm(s, d):
@@ -447,9 +461,10 @@ def backward(loss, retain_graph=False):
     Returns a dict mapping each reachable leaf Value to the gradient of this
     loss alone, which is also left in the leaf's ``.grad``; a gradient from an
     earlier call is replaced, never added to. Unless ``retain_graph`` is set,
-    each interior node's gradient, parents and backward closure are dropped as
-    soon as its closure has run, so the DAG is freed during the walk and a
-    second backward needs a fresh forward pass. With ``retain_graph`` interior
+    each interior node's gradient, parents, backward closure and recompute
+    closure are dropped as soon as its backward closure has run, so the DAG
+    is freed during the walk and a second backward needs a fresh forward
+    pass. With ``retain_graph`` interior
     gradients are kept and returned as well, and a second backward over the
     same graph returns the same gradients.
 
@@ -481,6 +496,7 @@ def backward(loss, retain_graph=False):
             node.grad = None
             node._parents = ()
             node._backward = None
+            node._recompute = None
     return grads
 
 

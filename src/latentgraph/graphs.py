@@ -138,15 +138,21 @@ class GraphBatch:
         )
         self.features = np.vstack([g.features for g in graphs])
         self._normalized = None
+        self._normalized_casts = {}
         self._pool = None
 
     def node_range(self, i):
         return int(self.offsets[i]), int(self.offsets[i + 1])
 
-    def normalized_adjacency(self):
+    def normalized_adjacency(self, dtype=np.float64):
+        """``normalize_adjacency(block_adjacency)`` with its values in
+        ``dtype``. The normalisation and each cast of it are made once."""
         if self._normalized is None:
             self._normalized = normalize_adjacency(self.block_adjacency)
-        return self._normalized
+        dtype = np.dtype(dtype)
+        if dtype not in self._normalized_casts:
+            self._normalized_casts[dtype] = self._normalized.astype(dtype)
+        return self._normalized_casts[dtype]
 
     def pool_matrix(self):
         """num_graphs x total_nodes indicator; spmm with it sum-pools rows."""

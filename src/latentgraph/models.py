@@ -8,7 +8,9 @@ backward closures captured stay alive until backward. Batch
 normalization is the one custom node, fused with the relu after it: its
 forward uses batch statistics in training mode and running statistics in
 eval mode and works in place, and its backward is the closed-form expression
-obtained by differentiating through the relu, mean and variance.
+obtained by differentiating through the relu, mean and variance. Its output
+is rebuilt from what that backward keeps when a later matmul needs it, so
+a layer with batch norm holds no output until backward.
 
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
@@ -59,8 +61,16 @@ def xavier_init(rows, cols, rng):
 _BN_BLOCK_ROWS = 512
 
 
+def _affine_relu(xhat, gamma, beta, out):
+    """``relu(xhat * gamma + beta)`` written to ``out``: the fused batch
+    norm's output, by the same float ops in its forward and its recompute."""
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return _rectify(out, out=out)
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.9, eps=1e-5):
+               momentum=0.9, eps=1e-5, overwrite_x=False):
     """Column-wise batch normalization with affine scale and shift, followed
     by relu: ``relu(gamma * xhat + beta)`` as one op.
 
@@ -71,14 +81,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     The forward makes one centred copy of ``x``, which becomes ``xhat`` in
     place, and one output array, which first serves as the variance's
     scratch; in eval mode under :func:`engine.no_grad` the copy is the
-    output. The backward keeps ``xhat`` and 1 x q rows only: it recomputes
+    output. With ``overwrite_x`` the centring happens in ``x.data`` itself,
+    so no copy is made: only for an ``x`` that nothing reads afterwards.
+    The backward keeps ``xhat`` and 1 x q rows only: it recomputes
     the relu mask from them with the forward's own float ops, and allocates
-    the input gradient plus temporaries of ``_BN_BLOCK_ROWS`` rows.
+    the input gradient plus temporaries of ``_BN_BLOCK_ROWS`` rows. The
+    output is not kept for backward either: its ``_recompute`` closure
+    rebuilds it from ``xhat`` with the same ops, for a :func:`engine.matmul`
+    that reads it.
     """
     data, gamma_data, beta_data = x.data, gamma.data, beta.data
     n = data.shape[0]
     mu = data.mean(axis=0, keepdims=True) if training else running_mean
-    xhat = data - mu
+    in_place = overwrite_x and np.result_type(data, mu) == data.dtype
+    xhat = np.subtract(data, mu, out=data if in_place else None)
     dtype = np.result_type(xhat, gamma_data, beta_data)
     if training or _recording() or xhat.dtype != dtype:
         out = np.empty(xhat.shape, dtype)
@@ -96,9 +112,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gamma_data, out=out)
-    out += beta_data
-    _rectify(out, out=out)
+    _affine_relu(xhat, gamma_data, beta_data, out)
 
     def _back(g):
         blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
@@ -128,14 +142,19 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         _accumulate(beta, dbeta)
         _accumulate(x, dx)
 
-    return Value(out, parents=(x, gamma, beta), backward=_back, op="batch_norm")
+    y = Value(out, parents=(x, gamma, beta), backward=_back, op="batch_norm")
+    if _recording():
+        y._recompute = lambda: _affine_relu(xhat, gamma_data, beta_data,
+                                            np.empty(xhat.shape, dtype))
+    return y
 
 
 def _chain(x, *stages):
     """Apply the ``stages`` to ``x`` in order; return the last result.
 
     Every Value made in between is private to the chain, so it is released
-    as soon as the next stage has consumed it. ``x`` itself is not released.
+    as soon as the next stage has consumed it, and a stage may overwrite it.
+    ``x`` itself is neither released nor overwritten.
     """
     out = x
     for stage in stages:
@@ -148,8 +167,13 @@ def _chain(x, *stages):
 
 def _activation(bn, training):
     """The normalise-and-rectify stage of a layer's chain: the fused batch
-    norm and relu, or relu alone for a layer without batch norm."""
-    return relu if bn is None else functools.partial(bn, training=training)
+    norm and relu, or relu alone for a layer without batch norm.
+
+    It never comes first in a chain, so its input is always a private
+    intermediate, which the batch norm centres in place."""
+    if bn is None:
+        return relu
+    return functools.partial(bn, training=training, overwrite_x=True)
 
 
 class BatchNorm:
@@ -161,10 +185,11 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x, training):
+    def __call__(self, x, training, overwrite_x=False):
         """relu(batch norm of ``x``): see :func:`batch_norm`."""
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, training, self.momentum, self.eps)
+                          self.running_var, training, self.momentum, self.eps,
+                          overwrite_x=overwrite_x)
 
     def set_identity_stats(self):
         """Make eval mode an exact no-op given unit gamma and zero beta."""
@@ -282,7 +307,7 @@ class Encoder:
 
     def adjacency_for(self, batch):
         if self.kind == "gcn":
-            return batch.normalized_adjacency().astype(self.dtype)
+            return batch.normalized_adjacency(self.dtype)
         return batch.block_adjacency.astype(self.dtype)
 
     def encode(self, batch, training, features=None):
@@ -345,7 +370,7 @@ class Decoder:
         if self.kind == "gcn":
             if batch is None:
                 raise ValueError("gcn decoder needs the graph batch")
-            adjacency = batch.normalized_adjacency().astype(h.data.dtype)
+            adjacency = batch.normalized_adjacency(h.data.dtype)
         stages = []
         last = len(self.linears) - 1
         for i, lin in enumerate(self.linears):

@@ -155,29 +155,18 @@ def _reconstruction_term(outputs, batch, variant):
     return scale(total, 1.0 / batch.num_graphs)
 
 
-def _invariance_term(variant, level, clean_layers, corrupt_layers, clean_out,
-                     corrupt_out, batch, indices, eps):
-    """Root-mean-square disagreement between the clean and corrupted passes.
+def _view(variant, level, layers, out, batch, indices):
+    """What one pass contributes to the invariance term.
 
-    Embedding variants compare last-layer node embeddings at the corrupted
-    rows (node level) or pooled readouts (graph level); output variants
-    compare decoder outputs at the corrupted rows, by squared error or by KL
-    divergence between softmaxed rows.
+    Output variants take the decoder outputs at the corrupted rows; embedding
+    variants take the last-layer node embeddings at the corrupted rows (node
+    level) or their pooled readouts (graph level).
     """
-    denom = float(len(indices))
-    if variant == "ce-output":
-        raw = kl_div(row_select(clean_out, indices), row_select(corrupt_out, indices))
-    elif variant == "mse-output":
-        raw = mse_per(row_select(clean_out, indices),
-                      row_select(corrupt_out, indices), denom)
-    elif level == "node":
-        raw = mse_per(row_select(clean_layers[-1], indices),
-                      row_select(corrupt_layers[-1], indices), denom)
-    else:
-        z_clean = readout_sum(clean_layers[-1], batch)
-        z_corrupt = readout_sum(corrupt_layers[-1], batch)
-        raw = mse_per(z_clean, z_corrupt, denom)
-    return sqrt_eps(raw, eps)
+    if variant.endswith("-output"):
+        return row_select(out, indices)
+    if level == "node":
+        return row_select(layers[-1], indices)
+    return readout_sum(layers[-1], batch)
 
 
 def objective(model, batch, spec, rng, alpha, variant="mse-embed",
@@ -186,6 +175,10 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
 
     Draws a fresh mask from `rng`, runs the clean and corrupted passes, and
     returns a LossBreakdown whose `total` is ready for `engine.backward`.
+
+    The passes run one after the other: the clean pass is scored and
+    released before the corrupted pass starts, so the two never hold their
+    layer outputs at the same time.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -195,23 +188,31 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
     indices, noise = sample_batch_mask(batch, spec, rng)
     corrupted = apply_mask(batch.features, indices, noise, spec.mode)
 
-    clean_layers = model.encoder.encode(batch, training)
-    corrupt_layers = model.encoder.encode(batch, training, features=corrupted)
-    clean_out = model.decoder(clean_layers[-1], batch=batch, training=training)
-
-    needs_corrupt_out = variant in ("mse-output", "ce-output")
-    corrupt_out = None
-    if needs_corrupt_out:
-        corrupt_out = model.decoder(corrupt_layers[-1], batch=batch, training=training)
-
+    # every array backward reads is captured by the time a pass's view is
+    # taken, so its layer outputs and decoder output are released then
+    layers = model.encoder.encode(batch, training)
+    clean_out = model.decoder(layers[-1], batch=batch, training=training)
     recon = _reconstruction_term(clean_out, batch, variant)
-    inv = _invariance_term(variant, model.level, clean_layers, corrupt_layers,
-                           clean_out, corrupt_out, batch, indices, eps)
+    clean_view = _view(variant, model.level, layers, clean_out, batch, indices)
+    engine.release(*layers, clean_out)
+
+    layers = model.encoder.encode(batch, training, features=corrupted)
+    corrupt_out = None
+    if variant.endswith("-output"):
+        corrupt_out = model.decoder(layers[-1], batch=batch, training=training)
+    corrupt_view = _view(variant, model.level, layers, corrupt_out, batch, indices)
+    engine.release(*layers)
+    if corrupt_out is not None:
+        engine.release(corrupt_out)
+
+    # the invariance term: the root of the views' mean squared difference,
+    # or for "ce-output" of the KL divergence between their softmaxed rows
+    if variant == "ce-output":
+        raw = kl_div(clean_view, corrupt_view)
+    else:
+        raw = mse_per(clean_view, corrupt_view, float(len(indices)))
+    inv = sqrt_eps(raw, eps)
     total = engine.add(recon, scale(inv, float(alpha)))
-    # every array backward reads is captured by now; the layer outputs
-    # themselves need not live until backward
-    engine.release(*clean_layers, *corrupt_layers, clean_out,
-                   *([] if corrupt_out is None else [corrupt_out]))
     return LossBreakdown(
         total=total,
         reconstruction=recon.data.item(),

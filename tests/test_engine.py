@@ -894,6 +894,49 @@ class TestRelease:
                     np.testing.assert_array_equal(kept, released, err_msg=op)
 
 
+class TestRecompute:
+    """A matmul holds a left operand's ``_recompute`` closure, not its data."""
+
+    @staticmethod
+    def product(dtype, recomputable, calls):
+        rng = np.random.default_rng(42)
+        x = Value(rng.uniform(-2.0, 2.0, size=(9, 4)).astype(dtype))
+        w = Value(rng.uniform(-2.0, 2.0, size=(4, 3)).astype(dtype))
+        a = scale(x, 0.75)
+        if recomputable:
+            def again():
+                calls.append(1)
+                return x.data * 0.75
+            a._recompute = again
+        out = matmul(a, w)
+        data = weakref.ref(a.data)
+        release(a)
+        gc.collect()
+        held = data() is not None
+        g = backward(sum_squares(out))
+        return held, [out.data, g[x], g[w]]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_the_stored_operand(self, dtype, strict, monkeypatch):
+        monkeypatch.setattr(engine, "_STRICT", strict)
+        calls = []
+        held, stored = self.product(dtype, False, calls)
+        assert held and calls == []
+        held, recomputed = self.product(dtype, True, calls)
+        assert not held and calls == [1]
+        for a, b in zip(stored, recomputed):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_backward_drops_the_closure(self):
+        x, w = Value(np.ones((2, 2))), Value(np.ones((2, 2)))
+        a = scale(x, 2.0)
+        a._recompute = lambda: x.data * 2.0
+        backward(sum_squares(matmul(a, w)))
+        assert a._recompute is None
+
+
 
 def _dtype_cases():
     """Per op: a builder taking (leaf maker, dtype) that returns the op's

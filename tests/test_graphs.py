@@ -265,6 +265,17 @@ class TestBatching:
         pooled = batch.pool_matrix().matmat(batch.features)
         np.testing.assert_array_equal(pooled, [[4.0, 6.0], [5.0, 6.0]])
 
+    def test_normalized_adjacency_is_cast_once_per_dtype(self):
+        rng = np.random.default_rng(4)
+        batch = batch_graphs([make_sbm_graph(30, 2, 0.3, 0.05, 3, rng)])
+        full = batch.normalized_adjacency()
+        assert batch.normalized_adjacency(np.float64) is full
+        single = batch.normalized_adjacency(np.float32)
+        assert batch.normalized_adjacency("float32") is single
+        assert single.data.dtype == np.float32
+        assert single.data.tobytes() == full.data.astype(np.float32).tobytes()
+        assert single.indptr is full.indptr and single.indices is full.indices
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             batch_graphs([])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latentgraph import engine, models
-from latentgraph.engine import SparseMatrix, Value, grad_check, mse_per, relu
+from latentgraph.engine import SparseMatrix, Value, grad_check, matmul, mse_per, relu
 from latentgraph.graphs import Graph, batch_graphs
 from latentgraph.models import (
     BatchNorm,
@@ -247,6 +247,56 @@ class TestFusedBatchNorm:
                 tracemalloc.stop()
         assert out.data.shape == x.data.shape
         assert peak < 1.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} arrays"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_matmul_recomputes_the_output_bitwise(self, training, dtype, strict,
+                                                    monkeypatch):
+        # the output is rebuilt from xhat for W's gradient, not held; the
+        # forward and every gradient are bitwise those of holding it
+        monkeypatch.setattr(engine, "_STRICT", strict)
+
+        def run(recompute):
+            rng = np.random.default_rng(64)
+            bn = BatchNorm(6, dtype=dtype)
+            bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 6)).astype(dtype)
+            x = Value(rng.normal(size=(40, 6)).astype(dtype))
+            w = Value(rng.normal(size=(6, 3)).astype(dtype))
+            y = bn(x, training=training)
+            assert y._recompute().tobytes() == y.data.tobytes()
+            if not recompute:
+                y._recompute = None
+            out = matmul(y, w)
+            engine.release(y)
+            grads = engine.backward(mse_per(out, Value(np.zeros((40, 3), dtype)), 40.0))
+            return [out.data] + [grads[v] for v in (x, bn.gamma, bn.beta, w)]
+
+        for held, recomputed in zip(run(False), run(True)):
+            assert held.dtype == recomputed.dtype == dtype
+            assert held.tobytes() == recomputed.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_callers_input_is_never_overwritten(self, training):
+        rng = np.random.default_rng(65)
+        x = Value(rng.normal(size=(30, 5)))
+        before = x.data.tobytes()
+        BatchNorm(5)(x, training=training)
+        with engine.no_grad():
+            BatchNorm(5)(x, training=training)
+        assert x.data.tobytes() == before
+
+    def test_overwrite_x_centres_the_input_in_place(self):
+        rng = np.random.default_rng(66)
+        bn = BatchNorm(5, dtype=np.float32)
+        x = Value(rng.normal(size=(30, 5)).astype(np.float32))
+        with engine.no_grad():
+            # the centred input is the eval output: no array is made
+            assert bn(x, training=False, overwrite_x=True).data is x.data
+        # an input that float64 statistics promote is centred into a copy
+        before = x.data.tobytes()
+        out = BatchNorm(5)(x, training=False, overwrite_x=True)
+        assert out.data.dtype == np.float64 and x.data.tobytes() == before
 
 
 class TestGCNLayer:
@@ -517,6 +567,24 @@ class TestReleasedIntermediates:
         grads = engine.backward(mse_per(out, Value(np.ones(out.shape)), 7.0))
         params = [v for _, v in layer.named_parameters("layer")]
         return released, [grads[p] for p in params + [h]]
+
+    @pytest.mark.parametrize("kind", sorted(LAYERS))
+    def test_in_place_centring_is_bitwise_the_copy(self, kind, monkeypatch):
+        # a layer's batch norm centres its private input in place; the
+        # gradients are bitwise those of centring a copy
+        _, in_place = self.grads(kind, True)
+        batch_norm = models.batch_norm
+        calls = []
+
+        def copying(*args, overwrite_x, **kwargs):
+            calls.append(overwrite_x)
+            return batch_norm(*args, **kwargs)
+
+        monkeypatch.setattr(models, "batch_norm", copying)
+        _, copied = self.grads(kind, True)
+        assert calls and all(calls)
+        for a, b in zip(in_place, copied):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("use_bn", [True, False])
     @pytest.mark.parametrize("kind", sorted(LAYERS))

@@ -1,12 +1,14 @@
 """Masking mechanics and the four masked-prediction objective variants,
 checked against hand-worked values on tiny graphs."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from latentgraph import engine, objectives
+from latentgraph import engine, models, objectives
 from latentgraph.engine import SparseMatrix, Value, backward, grad_check
 from latentgraph.graphs import Graph, batch_graphs, make_sbm_graph
 from latentgraph.models import build_model
@@ -310,6 +312,57 @@ class TestObjectiveGradients:
         report = grad_check(f, params, step=1e-4, tol=1e-4)
         assert report.ok, f"max rel err {report.max_rel_err:.3e}"
 
+    @pytest.mark.parametrize("variant", ["mse-output", "ce-embed", "ce-output"])
+    def test_gradcheck_graph_level_other_variants(self, variant):
+        # seed 14, the embed test's, leaves a ce-embed pre-activation within
+        # one step of relu's kink (rel err 7e-2 at step 1e-4, 4e-10 at 1e-6)
+        rng = np.random.default_rng(15)
+        graphs = [small_random_graph(rng, 4, 2), small_random_graph(rng, 5, 2)]
+        if variant.startswith("ce-"):
+            for i, g in enumerate(graphs):
+                feats = rng.uniform(0.1, 1.0, size=(g.num_nodes, 2))
+                graphs[i] = Graph(g.num_nodes, g.adjacency,
+                                  feats / feats.sum(axis=1, keepdims=True))
+        batch = batch_graphs(graphs)
+        model = build_model("graph", "gin", 2, 3, 2, 1, rng)
+
+        def f():
+            return objective(model, batch, MaskSpec(ratio=0.5, noise_sd=0.3),
+                             np.random.default_rng(22), alpha=0.8,
+                             variant=variant).total
+
+        params = [p for _, p in model.named_parameters()]
+        report = grad_check(f, params, step=1e-4, tol=1e-4)
+        assert report.ok, f"{variant}: max rel err {report.max_rel_err:.3e}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_batch_norm_output_outlives_the_objective(variant, monkeypatch):
+    # each pass releases its layer outputs, and a matmul that reads a batch
+    # norm output recomputes it in backward, so no array of one is kept
+    rng = np.random.default_rng(16)
+    graph = make_sbm_graph(60, 2, 0.2, 0.05, 3, rng)
+    if variant.startswith("ce-"):
+        graph = Graph(60, graph.adjacency, np.eye(3)[rng.integers(0, 3, 60)])
+    model = build_model("node", "gcn", 3, 8, 2, 2, rng)
+    outputs = []
+    batch_norm = models.batch_norm
+
+    def recorded(*args, **kwargs):
+        out = batch_norm(*args, **kwargs)
+        outputs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(models, "batch_norm", recorded)
+    out = objective(model, batch_graphs([graph]), MaskSpec(ratio=0.2),
+                    np.random.default_rng(5), alpha=1.0, variant=variant)
+    gc.collect()
+    decoded = 2 if variant.endswith("-output") else 1
+    assert len(outputs) == 2 * 2 + decoded
+    assert all(ref() is None for ref in outputs)
+    grads = backward(out.total)
+    assert all(p in grads for p in model.parameters())
+
 
 def _node_step_peak(dtype="float64"):
     """Traced peak bytes of one objective plus backward on a 4000-node SBM
@@ -346,6 +399,14 @@ def test_node_level_float32_step_peak_memory():
     # float64 for the whole step would add 2 MiB.
     peak = _node_step_peak("float32")
     assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_node_level_float32_step_peak_memory_holds_no_layer_output():
+    # About 7 MiB. Holding the four encoder layer outputs and the decoder's
+    # hidden output until backward, with both passes built before either
+    # was released, took it to 10.4 MiB.
+    peak = _node_step_peak("float32")
+    assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_one_graph_batch_scores_the_outputs_without_a_row_copy(monkeypatch):
