@@ -264,10 +264,13 @@ def add(a, b):
     return Value(a.data + b.data, parents=(a, b), backward=_back, op="add")
 
 
-def add_row(a, b):
+def add_row(a, b, overwrite_a=False):
     """Add the 1 x q row ``b`` to every row of the n x q matrix ``a``.
 
     The gradient is ``g`` for ``a`` and the column sums of ``g`` for ``b``.
+    With ``overwrite_a`` the sum is written into ``a.data`` itself, by the
+    same float ops, when that needs no type promotion: only for an ``a``
+    that nothing reads afterwards.
     """
     if b.data.shape[0] != 1 or b.data.shape[1] != a.data.shape[1]:
         raise ValueError(f"add_row: cannot add {b.data.shape} to rows of {a.data.shape}")
@@ -276,7 +279,9 @@ def add_row(a, b):
         _accumulate(a, g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    return Value(a.data + b.data, parents=(a, b), backward=_back, op="add_row")
+    in_place = overwrite_a and np.result_type(a.data, b.data) == a.data.dtype
+    out = np.add(a.data, b.data, out=a.data if in_place else None)
+    return Value(out, parents=(a, b), backward=_back, op="add_row")
 
 
 def sub(a, b):
@@ -694,15 +699,22 @@ class SparseMatrix:
     def _from_sorted_coo(cls, rows, cols, values, shape):
         """Trusted constructor: the entries must already be sorted by row, then
         column, with no duplicate and in range. Nothing is checked."""
+        indptr = np.zeros(int(shape[0]) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=int(shape[0])), out=indptr[1:])
+        return cls._from_csr(indptr, cols, np.asarray(values, dtype=np.float64), shape)
+
+    @classmethod
+    def _from_csr(cls, indptr, indices, data, shape):
+        """Trusted constructor from canonical CSR arrays, kept as they are
+        when already in the index dtype. Nothing is checked."""
         shape = (int(shape[0]), int(shape[1]))
-        small = max(shape[0], shape[1], len(values)) <= np.iinfo(np.int32).max
+        small = max(shape[0], shape[1], len(data)) <= np.iinfo(np.int32).max
         index = np.int32 if small else np.int64
         self = object.__new__(cls)
         self.shape = shape
-        self.indptr = np.zeros(shape[0] + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
-        self.indices = np.asarray(cols, dtype=index)
-        self.data = np.asarray(values, dtype=np.float64)
+        self.indptr = np.asarray(indptr, dtype=index)
+        self.indices = np.asarray(indices, dtype=index)
+        self.data = data
         return self
 
     @property
@@ -714,10 +726,8 @@ class SparseMatrix:
         are, else a copy of the values sharing the index arrays."""
         if self.data.dtype == dtype:
             return self
-        other = object.__new__(SparseMatrix)
-        other.shape, other.indptr, other.indices = self.shape, self.indptr, self.indices
-        other.data = self.data.astype(dtype)
-        return other
+        return SparseMatrix._from_csr(self.indptr, self.indices,
+                                      self.data.astype(dtype), self.shape)
 
     def to_dense(self):
         out = np.zeros(self.shape, dtype=self.data.dtype)

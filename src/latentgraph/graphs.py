@@ -105,7 +105,8 @@ class GraphBatch:
 
     ``membership[r]`` is the index of the graph owning stacked row ``r``;
     ``offsets[i]`` is the first row of graph ``i`` (with a final sentinel
-    equal to the total node count).
+    equal to the total node count). A batch of one graph holds that graph's
+    own adjacency and a read-only view of its features, not copies.
     """
 
     def __init__(self, graphs):
@@ -119,26 +120,30 @@ class GraphBatch:
         offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         total = int(offsets[-1])
-        rows, cols, vals = [], [], []
-        for g, off in zip(graphs, offsets[:-1]):
-            r = np.repeat(np.arange(g.num_nodes, dtype=np.intp),
-                          np.diff(g.adjacency.indptr))
-            rows.append(r + off)
-            cols.append(g.adjacency.indices + off)
-            vals.append(g.adjacency.data)
         self.graphs = graphs
         self.num_graphs = len(graphs)
         self.total_nodes = total
         self.offsets = offsets
         self.membership = np.repeat(np.arange(len(graphs), dtype=np.intp), counts)
-        # each block is canonical and starts below and right of the previous one
-        self.block_adjacency = SparseMatrix._from_sorted_coo(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-            shape=(total, total),
-        )
-        self.features = np.vstack([g.features for g in graphs])
-        self._normalized = None
-        self._normalized_casts = {}
+        if len(graphs) == 1:
+            self.block_adjacency = graphs[0].adjacency
+            self.features = graphs[0].features.view()
+            self.features.flags.writeable = False
+        else:
+            rows, cols, vals = [], [], []
+            for g, off in zip(graphs, offsets[:-1]):
+                r = np.repeat(np.arange(g.num_nodes, dtype=np.intp),
+                              np.diff(g.adjacency.indptr))
+                rows.append(r + off)
+                cols.append(g.adjacency.indices + off)
+                vals.append(g.adjacency.data)
+            # each block is canonical and starts below and right of the previous one
+            self.block_adjacency = SparseMatrix._from_sorted_coo(
+                np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                shape=(total, total),
+            )
+            self.features = np.vstack([g.features for g in graphs])
+        self._normalized = {}
         self._pool = None
 
     def node_range(self, i):
@@ -146,13 +151,19 @@ class GraphBatch:
 
     def normalized_adjacency(self, dtype=np.float64):
         """``normalize_adjacency(block_adjacency)`` with its values in
-        ``dtype``. The normalisation and each cast of it are made once."""
-        if self._normalized is None:
-            self._normalized = normalize_adjacency(self.block_adjacency)
+        ``dtype``, made once per dtype and kept only in the dtypes asked
+        for; every dtype shares one pair of index arrays."""
         dtype = np.dtype(dtype)
-        if dtype not in self._normalized_casts:
-            self._normalized_casts[dtype] = self._normalized.astype(dtype)
-        return self._normalized_casts[dtype]
+        if dtype not in self._normalized:
+            full = self._normalized.get(np.dtype(np.float64))
+            if full is None:
+                full = normalize_adjacency(self.block_adjacency)
+                if self._normalized:
+                    kept = next(iter(self._normalized.values()))
+                    full = SparseMatrix._from_csr(kept.indptr, kept.indices,
+                                                  full.data, full.shape)
+            self._normalized[dtype] = full.astype(dtype)
+        return self._normalized[dtype]
 
     def pool_matrix(self):
         """num_graphs x total_nodes indicator; spmm with it sum-pools rows."""
@@ -353,21 +364,33 @@ def with_degree_features(dataset, threshold):
 def normalize_adjacency(a):
     """Symmetric degree normalization of A with self-loops added.
 
-    Returns Dh^{-1/2} (A + I) Dh^{-1/2} where Dh is the degree matrix of A + I.
+    Returns Dh^{-1/2} (A + I) Dh^{-1/2} where Dh is the degree matrix of A + I,
+    as CSR built from A's: a stored diagonal entry gets 1 added, and every
+    other row gets a diagonal 1 at its sorted position.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
-    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(a.indptr))
     cols = a.indices
-    vals = a.data
-    rows = np.concatenate([rows, np.arange(n, dtype=np.intp)])
-    cols = np.concatenate([cols, np.arange(n, dtype=np.intp)])
-    vals = np.concatenate([vals, np.ones(n)])
-    deg = np.bincount(rows, weights=vals, minlength=n)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    scaled = vals * inv_sqrt[rows] * inv_sqrt[cols]
-    return SparseMatrix.from_coo(rows, cols, scaled, shape=(n, n))
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(a.indptr))
+    # each row's sum in its entries' order, then the self-loop's 1
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=a.data, minlength=n) + 1.0)
+    on_diagonal = cols == rows
+    scaled = a.data.copy()
+    scaled[on_diagonal] += 1.0
+    scaled *= inv_sqrt[rows]
+    scaled *= inv_sqrt[cols]
+    missing = np.ones(n, dtype=bool)
+    missing[rows[on_diagonal]] = False
+    new = np.flatnonzero(missing)
+    # a row's new diagonal goes after its entries left of the diagonal
+    at = a.indptr[new] + np.bincount(rows[cols < rows], minlength=n)[new]
+    cols = np.insert(cols, at, new)
+    scaled = np.insert(scaled, at, np.square(inv_sqrt[new]))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(missing, out=indptr[1:])
+    indptr += a.indptr
+    return SparseMatrix._from_csr(indptr, cols, scaled, (n, n))
 
 
 def sample_node_subset(g, n, rng):

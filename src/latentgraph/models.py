@@ -205,7 +205,9 @@ class BatchNorm:
 
 
 class Linear:
-    """Affine map x @ W + b; ``add_row`` broadcasts the 1 x q bias over rows."""
+    """Affine map x @ W + b; ``add_row`` broadcasts the 1 x q bias over rows,
+    adding it into the product's fresh output, so the map holds one n x q
+    array."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.W = Value(xavier_init(in_dim, out_dim, rng).astype(dtype, copy=False))
@@ -213,7 +215,7 @@ class Linear:
 
     def __call__(self, x):
         xw = matmul(x, self.W)
-        out = add_row(xw, self.b)
+        out = add_row(xw, self.b, overwrite_a=True)
         release(xw)
         return out
 

@@ -117,6 +117,26 @@ class TestForwardOracles:
         np.testing.assert_array_equal(add_row(a, b).data,
                                       [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
 
+    def test_add_row_overwrite_a_writes_into_a(self):
+        rng = np.random.default_rng(70)
+        for dtype in (np.float32, np.float64):
+            data = rng.normal(size=(6, 3)).astype(dtype)
+            row = rng.normal(size=(1, 3)).astype(dtype)
+            a, b = Value(data.copy()), Value(row)
+            out = add_row(a, b, overwrite_a=True)
+            assert out.data is a.data
+            assert out.data.tobytes() == (data + row).tobytes()
+            g = rng.normal(size=(6, 3)).astype(dtype)
+            grads = backward(mse_per(out, constant(g), 1.0))
+            ref_a, ref_b = Value(data.copy()), Value(row)
+            ref = backward(mse_per(add_row(ref_a, ref_b), constant(g), 1.0))
+            assert grads[b].tobytes() == ref[ref_b].tobytes()
+            assert grads[a].tobytes() == ref[ref_a].tobytes()
+        # a float32 ``a`` that a float64 row promotes is left alone
+        a = Value(np.ones((2, 3), np.float32))
+        out = add_row(a, Value(np.ones((1, 3))), overwrite_a=True)
+        assert out.data.dtype == np.float64 and (a.data == 1.0).all()
+
     def test_sqrt_eps_at_zero(self):
         assert sqrt_eps(Value([[0.0]]), eps=1e-12).item() == pytest.approx(1e-6)
 

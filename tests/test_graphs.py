@@ -1,10 +1,13 @@
 """Parser, featurization, normalization, batching and sampling tests."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from latentgraph import graphs
 from latentgraph.engine import SparseMatrix, Value, spmm
 from latentgraph.graphs import (
     Graph,
@@ -200,6 +203,26 @@ class TestDegreeOnehot:
         np.testing.assert_array_equal(swapped[0].features.sum(axis=1), np.ones(3))
 
 
+def coo_normalized(a):
+    """The COO construction ``normalize_adjacency`` replaced: every entry
+    of A plus a unit diagonal, scaled, then sorted and summed by
+    ``SparseMatrix.from_coo``."""
+    n = a.shape[0]
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.indptr)), np.arange(n)])
+    cols = np.concatenate([a.indices, np.arange(n)])
+    vals = np.concatenate([a.data, np.ones(n)])
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=vals, minlength=n))
+    return SparseMatrix.from_coo(rows, cols, vals * inv_sqrt[rows] * inv_sqrt[cols],
+                                 shape=(n, n))
+
+
+def dense_normalized(dense):
+    """D^-1/2 (A + I) D^-1/2, D the degree matrix of A + I."""
+    loops = dense + np.eye(len(dense))
+    inv_sqrt = 1.0 / np.sqrt(loops.sum(axis=1))
+    return loops * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
         a = SparseMatrix.from_coo([], [], [], (1, 1))
@@ -222,8 +245,61 @@ class TestNormalizeAdjacency:
         assert np.abs(eigs).max() <= 1.0 + 1e-12
         assert (np.abs(norm @ np.ones(8)) <= np.sqrt(8) + 1e-12).all()
 
+    def test_bitwise_the_coo_construction_on_zero_diagonal_graphs(self):
+        rng = np.random.default_rng(21)
+        sizes = [1, 2, 3, 5, 17, 40, 40, 40, 200]
+        for n, p in zip(sizes, rng.uniform(0.0, 1.0, size=len(sizes))):
+            graph = make_sbm_graph(n, 2, p, p / 4, 1, rng)
+            for a in (graph.adjacency, SparseMatrix.from_dense(np.zeros((n, n)))):
+                got, want = normalize_adjacency(a), coo_normalized(a)
+                for name in ("indptr", "indices", "data"):
+                    x, y = getattr(got, name), getattr(want, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                assert got.shape == want.shape
+
+    def test_weighted_matrix_is_the_dense_formula(self):
+        rng = np.random.default_rng(22)
+        dense = np.triu(rng.uniform(0.1, 3.0, size=(9, 9)) * (rng.uniform(size=(9, 9)) < 0.5), 1)
+        dense = dense + dense.T
+        norm = normalize_adjacency(SparseMatrix.from_dense(dense))
+        np.testing.assert_allclose(norm.to_dense(), dense_normalized(dense), rtol=1e-14)
+        assert norm.nnz == np.count_nonzero(dense) + 9
+
+    def test_a_stored_diagonal_entry_gets_one_added(self):
+        # a caller's fixed adjacency may carry self-loops of its own
+        rng = np.random.default_rng(23)
+        dense = np.triu((rng.uniform(size=(8, 8)) < 0.5) * rng.uniform(0.5, 2.0, (8, 8)))
+        dense = dense + np.triu(dense, 1).T
+        dense[np.diag_indices(8)] *= np.arange(8) % 2  # every other row stored
+        assert np.count_nonzero(np.diag(dense)) > 0
+        a = SparseMatrix.from_dense(dense)
+        norm = normalize_adjacency(a)
+        np.testing.assert_allclose(norm.to_dense(), dense_normalized(dense), rtol=1e-14)
+        assert norm.nnz == a.nnz + np.count_nonzero(np.diag(dense) == 0)
+        for r in range(8):
+            assert (np.diff(norm.indices[norm.indptr[r]:norm.indptr[r + 1]]) > 0).all()
+
 
 class TestBatching:
+    def test_one_graph_batch_shares_the_graphs_arrays(self):
+        g = make_sbm_graph(30, 2, 0.3, 0.05, 3, np.random.default_rng(24))
+        batch = batch_graphs([g])
+        assert batch.block_adjacency is g.adjacency
+        assert np.shares_memory(batch.features, g.features)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.features[0, 0] = 1.0
+        assert g.features.flags.writeable
+
+    def test_multi_graph_batch_owns_its_arrays(self):
+        rng = np.random.default_rng(25)
+        parts = [make_sbm_graph(n, 2, 0.4, 0.1, 3, rng) for n in (6, 9)]
+        batch = batch_graphs(parts)
+        for g in parts:
+            assert not np.shares_memory(batch.features, g.features)
+            assert not np.shares_memory(batch.block_adjacency.indices, g.adjacency.indices)
+        batch.features[0, 0] = 7.0
+        assert parts[0].features[0, 0] != 7.0
+
     def test_single_graph_batch_matches_graph(self):
         g = triangle()
         batch = batch_graphs([g])
@@ -275,6 +351,38 @@ class TestBatching:
         assert single.data.dtype == np.float32
         assert single.data.tobytes() == full.data.astype(np.float32).tobytes()
         assert single.indptr is full.indptr and single.indices is full.indices
+
+    @staticmethod
+    def recorded_normalizations(monkeypatch):
+        """A weak reference to the values of each normalisation made."""
+        made = []
+
+        def recording(a):
+            out = normalize_adjacency(a)
+            made.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(graphs, "normalize_adjacency", recording)
+        return made
+
+    def test_normalized_adjacency_is_made_once_for_two_dtypes(self, monkeypatch):
+        made = self.recorded_normalizations(monkeypatch)
+        batch = batch_graphs([make_sbm_graph(30, 2, 0.3, 0.05, 3, np.random.default_rng(4))])
+        batch.normalized_adjacency(np.float64)
+        batch.normalized_adjacency(np.float32)
+        assert len(made) == 1
+
+    def test_float32_normalized_adjacency_keeps_no_float64_values(self, monkeypatch):
+        made = self.recorded_normalizations(monkeypatch)
+        batch = batch_graphs([make_sbm_graph(30, 2, 0.3, 0.05, 3, np.random.default_rng(4))])
+        single = batch.normalized_adjacency(np.float32)
+        gc.collect()
+        assert single.data.dtype == np.float32 and made[0]() is None
+        # asked for later, float64 is made again on the same index arrays
+        full = batch.normalized_adjacency(np.float64)
+        assert len(made) == 2
+        assert full.indptr is single.indptr and full.indices is single.indices
+        assert single.data.tobytes() == full.data.astype(np.float32).tobytes()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -299,6 +299,50 @@ class TestFusedBatchNorm:
         assert out.data.dtype == np.float64 and x.data.tobytes() == before
 
 
+class TestLinear:
+    def test_recorded_forward_allocates_one_output(self):
+        # the bias goes into the product's fresh output; adding it into a
+        # second array held two 4000 x 64 arrays
+        rng = np.random.default_rng(64)
+        lin = Linear(64, 64, rng, dtype=np.float32)
+        lin.b.data[:] = rng.normal(size=(1, 64))
+        x = Value(rng.normal(size=(4000, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = lin(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f} arrays"
+        expected = x.data @ lin.W.data + lin.b.data
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_in_place_bias_is_bitwise_the_copy(self, recording, monkeypatch):
+        rng = np.random.default_rng(65)
+        lin = Linear(5, 4, rng)
+        lin.b.data[:] = rng.normal(size=(1, 4))
+        x = Value(rng.normal(size=(7, 5)))
+        target = Value(rng.normal(size=(7, 4)))
+
+        def run():
+            if not recording:
+                with engine.no_grad():
+                    return lin(x).data, None
+            out = lin(x)
+            grads = engine.backward(mse_per(out, target, 7.0))
+            return out.data, [grads[p] for p in (lin.W, lin.b, x)]
+
+        got = run()
+        real = engine.add_row
+        monkeypatch.setattr(models, "add_row", lambda a, b, overwrite_a: real(a, b))
+        want = run()
+        assert got[0].tobytes() == want[0].tobytes()
+        if recording:
+            assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+
+
 class TestGCNLayer:
     def test_isolated_node_identity_weights(self):
         rng = np.random.default_rng(7)

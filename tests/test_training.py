@@ -3,6 +3,7 @@ bit-exact checkpoint round-trips."""
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from latentgraph.engine import Value, backward
 from latentgraph.graphs import make_blob_dataset, make_sbm_graph, batch_graphs
 from latentgraph.models import build_model
-from latentgraph.objectives import mask_size
+from latentgraph.objectives import mask_size, objective
 from latentgraph import graphs, training
 from latentgraph.training import (
     Adam,
@@ -435,6 +436,33 @@ class TestTrainLoop:
         assert arrays["buffers"]
         for kind, group in arrays.items():
             assert {a.dtype for a in group} == {np.dtype(np.float32)}, kind
+
+    def test_first_node_preset_step_peak_memory(self):
+        # The trainer's first full-graph step: batch the graph, normalise
+        # its adjacency inside the objective, run backward. About 7.7
+        # n x hidden float32 arrays at peak, and the batch keeps only the
+        # float32 normalised adjacency (about 0.8). Copying the graph into
+        # the batch and keeping the float64 normalisation beside its
+        # float32 cast took 9.8 at peak and kept 2.9.
+        graph = make_sbm_graph(4000, 4, 0.01, 0.001, 8, np.random.default_rng(0))
+        cfg = preset_config("node", hidden_dim=64)
+        model = build_model("node", "gcn", 8, 64, cfg.encoder_layers,
+                            cfg.decoder_layers, np.random.default_rng(1),
+                            dtype=cfg.dtype)
+        array = 4000 * 64 * np.dtype(cfg.dtype).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = batch_graphs([graph])
+            out = objective(model, batch, cfg.mask_spec(), np.random.default_rng(2),
+                            cfg.alpha, cfg.variant)
+            grads = backward(out.total)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == len(model.parameters())
+        assert peak < 8.5 * array, f"peak {peak / array:.2f} arrays"
+        assert held < 1.25 * array, f"held {held / array:.2f} arrays"
 
     def test_wrong_data_type_for_level(self):
         graph = make_sbm_graph(10, 2, 0.3, 0.1, 3, np.random.default_rng(0))
