@@ -43,8 +43,6 @@ from .bounds import (
 from .engine import scipy_version, strict_determinism_enabled
 from .evaluation import (
     PROBE_EPOCHS,
-    PROBE_LR,
-    PROBE_WEIGHT_DECAY,
     evaluate_node_split,
     extract_graph_repr,
     extract_node_repr,
@@ -202,6 +200,9 @@ def _load_data(args, level, purpose=None):
     what that level's linear probe needs: at least --folds graphs, or node
     labels and a split file with train and test nodes.
     """
+    if level == "node" and args.degree_features > 0:
+        raise CliError("--degree-features applies to graph-level data only, "
+                       "and this run is node-level")
     path = os.path.normpath(args.dataset)
     name = os.path.basename(path)
     split = None
@@ -272,11 +273,8 @@ def _add_dataset_arguments(parser):
 
 def _add_probe_arguments(parser):
     group = parser.add_argument_group("linear probe")
-    group.add_argument("--probe-lr", type=float, default=PROBE_LR, dest="probe_lr")
     group.add_argument("--probe-epochs", type=int, default=PROBE_EPOCHS,
                        dest="probe_epochs")
-    group.add_argument("--probe-weight-decay", type=float,
-                       default=PROBE_WEIGHT_DECAY, dest="probe_weight_decay")
 
 
 def _resolve_config(args):
@@ -297,8 +295,7 @@ def _build_from_config(config, feature_dim):
                        config.hidden_dim, config.encoder_layers,
                        config.decoder_layers,
                        rng=np.random.default_rng(config.seed),
-                       use_bn=config.use_bn,
-                       decoder_kind=config.decoder_kind, dtype=config.dtype)
+                       use_bn=config.use_bn, dtype=config.dtype)
 
 
 def _extract(level, data, encoder, concat_raw=True):
@@ -315,9 +312,7 @@ def _prober(args, data, split):
         return lambda reprs, seed: linsvm_kfold(reprs, labels,
                                                 folds=args.folds, seed=seed)
     return lambda reprs, seed: evaluate_node_split(
-        reprs, data.node_labels, split, lr=args.probe_lr,
-        weight_decay=args.probe_weight_decay, epochs=args.probe_epochs,
-        seed=seed)
+        reprs, data.node_labels, split, epochs=args.probe_epochs, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +401,7 @@ def cmd_eval(args, argv):
         args, argv, started, {"eval_report": doc},
         {"checkpoint": os.path.abspath(args.checkpoint), "folds": args.folds,
          "reps": args.reps, "level": model.level,
-         "concat_raw": not args.no_concat, "probe_lr": args.probe_lr,
-         "probe_epochs": args.probe_epochs,
-         "probe_weight_decay": args.probe_weight_decay},
+         "concat_raw": not args.no_concat, "probe_epochs": args.probe_epochs},
         args.seed, dataset_name)
 
     summary = doc["summary"]

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Value, add, add_row, backward, constant, matmul, no_grad,
-                     scale, softmax_ce, sum_squares)
+from .engine import Value, add_row, backward, constant, matmul, no_grad, softmax_ce
 from .graphs import _sorted_unique, batch_graphs
 from .models import readout_sum
 from .training import Adam
@@ -79,7 +78,6 @@ def accuracy_score(y_true, y_pred):
 
 PROBE_LR = 0.01
 PROBE_EPOCHS = 300
-PROBE_WEIGHT_DECAY = 0.0
 
 
 @dataclass
@@ -95,13 +93,12 @@ class LinearClassifier:
         return np.argmax(np.asarray(reprs, dtype=float) @ self.W + self.b, axis=1)
 
 
-def logreg_fit(reprs, labels, lr=PROBE_LR, weight_decay=PROBE_WEIGHT_DECAY,
-               epochs=PROBE_EPOCHS, rng=None, num_classes=None):
-    """Full-batch softmax regression trained with Adam.
+def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
+               num_classes=None):
+    """Full-batch softmax regression trained with Adam, unregularised.
 
-    Labels are a 1-D vector of nonnegative class ids. `weight_decay` adds an
-    L2 penalty on the weight matrix to the loss. A training set with a single
-    observed class is allowed but the returned classifier is flagged
+    Labels are a 1-D vector of nonnegative class ids. A training set with a
+    single observed class is allowed but the returned classifier is flagged
     degenerate.
     """
     reprs = np.asarray(reprs, dtype=float)
@@ -126,10 +123,7 @@ def logreg_fit(reprs, labels, lr=PROBE_LR, weight_decay=PROBE_WEIGHT_DECAY,
     x = constant(reprs)
     optimizer = Adam([W, b], lr=lr)
     for _ in range(epochs):
-        loss = softmax_ce(add_row(matmul(x, W), b), targets)
-        if weight_decay:
-            loss = add(loss, scale(sum_squares(W), weight_decay))
-        grads = backward(loss)
+        grads = backward(softmax_ce(add_row(matmul(x, W), b), targets))
         optimizer.step(grads)
     return LinearClassifier(W=W.data.copy(), b=b.data.copy(),
                             degenerate=bool(labels.min() == labels.max()))
@@ -310,17 +304,13 @@ def linsvm_kfold(reprs, labels, folds=10, c_grid=DEFAULT_C_GRID, seed=0):
                         seed, folds, caught)
 
 
-def evaluate_node_split(reprs, labels, split, lr=PROBE_LR,
-                        weight_decay=PROBE_WEIGHT_DECAY, epochs=PROBE_EPOCHS,
-                        seed=0):
+def evaluate_node_split(reprs, labels, split, epochs=PROBE_EPOCHS, seed=0):
     """Train a logistic probe on the split's train nodes, score its test
     nodes, and package the result like a single-fold report."""
     clf = logreg_fit(reprs[split.train], np.asarray(labels)[split.train],
-                     lr=lr, weight_decay=weight_decay, epochs=epochs,
-                     rng=np.random.default_rng(seed))
+                     epochs=epochs, rng=np.random.default_rng(seed))
     metrics = logreg_eval(clf, reprs[split.test], np.asarray(labels)[split.test])
     return _make_report(
         "accuracy", [metrics["accuracy"]],
-        {"lr": lr, "weight_decay": weight_decay, "epochs": epochs,
-         "micro_f1": metrics["micro_f1"]},
+        {"lr": PROBE_LR, "epochs": epochs, "micro_f1": metrics["micro_f1"]},
         seed, 1, ["degenerate training labels"] if metrics["degenerate"] else [])

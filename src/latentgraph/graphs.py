@@ -152,17 +152,10 @@ class GraphBatch:
     def normalized_adjacency(self, dtype=np.float64):
         """``normalize_adjacency(block_adjacency)`` with its values in
         ``dtype``, made once per dtype and kept only in the dtypes asked
-        for; every dtype shares one pair of index arrays."""
+        for."""
         dtype = np.dtype(dtype)
         if dtype not in self._normalized:
-            full = self._normalized.get(np.dtype(np.float64))
-            if full is None:
-                full = normalize_adjacency(self.block_adjacency)
-                if self._normalized:
-                    kept = next(iter(self._normalized.values()))
-                    full = SparseMatrix._from_csr(kept.indptr, kept.indices,
-                                                  full.data, full.shape)
-            self._normalized[dtype] = full.astype(dtype)
+            self._normalized[dtype] = normalize_adjacency(self.block_adjacency).astype(dtype)
         return self._normalized[dtype]
 
     def pool_matrix(self):

@@ -40,11 +40,10 @@ __all__ = [
     "build_model",
 ]
 
-# The representation levels and the encoder and decoder kinds `build_model`
-# accepts; `training.CHOICES` offers the same tuples as configuration values.
+# The representation levels and the encoder kinds `build_model` accepts;
+# `training.CHOICES` offers the same tuples as configuration values.
 LEVELS = ("graph", "node")
 ENCODER_KINDS = ("gin", "gcn")
-DECODER_KINDS = ("mlp", "gcn")
 DTYPES = ("float64", "float32")
 
 
@@ -343,21 +342,16 @@ class Encoder:
 
 
 class Decoder:
-    """Node-wise MLP head by default; optionally a graph-convolutional head.
+    """Node-wise MLP head: output row v depends on input row v only.
 
-    The MLP variant is row-local: output row v depends on input row v only.
     Hidden layers are linear + fused batch norm and relu (relu alone without
     batch norm); the final layer is linear.
-    The graph-convolutional head uses the adjacency in its input's dtype.
     """
 
-    def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True, kind="mlp",
+    def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True,
                  dtype=np.float64):
-        if kind not in DECODER_KINDS:
-            raise ValueError(f"unknown decoder kind: {kind!r}")
         if num_layers < 1:
             raise ValueError("decoder needs at least one layer")
-        self.kind = kind
         self.in_dim = in_dim
         self.out_dim = out_dim
         dims = [in_dim] + [in_dim] * (num_layers - 1) + [out_dim]
@@ -367,20 +361,10 @@ class Decoder:
             for i in range(num_layers)
         ]
 
-    def __call__(self, h, batch=None, training=False):
-        adjacency = None
-        if self.kind == "gcn":
-            if batch is None:
-                raise ValueError("gcn decoder needs the graph batch")
-            adjacency = batch.normalized_adjacency(h.data.dtype)
-        stages = []
-        last = len(self.linears) - 1
-        for i, lin in enumerate(self.linears):
-            stages.append(lin)
-            if adjacency is not None:
-                stages.append(functools.partial(spmm, adjacency))
-            if i < last:
-                stages.append(_activation(self.bns[i], training))
+    def __call__(self, h, training=False):
+        stages = [self.linears[0]]
+        for bn, lin in zip(self.bns, self.linears[1:]):
+            stages += [_activation(bn, training), lin]
         return _chain(h, *stages)
 
     def named_parameters(self, prefix="decoder"):
@@ -443,8 +427,7 @@ class Model:
 
 
 def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
-                decoder_layers, rng, use_bn=True, decoder_kind="mlp",
-                dtype="float64"):
+                decoder_layers, rng, use_bn=True, dtype="float64"):
     """An encoder/decoder pair whose parameters and running statistics are
     created in ``dtype``, one of ``DTYPES``; the initial values are the
     float64 draws of ``rng``, rounded."""
@@ -453,7 +436,7 @@ def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
     encoder = Encoder(encoder_kind, feature_dim, hidden_dim, encoder_layers,
                       rng, use_bn=use_bn, dtype=dtype)
     decoder = Decoder(hidden_dim, feature_dim, decoder_layers, rng,
-                      use_bn=use_bn, kind=decoder_kind, dtype=dtype)
+                      use_bn=use_bn, dtype=dtype)
     model = Model(encoder, decoder, level)
     model.build_spec = {
         "level": level,
@@ -463,7 +446,6 @@ def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
         "encoder_layers": encoder_layers,
         "decoder_layers": decoder_layers,
         "use_bn": use_bn,
-        "decoder_kind": decoder_kind,
         "dtype": dtype,
     }
     return model

@@ -51,8 +51,8 @@ class MaskSpec:
     def __post_init__(self):
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"mask ratio must be in (0, 1], got {self.ratio}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
         if self.mode not in MASK_MODES:
             raise ValueError(f"mask mode must be one of {MASK_MODES}, got {self.mode!r}")
 
@@ -191,7 +191,7 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
     # every array backward reads is captured by the time a pass's view is
     # taken, so its layer outputs and decoder output are released then
     layers = model.encoder.encode(batch, training)
-    clean_out = model.decoder(layers[-1], batch=batch, training=training)
+    clean_out = model.decoder(layers[-1], training=training)
     recon = _reconstruction_term(clean_out, batch, variant)
     clean_view = _view(variant, model.level, layers, clean_out, batch, indices)
     engine.release(*layers, clean_out)
@@ -199,7 +199,7 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
     layers = model.encoder.encode(batch, training, features=corrupted)
     corrupt_out = None
     if variant.endswith("-output"):
-        corrupt_out = model.decoder(layers[-1], batch=batch, training=training)
+        corrupt_out = model.decoder(layers[-1], training=training)
     corrupt_view = _view(variant, model.level, layers, corrupt_out, batch, indices)
     engine.release(*layers)
     if corrupt_out is not None:

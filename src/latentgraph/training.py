@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import backward
 from .graphs import sample_node_subset
-from .models import DECODER_KINDS, DTYPES, ENCODER_KINDS, LEVELS, build_model
+from .models import DTYPES, ENCODER_KINDS, LEVELS, build_model
 from .objectives import MASK_MODES, MaskSpec, VARIANTS, objective
 
 CHECKPOINT_FORMAT = "latentgraph-checkpoint"
@@ -33,7 +33,6 @@ CHECKPOINT_VERSION = 1
 CHOICES = {
     "level": LEVELS,
     "encoder": ENCODER_KINDS,
-    "decoder_kind": DECODER_KINDS,
     "variant": VARIANTS,
     "mask_mode": MASK_MODES,
     "dtype": DTYPES,
@@ -78,7 +77,6 @@ class TrainConfig:
     hidden_dim: int = 32
     encoder_layers: int = 3
     decoder_layers: int = 2
-    decoder_kind: str = "mlp"
     use_bn: bool = True
     variant: str = "mse-embed"
     alpha: float = 1.0
@@ -86,7 +84,6 @@ class TrainConfig:
     noise_sd: float = 0.5
     mask_mode: str = "gaussian"
     lr: float = 1e-3
-    weight_decay: float = 0.0
     batch_size: int = 32
     epochs: int = 20
     seed: int = 0
@@ -102,12 +99,10 @@ class TrainConfig:
                      "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if self.subgraph_nodes < 0:
             raise ValueError(f"subgraph_nodes must be nonnegative, got {self.subgraph_nodes}")
         MaskSpec(self.mask_ratio, self.noise_sd, self.mask_mode)
@@ -195,18 +190,16 @@ def load_config(path, base=None):
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """The Adam optimizer, without weight decay.
 
-    Decay multiplies each parameter by (1 - lr * weight_decay) using its
-    pre-update value, independent of the adaptive step. Parameters that do
-    not appear in the gradient map are skipped entirely. A step computes
-    every new moment and parameter value before it assigns any; if one of
-    those values is NaN or inf it raises `NonFiniteUpdateError` and leaves
-    the parameters and the optimizer's state as they were.
+    Parameters that do not appear in the gradient map are skipped entirely.
+    A step computes every new moment and parameter value before it assigns
+    any; if one of those values is NaN or inf it raises
+    `NonFiniteUpdateError` and leaves the parameters and the optimizer's
+    state as they were.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr < 0 or not 0 <= beta1 < 1 or not 0 <= beta2 < 1 or eps <= 0:
             raise ValueError("invalid Adam hyperparameters")
         self.params = list(params)
@@ -214,7 +207,6 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -229,12 +221,9 @@ class Adam:
                 g = grads.get(p)
                 if g is None:
                     continue
-                data = p.data
-                if self.weight_decay:
-                    data = data * (1.0 - self.lr * self.weight_decay)
                 m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
                 v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-                new = data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                new = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
                 if not np.isfinite(new).all():
                     raise NonFiniteUpdateError("non-finite update of a parameter", p)
                 updates.append((i, p, new, m, v))
@@ -301,8 +290,7 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     shuffle_rng = np.random.default_rng(streams[1])
     subgraph_rng = np.random.default_rng(streams[2])
 
-    optimizer = Adam(model.parameters(), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    optimizer = Adam(model.parameters(), lr=config.lr)
     named_params = model.named_parameters()
     spec = config.mask_spec()
 
@@ -444,6 +432,12 @@ def load_checkpoint(path, expect_level=None):
     build = doc.get("build")
     if not isinstance(build, dict):
         raise CheckpointError("checkpoint is missing its build recipe")
+    # recipes written while a graph-convolutional decoder existed name the kind
+    decoder_kind = build.pop("decoder_kind", "mlp")
+    if decoder_kind != "mlp":
+        raise CheckpointError(
+            f"checkpoint holds a {decoder_kind!r} decoder; only the MLP decoder "
+            "is supported, the graph-convolutional decoder was removed")
     if expect_level is not None and build.get("level") != expect_level:
         raise CheckpointError(
             f"checkpoint holds a {build.get('level')!r}-level model, "
@@ -470,12 +464,16 @@ def load_checkpoint(path, expect_level=None):
         if loaded.shape != arr.shape:
             raise CheckpointError(
                 f"array {name!r} has shape {loaded.shape}, expected {arr.shape}")
+        with np.errstate(over="ignore"):
+            loaded = arrays[name] = loaded.astype(arr.dtype, copy=False)
+        if not np.isfinite(loaded).all():
+            raise CheckpointError(f"array {name!r} holds NaN or inf values")
 
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())
     for name, loaded in arrays.items():
         if name in params:
-            params[name].data = loaded.astype(params[name].data.dtype, copy=False)
+            params[name].data = loaded
         else:
             buffers[name][:] = loaded
     return model, doc.get("meta", {})

@@ -106,8 +106,7 @@ def train_and_score(dataset, config, probe_seed=0):
                         config.hidden_dim, config.encoder_layers,
                         config.decoder_layers,
                         rng=np.random.default_rng(config.seed),
-                        use_bn=config.use_bn,
-                        decoder_kind=config.decoder_kind)
+                        use_bn=config.use_bn)
     history = train(model, dataset, config)
     reprs = extract_graph_repr(dataset, model.encoder)
     report = linsvm_kfold(reprs, dataset.labels(), folds=10, seed=probe_seed)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import base64
 import dataclasses
 import glob
 import json
@@ -155,12 +156,12 @@ class TestParserAndHelpers:
     def test_option_strings_are_frozen(self):
         config_flags = [
             "--preset", "--config", "--level", "--encoder", "--hidden-dim",
-            "--encoder-layers", "--decoder-layers", "--decoder-kind",
+            "--encoder-layers", "--decoder-layers",
             "--no-batchnorm", "--variant", "--alpha", "--mask-ratio",
-            "--noise-sd", "--mask-mode", "--lr", "--weight-decay",
+            "--noise-sd", "--mask-mode", "--lr",
             "--batch-size", "--epochs", "--seed", "--subgraph-nodes", "--dtype"]
         dataset_flags = ["--dataset", "--degree-features", "--file-prefix"]
-        probe_flags = ["--probe-lr", "--probe-epochs", "--probe-weight-decay"]
+        probe_flags = ["--probe-epochs"]
         expected = {
             "train": ["-h", "--help", *dataset_flags, "--out", *config_flags],
             "eval": ["-h", "--help", "--checkpoint", *dataset_flags, "--out",
@@ -278,6 +279,37 @@ class TestTrain:
         assert rc == 2
         assert "epochs" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--lr", "--noise-sd"])
+    def test_non_finite_setting_stops_before_the_data(self, tmp_path, capsys,
+                                                      flag, value):
+        # the dataset does not exist: the setting is refused before loading
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(tmp_path / "absent"),
+                   "--out", str(out), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid configuration: "
+                                 + flag[2:].replace("-", "_"))
+        assert "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_degree_features_on_node_data_is_an_error(self, corpus, tmp_path,
+                                                      capsys, command):
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--preset", "node", "--epochs", "1"],
+                "eval": ["eval", "--checkpoint", corpus["node_ckpt"]]}[command]
+        rc = main([*argv, "--dataset", corpus["node_dir"], "--out", str(out),
+                   "--degree-features", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --degree-features applies to "
+                                 "graph-level data only")
+        assert not out.exists()
 
     def test_missing_dataset_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "absent"),
@@ -521,6 +553,42 @@ class TestEval:
                    "--out", str(tmp_path / "x"), "--level", "graph"])
         assert rc == 2
         assert "level" in capsys.readouterr().err
+
+    @staticmethod
+    def edited_checkpoint(corpus, tmp_path, edit):
+        doc = read_json(corpus["graph_ckpt"])
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def eval_error(self, checkpoint, corpus, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", checkpoint,
+                   "--dataset", corpus["graph_dir"], "--out", str(out),
+                   "--folds", "3", "--reps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load checkpoint: ")
+        assert not out.exists()
+        return err[0]
+
+    def test_recorded_gcn_decoder_is_refused(self, corpus, tmp_path, capsys):
+        checkpoint = self.edited_checkpoint(
+            corpus, tmp_path, lambda doc: doc["build"].update(decoder_kind="gcn"))
+        err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
+        assert "graph-convolutional decoder was removed" in err
+
+    def test_non_finite_arrays_are_refused(self, corpus, tmp_path, capsys):
+        def poison(doc):
+            for name, entry in doc["arrays"].items():
+                nan = np.full(entry["shape"], np.nan)
+                doc["arrays"][name] = {"shape": entry["shape"],
+                                       "data": base64.b64encode(nan.tobytes()).decode()}
+
+        checkpoint = self.edited_checkpoint(corpus, tmp_path, poison)
+        err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
+        assert "holds NaN or inf values" in err
 
     def test_missing_checkpoint(self, corpus, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.json"),

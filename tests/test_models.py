@@ -535,22 +535,6 @@ class TestDecoder:
         changed = np.abs(out - base).sum(axis=1) > 0
         np.testing.assert_array_equal(changed, [False, False, True, False, False])
 
-    def test_gcn_decoder_requires_batch(self):
-        rng = np.random.default_rng(22)
-        dec = Decoder(4, 3, 2, rng, kind="gcn")
-        with pytest.raises(ValueError):
-            dec(Value(np.zeros((3, 4))))
-
-    def test_gcn_decoder_mixes_neighbors(self):
-        rng = np.random.default_rng(23)
-        dec = Decoder(2, 2, 1, rng, kind="gcn")
-        g = Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.zeros((2, 2)))
-        batch = batch_graphs([g])
-        h = np.array([[1.0, 0.0], [0.0, 0.0]])
-        out = dec(Value(h), batch=batch, training=False).data
-        # with the path graph both rows see the nonzero input row
-        assert np.abs(out[1]).sum() > 0
-
     def test_gradcheck_through_encode_decode(self):
         rng = np.random.default_rng(24)
         feats = rng.uniform(-1, 1, size=(5, 3))
@@ -568,7 +552,7 @@ class TestDecoder:
                 else:
                     buf[:] = 1.0
             h = model.encoder.encode(batch, training=True)[-1]
-            recon = model.decoder(h, batch=batch, training=True)
+            recon = model.decoder(h, training=True)
             return mse_per(recon, Value(batch.features), 5.0)
 
         params = [v for _, v in model.named_parameters()]
@@ -592,10 +576,6 @@ class TestReleasedIntermediates:
         "decoder-mlp": lambda rng, bn: (Decoder(3, 4, 3, rng, use_bn=bn),
                                         lambda layer, batch, h: layer(
                                             h, training=True)),
-        "decoder-gcn": lambda rng, bn: (Decoder(3, 4, 3, rng, use_bn=bn,
-                                                kind="gcn"),
-                                        lambda layer, batch, h: layer(
-                                            h, batch=batch, training=True)),
     }
 
     def grads(self, kind, use_bn):

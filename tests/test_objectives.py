@@ -169,7 +169,7 @@ class TestHandComputedObjectives:
         out = objective(model, batch, MaskSpec(ratio=0.5), np.random.default_rng(0),
                         alpha=0.0, variant="ce-embed")
         layers = model.encoder.encode(batch, training=True)
-        logits = model.decoder(layers[-1], batch=batch, training=True).data
+        logits = model.decoder(layers[-1], training=True).data
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -np.sum(feats * logp) / 2.0

@@ -50,16 +50,9 @@ class TestAdam:
 
     def test_missing_gradient_skips_parameter(self):
         p = Value(np.array([[2.0]]))
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        opt = Adam([p], lr=0.1)
         opt.step({})
         assert p.data[0, 0] == 2.0
-
-    def test_weight_decay_is_decoupled(self):
-        p = Value(np.array([[4.0]]))
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
-        opt.step({p: np.zeros((1, 1))})
-        # zero gradient: only the multiplicative decay 1 - lr*wd applies
-        assert p.data[0, 0] == pytest.approx(4.0 * (1 - 0.1 * 0.5), abs=1e-15)
 
     def test_rejects_bad_hyperparameters(self):
         p = Value(np.ones((1, 1)))
@@ -103,12 +96,20 @@ class TestTrainConfig:
         dict(lr=0.0),
         dict(alpha=-1.0),
         dict(mask_ratio=0.0),
-        dict(weight_decay=-0.01),
+        dict(noise_sd=-1.0),
         dict(subgraph_nodes=-5),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", ["alpha", "lr", "noise_sd"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            TrainConfig(**{name: float(value)}).validate()
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            parse_config(f"{name} = {value}")
 
     def test_presets_exist_and_validate(self):
         molecule = preset_config("molecule")
@@ -606,6 +607,54 @@ class TestCheckpoints:
         del doc["arrays"][first]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="missing"):
+            load_checkpoint(path)
+
+    def saved_doc(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.build(), path)
+        return path, json.loads(path.read_text())
+
+    def test_recorded_mlp_decoder_kind_is_dropped(self, tmp_path):
+        # a build recipe that still names the decoder kind, as checkpoints did
+        # while a graph-convolutional decoder existed
+        path, doc = self.saved_doc(tmp_path)
+        assert "decoder_kind" not in doc["build"]
+        doc["build"]["decoder_kind"] = "mlp"
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert "decoder_kind" not in loaded.build_spec
+        for name, arr in self.build().state_arrays().items():
+            assert loaded.state_arrays()[name].tobytes() == arr.tobytes(), name
+
+    def test_recorded_gcn_decoder_is_refused(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["build"]["decoder_kind"] = "gcn"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="graph-convolutional decoder was removed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_is_refused_by_name(self, tmp_path, value):
+        path, doc = self.saved_doc(tmp_path)
+        name = "decoder.0.bn.running_var"
+        arr = np.ones(doc["arrays"][name]["shape"])
+        arr[0, -1] = value
+        doc["arrays"][name] = training._encode_array(arr)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"'{name}' holds NaN or inf"):
+            load_checkpoint(path)
+
+    def test_value_beyond_float32_is_refused(self, tmp_path):
+        model = build_model("graph", "gin", 4, 6, 2, 2, np.random.default_rng(0),
+                            dtype="float32")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        arr = model.state_arrays()["encoder.0.lin1.W"].astype(np.float64)
+        arr[0, 0] = 1e300  # finite in float64, inf in float32
+        doc["arrays"]["encoder.0.lin1.W"] = training._encode_array(arr)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="encoder.0.lin1.W"):
             load_checkpoint(path)
 
     def test_hand_built_model_cannot_checkpoint(self, tmp_path):
