@@ -92,6 +92,14 @@ class CliError(Exception):
     """User-facing configuration or usage problem; exits with code 2."""
 
 
+def _require_at_least(args, **minimums):
+    """Raise a CliError naming the first of these flags below its minimum."""
+    for name, low in minimums.items():
+        if getattr(args, name) < low:
+            raise CliError(f"{name.replace('_', '-')} must be at least {low}, "
+                           f"got {getattr(args, name)}")
+
+
 def schema_path(name):
     """Absolute path of a shipped JSON schema, e.g. schema_path('manifest')."""
     return os.path.join(os.path.dirname(__file__), "schemas",
@@ -200,6 +208,7 @@ def _load_data(args, level, purpose=None):
     what that level's linear probe needs: at least --folds graphs, or node
     labels and a split file with train and test nodes.
     """
+    _require_at_least(args, degree_features=0)
     if level == "node" and args.degree_features > 0:
         raise CliError("--degree-features applies to graph-level data only, "
                        "and this run is node-level")
@@ -360,10 +369,7 @@ def cmd_train(args, argv):
 
 
 def cmd_eval(args, argv):
-    if args.folds < 2:
-        raise CliError(f"folds must be at least 2, got {args.folds}")
-    if args.reps < 1:
-        raise CliError(f"reps must be at least 1, got {args.reps}")
+    _require_at_least(args, folds=2, reps=1, probe_epochs=1)
     try:
         model, _meta = load_checkpoint(args.checkpoint,
                                        expect_level=args.level)
@@ -452,12 +458,7 @@ def _inner_product_record(trial, which, estimate, expected):
 
 
 def cmd_verify(args, argv):
-    if args.trials < 1:
-        raise CliError(f"trials must be at least 1, got {args.trials}")
-    if args.samples < 2:
-        raise CliError(f"samples must be at least 2, got {args.samples}")
-    if args.mask_draws < 1:
-        raise CliError(f"mask-draws must be at least 1, got {args.mask_draws}")
+    _require_at_least(args, trials=1, samples=2, mask_draws=1)
     run_dae = args.suite in ("dae", "all")
     if run_dae and args.samples // args.mask_draws < 2:
         raise CliError(
@@ -556,8 +557,7 @@ def _cell_label(cell):
 
 
 def cmd_ablate(args, argv):
-    if args.folds < 2:
-        raise CliError(f"folds must be at least 2, got {args.folds}")
+    _require_at_least(args, folds=2, probe_epochs=1)
     config = _resolve_config(args)
     level, grid = STUDIES[args.study]
     if config.level != level:

@@ -37,9 +37,9 @@ the first sparse product without importing ``scipy`` or ``scipy.sparse``,
 whose package imports load about 300 modules (``numpy.f2py``, ``numpy.ma``,
 ``unittest``, ...) that no product needs.
 
-A strict deterministic mode replaces the BLAS matrix product with a per-row
-GEMV loop whose result does not depend on how rows are later sliced or stacked,
-which keeps repeated runs bit-identical regardless of BLAS threading. Enable it
+A strict deterministic mode runs a matrix product as one GEMV per row, through
+one numpy matmul over the stack of rows, so row i's bits never depend on the
+other rows or on BLAS threading, and repeated runs stay bit-identical. Enable it
 with ``set_strict_determinism(True)`` or the ``LAGRAPH_STRICT_DETERMINISM=1``
 environment variable (read once at import).
 """
@@ -115,14 +115,10 @@ def no_grad():
 
 
 def _mm(a, b):
-    # Row-by-row GEMV: the result for row i never depends on which other rows
+    # Strict mode: one GEMV per row, which numpy's matmul runs in C over the
+    # stack of 1-row products. Row i's bits never depend on which other rows
     # are present, unlike the blocked GEMM kernels BLAS picks by shape.
-    if not _STRICT:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for i in range(a.shape[0]):
-        out[i] = a[i] @ b
-    return out
+    return np.matmul(a[:, None, :], b)[:, 0, :] if _STRICT else a @ b
 
 
 def _as_matrix(data):

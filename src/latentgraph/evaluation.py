@@ -110,6 +110,8 @@ def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
     if labels.ndim != 1 or labels.dtype.kind not in "iu" or labels.min() < 0:
         raise ValueError("logreg_fit: labels must be a 1-D vector of "
                          "nonnegative integers")
+    if epochs < 1:
+        raise ValueError(f"logreg_fit: epochs must be at least 1, got {epochs}")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -103,8 +103,9 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if self.subgraph_nodes < 0:
-            raise ValueError(f"subgraph_nodes must be nonnegative, got {self.subgraph_nodes}")
+        if self.subgraph_nodes < 0 or (self.subgraph_nodes and self.level == "graph"):
+            raise ValueError("subgraph_nodes must be nonnegative, and 0 on graph-level "
+                             f"runs, got {self.subgraph_nodes}")
         MaskSpec(self.mask_ratio, self.noise_sd, self.mask_mode)
         return self
 

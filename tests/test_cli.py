@@ -198,7 +198,9 @@ class TestParserAndHelpers:
                              if c != old)
             else:
                 value = old + 1 if field.type is int else old + 0.5
-            args = parser.parse_args([*required, flag, str(value)])
+            # a positive subgraph size is valid on node-level runs only
+            level = ["--level", "node"] if field.name == "subgraph_nodes" else []
+            args = parser.parse_args([*required, *level, flag, str(value)])
             assert getattr(cli._resolve_config(args), field.name) == value
 
         args = parser.parse_args([*required, "--no-batchnorm"])
@@ -309,6 +311,35 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("error: --degree-features applies to "
                                  "graph-level data only")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_degree_features_is_an_error(self, corpus, tmp_path,
+                                                  capsys, command):
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--preset", "molecule", "--epochs", "1"],
+                "eval": ["eval", "--checkpoint", corpus["graph_ckpt"],
+                         "--folds", "3"]}[command]
+        rc = main([*argv, "--dataset", corpus["graph_dir"], "--out", str(out),
+                   "--degree-features", "-3"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == "error: degree-features must be at least 0, got -3"
+        assert not out.exists()
+
+    def test_subgraph_nodes_on_graph_level_is_an_error(self, corpus, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--preset", "molecule", "--epochs", "1",
+                   "--subgraph-nodes", "5", "--dataset", corpus["graph_dir"],
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid configuration: "
+                                 "subgraph_nodes must be nonnegative, and 0 "
+                                 "on graph-level runs")
         assert not out.exists()
 
     def test_missing_dataset_is_a_clean_error(self, tmp_path, capsys):
@@ -440,6 +471,29 @@ class TestTrain:
             assert manifest["deterministic"] is True
         assert logs[0] == logs[1]
 
+    @pytest.mark.parametrize("level", ["graph", "node"])
+    def test_deterministic_mode_bytes_do_not_depend_on_blas_threads(
+            self, corpus, tmp_path, level):
+        flags = {"graph": ["--dataset", corpus["graph_dir"], "--epochs", "2",
+                           "--batch-size", "4", "--hidden-dim", "8",
+                           "--seed", "11"],
+                 "node": ["--dataset", corpus["node_dir"], "--preset", "node",
+                          "--hidden-dim", "512", "--epochs", "2"]}[level]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
+                       OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=child_pythonpath())
+            out = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "latentgraph", "train", *flags,
+                 "--out", str(out)],
+                capture_output=True, env=env, cwd="/")
+            assert result.returncode == 0, result.stderr
+            outputs.append([(out / name).read_bytes() for name in
+                            ("loss_log.jsonl", "checkpoint.json")])
+        assert outputs[0] == outputs[1]
+
     def test_node_preset_float32_same_bytes_in_deterministic_mode(
             self, corpus, tmp_path):
         env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
@@ -526,6 +580,19 @@ class TestEval:
                    "--out", str(tmp_path / "x"), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", ["0", "-5"])
+    def test_probe_epochs_below_one_is_an_error(self, corpus, tmp_path,
+                                                 capsys, epochs):
+        # the check comes before anything loads: the checkpoint is absent
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", str(tmp_path / "absent.json"),
+                   "--dataset", corpus["node_dir"], "--level", "node",
+                   "--reps", "1", "--probe-epochs", epochs, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: probe-epochs must be at least 1, got {epochs}"]
+        assert not out.exists()
 
     def test_more_folds_than_graphs(self, corpus, tmp_path, capsys):
         out = tmp_path / "x"
@@ -916,6 +983,18 @@ class TestAblate:
                    "--out", str(tmp_path / "x"), "--folds", "13"])
         assert rc == 2
         assert "13 folds" in capsys.readouterr().err
+
+    def test_probe_epochs_below_one_is_an_error(self, corpus, tmp_path,
+                                                 capsys):
+        # the check comes before anything loads: the dataset is absent
+        out = tmp_path / "x"
+        rc = main(["ablate", "--study", "concat", "--preset", "node",
+                   "--dataset", str(tmp_path / "absent"), "--out", str(out),
+                   "--probe-epochs", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: probe-epochs must be at least 1, got -1"]
+        assert not out.exists()
 
     def test_empty_split_section(self, tmp_path, capsys):
         data = write_node_corpus(tmp_path, drop_split_section="train")

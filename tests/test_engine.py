@@ -746,7 +746,51 @@ class TestSparseMatrixAgainstScipy:
         assert result.stdout.split()[-1] == "True"
 
 
+STRICT_SHAPES = [(0, 5, 3), (6, 1, 4), (9, 7, 1), (1, 3, 4), (300, 32, 32),
+                 (37, 700, 16), (12, 1024, 5)]
+STRICT_DTYPES = [(np.float64, np.float64), (np.float32, np.float32),
+                 (np.float32, np.float64), (np.float64, np.float32)]
+
+
 class TestStrictDeterminism:
+    @staticmethod
+    def per_row_gemv(a, b):
+        """Reference strict product: one ``a[i] @ b`` GEMV per row, looped in
+        Python."""
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+        for i in range(a.shape[0]):
+            out[i] = a[i] @ b
+        return out
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        np.testing.assert_array_equal(
+            actual.view(np.uint8), np.ascontiguousarray(expected).view(np.uint8))
+
+    @pytest.mark.parametrize("dtypes", STRICT_DTYPES,
+                             ids=lambda d: f"{d[0].__name__}-{d[1].__name__}")
+    @pytest.mark.parametrize("shape", STRICT_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_strict_matmul_matches_per_row_gemv_bitwise(self, shape, dtypes):
+        # forward a @ b, and the backward's g @ b.T and a.T @ g, whose
+        # transposed operands are strided views
+        n, k, q = shape
+        rng = np.random.default_rng(n * 10007 + k * 101 + q)
+        a = Value(rng.standard_normal((n, k)).astype(dtypes[0]))
+        b = Value(rng.standard_normal((k, q)).astype(dtypes[1]))
+        engine.set_strict_determinism(True)
+        try:
+            out = matmul(a, b)
+            grads = backward(sum_squares(out))
+        finally:
+            engine.set_strict_determinism(False)
+        expected = self.per_row_gemv(a.data, b.data)
+        self.assert_same_bits(out.data, expected)
+        g = 2.0 * expected  # the upstream gradient of sum_squares
+        self.assert_same_bits(grads[a], self.per_row_gemv(g, b.data.T))
+        self.assert_same_bits(grads[b], self.per_row_gemv(a.data.T, g))
+
     def test_strict_matmul_is_slice_stable(self):
         rng = np.random.default_rng(40)
         a = rng.normal(size=(12, 7))

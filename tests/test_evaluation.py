@@ -130,6 +130,11 @@ class TestLogreg:
         with pytest.raises(ValueError, match="out of range"):
             logreg_fit(np.zeros((3, 2)), np.array([0, 1, 5]), num_classes=2)
 
+    @pytest.mark.parametrize("epochs", [0, -5])
+    def test_needs_at_least_one_epoch(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            logreg_fit(np.zeros((3, 2)), np.array([0, 1, 1]), epochs=epochs)
+
     @pytest.mark.parametrize("labels", [
         np.array([[1, 0], [0, 1], [1, 1]]),  # a multi-label indicator matrix
         np.array([0, -1, 1]),

@@ -129,6 +129,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("imagenet")
 
+    def test_subgraph_nodes_only_on_node_level_runs(self):
+        with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
+            TrainConfig(level="graph", subgraph_nodes=5).validate()
+        with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
+            parse_config("level = graph\nsubgraph_nodes = 5\n")
+        with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
+            preset_config("molecule", subgraph_nodes=5)
+        assert preset_config("node", subgraph_nodes=5).subgraph_nodes == 5
+        assert TrainConfig(level="graph", subgraph_nodes=0).validate()
+
 
 class TestConfigParser:
     def test_parses_types_and_comments(self):
