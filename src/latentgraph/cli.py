@@ -67,16 +67,25 @@ BATCH_GRID = (8, 32, 128, 256)
 SUBGRAPH_GRID = (100, 1000, 10000)
 SUITES = ("theorem1", "corollaries", "dae", "all")
 
-# study -> (the configuration level it needs, its cells for the loaded data).
-# A cell overrides TrainConfig fields, or only sets the node probe's `concat`.
+# study -> (the configuration level it needs, the factor it sweeps, its values
+# for the loaded data). The factor is a TrainConfig field or the probe's `concat`.
 STUDIES = {
-    "batch-size": ("graph", lambda data: [{"batch_size": b} for b in BATCH_GRID]),
-    "subgraph": ("node", lambda data: [
-        {"subgraph_nodes": c} for c in SUBGRAPH_GRID if c < data.num_nodes]
-        + [{"subgraph_nodes": 0}]),
-    "objective": ("graph", lambda data: [{"variant": v}
-                                         for v in CHOICES["variant"]]),
-    "concat": ("node", lambda data: [{"concat": True}, {"concat": False}]),
+    "batch-size": ("graph", "batch_size", lambda data: BATCH_GRID),
+    "subgraph": ("node", "subgraph_nodes", lambda data: [
+        c for c in SUBGRAPH_GRID if c < data.num_nodes] + [0]),
+    "objective": ("graph", "variant", lambda data: CHOICES["variant"]),
+    "concat": ("node", "concat", lambda data: (True, False)),
+}
+
+# The flags that apply at one level only: dest -> (that level, the default
+# there, the minimum or None). Their parser default is None, so a flag given
+# at the other level can be told apart and refused.
+LEVEL_FLAGS = {
+    "folds": ("graph", 10, 2),
+    "degree_features": ("graph", 0, 0),
+    "probe_epochs": ("node", PROBE_EPOCHS, 1),
+    "no_concat": ("node", False, None),
+    "file_prefix": ("node", "graph", None),
 }
 
 # help strings of the training flags derived from TrainConfig's fields
@@ -90,6 +99,21 @@ _FLAG_HELP = {
 
 class CliError(Exception):
     """User-facing configuration or usage problem; exits with code 2."""
+
+
+def _settle_level_flags(args, level):
+    """Refuse a LEVEL_FLAGS flag given for the other level; give the ones of
+    `level` their defaults and check their minimums."""
+    for name, (flag_level, default, low) in LEVEL_FLAGS.items():
+        if flag_level == level:
+            if getattr(args, name, None) is None:
+                setattr(args, name, default)
+            if low is not None:
+                _require_at_least(args, **{name: low})
+        elif getattr(args, name, None) is not None:
+            raise CliError(f"--{name.replace('_', '-')} applies to "
+                           f"{flag_level}-level data only, and this run is "
+                           f"{level}-level")
 
 
 def _require_at_least(args, **minimums):
@@ -208,10 +232,6 @@ def _load_data(args, level, purpose=None):
     what that level's linear probe needs: at least --folds graphs, or node
     labels and a split file with train and test nodes.
     """
-    _require_at_least(args, degree_features=0)
-    if level == "node" and args.degree_features > 0:
-        raise CliError("--degree-features applies to graph-level data only, "
-                       "and this run is node-level")
     path = os.path.normpath(args.dataset)
     name = os.path.basename(path)
     split = None
@@ -259,31 +279,24 @@ def _add_config_arguments(parser):
     group.add_argument("--config", metavar="FILE",
                        help="key = value configuration file")
     for field in dataclasses.fields(TrainConfig):
-        if field.name == "use_bn":
-            group.add_argument("--no-batchnorm", action="store_false",
-                               dest="use_bn", default=None,
-                               help="disable batch normalization")
-        else:
-            group.add_argument("--" + field.name.replace("_", "-"),
-                               dest=field.name, type=field.type,
-                               choices=CHOICES.get(field.name),
-                               help=_FLAG_HELP.get(field.name))
+        group.add_argument("--" + field.name.replace("_", "-"),
+                           dest=field.name, type=field.type,
+                           choices=CHOICES.get(field.name),
+                           help=_FLAG_HELP.get(field.name))
 
 
 def _add_dataset_arguments(parser):
     parser.add_argument("--dataset", required=True, metavar="PATH",
                         help="dataset directory")
-    parser.add_argument("--degree-features", type=int, default=0,
-                        dest="degree_features", metavar="N",
+    parser.add_argument("--degree-features", type=int, metavar="N",
                         help="replace features with one-hot degrees capped at N")
-    parser.add_argument("--file-prefix", default="graph", dest="file_prefix",
+    parser.add_argument("--file-prefix",
                         help="node-level file prefix (default: graph)")
 
 
 def _add_probe_arguments(parser):
     group = parser.add_argument_group("linear probe")
-    group.add_argument("--probe-epochs", type=int, default=PROBE_EPOCHS,
-                       dest="probe_epochs")
+    group.add_argument("--probe-epochs", type=int)
 
 
 def _resolve_config(args):
@@ -304,7 +317,7 @@ def _build_from_config(config, feature_dim):
                        config.hidden_dim, config.encoder_layers,
                        config.decoder_layers,
                        rng=np.random.default_rng(config.seed),
-                       use_bn=config.use_bn, dtype=config.dtype)
+                       dtype=config.dtype)
 
 
 def _extract(level, data, encoder, concat_raw=True):
@@ -330,6 +343,7 @@ def _prober(args, data, split):
 
 def cmd_train(args, argv):
     config = _resolve_config(args)
+    _settle_level_flags(args, config.level)
     data, _, dataset_name = _load_data(args, config.level)
 
     # The run writes into a staging directory inside --out and moves its
@@ -369,15 +383,17 @@ def cmd_train(args, argv):
 
 
 def cmd_eval(args, argv):
-    _require_at_least(args, folds=2, reps=1, probe_epochs=1)
+    _require_at_least(args, reps=1)
+    # the level is known before loading when --level names it
+    if args.level is not None:
+        _settle_level_flags(args, args.level)
     try:
         model, _meta = load_checkpoint(args.checkpoint,
                                        expect_level=args.level)
     except (OSError, CheckpointError) as exc:
         raise CliError(f"cannot load checkpoint: {exc}") from exc
-    if args.no_concat and model.level == "graph":
-        raise CliError("--no-concat applies to node-level evaluation only, "
-                       "and the checkpoint holds a graph-level model")
+    if args.level is None:
+        _settle_level_flags(args, model.level)
 
     started = _clock()
     data, split, dataset_name = _load_data(args, model.level,
@@ -403,11 +419,13 @@ def cmd_eval(args, argv):
             "mean_within_run_std": float(np.mean([r.std for r in reports])),
         },
     }
+    applied = ({"folds": args.folds} if model.level == "graph" else
+               {"concat_raw": not args.no_concat,
+                "probe_epochs": args.probe_epochs})
     _write_outputs(
         args, argv, started, {"eval_report": doc},
-        {"checkpoint": os.path.abspath(args.checkpoint), "folds": args.folds,
-         "reps": args.reps, "level": model.level,
-         "concat_raw": not args.no_concat, "probe_epochs": args.probe_epochs},
+        {"checkpoint": os.path.abspath(args.checkpoint), "reps": args.reps,
+         "level": model.level, **applied},
         args.seed, dataset_name)
 
     summary = doc["summary"]
@@ -557,21 +575,25 @@ def _cell_label(cell):
 
 
 def cmd_ablate(args, argv):
-    _require_at_least(args, folds=2, probe_epochs=1)
     config = _resolve_config(args)
-    level, grid = STUDIES[args.study]
+    level, factor, grid = STUDIES[args.study]
+    if getattr(args, factor, None) is not None:
+        raise CliError(f"study {args.study!r} sweeps "
+                       f"--{factor.replace('_', '-')}; it cannot also be set")
     if config.level != level:
         raise CliError(f"study {args.study!r} needs a {level}-level "
                        f"configuration, got level {config.level!r}")
+    _settle_level_flags(args, level)
     started = _clock()
     data, split, dataset_name = _load_data(args, level,
                                            f"study {args.study!r}")
     probe = _prober(args, data, split)
 
     cells_out = []
-    for index, cell in enumerate(grid(data)):
+    for index, value in enumerate(grid(data)):
+        cell = {factor: value}
         seed = _derive_seed(config.seed, index)
-        overrides = {k: v for k, v in cell.items() if k != "concat"}
+        overrides = {} if factor == "concat" else cell
         # a cell that changes only the probe reuses the first cell's model
         if index == 0 or overrides:
             cell_config = dataclasses.replace(config, seed=seed, **overrides)
@@ -599,10 +621,10 @@ def cmd_ablate(args, argv):
             "spread": max(values) - min(values),
         },
     }
+    applied = {"folds": args.folds} if level == "graph" else {}
     _write_outputs(
         args, argv, started, {"ablation": doc},
-        {"study": args.study, "folds": args.folds,
-         "config": dataclasses.asdict(config)},
+        {"study": args.study, "config": dataclasses.asdict(config), **applied},
         config.seed, dataset_name)
 
     for label, value in accuracy_by_cell.items():
@@ -646,11 +668,11 @@ def build_parser():
     p_eval.add_argument("--out", required=True, metavar="DIR")
     p_eval.add_argument("--level", choices=CHOICES["level"],
                         help="expected checkpoint level (checked)")
-    p_eval.add_argument("--folds", type=int, default=10)
+    p_eval.add_argument("--folds", type=int)
     p_eval.add_argument("--reps", type=int, default=5,
                         help="number of re-evaluations with shifted seeds")
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--no-concat", action="store_true", dest="no_concat",
+    p_eval.add_argument("--no-concat", action="store_true", default=None,
                         help="node-level: drop raw features from the "
                              "representation")
     _add_probe_arguments(p_eval)
@@ -680,7 +702,7 @@ def build_parser():
     p_ablate.add_argument("--study", required=True, choices=STUDIES)
     _add_dataset_arguments(p_ablate)
     p_ablate.add_argument("--out", required=True, metavar="DIR")
-    p_ablate.add_argument("--folds", type=int, default=10)
+    p_ablate.add_argument("--folds", type=int)
     _add_config_arguments(p_ablate)
     _add_probe_arguments(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)

@@ -10,7 +10,7 @@ forward uses batch statistics in training mode and running statistics in
 eval mode and works in place, and its backward is the closed-form expression
 obtained by differentiating through the relu, mean and variance. Its output
 is rebuilt from what that backward keeps when a later matmul needs it, so
-a layer with batch norm holds no output until backward.
+a layer holds no output until backward.
 
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .engine import (Value, _accumulate, _recording, _rectify, add, add_row, constant,
-                     matmul, relu, release, spmm)
+                     matmul, release, spmm)
 
 __all__ = [
     "xavier_init",
@@ -166,12 +166,10 @@ def _chain(x, *stages):
 
 def _activation(bn, training):
     """The normalise-and-rectify stage of a layer's chain: the fused batch
-    norm and relu, or relu alone for a layer without batch norm.
+    norm and relu.
 
     It never comes first in a chain, so its input is always a private
     intermediate, which the batch norm centres in place."""
-    if bn is None:
-        return relu
     return functools.partial(bn, training=training, overwrite_x=True)
 
 
@@ -229,36 +227,33 @@ class GCNLayer:
     """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency, with
     the batch norm and relu as one fused op."""
 
-    def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.lin = Linear(in_dim, out_dim, rng, dtype)
-        self.bn = BatchNorm(out_dim, dtype=dtype) if use_bn else None
+        self.bn = BatchNorm(out_dim, dtype=dtype)
 
     def __call__(self, adjacency, h, training):
         return _chain(h, self.lin, functools.partial(spmm, adjacency),
                       _activation(self.bn, training))
 
     def named_parameters(self, prefix):
-        out = self.lin.named_parameters(f"{prefix}.lin")
-        if self.bn is not None:
-            out += self.bn.named_parameters(f"{prefix}.bn")
-        return out
+        return (self.lin.named_parameters(f"{prefix}.lin")
+                + self.bn.named_parameters(f"{prefix}.bn"))
 
     def named_buffers(self, prefix):
-        return [] if self.bn is None else self.bn.named_buffers(f"{prefix}.bn")
+        return self.bn.named_buffers(f"{prefix}.bn")
 
 
 class GINLayer:
     """Two-layer MLP on (1 + 0) h + A h, sum aggregation over raw adjacency.
 
-    Each linear map is followed by the fused batch normalization and relu
-    (relu alone when batch normalization is disabled).
+    Each linear map is followed by the fused batch normalization and relu.
     """
 
-    def __init__(self, in_dim, out_dim, rng, use_bn=True, dtype=np.float64):
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.lin1 = Linear(in_dim, out_dim, rng, dtype)
         self.lin2 = Linear(out_dim, out_dim, rng, dtype)
-        self.bn1 = BatchNorm(out_dim, dtype=dtype) if use_bn else None
-        self.bn2 = BatchNorm(out_dim, dtype=dtype) if use_bn else None
+        self.bn1 = BatchNorm(out_dim, dtype=dtype)
+        self.bn2 = BatchNorm(out_dim, dtype=dtype)
 
     def __call__(self, adjacency, h, training):
         return _chain(h, functools.partial(spmm, adjacency),
@@ -267,19 +262,14 @@ class GINLayer:
                       self.lin2, _activation(self.bn2, training))
 
     def named_parameters(self, prefix):
-        out = self.lin1.named_parameters(f"{prefix}.lin1")
-        out += self.lin2.named_parameters(f"{prefix}.lin2")
-        if self.bn1 is not None:
-            out += self.bn1.named_parameters(f"{prefix}.bn1")
-            out += self.bn2.named_parameters(f"{prefix}.bn2")
-        return out
+        return (self.lin1.named_parameters(f"{prefix}.lin1")
+                + self.lin2.named_parameters(f"{prefix}.lin2")
+                + self.bn1.named_parameters(f"{prefix}.bn1")
+                + self.bn2.named_parameters(f"{prefix}.bn2"))
 
     def named_buffers(self, prefix):
-        out = []
-        if self.bn1 is not None:
-            out += self.bn1.named_buffers(f"{prefix}.bn1")
-            out += self.bn2.named_buffers(f"{prefix}.bn2")
-        return out
+        return (self.bn1.named_buffers(f"{prefix}.bn1")
+                + self.bn2.named_buffers(f"{prefix}.bn2"))
 
 
 class Encoder:
@@ -289,7 +279,7 @@ class Encoder:
     parameters' dtype, so every layer computes in it.
     """
 
-    def __init__(self, kind, feature_dim, hidden_dim, num_layers, rng, use_bn=True,
+    def __init__(self, kind, feature_dim, hidden_dim, num_layers, rng,
                  dtype=np.float64):
         if kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind: {kind!r}")
@@ -302,7 +292,7 @@ class Encoder:
         layer_cls = GCNLayer if kind == "gcn" else GINLayer
         dims = [feature_dim] + [hidden_dim] * num_layers
         self.layers = [
-            layer_cls(dims[i], dims[i + 1], rng, use_bn=use_bn, dtype=self.dtype)
+            layer_cls(dims[i], dims[i + 1], rng, dtype=self.dtype)
             for i in range(num_layers)
         ]
 
@@ -344,22 +334,19 @@ class Encoder:
 class Decoder:
     """Node-wise MLP head: output row v depends on input row v only.
 
-    Hidden layers are linear + fused batch norm and relu (relu alone without
-    batch norm); the final layer is linear.
+    Hidden layers are linear + fused batch norm and relu; the final layer is
+    linear.
     """
 
-    def __init__(self, in_dim, out_dim, num_layers, rng, use_bn=True,
-                 dtype=np.float64):
+    def __init__(self, in_dim, out_dim, num_layers, rng, dtype=np.float64):
         if num_layers < 1:
             raise ValueError("decoder needs at least one layer")
         self.in_dim = in_dim
         self.out_dim = out_dim
         dims = [in_dim] + [in_dim] * (num_layers - 1) + [out_dim]
         self.linears = [Linear(dims[i], dims[i + 1], rng, dtype) for i in range(num_layers)]
-        self.bns = [
-            BatchNorm(dims[i + 1], dtype=dtype) if (use_bn and i < num_layers - 1) else None
-            for i in range(num_layers)
-        ]
+        # one per hidden layer: the final linear map has none
+        self.bns = [BatchNorm(dim, dtype=dtype) for dim in dims[1:-1]]
 
     def __call__(self, h, training=False):
         stages = [self.linears[0]]
@@ -371,15 +358,14 @@ class Decoder:
         out = []
         for i, lin in enumerate(self.linears):
             out += lin.named_parameters(f"{prefix}.{i}")
-            if self.bns[i] is not None:
+            if i < len(self.bns):
                 out += self.bns[i].named_parameters(f"{prefix}.{i}.bn")
         return out
 
     def named_buffers(self, prefix="decoder"):
         out = []
         for i, bn in enumerate(self.bns):
-            if bn is not None:
-                out += bn.named_buffers(f"{prefix}.{i}.bn")
+            out += bn.named_buffers(f"{prefix}.{i}.bn")
         return out
 
 
@@ -427,16 +413,15 @@ class Model:
 
 
 def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
-                decoder_layers, rng, use_bn=True, dtype="float64"):
+                decoder_layers, rng, dtype="float64"):
     """An encoder/decoder pair whose parameters and running statistics are
     created in ``dtype``, one of ``DTYPES``; the initial values are the
     float64 draws of ``rng``, rounded."""
     if dtype not in DTYPES:
         raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     encoder = Encoder(encoder_kind, feature_dim, hidden_dim, encoder_layers,
-                      rng, use_bn=use_bn, dtype=dtype)
-    decoder = Decoder(hidden_dim, feature_dim, decoder_layers, rng,
-                      use_bn=use_bn, dtype=dtype)
+                      rng, dtype=dtype)
+    decoder = Decoder(hidden_dim, feature_dim, decoder_layers, rng, dtype=dtype)
     model = Model(encoder, decoder, level)
     model.build_spec = {
         "level": level,
@@ -445,7 +430,6 @@ def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,
         "hidden_dim": hidden_dim,
         "encoder_layers": encoder_layers,
         "decoder_layers": decoder_layers,
-        "use_bn": use_bn,
         "dtype": dtype,
     }
     return model

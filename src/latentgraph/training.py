@@ -23,10 +23,20 @@ import numpy as np
 from .engine import backward
 from .graphs import sample_node_subset
 from .models import DTYPES, ENCODER_KINDS, LEVELS, build_model
-from .objectives import MASK_MODES, MaskSpec, VARIANTS, objective
+from .objectives import MaskSpec, VARIANTS, objective
 
 CHECKPOINT_FORMAT = "latentgraph-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# Removed build settings an older recipe may name: the one value that loads
+# as before (the key is dropped), and the message refusing any other.
+_REMOVED_BUILD_SETTINGS = {
+    "decoder_kind": ("mlp", "checkpoint holds a {value!r} decoder; only the "
+                     "MLP decoder is supported, the graph-convolutional "
+                     "decoder was removed"),
+    "use_bn": (True, "checkpoint holds a model without batch norm; "
+               "batch-norm-free models were removed"),
+}
 
 # The allowed values of each string-valued TrainConfig field: `validate`
 # checks them and the CLI offers them as its flags' choices.
@@ -34,7 +44,6 @@ CHOICES = {
     "level": LEVELS,
     "encoder": ENCODER_KINDS,
     "variant": VARIANTS,
-    "mask_mode": MASK_MODES,
     "dtype": DTYPES,
 }
 
@@ -77,12 +86,10 @@ class TrainConfig:
     hidden_dim: int = 32
     encoder_layers: int = 3
     decoder_layers: int = 2
-    use_bn: bool = True
     variant: str = "mse-embed"
     alpha: float = 1.0
     mask_ratio: float = 0.1
     noise_sd: float = 0.5
-    mask_mode: str = "gaussian"
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 20
@@ -106,11 +113,11 @@ class TrainConfig:
         if self.subgraph_nodes < 0 or (self.subgraph_nodes and self.level == "graph"):
             raise ValueError("subgraph_nodes must be nonnegative, and 0 on graph-level "
                              f"runs, got {self.subgraph_nodes}")
-        MaskSpec(self.mask_ratio, self.noise_sd, self.mask_mode)
+        self.mask_spec()
         return self
 
     def mask_spec(self):
-        return MaskSpec(self.mask_ratio, self.noise_sd, self.mask_mode)
+        return MaskSpec(self.mask_ratio, self.noise_sd)
 
 
 # Frozen hyperparameter bundles. Names describe the corpus shape they were
@@ -141,24 +148,8 @@ def preset_config(name, **overrides):
     return TrainConfig(**kwargs).validate()
 
 
+# field -> its type, int, float or str, which parses the field's text
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
-def _coerce(name, text):
-    kind = _CONFIG_FIELDS[name]
-    text = text.strip()
-    if kind is bool:
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {name!r}: expected a boolean, got {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
 
 
 def parse_config(text, base=None):
@@ -178,7 +169,7 @@ def parse_config(text, base=None):
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            coerced = _coerce(key, value)
+            coerced = _CONFIG_FIELDS[key](value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
         setattr(config, key, coerced)
@@ -433,12 +424,10 @@ def load_checkpoint(path, expect_level=None):
     build = doc.get("build")
     if not isinstance(build, dict):
         raise CheckpointError("checkpoint is missing its build recipe")
-    # recipes written while a graph-convolutional decoder existed name the kind
-    decoder_kind = build.pop("decoder_kind", "mlp")
-    if decoder_kind != "mlp":
-        raise CheckpointError(
-            f"checkpoint holds a {decoder_kind!r} decoder; only the MLP decoder "
-            "is supported, the graph-convolutional decoder was removed")
+    for key, (kept, message) in _REMOVED_BUILD_SETTINGS.items():
+        value = build.pop(key, kept)
+        if value != kept:
+            raise CheckpointError(message.format(value=value))
     if expect_level is not None and build.get("level") != expect_level:
         raise CheckpointError(
             f"checkpoint holds a {build.get('level')!r}-level model, "

@@ -105,8 +105,7 @@ def train_and_score(dataset, config, probe_seed=0):
     model = build_model(config.level, config.encoder, dataset.feature_dim,
                         config.hidden_dim, config.encoder_layers,
                         config.decoder_layers,
-                        rng=np.random.default_rng(config.seed),
-                        use_bn=config.use_bn)
+                        rng=np.random.default_rng(config.seed))
     history = train(model, dataset, config)
     reprs = extract_graph_repr(dataset, model.encoder)
     report = linsvm_kfold(reprs, dataset.labels(), folds=10, seed=probe_seed)
@@ -207,7 +206,7 @@ def _loss_check(level, variant, seed):
         data = batch_graphs([_ring_graph(8, dim, rng, simplex)])
         encoder = "gcn"
     model = build_model(level, encoder, dim, 4, 2, 1,
-                        rng=np.random.default_rng(seed + 1000), use_bn=True)
+                        rng=np.random.default_rng(seed + 1000))
     spec = MaskSpec(ratio=0.3, noise_sd=0.5, mode="gaussian")
 
     def f():

@@ -6,6 +6,7 @@ import dataclasses
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -157,8 +158,7 @@ class TestParserAndHelpers:
         config_flags = [
             "--preset", "--config", "--level", "--encoder", "--hidden-dim",
             "--encoder-layers", "--decoder-layers",
-            "--no-batchnorm", "--variant", "--alpha", "--mask-ratio",
-            "--noise-sd", "--mask-mode", "--lr",
+            "--variant", "--alpha", "--mask-ratio", "--noise-sd", "--lr",
             "--batch-size", "--epochs", "--seed", "--subgraph-nodes", "--dtype"]
         dataset_flags = ["--dataset", "--degree-features", "--file-prefix"]
         probe_flags = ["--probe-epochs"]
@@ -187,8 +187,6 @@ class TestParserAndHelpers:
             required += ["--study", "objective"]
         default = TrainConfig()
         for field in dataclasses.fields(TrainConfig):
-            if field.type is bool:
-                continue
             flag = "--" + field.name.replace("_", "-")
             action = parser._option_string_actions[flag]
             assert action.choices == CHOICES.get(field.name)
@@ -203,9 +201,17 @@ class TestParserAndHelpers:
             args = parser.parse_args([*required, *level, flag, str(value)])
             assert getattr(cli._resolve_config(args), field.name) == value
 
-        args = parser.parse_args([*required, "--no-batchnorm"])
-        assert cli._resolve_config(args).use_bn is False
-        assert cli._resolve_config(parser.parse_args(required)).use_bn is True
+    def test_readme_lists_the_training_flags(self):
+        """README's list of the training flags is the parser's, in order."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        start = text.index("The training flags are ")
+        sentence = text[start:text.index(".", start)]
+        group = next(g for g in subparsers()["train"]._action_groups
+                     if g.title == "training configuration")
+        assert re.findall(r"`(--[a-z-]+)`", sentence) == [
+            s for action in group._group_actions for s in action.option_strings]
 
     def test_derived_seeds_are_stable_and_distinct(self):
         seeds = [_derive_seed(0, i) for i in range(8)]
@@ -520,7 +526,7 @@ class TestEval:
         out = str(tmp_path / "eval")
         rc = main(["eval", "--checkpoint", corpus["graph_ckpt"],
                    "--dataset", corpus["graph_dir"], "--out", out,
-                   "--folds", "3", "--reps", "2", "--probe-epochs", "50"])
+                   "--folds", "3", "--reps", "2"])
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
         doc = read_json(os.path.join(out, "eval_report.json"))
@@ -645,6 +651,29 @@ class TestEval:
             corpus, tmp_path, lambda doc: doc["build"].update(decoder_kind="gcn"))
         err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
         assert "graph-convolutional decoder was removed" in err
+
+    def test_recorded_batch_norm_loads_as_before(self, corpus, tmp_path,
+                                                  capsys):
+        checkpoint = self.edited_checkpoint(
+            corpus, tmp_path, lambda doc: doc["build"].update(use_bn=True))
+        reports = []
+        for name, path in (("recorded", checkpoint),
+                           ("current", corpus["graph_ckpt"])):
+            out = tmp_path / name
+            rc = main(["eval", "--checkpoint", path, "--dataset",
+                       corpus["graph_dir"], "--out", str(out), "--folds", "3",
+                       "--reps", "1"])
+            assert rc == 0
+            reports.append((out / "eval_report.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_recorded_batch_norm_free_model_is_refused(self, corpus, tmp_path,
+                                                       capsys):
+        checkpoint = self.edited_checkpoint(
+            corpus, tmp_path, lambda doc: doc["build"].update(use_bn=False))
+        err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
+        assert "batch-norm-free models were removed" in err
 
     def test_non_finite_arrays_are_refused(self, corpus, tmp_path, capsys):
         def poison(doc):
@@ -813,6 +842,97 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
+# a small run of each command at each level, and a value per level flag
+LEVEL_RUNS = {
+    ("eval", "graph"): ["eval", "--checkpoint", "{graph_ckpt}", "--dataset",
+                        "{graph_dir}", "--reps", "1"],
+    ("eval", "node"): ["eval", "--checkpoint", "{node_ckpt}", "--dataset",
+                       "{node_dir}", "--reps", "1"],
+    ("ablate", "graph"): ["ablate", "--study", "objective", "--dataset",
+                          "{graph_dir}", "--epochs", "1", "--batch-size", "6",
+                          "--hidden-dim", "8", "--encoder-layers", "1",
+                          "--decoder-layers", "1"],
+    ("ablate", "node"): ["ablate", "--study", "concat", "--preset", "node",
+                         "--dataset", "{node_dir}", "--hidden-dim", "8",
+                         "--epochs", "1"],
+    ("train", "graph"): ["train", "--dataset", "{graph_dir}", "--epochs", "1",
+                         "--batch-size", "4", "--hidden-dim", "8"],
+    ("train", "node"): ["train", "--preset", "node", "--dataset", "{node_dir}",
+                        "--hidden-dim", "8", "--epochs", "1"],
+}
+LEVEL_FLAG_ARGS = {
+    "folds": ["--folds", "3"],
+    # one-hot degrees capped at 1 are two features, as the corpus has
+    "degree_features": ["--degree-features", "1"],
+    "probe_epochs": ["--probe-epochs", "5"],
+    "no_concat": ["--no-concat"],
+    "file_prefix": ["--file-prefix", "graph"],
+}
+LEVEL_FLAG_CASES = [
+    (name, command) for name in cli.LEVEL_FLAGS
+    for command in ("eval", "ablate", "train")
+    if LEVEL_FLAG_ARGS[name][0] in subparsers()[command]._option_string_actions]
+
+
+class TestLevelFlags:
+    def run(self, corpus, command, level, name, out):
+        argv = [arg.format(**corpus) for arg in LEVEL_RUNS[command, level]]
+        return main([*argv, *LEVEL_FLAG_ARGS[name], "--out", str(out)])
+
+    def test_every_flag_is_offered_somewhere(self):
+        assert sorted({name for name, _ in LEVEL_FLAG_CASES}) == sorted(
+            cli.LEVEL_FLAGS)
+
+    @pytest.mark.parametrize("name,command", LEVEL_FLAG_CASES)
+    def test_flag_at_the_other_level_is_refused(self, corpus, tmp_path, capsys,
+                                                name, command):
+        level = cli.LEVEL_FLAGS[name][0]
+        other = "node" if level == "graph" else "graph"
+        out = tmp_path / "out"
+        assert self.run(corpus, command, other, name, out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {LEVEL_FLAG_ARGS[name][0]} applies to "
+                       f"{level}-level data only, and this run is "
+                       f"{other}-level"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,command", LEVEL_FLAG_CASES)
+    def test_flag_at_its_level_runs(self, corpus, tmp_path, capsys, name,
+                                    command):
+        level = cli.LEVEL_FLAGS[name][0]
+        out = tmp_path / "out"
+        assert self.run(corpus, command, level, name, out) == 0
+        capsys.readouterr()
+        manifest = read_json(out / "manifest.json")
+        check(manifest, "manifest")
+        if command == "eval":
+            # the manifest records the flags that applied, and only those
+            applied = {"graph": {"folds"},
+                       "node": {"concat_raw", "probe_epochs"}}[level]
+            assert set(manifest["config"]) == {"checkpoint", "reps",
+                                                "level"} | applied
+
+
+class TestStudyFactors:
+    @pytest.mark.parametrize("study,flag,preset", [
+        ("batch-size", ["--batch-size", "64"], "molecule"),
+        ("subgraph", ["--subgraph-nodes", "50"], "node"),
+        ("objective", ["--variant", "ce-embed"], "molecule"),
+    ])
+    def test_a_flag_for_the_swept_factor_is_refused(self, tmp_path, capsys,
+                                                    study, flag, preset):
+        # refused before anything loads: the dataset is absent
+        out = tmp_path / "out"
+        rc = main(["ablate", "--study", study, "--preset", preset,
+                   "--dataset", str(tmp_path / "absent"), "--out", str(out),
+                   *flag])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: study {study!r} sweeps {flag[0]}; it cannot "
+                       "also be set"]
+        assert not out.exists()
+
+
 def command_argv(corpus, command):
     """The argv of a small run of each command that builds sparse matrices
     (and of ``verify``, which builds none)."""
@@ -934,9 +1054,10 @@ class TestAblate:
 
     def test_batch_size_study_grid(self, corpus, tmp_path, capsys):
         out = str(tmp_path / "abl")
+        # the preset's batch size is not a flag, so the sweep overrides it
         rc = main(["ablate", "--study", "batch-size",
                    "--dataset", corpus["graph_dir"], "--out", out,
-                   "--epochs", "1", "--batch-size", "6", "--hidden-dim", "8",
+                   "--epochs", "1", "--preset", "molecule", "--hidden-dim", "8",
                    "--encoder-layers", "1", "--decoder-layers", "1",
                    "--folds", "3"])
         assert rc == 0
@@ -954,7 +1075,7 @@ class TestAblate:
         rc = main(["ablate", "--study", "subgraph",
                    "--dataset", corpus["node_dir"], "--out", out,
                    "--preset", "node", "--hidden-dim", "16", "--epochs", "1",
-                   "--probe-epochs", "60", "--folds", "3"])
+                   "--probe-epochs", "60"])
         assert rc == 0
         capsys.readouterr()
         doc = read_json(os.path.join(out, "ablation.json"))

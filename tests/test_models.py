@@ -49,9 +49,16 @@ def permute_graph(g, perm):
 
 
 def dyadic_weights(model, rng):
-    """Overwrite parameters with multiples of 1/16 so float sums are exact."""
-    for _, v in model.named_parameters():
-        v.data = rng.integers(-8, 9, size=v.data.shape).astype(float) / 16.0
+    """Overwrite the linear maps' parameters with multiples of 1/16 so float
+    sums are exact, and make every batch norm an exact relu in eval mode:
+    unit gamma and zero beta, with identity running statistics."""
+    for name, v in model.named_parameters():
+        if ".bn" not in name:
+            v.data = rng.integers(-8, 9, size=v.data.shape).astype(float) / 16.0
+    parts = [part for layer in model.encoder.layers for part in vars(layer).values()]
+    for bn in parts + model.decoder.bns:
+        if isinstance(bn, BatchNorm):
+            bn.set_identity_stats()
 
 
 class TestXavierInit:
@@ -356,8 +363,9 @@ class TestGCNLayer:
 
     def test_two_node_path_hand_computed(self):
         rng = np.random.default_rng(8)
-        layer = GCNLayer(1, 1, rng, use_bn=False)
+        layer = GCNLayer(1, 1, rng)
         layer.lin.W.data = np.array([[2.0]])
+        layer.bn.set_identity_stats()
         g = Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]),
                   np.array([[1.0], [3.0]]))
         batch = batch_graphs([g])
@@ -372,8 +380,8 @@ class TestGCNLayer:
         rng = np.random.default_rng(9)
         feats = rng.integers(-4, 5, size=(8, 3)).astype(float)
         g = cube_graph(feats)
-        enc = Encoder("gcn", 3, 4, 2, rng, use_bn=False)
-        model = Model(enc, Decoder(4, 3, 1, rng, use_bn=False), "graph")
+        enc = Encoder("gcn", 3, 4, 2, rng)
+        model = Model(enc, Decoder(4, 3, 1, rng), "graph")
         dyadic_weights(model, rng)
         perm = rng.permutation(8)
         engine.set_strict_determinism(True)
@@ -388,11 +396,11 @@ class TestGCNLayer:
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(8, 3))
         g = cube_graph(feats)
-        enc = Encoder("gcn", 3, 4, 2, np.random.default_rng(99), use_bn=True)
+        enc = Encoder("gcn", 3, 4, 2, np.random.default_rng(99))
         perm = rng.permutation(8)
         out = enc.encode(batch_graphs([g]), training=True)[-1].data
         # a fresh encoder from the same seed has identical weights and stats
-        enc2 = Encoder("gcn", 3, 4, 2, np.random.default_rng(99), use_bn=True)
+        enc2 = Encoder("gcn", 3, 4, 2, np.random.default_rng(99))
         out_p = enc2.encode(batch_graphs([permute_graph(g, perm)]), training=True)[-1].data
         np.testing.assert_allclose(out[perm], out_p, atol=1e-10)
 
@@ -413,7 +421,9 @@ class TestGINLayer:
 
     def test_triangle_identical_features_all_equal(self):
         rng = np.random.default_rng(12)
-        layer = GINLayer(2, 3, rng, use_bn=False)
+        layer = GINLayer(2, 3, rng)
+        layer.bn1.set_identity_stats()
+        layer.bn2.set_identity_stats()
         x = np.tile([0.5, 1.5], (3, 1))
         g = triangle_graph(x)
         batch = batch_graphs([g])
@@ -431,8 +441,8 @@ class TestGINLayer:
         dense = np.triu((rng.uniform(size=(7, 7)) < 0.5).astype(float), 1)
         dense = dense + dense.T
         g = Graph(7, SparseMatrix.from_dense(dense), feats)
-        enc = Encoder("gin", 2, 4, 2, rng, use_bn=False)
-        model = Model(enc, Decoder(4, 2, 1, rng, use_bn=False), "graph")
+        enc = Encoder("gin", 2, 4, 2, rng)
+        model = Model(enc, Decoder(4, 2, 1, rng), "graph")
         dyadic_weights(model, rng)
         perm = rng.permutation(7)
         engine.set_strict_determinism(True)
@@ -496,8 +506,8 @@ class TestEncoder:
             dense = np.triu((rng.uniform(size=(n, n)) < 0.5).astype(float), 1)
             graphs.append(Graph(n, SparseMatrix.from_dense(dense + dense.T),
                                 rng.integers(-4, 5, size=(n, 4)).astype(float)))
-        enc = Encoder("gin", 4, 5, 2, rng, use_bn=False)
-        model = Model(enc, Decoder(5, 4, 1, rng, use_bn=False), "graph")
+        enc = Encoder("gin", 4, 5, 2, rng)
+        model = Model(enc, Decoder(5, 4, 1, rng), "graph")
         dyadic_weights(model, rng)
         engine.set_strict_determinism(True)
         try:
@@ -541,7 +551,7 @@ class TestDecoder:
         dense = np.triu((rng.uniform(size=(5, 5)) < 0.6).astype(float), 1)
         g = Graph(5, SparseMatrix.from_dense(dense + dense.T), feats)
         batch = batch_graphs([g])
-        model = build_model("graph", "gcn", 3, 4, 2, 2, rng, use_bn=True)
+        model = build_model("graph", "gcn", 3, 4, 2, 2, rng)
 
         def f():
             # training-mode batch norm drifts its running stats on every
@@ -567,24 +577,24 @@ class TestReleasedIntermediates:
     parameter gradients stay bitwise those of the same ops without it."""
 
     LAYERS = {
-        "gcn": lambda rng, bn: (GCNLayer(3, 5, rng, use_bn=bn),
-                                lambda layer, batch, h: layer(
-                                    batch.normalized_adjacency(), h, True)),
-        "gin": lambda rng, bn: (GINLayer(3, 5, rng, use_bn=bn),
-                                lambda layer, batch, h: layer(
-                                    batch.block_adjacency, h, True)),
-        "decoder-mlp": lambda rng, bn: (Decoder(3, 4, 3, rng, use_bn=bn),
-                                        lambda layer, batch, h: layer(
-                                            h, training=True)),
+        "gcn": lambda rng: (GCNLayer(3, 5, rng),
+                            lambda layer, batch, h: layer(
+                                batch.normalized_adjacency(), h, True)),
+        "gin": lambda rng: (GINLayer(3, 5, rng),
+                            lambda layer, batch, h: layer(
+                                batch.block_adjacency, h, True)),
+        "decoder-mlp": lambda rng: (Decoder(3, 4, 3, rng),
+                                    lambda layer, batch, h: layer(
+                                        h, training=True)),
     }
 
-    def grads(self, kind, use_bn):
+    def grads(self, kind):
         rng = np.random.default_rng(31)
         dense = np.triu((rng.uniform(size=(7, 7)) < 0.4).astype(float), 1)
         graph = Graph(7, SparseMatrix.from_dense(dense + dense.T),
                       rng.normal(size=(7, 3)))
         batch = batch_graphs([graph])
-        layer, run = self.LAYERS[kind](rng, use_bn)
+        layer, run = self.LAYERS[kind](rng)
         h = Value(graph.features)
         out = run(layer, batch, h)
         released = sum(v.data is None for v in engine._toposort(out))
@@ -596,7 +606,7 @@ class TestReleasedIntermediates:
     def test_in_place_centring_is_bitwise_the_copy(self, kind, monkeypatch):
         # a layer's batch norm centres its private input in place; the
         # gradients are bitwise those of centring a copy
-        _, in_place = self.grads(kind, True)
+        _, in_place = self.grads(kind)
         batch_norm = models.batch_norm
         calls = []
 
@@ -605,19 +615,18 @@ class TestReleasedIntermediates:
             return batch_norm(*args, **kwargs)
 
         monkeypatch.setattr(models, "batch_norm", copying)
-        _, copied = self.grads(kind, True)
+        _, copied = self.grads(kind)
         assert calls and all(calls)
         for a, b in zip(in_place, copied):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("use_bn", [True, False])
     @pytest.mark.parametrize("kind", sorted(LAYERS))
-    def test_gradients_are_bitwise_those_without_release(self, kind, use_bn,
+    def test_gradients_are_bitwise_those_without_release(self, kind,
                                                         monkeypatch):
-        released, with_release = self.grads(kind, use_bn)
+        released, with_release = self.grads(kind)
         assert released > 0
         monkeypatch.setattr(models, "release", lambda *values: None)
-        none_released, without = self.grads(kind, use_bn)
+        none_released, without = self.grads(kind)
         assert none_released == 0
         assert len(with_release) == len(without)
         for a, b in zip(with_release, without):

@@ -112,10 +112,11 @@ class TestMaskSpec:
 
 
 def hand_model(decoder_gain):
-    """Node-level 1-layer GCN, one-dim features, weights pinned by hand."""
-    model = build_model("node", "gcn", 1, 1, 1, 1,
-                        np.random.default_rng(0), use_bn=False)
+    """Node-level 1-layer GCN, one-dim features, weights pinned by hand; its
+    batch norm in eval mode is an exact relu."""
+    model = build_model("node", "gcn", 1, 1, 1, 1, np.random.default_rng(0))
     model.encoder.layers[0].lin.W.data = np.array([[1.0]])
+    model.encoder.layers[0].bn.set_identity_stats()
     model.decoder.linears[0].W.data = np.array([[decoder_gain]])
     return model
 
@@ -133,7 +134,7 @@ class TestHandComputedObjectives:
         model = hand_model(decoder_gain=1.0)
         batch = batch_graphs([edge_graph([[4.0], [8.0]])])
         out = objective(model, batch, self.SPEC, np.random.default_rng(0),
-                        alpha=0.5, variant="mse-embed")
+                        alpha=0.5, variant="mse-embed", training=False)
         # recon: ((6-4)^2 + (6-8)^2) / 2 = 4; invariance: sqrt((36+36)/2) = 6
         assert out.reconstruction == pytest.approx(4.0, abs=1e-12)
         assert out.invariance == pytest.approx(6.0, abs=1e-9)
@@ -144,26 +145,26 @@ class TestHandComputedObjectives:
         model = hand_model(decoder_gain=2.0)
         batch = batch_graphs([edge_graph([[4.0], [8.0]])])
         out = objective(model, batch, self.SPEC, np.random.default_rng(0),
-                        alpha=1.0, variant="mse-output")
+                        alpha=1.0, variant="mse-output", training=False)
         # decode scales by 2: clean output [[12],[12]], corrupted [[0],[0]]
         # recon: ((12-4)^2 + (12-8)^2) / 2 = 40; inv: sqrt((144+144)/2) = 12
         assert out.reconstruction == pytest.approx(40.0, abs=1e-12)
         assert out.invariance == pytest.approx(12.0, abs=1e-9)
 
     def test_graph_level_embed_compares_readouts(self):
-        model = build_model("graph", "gcn", 1, 1, 1, 1,
-                            np.random.default_rng(0), use_bn=False)
+        model = build_model("graph", "gcn", 1, 1, 1, 1, np.random.default_rng(0))
         model.encoder.layers[0].lin.W.data = np.array([[1.0]])
+        model.encoder.layers[0].bn.set_identity_stats()
         model.decoder.linears[0].W.data = np.array([[1.0]])
         batch = batch_graphs([edge_graph([[4.0], [8.0]])])
         out = objective(model, batch, self.SPEC, np.random.default_rng(0),
-                        alpha=1.0, variant="mse-embed")
+                        alpha=1.0, variant="mse-embed", training=False)
         # readouts: clean 12, corrupted 0, divisor is the 2 masked rows
         assert out.invariance == pytest.approx(np.sqrt(144.0 / 2.0), abs=1e-9)
 
     def test_ce_recon_matches_manual_cross_entropy(self):
         rng = np.random.default_rng(4)
-        model = build_model("node", "gcn", 2, 3, 1, 1, rng, use_bn=False)
+        model = build_model("node", "gcn", 2, 3, 1, 1, rng)
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         batch = batch_graphs([edge_graph(feats)])
         out = objective(model, batch, MaskSpec(ratio=0.5), np.random.default_rng(0),
@@ -177,7 +178,7 @@ class TestHandComputedObjectives:
 
     def test_ce_recon_rejects_non_stochastic_rows(self):
         rng = np.random.default_rng(5)
-        model = build_model("node", "gcn", 2, 3, 1, 1, rng, use_bn=False)
+        model = build_model("node", "gcn", 2, 3, 1, 1, rng)
         batch = batch_graphs([edge_graph([[2.0, 1.0], [0.5, 0.5]])])
         with pytest.raises(ValueError, match="sum to 1"):
             objective(model, batch, MaskSpec(ratio=0.5), np.random.default_rng(0),
@@ -212,7 +213,7 @@ class TestObjectiveProperties:
     def test_constant_encoder_has_negligible_invariance(self):
         rng = np.random.default_rng(7)
         batch = self.make_batch(rng)
-        model = build_model("node", "gcn", 3, 4, 2, 2, rng, use_bn=False)
+        model = build_model("node", "gcn", 3, 4, 2, 2, rng)
         for layer in model.encoder.layers:
             layer.lin.W.data[:] = 0.0
         out = objective(model, batch, MaskSpec(ratio=0.5), np.random.default_rng(2),

@@ -147,13 +147,11 @@ class TestConfigParser:
             level = node
             hidden_dim = 16   # trailing comment
             lr = 0.5
-            use_bn = false
             alpha = 2
         """)
         assert cfg.level == "node"
         assert cfg.hidden_dim == 16
         assert cfg.lr == 0.5
-        assert cfg.use_bn is False
         assert cfg.alpha == 2.0
 
     def test_unknown_key_rejected_with_line_number(self):
@@ -163,8 +161,11 @@ class TestConfigParser:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("epochs = soon\n")
-        with pytest.raises(ValueError, match="boolean"):
-            parse_config("use_bn = maybe\n")
+
+    @pytest.mark.parametrize("line", ["use_bn = true", "mask_mode = gaussian"])
+    def test_removed_settings_are_unknown_keys(self, line):
+        with pytest.raises(ValueError, match="line 2: unknown key"):
+            parse_config(f"lr = 0.1\n{line}\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
