@@ -31,6 +31,13 @@ full input makes that inner product equal the summed noise variance over the
 masked entries. Estimates carry delta-method standard errors; the slack of
 each bound is required to clear -2 combined SE, and equalities to sit within
 3 SE.
+
+An estimate draws its latent, observed and mask-noise stacks whole, in one
+fixed rng order, then runs the predictor and the gap maps over chunks of 64
+draws (`_CHUNK_SAMPLES`). Every per-draw statistic reads only its own draw,
+so the estimates do not depend on the chunk size, bit for bit; peak memory
+holds the latent, observed and clean stacks plus one chunk's work, whatever
+the number of draws or the predictor's depth.
 """
 
 import dataclasses
@@ -134,7 +141,9 @@ def gen_observation_stack(latent, setup, rng):
     """X = F + zero-mean noise, element-wise sd = noise_sd."""
     if setup.noise_sd == 0.0:
         return latent.copy()
-    return latent + rng.normal(0.0, setup.noise_sd, size=latent.shape)
+    observed = rng.normal(0.0, setup.noise_sd, size=latent.shape)
+    observed += latent  # noise + F == F + noise bit for bit, in one stack
+    return observed
 
 
 def gen_pair(setup, rng):
@@ -320,6 +329,18 @@ def _gap(clean, noisy, indices):
     return np.sum((clean - noisy) ** 2, axis=tuple(range(1, clean.ndim)))
 
 
+# Samples per chunk: predictors and gap maps run on at most this many draws
+# at a time, so their temporaries span one chunk whatever n_mc is. Every
+# per-draw statistic reads only its own draw, so no estimate depends on it.
+_CHUNK_SAMPLES = 64
+
+
+def _chunks(count):
+    """Consecutive slices of at most `_CHUNK_SAMPLES` covering range(count)."""
+    return [slice(start, min(start + _CHUNK_SAMPLES, count))
+            for start in range(0, count, _CHUNK_SAMPLES)]
+
+
 def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
                     mask_draws, rng):
     """Shared Monte-Carlo core.
@@ -338,26 +359,38 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     adj = gen_adjacency(setup, rng)
     latent = gen_latent_stack(setup, rng, n_mc)
     observed = gen_observation_stack(latent, setup, rng)
-    predicted = predict(adj, observed)
-    if predicted.shape != observed.shape:
-        raise ValueError(
-            f"predictor output shape {predicted.shape} != {observed.shape}")
+    chunks = _chunks(n_mc)
 
     axes = (1, 2)
-    recon = np.sum((predicted - observed) ** 2, axis=axes)
-    to_latent = np.sum((predicted - latent) ** 2, axis=axes)
-    noise_energy = np.sum((observed - latent) ** 2, axis=axes)
+    recon = np.empty(n_mc)
+    to_latent = np.empty(n_mc)
+    noise_energy = np.empty(n_mc)
+    clean = None  # gap_map of the uncorrupted stack, filled chunk by chunk
+    for c in chunks:
+        predicted = predict(adj, observed[c])
+        if predicted.shape != observed[c].shape:
+            raise ValueError(f"predictor output shape {predicted.shape} "
+                             f"!= {observed[c].shape}")
+        recon[c] = np.sum((predicted - observed[c]) ** 2, axis=axes)
+        to_latent[c] = np.sum((predicted - latent[c]) ** 2, axis=axes)
+        noise_energy[c] = np.sum((observed[c] - latent[c]) ** 2, axis=axes)
+        mapped = predicted if gap_map is predict else gap_map(adj, observed[c])
+        if clean is None:
+            clean = np.empty((n_mc,) + mapped.shape[1:])
+        clean[c] = mapped
+    del latent
     lhs_draws = to_latent + noise_energy
     cross = recon - lhs_draws  # equals -2 <f - F, X - F> draw by draw
 
     spec = setup.mask_spec
     k_mask = setup.mask_count
-    clean = predicted if gap_map is predict else gap_map(adj, observed)
     gap_columns = np.empty((n_mc, mask_draws))
     for m in range(mask_draws):
         indices, noise = sample_mask(observed.shape, spec, rng)
-        corrupted = apply_mask(observed, indices, noise, spec.mode)
-        gap_columns[:, m] = _gap(clean, gap_map(adj, corrupted), indices) / k_mask
+        for c in chunks:
+            corrupted = apply_mask(observed[c], indices, noise[c], spec.mode)
+            gap_columns[c, m] = _gap(clean[c], gap_map(adj, corrupted),
+                                     indices) / k_mask
 
     u = gap_columns.mean(axis=0)
     roots = np.sqrt(u)
@@ -469,23 +502,25 @@ def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, rng=None,
         rng = np.random.default_rng(0)
     if mask_draws < 1:
         raise ValueError("need at least 1 mask draw")
-    chunk = n_mc // mask_draws
-    if chunk < 2:
+    block = n_mc // mask_draws
+    if block < 2:
         raise ValueError("n_mc too small for the requested mask draws")
     spec = setup.mask_spec
     adj = gen_adjacency(setup, rng)
-    values = []
-    for _ in range(mask_draws):
-        latent = gen_latent_stack(setup, rng, chunk)
+    values = np.empty((mask_draws, block))
+    for m in range(mask_draws):
+        latent = gen_latent_stack(setup, rng, block)
         observed = gen_observation_stack(latent, setup, rng)
         indices, noise = sample_mask(observed.shape, spec, rng)
-        corrupted = apply_mask(observed, indices, noise, spec.mode)
-        inputs = observed if pass_full_input else corrupted
-        predicted = predict(adj, inputs)
-        err = predicted[:, indices, :] - latent[:, indices, :]
-        noise = observed[:, indices, :] - latent[:, indices, :]
-        values.append(np.sum(err * noise, axis=(1, 2)))
-    values = np.concatenate(values)
+        for c in _chunks(block):
+            if pass_full_input:
+                inputs = observed[c]
+            else:
+                inputs = apply_mask(observed[c], indices, noise[c], spec.mode)
+            err = predict(adj, inputs)[:, indices, :] - latent[c, indices, :]
+            residual = observed[c, indices, :] - latent[c, indices, :]
+            values[m, c] = np.sum(err * residual, axis=(1, 2))
+    values = values.ravel()
     se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return InnerProductEstimate(mean=float(values.mean()), se=se,
                                 n_samples=len(values))

@@ -1,8 +1,12 @@
 """Tests for the synthetic-laboratory bound verifier."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from latentgraph import bounds
 from latentgraph.bounds import (
     BoundEstimate,
     InnerProductEstimate,
@@ -191,15 +195,20 @@ class TestStackPredictor:
             StackPredictor("gcn", [], [np.eye(2)])
 
     def test_batched_matches_per_matrix(self):
-        rng = np.random.default_rng(9)
-        predictor = make_random_predictor(3, 5, 2, 2, "gcn", rng)
-        setup = small_setup(feature_dim=3)
-        adj = gen_adjacency(setup, rng)
-        stack = rng.normal(size=(4, setup.num_nodes, 3))
-        batched = predictor.predict(adj, stack)
-        for i in range(4):
-            single = predictor.predict(adj, stack[i:i + 1])[0]
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+        # the estimators run the predictor chunk by chunk: any slice of a
+        # stack must predict exactly what the whole stack predicts there
+        for kind in ("gcn", "gin"):
+            rng = np.random.default_rng(9)
+            predictor = make_random_predictor(3, 5, 2, 2, kind, rng)
+            setup = small_setup(feature_dim=3)
+            adj = gen_adjacency(setup, rng)
+            stack = rng.normal(size=(130, setup.num_nodes, 3))
+            batched = predictor.predict(adj, stack)
+            for size in (1, 3, 64):
+                for start in range(0, 130, size):
+                    part = slice(start, start + size)
+                    np.testing.assert_array_equal(
+                        predictor.predict(adj, stack[part]), batched[part])
 
     @pytest.mark.parametrize("kind", ["gcn", "gin"])
     def test_embed_follows_a_changed_adjacency(self, kind):
@@ -451,3 +460,131 @@ class TestBlindInnerProduct:
         with pytest.raises(ValueError):
             check_dae_inner_product(identity_predictor(), setup, n_mc=8,
                                     mask_draws=0, rng=np.random.default_rng(0))
+
+
+class TestChunking:
+    """The estimators run their predictors over chunks of
+    `bounds._CHUNK_SAMPLES` draws; one chunk of every draw is the
+    reference, and 130 draws make two full chunks and a partial one."""
+
+    N_MC = 130
+
+    @staticmethod
+    def _setup():
+        return SyntheticSetup(num_nodes=11, feature_dim=5, edge_prob=0.4,
+                              noise_sd=0.1, mask_ratio=0.25,
+                              mask_noise_sd=0.5)
+
+    def _both(self, monkeypatch, run):
+        chunked = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_CHUNK_SAMPLES", self.N_MC)
+            whole = run()
+        return chunked, whole
+
+    def test_chunks_cover_every_draw_once(self):
+        assert bounds._CHUNK_SAMPLES == 64
+        spans = [(c.start, c.stop) for c in bounds._chunks(self.N_MC)]
+        assert spans == [(0, 64), (64, 128), (128, 130)]
+
+    def test_predictor_sees_one_chunk_at_a_time(self, monkeypatch):
+        sizes = []
+        identity = identity_predictor()
+
+        def spy(adj, x_stack):
+            sizes.append(len(x_stack))
+            return identity(adj, x_stack)
+
+        chunked, whole = self._both(monkeypatch, lambda: estimate_theorem1(
+            spy, self._setup(), n_mc=self.N_MC, mask_draws=2,
+            rng=np.random.default_rng(40)))
+        assert chunked == whole
+        # three chunks for the clean stack and per mask draw, then one call
+        # each for the reference
+        assert sizes == [64, 64, 2] * 3 + [self.N_MC] * 3
+
+    @pytest.mark.parametrize("regime", ["gcn", "gin", "identity", "constant"])
+    def test_theorem1_is_bit_identical(self, monkeypatch, regime):
+        setup = self._setup()
+        if regime in ("gcn", "gin"):
+            predict = make_random_predictor(5, 8, 2, 2, regime,
+                                            np.random.default_rng(41)).predict
+        elif regime == "identity":
+            predict = identity_predictor()
+        else:
+            predict = constant_predictor(np.zeros((11, 5)))
+        chunked, whole = self._both(monkeypatch, lambda: estimate_theorem1(
+            predict, setup, n_mc=self.N_MC, mask_draws=5,
+            rng=np.random.default_rng(42)))
+        assert chunked == whole
+
+    @pytest.mark.parametrize("level", ["node", "graph"])
+    @pytest.mark.parametrize("network", ["random-gnn", "relu-passthrough"])
+    def test_corollaries_are_bit_identical(self, monkeypatch, level, network):
+        setup = self._setup()
+        if network == "random-gnn":
+            predictor = make_random_predictor(5, 8, 2, 2, "gin",
+                                              np.random.default_rng(43))
+        else:
+            predictor = StackPredictor("gin", [np.eye(5)], [np.eye(5)])
+            setup = dataclasses.replace(setup, graph_model="fixed",
+                                        adjacency=np.zeros((11, 11)))
+        chunked, whole = self._both(monkeypatch, lambda: estimate_corollary(
+            level, predictor, setup, n_mc=self.N_MC, mask_draws=5,
+            rng=np.random.default_rng(44)))
+        assert chunked == whole
+
+    @pytest.mark.parametrize("leaky", [False, True])
+    def test_dae_checks_are_bit_identical(self, monkeypatch, leaky):
+        # two mask draws of 130 draws each: every block is chunked
+        setup = dataclasses.replace(self._setup(), mask_mode="zeros")
+        if leaky:
+            predict = identity_predictor()
+        else:
+            predict = make_random_predictor(5, 8, 2, 2, "gcn",
+                                            np.random.default_rng(45)).predict
+        chunked, whole = self._both(monkeypatch, lambda: check_dae_inner_product(
+            predict, setup, n_mc=2 * self.N_MC, mask_draws=2,
+            rng=np.random.default_rng(46), pass_full_input=leaky))
+        assert chunked == whole
+        assert chunked.n_samples == 2 * self.N_MC
+
+
+class TestWorkingSet:
+    """At n=32, d=8, hidden 8 and 2048 draws one (n_mc, n, d) stack is
+    4 MiB. Running the predictor on the whole stack at once peaked at about
+    33 MiB of traced allocations for corollary1 and 25 MiB for the dae check;
+    by chunks they hold the drawn stacks plus one chunk's work."""
+
+    N_MC = 2048
+
+    @staticmethod
+    def _traced_peak(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def _check(self, run):
+        setup = SyntheticSetup(num_nodes=32, feature_dim=8, edge_prob=0.4,
+                               noise_sd=0.1, mask_ratio=0.25,
+                               mask_noise_sd=0.5)
+        predictor = make_random_predictor(8, 8, 2, 2, "gcn",
+                                          np.random.default_rng(50))
+        stack = self.N_MC * 32 * 8 * 8
+        peak = self._traced_peak(lambda: run(predictor, setup))
+        assert peak < 4 * stack, (
+            f"peak {peak / 2**20:.1f} MiB, stack {stack / 2**20:.1f} MiB")
+
+    def test_corollary_peak(self):
+        self._check(lambda predictor, setup: estimate_corollary(
+            "node", predictor, setup, n_mc=self.N_MC, mask_draws=2,
+            rng=np.random.default_rng(51)))
+
+    def test_dae_check_peak(self):
+        self._check(lambda predictor, setup: check_dae_inner_product(
+            predictor.predict, setup, n_mc=self.N_MC, mask_draws=1,
+            rng=np.random.default_rng(52)))
