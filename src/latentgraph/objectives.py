@@ -98,12 +98,15 @@ def sample_batch_mask(batch, spec, rng):
     return np.concatenate(all_indices), np.vstack(all_noise)
 
 
-def apply_mask(features, indices, noise, mode="gaussian"):
-    """Return a corrupted copy of `features`, shape (..., n, d), with rows
-    `indices` of the node axis noised or blanked; the original is untouched."""
-    out = np.array(features, dtype=float, copy=True)
+def apply_mask(features, indices, noise, mode="gaussian", dtype=float):
+    """Return a corrupted copy of `features`, shape (..., n, d), in `dtype`,
+    with rows `indices` of the node axis noised or blanked; the original is
+    untouched. Noised rows are summed in float64 and then cast, so the copy
+    equals the float64 result cast to `dtype`, bit for bit."""
+    features = np.asarray(features)
+    out = features.astype(dtype, copy=True)
     if mode == "gaussian":
-        out[..., indices, :] += noise
+        out[..., indices, :] = np.add(features[..., indices, :], noise, dtype=float)
     elif mode == "zeros":
         out[..., indices, :] = 0.0
     else:
@@ -186,7 +189,8 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
 
     indices, noise = sample_batch_mask(batch, spec, rng)
-    corrupted = apply_mask(batch.features, indices, noise, spec.mode)
+    corrupted = apply_mask(batch.features, indices, noise, spec.mode,
+                           model.encoder.dtype)
 
     # every array backward reads is captured by the time a pass's view is
     # taken, so its layer outputs and decoder output are released then

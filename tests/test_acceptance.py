@@ -105,7 +105,8 @@ def train_and_score(dataset, config, probe_seed=0):
     model = build_model(config.level, config.encoder, dataset.feature_dim,
                         config.hidden_dim, config.encoder_layers,
                         config.decoder_layers,
-                        rng=np.random.default_rng(config.seed))
+                        rng=np.random.default_rng(config.seed),
+                        dtype=config.dtype)
     history = train(model, dataset, config)
     reprs = extract_graph_repr(dataset, model.encoder)
     report = linsvm_kfold(reprs, dataset.labels(), folds=10, seed=probe_seed)

@@ -477,14 +477,15 @@ class TestTrain:
             assert manifest["deterministic"] is True
         assert logs[0] == logs[1]
 
-    @pytest.mark.parametrize("level", ["graph", "node"])
+    @pytest.mark.parametrize("case", ["graph", "molecule", "node"])
     def test_deterministic_mode_bytes_do_not_depend_on_blas_threads(
-            self, corpus, tmp_path, level):
-        flags = {"graph": ["--dataset", corpus["graph_dir"], "--epochs", "2",
-                           "--batch-size", "4", "--hidden-dim", "8",
-                           "--seed", "11"],
+            self, corpus, tmp_path, case):
+        graph = ["--dataset", corpus["graph_dir"], "--epochs", "2",
+                 "--batch-size", "4", "--hidden-dim", "8", "--seed", "11"]
+        flags = {"graph": graph,
+                 "molecule": [*graph, "--preset", "molecule"],
                  "node": ["--dataset", corpus["node_dir"], "--preset", "node",
-                          "--hidden-dim", "512", "--epochs", "2"]}[level]
+                          "--hidden-dim", "512", "--epochs", "2"]}[case]
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, LAGRAPH_STRICT_DETERMINISM="1",
@@ -499,6 +500,8 @@ class TestTrain:
             outputs.append([(out / name).read_bytes() for name in
                             ("loss_log.jsonl", "checkpoint.json")])
         assert outputs[0] == outputs[1]
+        dtype = json.loads(outputs[0][1])["build"]["dtype"]
+        assert dtype == ("float64" if case == "graph" else "float32")
 
     def test_node_preset_float32_same_bytes_in_deterministic_mode(
             self, corpus, tmp_path):

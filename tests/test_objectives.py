@@ -97,6 +97,18 @@ class TestMaskSpec:
                 out[s], apply_mask(stack[s], idx, noise[s], mode))
         assert not np.array_equal(out[:, idx, :], stack[:, idx, :])
 
+    @pytest.mark.parametrize("mode", ["gaussian", "zeros"])
+    @pytest.mark.parametrize("shape", [(9, 3), (4, 9, 3)])
+    def test_apply_mask_in_a_dtype_is_the_float64_copy_cast(self, mode, shape):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=shape)
+        spec = MaskSpec(ratio=0.3, noise_sd=0.7, mode=mode)
+        idx, noise = sample_mask(shape, spec, rng)
+        out = apply_mask(x, idx, noise, mode, dtype=np.float32)
+        assert out.dtype == np.float32
+        expected = apply_mask(x, idx, noise, mode).astype(np.float32)
+        assert out.tobytes() == expected.tobytes()
+
     def test_batch_mask_covers_every_graph(self):
         rng = np.random.default_rng(3)
         graphs = [small_random_graph(rng, n, 2) for n in (3, 7, 2)]

@@ -119,6 +119,8 @@ class TestTrainConfig:
         assert protein.mask_ratio == 0.3 and protein.noise_sd == 2.0
         node = preset_config("node")
         assert node.level == "node" and node.hidden_dim == 512
+        assert {name: preset_config(name).dtype for name in training.PRESETS} == {
+            "molecule": "float32", "protein": "float32", "node": "float32"}
 
     def test_preset_overrides(self):
         cfg = preset_config("molecule", epochs=3, hidden_dim=8)
@@ -286,6 +288,32 @@ class TestTrainLoop:
         history = train(model, graph, cfg)
         assert [h.steps for h in history] == [1, 1, 1]
         assert calls == [1]
+
+    def test_graph_level_batches_are_built_one_step_at_a_time(self, monkeypatch):
+        built = []
+
+        def counting(graph_list):
+            built.append(len(graph_list))
+            return batch_graphs(graph_list)
+
+        class Log:
+            def __init__(self):
+                self.built_at_write = []
+
+            def write(self, text):
+                self.built_at_write.append(len(built))
+
+        monkeypatch.setattr(graphs, "batch_graphs", counting)
+        data = self.make_data()
+        log = Log()
+        history = train(build_model("graph", "gin", data.feature_dim, 6, 2, 1,
+                                    np.random.default_rng(0)),
+                        data, tiny_config(epochs=2), log_fh=log)
+        # 12 graphs in batches of 4: each step's batch is built just before
+        # its loss line, not all of an epoch's batches before its first step
+        assert [h.steps for h in history] == [3, 3]
+        assert built == [4] * 6
+        assert log.built_at_write == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("term", ["reconstruction", "invariance", "total"])
     def test_non_finite_loss_stops_naming_epoch_step_and_term(self, term,
