@@ -10,12 +10,7 @@ frozen node representations over a fixed train/valid/test split. Run with:
 
 import numpy as np
 
-from latentgraph.evaluation import (
-    evaluate_node_split,
-    extract_node_repr,
-    logreg_eval,
-    logreg_fit,
-)
+from latentgraph.evaluation import evaluate_node_split, extract_node_repr
 from latentgraph.graphs import NodeSplit, make_sbm_graph
 from latentgraph.models import build_model
 from latentgraph.training import TrainConfig, train
@@ -33,11 +28,8 @@ def main():
           f"{graph.feature_dim}, split 480/80/240")
 
     print("baseline: probe on the raw features alone")
-    classifier = logreg_fit(graph.features[split.train],
-                            graph.node_labels[split.train], epochs=200,
-                            rng=np.random.default_rng(0))
-    raw_acc = logreg_eval(classifier, graph.features[split.test],
-                          graph.node_labels[split.test])["accuracy"]
+    raw_acc = evaluate_node_split(graph.features, graph.node_labels, split,
+                                  epochs=200, seed=0).mean
     print(f"  raw-feature test accuracy: {raw_acc:.4f}")
 
     print("pretraining on random 200-node induced subgraphs:")

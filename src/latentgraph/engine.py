@@ -19,6 +19,12 @@ drop an interior Value's data once no later forward op reads it: the array
 then stays alive only if some closure captured it. Releasing can never change
 a gradient; a released Value is unusable as the input of a later op.
 
+A walk runs each closure once and then drops it, so a closure may write its
+input gradient over an array nothing else reads (the fused batch norm writes
+it over its normalized activations). A walk that retains the graph runs the
+closures again later; it says so through :func:`_retaining_graph`, and such a
+closure then allocates a fresh gradient.
+
 Inside ``with no_grad():`` ops record nothing: each result is a parentless
 Value, so an intermediate array is freed as soon as the next op has consumed
 it. Inference (representation extraction) runs this way; training and anything
@@ -199,6 +205,15 @@ def _recording():
     return _RECORDING
 
 
+_RETAINING = False
+
+
+def _retaining_graph():
+    """Whether the running :func:`backward` walk keeps the graph, so a later
+    walk runs the same backward closures again."""
+    return _RETAINING
+
+
 def _accumulate(node, g):
     if node.op == "const":
         return
@@ -224,11 +239,14 @@ def matmul(a, b):
     a_data = a.data if recompute is None else None
 
     def _back(g):
-        if a.op != "const":
-            _accumulate(a, _mm(g, b_data.T))
+        # b's gradient first, so a recomputed left operand is dropped before
+        # a's gradient, as large as it, is allocated
         if b.op != "const":
             left = a_data if recompute is None else recompute()
             _accumulate(b, _mm(left.T, g))
+            del left
+        if a.op != "const":
+            _accumulate(a, _mm(g, b_data.T))
 
     return Value(_mm(a.data, b_data), parents=(a, b), backward=_back, op="matmul")
 
@@ -465,12 +483,15 @@ def backward(loss, retain_graph=False):
     each interior node's gradient, parents, backward closure and recompute
     closure are dropped as soon as its backward closure has run, so the DAG
     is freed during the walk and a second backward needs a fresh forward
-    pass. With ``retain_graph`` interior
-    gradients are kept and returned as well, and a second backward over the
-    same graph returns the same gradients.
+    pass; a closure may then write a gradient over an array only it
+    captured. With ``retain_graph`` interior gradients are kept and returned
+    as well, closures see :func:`_retaining_graph` true and leave what they
+    captured intact, and a second backward over the same graph returns the
+    same gradients.
 
     Gradient arrays may be shared between nodes; treat them as read-only.
     """
+    global _RETAINING
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a 1x1 loss, got shape {loss.data.shape}")
     order = _toposort(loss)
@@ -480,24 +501,28 @@ def backward(loss, retain_graph=False):
         node.grad = None
     _accumulate(loss, np.ones((1, 1), dtype=loss.data.dtype))
     grads = {}
-    # Popping walks the nodes in reverse topological order, so a node has all
-    # its contributions when it is reached, and its arrays can go as soon as
-    # its closure has run.
-    while order:
-        node = order.pop()
-        if not node._parents:
-            if node.grad is not None:
+    previous, _RETAINING = _RETAINING, bool(retain_graph)
+    try:
+        # Popping walks the nodes in reverse topological order, so a node has
+        # all its contributions when it is reached, and its arrays can go as
+        # soon as its closure has run.
+        while order:
+            node = order.pop()
+            if not node._parents:
+                if node.grad is not None:
+                    grads[node] = node.grad
+                continue
+            if node._backward is not None:
+                node._backward(node.grad)
+            if retain_graph:
                 grads[node] = node.grad
-            continue
-        if node._backward is not None:
-            node._backward(node.grad)
-        if retain_graph:
-            grads[node] = node.grad
-        else:
-            node.grad = None
-            node._parents = ()
-            node._backward = None
-            node._recompute = None
+            else:
+                node.grad = None
+                node._parents = ()
+                node._backward = None
+                node._recompute = None
+    finally:
+        _RETAINING = previous
     return grads
 
 

@@ -79,6 +79,10 @@ def accuracy_score(y_true, y_pred):
 PROBE_LR = 0.01
 PROBE_EPOCHS = 300
 
+# Rows a probe scores at once, so representations in float32 are converted
+# to float64 a block at a time.
+_PREDICT_ROWS = 1024
+
 
 @dataclass
 class LinearClassifier:
@@ -90,7 +94,13 @@ class LinearClassifier:
     degenerate: bool = False
 
     def predict(self, reprs):
-        return np.argmax(np.asarray(reprs, dtype=float) @ self.W + self.b, axis=1)
+        reprs = np.asarray(reprs)
+        out = np.empty(reprs.shape[0], dtype=np.intp)
+        for start in range(0, reprs.shape[0], _PREDICT_ROWS):
+            rows = slice(start, start + _PREDICT_ROWS)
+            scores = np.asarray(reprs[rows], dtype=float) @ self.W + self.b
+            out[rows] = np.argmax(scores, axis=1)
+        return out
 
 
 def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
@@ -129,15 +139,6 @@ def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
         optimizer.step(grads)
     return LinearClassifier(W=W.data.copy(), b=b.data.copy(),
                             degenerate=bool(labels.min() == labels.max()))
-
-
-def logreg_eval(classifier, reprs, labels):
-    """Accuracy of a trained probe on held-out data, also reported as
-    micro-F1: with one label and one prediction per sample, micro-F1 is
-    2c / 2n, the accuracy c / n to the bit."""
-    accuracy = accuracy_score(labels, classifier.predict(reprs))
-    return {"accuracy": accuracy, "micro_f1": accuracy,
-            "degenerate": classifier.degenerate}
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +309,18 @@ def linsvm_kfold(reprs, labels, folds=10, c_grid=DEFAULT_C_GRID, seed=0):
 
 def evaluate_node_split(reprs, labels, split, epochs=PROBE_EPOCHS, seed=0):
     """Train a logistic probe on the split's train nodes, score its test
-    nodes, and package the result like a single-fold report."""
-    clf = logreg_fit(reprs[split.train], np.asarray(labels)[split.train],
+    nodes, and package the result like a single-fold report.
+
+    The probe scores every node, an n x classes product, and keeps the test
+    rows' predictions, so the test rows' representations are never copied.
+    """
+    labels = np.asarray(labels)
+    clf = logreg_fit(reprs[split.train], labels[split.train],
                      epochs=epochs, rng=np.random.default_rng(seed))
-    metrics = logreg_eval(clf, reprs[split.test], np.asarray(labels)[split.test])
+    accuracy = accuracy_score(labels[split.test], clf.predict(reprs)[split.test])
+    # with one label and one prediction per node, micro-F1 is 2c / 2n, the
+    # accuracy c / n to the bit
     return _make_report(
-        "accuracy", [metrics["accuracy"]],
-        {"lr": PROBE_LR, "epochs": epochs, "micro_f1": metrics["micro_f1"]},
-        seed, 1, ["degenerate training labels"] if metrics["degenerate"] else [])
+        "accuracy", [accuracy],
+        {"lr": PROBE_LR, "epochs": epochs, "micro_f1": accuracy},
+        seed, 1, ["degenerate training labels"] if clf.degenerate else [])

@@ -3,14 +3,15 @@
 Layers are small parameter containers whose ``__call__`` builds engine ops, so
 gradients flow through the same DAG as every other operation. A layer
 releases (:func:`engine.release`) each intermediate that never leaves its
-``__call__`` as soon as the next op has consumed it, so only the arrays that
-backward closures captured stay alive until backward. Batch
-normalization is the one custom node, fused with the relu after it: its
-forward uses batch statistics in training mode and running statistics in
-eval mode and works in place, and its backward is the closed-form expression
-obtained by differentiating through the relu, mean and variance. Its output
-is rebuilt from what that backward keeps when a later matmul needs it, so
-a layer holds no output until backward.
+``__call__`` as soon as the next op has consumed it, and an encoder layer
+releases its input once it has read it, so only the arrays that backward
+closures captured stay alive until backward. Batch normalization is the one
+custom node, fused with the relu after it: its forward uses batch statistics
+in training mode and running statistics in eval mode and works in place, and
+its backward is the closed-form expression obtained by differentiating
+through the relu, mean and variance, written over the normalized activations
+it kept. Its output is rebuilt from those when a later matmul needs it, so a
+layer holds no output until backward.
 
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
@@ -23,8 +24,8 @@ import functools
 
 import numpy as np
 
-from .engine import (Value, _accumulate, _recording, _rectify, add, add_row, constant,
-                     matmul, release, spmm)
+from .engine import (Value, _accumulate, _recording, _rectify, _retaining_graph, add,
+                     add_row, constant, matmul, release, spmm)
 
 __all__ = [
     "xavier_init",
@@ -82,12 +83,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     scratch; in eval mode under :func:`engine.no_grad` the copy is the
     output. With ``overwrite_x`` the centring happens in ``x.data`` itself,
     so no copy is made: only for an ``x`` that nothing reads afterwards.
-    The backward keeps ``xhat`` and 1 x q rows only: it recomputes
-    the relu mask from them with the forward's own float ops, and allocates
-    the input gradient plus temporaries of ``_BN_BLOCK_ROWS`` rows. The
-    output is not kept for backward either: its ``_recompute`` closure
-    rebuilds it from ``xhat`` with the same ops, for a :func:`engine.matmul`
-    that reads it.
+    The backward keeps ``xhat`` and 1 x q rows only: each of its two passes
+    over the rows recomputes the relu mask from them with the forward's own
+    float ops, and it writes the input gradient over ``xhat``, which nothing
+    reads afterwards, so it allocates temporaries of ``_BN_BLOCK_ROWS`` rows
+    only. In a walk that retains the graph, or when the gradient's dtype is
+    not ``xhat``'s, it allocates the input gradient instead. The output is
+    not kept for backward either: its ``_recompute`` closure rebuilds it
+    from ``xhat`` with the same ops, for a :func:`engine.matmul` that reads
+    it, whose backward runs before this one.
     """
     data, gamma_data, beta_data = x.data, gamma.data, beta.data
     n = data.shape[0]
@@ -115,27 +119,41 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
 
     def _back(g):
         blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
-        dx = np.empty(xhat.shape, np.result_type(g, dtype))
+        grad_dtype = np.result_type(g, dtype)
+        # nothing reads xhat after this closure, so dx is written over it,
+        # block by block once each block is read, unless a retained graph
+        # runs the closure again
+        if xhat.dtype == grad_dtype and not _retaining_graph():
+            dx = xhat
+        else:
+            dx = np.empty(xhat.shape, grad_dtype)
         dgamma = np.zeros((1, dx.shape[1]), dx.dtype)
         dbeta = np.zeros_like(dgamma)
         scale = gamma_data * inv
+        masked = np.empty((min(n, _BN_BLOCK_ROWS), dx.shape[1]), dx.dtype)
+
+        def masked_grad(rows, out):
+            # g times the forward's relu mask, rebuilt with the forward's
+            # float ops
+            pre = np.multiply(xhat[rows], gamma_data)
+            pre += beta_data
+            return np.multiply(g[rows], pre > 0.0, out=out)
+
         for rows in blocks:
             xb = xhat[rows]
-            # the forward's float ops, so the forward's relu mask
-            pre = np.multiply(xb, gamma_data)
-            pre += beta_data
-            gb = np.multiply(g[rows], pre > 0.0, out=dx[rows])
+            gb = masked_grad(rows, masked[:xb.shape[0]])
             dbeta += gb.sum(axis=0, keepdims=True)
             dgamma += (gb * xb).sum(axis=0, keepdims=True)
             if not training:
-                gb *= scale
+                np.multiply(gb, scale, out=dx[rows])
         if training:
             # dx = gamma * inv * (gb - mean(gb) - xhat * mean(gb * xhat))
             mean_g, mean_gx = dbeta / n, dgamma / n
             for rows in blocks:
-                gb = dx[rows]
+                shift = xhat[rows] * mean_gx
+                gb = masked_grad(rows, dx[rows])
                 gb -= mean_g
-                gb -= xhat[rows] * mean_gx
+                gb -= shift
                 gb *= scale
         _accumulate(gamma, dgamma)
         _accumulate(beta, dbeta)
@@ -148,18 +166,22 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     return y
 
 
-def _chain(x, *stages):
+def _chain(x, *stages, x_readers=None):
     """Apply the ``stages`` to ``x`` in order; return the last result.
 
     Every Value made in between is private to the chain, so it is released
     as soon as the next stage has consumed it, and a stage may overwrite it.
-    ``x`` itself is neither released nor overwritten.
+    ``x`` itself is never overwritten. With ``x_readers=k`` the first k
+    stages are the only readers of ``x``, which is released once they have
+    run (a no-op for a leaf); by default the caller keeps it.
     """
     out = x
-    for stage in stages:
+    for i, stage in enumerate(stages, start=1):
         y = stage(out)
         if out is not x:
             release(out)
+        if i == x_readers:
+            release(x)
         out = y
     return out
 
@@ -225,7 +247,10 @@ class Linear:
 
 class GCNLayer:
     """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency, with
-    the batch norm and relu as one fused op."""
+    the batch norm and relu as one fused op.
+
+    The input is released once the linear map has read it.
+    """
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.lin = Linear(in_dim, out_dim, rng, dtype)
@@ -233,7 +258,7 @@ class GCNLayer:
 
     def __call__(self, adjacency, h, training):
         return _chain(h, self.lin, functools.partial(spmm, adjacency),
-                      _activation(self.bn, training))
+                      _activation(self.bn, training), x_readers=1)
 
     def named_parameters(self, prefix):
         return (self.lin.named_parameters(f"{prefix}.lin")
@@ -247,6 +272,7 @@ class GINLayer:
     """Two-layer MLP on (1 + 0) h + A h, sum aggregation over raw adjacency.
 
     Each linear map is followed by the fused batch normalization and relu.
+    The input is released once the aggregation and the sum have read it.
     """
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
@@ -259,7 +285,7 @@ class GINLayer:
         return _chain(h, functools.partial(spmm, adjacency),
                       functools.partial(add, h),
                       self.lin1, _activation(self.bn1, training),
-                      self.lin2, _activation(self.bn2, training))
+                      self.lin2, _activation(self.bn2, training), x_readers=2)
 
     def named_parameters(self, prefix):
         return (self.lin1.named_parameters(f"{prefix}.lin1")
@@ -273,7 +299,8 @@ class GINLayer:
 
 
 class Encoder:
-    """Stack of GCN or GIN layers; ``encode`` returns every layer's output.
+    """Stack of GCN or GIN layers; ``encode`` returns every layer's output
+    Value, of which a recorded forward keeps the last one's data only.
 
     ``encode`` casts the input features and the adjacency to ``dtype``, the
     parameters' dtype, so every layer computes in it.
@@ -303,6 +330,10 @@ class Encoder:
 
     def encode(self, batch, training, features=None):
         """Run every layer and return the list of per-layer node embeddings.
+
+        Each layer releases its input once it has read it, so in a recorded
+        forward every layer but the last comes back released; under
+        :func:`engine.no_grad` every layer keeps its data.
 
         `features` optionally replaces `batch.features` as the input matrix,
         which lets callers push corrupted copies of the node features through

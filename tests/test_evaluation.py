@@ -8,7 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from latentgraph import evaluation, models
+from latentgraph.engine import no_grad
 from latentgraph.evaluation import (
+    PROBE_LR,
     EvalReport,
     LinearClassifier,
     accuracy_score,
@@ -16,7 +19,6 @@ from latentgraph.evaluation import (
     extract_graph_repr,
     extract_node_repr,
     linsvm_kfold,
-    logreg_eval,
     logreg_fit,
     stratified_folds,
 )
@@ -51,20 +53,23 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accuracy_score([], [])
 
-    def test_reported_micro_f1_is_accuracy(self):
+    def test_reported_micro_f1_is_accuracy(self, monkeypatch):
         # micro-F1 from the one-hot counts, 2 TP / (2 TP + FP + FN), is the
-        # accuracy to the bit, and logreg_eval reports that value for both
+        # accuracy to the bit, and the node probe reports that value for both
         rng = np.random.default_rng(0)
         clf = LinearClassifier(W=rng.normal(size=(3, 4)), b=rng.normal(size=4))
-        x = rng.normal(size=(200, 3))
-        y = rng.integers(0, 4, size=200)
-        metrics = logreg_eval(clf, x, y)
-        assert metrics["micro_f1"] == metrics["accuracy"]
-        true_hot, pred_hot = np.eye(4, dtype=bool)[y], np.eye(4, dtype=bool)[clf.predict(x)]
+        x = rng.normal(size=(240, 3))
+        y = rng.integers(0, 4, size=240)
+        monkeypatch.setattr(evaluation, "logreg_fit", lambda *args, **kwargs: clf)
+        split = NodeSplit(train=np.arange(40), valid=np.arange(0), test=np.arange(40, 240))
+        report = evaluate_node_split(x, y, split)
+        assert report.hyperparameters["micro_f1"] == report.fold_scores[0]
+        true_hot = np.eye(4, dtype=bool)[y[40:]]
+        pred_hot = np.eye(4, dtype=bool)[clf.predict(x[40:])]
         tp = np.sum(true_hot & pred_hot)
         errors = np.sum(true_hot & ~pred_hot) + np.sum(~true_hot & pred_hot)
         assert 0 < tp < 200
-        assert float(2 * tp / (2 * tp + errors)) == metrics["accuracy"]
+        assert float(2 * tp / (2 * tp + errors)) == report.fold_scores[0]
 
 
 class TestLogreg:
@@ -72,10 +77,8 @@ class TestLogreg:
         rng = np.random.default_rng(2)
         x, y = blobs(rng, 20)
         clf = logreg_fit(x, y, lr=0.05, epochs=300, rng=rng)
-        metrics = logreg_eval(clf, x, y)
-        assert metrics["accuracy"] == 1.0
-        assert metrics["micro_f1"] == 1.0
-        assert not metrics["degenerate"]
+        assert accuracy_score(y, clf.predict(x)) == 1.0
+        assert not clf.degenerate
 
     def test_shuffled_labels_sit_at_chance(self):
         rng = np.random.default_rng(3)
@@ -84,7 +87,7 @@ class TestLogreg:
         x_test = rng.normal(size=(400, 5))
         y_test = rng.integers(0, 2, size=400)
         clf = logreg_fit(x_train, y_train, lr=0.05, epochs=200, rng=rng)
-        acc = logreg_eval(clf, x_test, y_test)["accuracy"]
+        acc = accuracy_score(y_test, clf.predict(x_test))
         assert abs(acc - 0.5) <= 0.1
 
     def test_single_class_training_is_flagged(self):
@@ -92,9 +95,10 @@ class TestLogreg:
         x = rng.normal(size=(10, 3))
         clf = logreg_fit(x, np.zeros(10, dtype=int), num_classes=2, rng=rng)
         assert clf.degenerate
-        metrics = logreg_eval(clf, x, np.zeros(10, dtype=int))
-        assert metrics["degenerate"]
         np.testing.assert_array_equal(clf.predict(x), 0)
+        split = NodeSplit(train=np.arange(10), valid=np.arange(0), test=np.arange(10))
+        report = evaluate_node_split(x, np.zeros(10, dtype=int), split)
+        assert report.warnings == ["degenerate training labels"]
 
     def test_each_epoch_steps_on_its_own_gradient(self, monkeypatch):
         # the gradient Adam receives at epoch 2 is the closed-form softmax
@@ -266,7 +270,9 @@ class TestRepresentationExtraction:
         data = GraphDataset([g], num_classes=1, feature_dim=4)
         model = build_model("graph", "gin", 4, 3, 2, 1, rng)
         reprs = extract_graph_repr(data, model.encoder)
-        layers = model.encoder.encode(batch_graphs([g]), training=False)
+        # a recorded forward releases the inner layers' data
+        with no_grad():
+            layers = model.encoder.encode(batch_graphs([g]), training=False)
         expected = np.hstack([h.data for h in layers])
         np.testing.assert_array_equal(reprs, expected)
 
@@ -309,11 +315,14 @@ class TestNoGradExtraction:
             buf[:] = rng.uniform(0.5, 1.5, size=buf.shape)
         return model
 
-    def test_graph_repr_is_bitwise_the_recording_forward(self):
+    def test_graph_repr_is_bitwise_the_recording_forward(self, monkeypatch):
         rng = np.random.default_rng(22)
         data = make_blob_dataset(9, 2, rng, feature_dim=4)
         model = self.trained_like("graph", "gin", 4, rng)
         reprs = extract_graph_repr(data, model.encoder, batch_size=4)
+        # the recording forward keeps every layer's data: releasing changes
+        # no value, it only drops the inner layers' arrays
+        monkeypatch.setattr(models, "release", lambda *values: None)
         chunks = []
         for start in range(0, len(data), 4):
             batch = batch_graphs(data.graphs[start:start + 4])
@@ -397,6 +406,32 @@ class TestNodeSplitEvaluation:
         assert report.fold_scores == [10 / 30]
         assert report.hyperparameters["micro_f1"] == 10 / 30
         assert report.warnings == []
+
+    @pytest.mark.parametrize("dtype, width", [(np.float64, 72), (np.float32, 64)])
+    def test_report_is_that_of_scoring_copied_test_rows(self, dtype, width):
+        # float64 like raw features concatenated to the embeddings, float32
+        # like embeddings alone; shuffled, non-contiguous test rows, more
+        # than two blocks of rows the probe scores at once
+        n = 2 * evaluation._PREDICT_ROWS + 300
+        rng = np.random.default_rng(26)
+        labels = rng.integers(0, 4, size=n)
+        reprs = (rng.normal(size=(n, width)) + np.eye(4, width)[labels]).astype(dtype)
+        idx = rng.permutation(n)
+        split = NodeSplit(train=idx[:300], valid=idx[300:360], test=idx[360:])
+        report = evaluate_node_split(reprs, labels, split, epochs=40, seed=5)
+        clf = logreg_fit(reprs[split.train], labels[split.train], epochs=40,
+                         rng=np.random.default_rng(5))
+        # one product over a float64 copy of the test rows
+        test_rows = np.asarray(reprs[split.test], dtype=float)
+        predicted = np.argmax(test_rows @ clf.W + clf.b, axis=1)
+        np.testing.assert_array_equal(clf.predict(reprs)[split.test], predicted)
+        accuracy = accuracy_score(labels[split.test], predicted)
+        assert 0.3 < accuracy < 1.0
+        expected = EvalReport(
+            metric="accuracy", fold_scores=[accuracy], mean=accuracy, std=0.0,
+            hyperparameters={"lr": PROBE_LR, "epochs": 40, "micro_f1": accuracy},
+            seed=5, folds=1, warnings=[])
+        assert report.to_json() == expected.to_json()
 
     def test_report_is_seed_deterministic(self):
         rng = np.random.default_rng(23)

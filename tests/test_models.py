@@ -223,8 +223,9 @@ class TestFusedBatchNorm:
 
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_allocates_one_array(self, training):
-        # the input gradient plus row-block temporaries; the unfused batch
-        # norm held two 4000 x 64 arrays besides the incoming gradient
+        # row-block temporaries, and the input gradient only when it is not
+        # written over xhat; the unfused batch norm held two 4000 x 64
+        # arrays besides the incoming gradient
         rng = np.random.default_rng(62)
         bn = BatchNorm(64, dtype=np.float32)
         x = Value(rng.normal(size=(4000, 64)).astype(np.float32))
@@ -282,6 +283,48 @@ class TestFusedBatchNorm:
         for held, recomputed in zip(run(False), run(True)):
             assert held.dtype == recomputed.dtype == dtype
             assert held.tobytes() == recomputed.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_retained_graph_runs_the_backward_again_bitwise(self, training,
+                                                              dtype, monkeypatch):
+        # a plain walk writes the input gradient over xhat; a walk that
+        # retains the graph leaves xhat, and the output rebuilt from it, for
+        # the next walk. Every walk gives the gradients of a backward that
+        # allocates the input gradient. Three full row blocks and a ragged one.
+        n = 3 * models._BN_BLOCK_ROWS + 37
+
+        def forward():
+            rng = np.random.default_rng(67)
+            bn = BatchNorm(6, dtype=dtype)
+            bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 6)).astype(dtype)
+            bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 6)).astype(dtype)
+            bn.running_mean[:] = rng.normal(size=(1, 6))
+            bn.running_var[:] = rng.uniform(0.5, 2.0, size=(1, 6))
+            x = Value(rng.normal(size=(n, 6)).astype(dtype))
+            w = Value(rng.normal(size=(6, 3)).astype(dtype))
+            y = bn(x, training=training)
+            assert 0.0 < (y.data > 0.0).mean() < 1.0
+            loss = mse_per(matmul(y, w), Value(np.zeros((n, 3), dtype)), float(n))
+            return loss, y, [x, bn.gamma, bn.beta, w]
+
+        def walk(loss, params, **kwargs):
+            grads = engine.backward(loss, **kwargs)
+            assert all(grads[p].dtype == dtype for p in params)
+            return [grads[p].tobytes() for p in params]
+
+        loss, y, params = forward()
+        rebuild = y._recompute
+        retained = walk(loss, params, retain_graph=True)
+        assert rebuild().tobytes() == y.data.tobytes()  # xhat is intact
+        again = walk(loss, params)
+        assert rebuild().tobytes() != y.data.tobytes()  # xhat now holds dx
+        loss, _, params = forward()
+        plain = walk(loss, params)
+        monkeypatch.setattr(models, "_retaining_graph", lambda: True)
+        loss, _, params = forward()
+        allocated = walk(loss, params)
+        assert retained == again == plain == allocated
 
     @pytest.mark.parametrize("training", [True, False])
     def test_a_callers_input_is_never_overwritten(self, training):
@@ -461,7 +504,9 @@ class TestEncoder:
         dense = np.triu((rng.uniform(size=(5, 5)) < 0.5).astype(float), 1)
         g = Graph(5, SparseMatrix.from_dense(dense + dense.T), ds_feats)
         enc = Encoder("gin", 6, 32, 3, rng)
-        outs = enc.encode(batch_graphs([g]), training=True)
+        # a recorded forward releases the inner layers' data
+        with engine.no_grad():
+            outs = enc.encode(batch_graphs([g]), training=True)
         assert [o.data.shape for o in outs] == [(5, 32)] * 3
 
     def test_eval_mode_is_pure(self):
@@ -618,6 +663,32 @@ class TestReleasedIntermediates:
         _, copied = self.grads(kind)
         assert calls and all(calls)
         for a, b in zip(in_place, copied):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_a_recorded_encode_keeps_its_last_layer_only(self, kind,
+                                                        monkeypatch):
+        # each layer releases its input, the layer before's output, once
+        # the stages that read it have run
+        def run():
+            rng = np.random.default_rng(32)
+            dense = np.triu((rng.uniform(size=(7, 7)) < 0.4).astype(float), 1)
+            graph = Graph(7, SparseMatrix.from_dense(dense + dense.T),
+                          rng.normal(size=(7, 3)))
+            encoder = Encoder(kind, 3, 5, 2, rng)
+            layers = encoder.encode(batch_graphs([graph]), training=True)
+            kept = [h.data is not None for h in layers]
+            last = layers[-1]
+            grads = engine.backward(mse_per(last, Value(np.ones(last.shape)), 7.0))
+            return kept, [grads[p] for _, p in encoder.named_parameters()]
+
+        kept, with_release = run()
+        assert kept == [False, True]
+        monkeypatch.setattr(models, "release", lambda *values: None)
+        all_kept, without = run()
+        assert all_kept == [True, True]
+        assert len(with_release) == len(without) == (8 if kind == "gcn" else 16)
+        for a, b in zip(with_release, without):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(LAYERS))
