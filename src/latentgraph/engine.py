@@ -67,6 +67,7 @@ __all__ = [
     "spmm",
     "add",
     "add_row",
+    "stack_rows",
     "sub",
     "hadamard",
     "scale",
@@ -158,8 +159,9 @@ class Value:
 
     ``_recompute`` is ``None``, or, on a recorded node whose data can be
     rebuilt cheaply, a closure that returns that data again, bit for bit
-    (the fused batch norm sets it). :func:`matmul` captures it instead of
-    the data, so the data need not live until backward.
+    (the fused batch norm sets it, and :func:`matmul` for a product of a
+    constant left operand). :func:`matmul` captures it instead of the data,
+    so the data need not live until backward.
     """
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward", "_recompute",
@@ -230,7 +232,9 @@ def matmul(a, b):
 
     The gradient of a :func:`constant` operand is never computed. A left
     operand with a ``_recompute`` closure is not held: the backward calls
-    the closure for ``a.T @ g``.
+    the closure for ``a.T @ g``. The product of a constant left operand is
+    itself recomputable: its ``_recompute`` runs the same product again on
+    the two arrays the backward holds anyway.
     """
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims disagree {a.data.shape} vs {b.data.shape}")
@@ -248,7 +252,10 @@ def matmul(a, b):
         if a.op != "const":
             _accumulate(a, _mm(g, b_data.T))
 
-    return Value(_mm(a.data, b_data), parents=(a, b), backward=_back, op="matmul")
+    y = Value(_mm(a.data, b_data), parents=(a, b), backward=_back, op="matmul")
+    if a.op == "const" and _RECORDING:
+        y._recompute = lambda: _mm(a_data, b_data)
+    return y
 
 
 def spmm(s, d):
@@ -296,6 +303,22 @@ def add_row(a, b, overwrite_a=False):
     in_place = overwrite_a and np.result_type(a.data, b.data) == a.data.dtype
     out = np.add(a.data, b.data, out=a.data if in_place else None)
     return Value(out, parents=(a, b), backward=_back, op="add_row")
+
+
+def stack_rows(a, b):
+    """``a`` above ``b``: the rows of both, with as many columns. The
+    gradient is split by rows, the first rows for ``a``, the rest for ``b``.
+    """
+    if a.data.shape[1] != b.data.shape[1]:
+        raise ValueError(f"stack_rows: cannot stack {a.data.shape} on {b.data.shape}")
+    split = a.data.shape[0]
+
+    def _back(g):
+        _accumulate(a, g[:split])
+        _accumulate(b, g[split:])
+
+    return Value(np.vstack((a.data, b.data)), parents=(a, b), backward=_back,
+                 op="stack_rows")
 
 
 def sub(a, b):

@@ -13,6 +13,12 @@ through the relu, mean and variance, written over the normalized activations
 it kept. Its output is rebuilt from those when a later matmul needs it, so a
 layer holds no output until backward.
 
+A GCN layer whose input is a constant, the encoder's features, aggregates
+first: ``A(XW + 1b) = (A[X 1])[W; b]``, so its sparse product is as narrow
+as the features and needs no gradient. The product with ``[W; b]`` is one
+GEMM away from arrays its backward holds anyway, so that layer's batch norm
+keeps not even its normalized activations: it rebuilds them from that GEMM.
+
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
 it, and the encoder casts its input features and adjacency to it.
@@ -25,7 +31,7 @@ import functools
 import numpy as np
 
 from .engine import (Value, _accumulate, _recording, _rectify, _retaining_graph, add,
-                     add_row, constant, matmul, release, spmm)
+                     add_row, constant, matmul, release, spmm, stack_rows)
 
 __all__ = [
     "xavier_init",
@@ -92,10 +98,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     not kept for backward either: its ``_recompute`` closure rebuilds it
     from ``xhat`` with the same ops, for a :func:`engine.matmul` that reads
     it, whose backward runs before this one.
+
+    When ``overwrite_x`` is set and ``x`` has a ``_recompute`` closure, not
+    even ``xhat`` is kept: only the 1 x q ``mu`` and ``inv``. The backward
+    and the output's ``_recompute`` each rebuild ``xhat = (x - mu) * inv``
+    from a recomputed ``x``, with the forward's float ops, into an array of
+    their own: the backward writes the input gradient over it, also in a
+    walk that retains the graph, and the recompute writes the output over it.
     """
     data, gamma_data, beta_data = x.data, gamma.data, beta.data
     n = data.shape[0]
-    mu = data.mean(axis=0, keepdims=True) if training else running_mean
+    # the running mean is copied: a rebuild must see the forward's mu
+    mu = data.mean(axis=0, keepdims=True) if training else running_mean.copy()
     in_place = overwrite_x and np.result_type(data, mu) == data.dtype
     xhat = np.subtract(data, mu, out=data if in_place else None)
     dtype = np.result_type(xhat, gamma_data, beta_data)
@@ -116,14 +130,27 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     _affine_relu(xhat, gamma_data, beta_data, out)
+    # a private input that can be recomputed is not held: xhat is rebuilt
+    # from it, with the forward's float ops, into an array of its own
+    rebuild_x = x._recompute if overwrite_x else None
+    held = xhat if rebuild_x is None else None
+
+    def normalized():
+        if rebuild_x is None:
+            return held
+        xhat = rebuild_x()
+        xhat = np.subtract(xhat, mu, out=xhat if in_place else None)
+        xhat *= inv
+        return xhat
 
     def _back(g):
+        xhat = normalized()
         blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
         grad_dtype = np.result_type(g, dtype)
         # nothing reads xhat after this closure, so dx is written over it,
         # block by block once each block is read, unless a retained graph
-        # runs the closure again
-        if xhat.dtype == grad_dtype and not _retaining_graph():
+        # runs the closure again on the held one
+        if xhat.dtype == grad_dtype and (held is None or not _retaining_graph()):
             dx = xhat
         else:
             dx = np.empty(xhat.shape, grad_dtype)
@@ -159,10 +186,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         _accumulate(beta, dbeta)
         _accumulate(x, dx)
 
+    def _rebuild_out():
+        xhat = normalized()
+        # a rebuilt xhat is private, so the output is written over it
+        private = held is None and xhat.dtype == dtype
+        return _affine_relu(xhat, gamma_data, beta_data,
+                            xhat if private else np.empty(xhat.shape, dtype))
+
     y = Value(out, parents=(x, gamma, beta), backward=_back, op="batch_norm")
     if _recording():
-        y._recompute = lambda: _affine_relu(xhat, gamma_data, beta_data,
-                                            np.empty(xhat.shape, dtype))
+        y._recompute = _rebuild_out
     return y
 
 
@@ -246,10 +279,16 @@ class Linear:
 
 
 class GCNLayer:
-    """relu(batchnorm(A_norm @ x @ W + b)) on a normalized adjacency, with
+    """relu(batchnorm(A_norm @ (x @ W + b))) on a normalized adjacency, with
     the batch norm and relu as one fused op.
 
-    The input is released once the linear map has read it.
+    The input is released once the linear map has read it. An input that
+    needs no gradient, a :func:`engine.constant` such as the encoder's
+    features, is aggregated first instead, as in SGC (Wu et al. 2019):
+    ``A_norm @ (x @ W + 1 b) = (A_norm @ [x 1]) @ [W; b]``. The sparse
+    product is then ``in_dim + 1`` wide, needs no gradient and is not an
+    autodiff op, and the dense product of a constant left operand can be
+    recomputed, so the batch norm keeps no normalized activation for it.
     """
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
@@ -257,8 +296,14 @@ class GCNLayer:
         self.bn = BatchNorm(out_dim, dtype=dtype)
 
     def __call__(self, adjacency, h, training):
-        return _chain(h, self.lin, functools.partial(spmm, adjacency),
-                      _activation(self.bn, training), x_readers=1)
+        if h.op != "const":
+            return _chain(h, self.lin, functools.partial(spmm, adjacency),
+                          _activation(self.bn, training), x_readers=1)
+        x1 = np.hstack((h.data, np.ones((h.data.shape[0], 1), h.data.dtype)))
+        weights = stack_rows(self.lin.W, self.lin.b)
+        return _chain(constant(adjacency.matmat(x1)),
+                      lambda aggregated: matmul(aggregated, weights),
+                      _activation(self.bn, training))
 
     def named_parameters(self, prefix):
         return (self.lin.named_parameters(f"{prefix}.lin")
@@ -338,7 +383,8 @@ class Encoder:
         `features` optionally replaces `batch.features` as the input matrix,
         which lets callers push corrupted copies of the node features through
         the same graph structure. The input, cast to the encoder's dtype, is a
-        :func:`engine.constant` leaf, so backward computes no gradient for it.
+        :func:`engine.constant` leaf, so backward computes no gradient for it
+        and a first GCN layer aggregates it before its linear map.
         """
         adjacency = self.adjacency_for(batch)
         h = constant(np.asarray(batch.features if features is None else features,

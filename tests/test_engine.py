@@ -33,6 +33,7 @@ from latentgraph.engine import (
     softmax_ce,
     spmm,
     sqrt_eps,
+    stack_rows,
     sub,
     sum_squares,
 )
@@ -342,6 +343,14 @@ class TestGradChecks:
         a, b = rand_value(rng, 5, 3), rand_value(rng, 1, 3)
         target = rng.uniform(-2, 2, size=(5, 3))
         self.check(lambda: mse_per(add_row(a, b), Value(target), 5.0), [a, b])
+
+    def test_stack_rows(self):
+        rng = np.random.default_rng(23)
+        a, b = rand_value(rng, 3, 2), rand_value(rng, 1, 2)
+        x = rng.uniform(-2, 2, size=(5, 4))
+        target = rng.uniform(-2, 2, size=(5, 2))
+        self.check(lambda: mse_per(matmul(Value(x), stack_rows(a, b)), Value(target), 5.0),
+                   [a, b])
 
     def test_add_sub_hadamard_scale(self):
         rng = np.random.default_rng(12)
@@ -993,6 +1002,24 @@ class TestRecompute:
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_product_of_a_constant_is_recomputable(self, dtype, strict, monkeypatch):
+        # its recompute runs the forward's product again, bit for bit
+        monkeypatch.setattr(engine, "_STRICT", strict)
+        rng = np.random.default_rng(43)
+        a = constant(rng.normal(size=(300, 9)).astype(dtype))
+        w = Value(rng.normal(size=(9, 64)).astype(dtype))
+        out = matmul(a, w)
+        assert out._recompute is not None
+        for _ in range(3):
+            again = out._recompute()
+            assert again.dtype == dtype and again.tobytes() == out.data.tobytes()
+        # a left operand that takes a gradient is not recomputable
+        assert matmul(Value(a.data), w)._recompute is None
+        with no_grad():
+            assert matmul(a, w)._recompute is None
+
     def test_backward_drops_the_closure(self):
         x, w = Value(np.ones((2, 2))), Value(np.ones((2, 2)))
         a = scale(x, 2.0)
@@ -1035,6 +1062,10 @@ def _dtype_cases():
         a, b = leaf(3, 4), leaf(4, 2)
         return matmul(a, b), [a, b]
 
+    def stack_rows_case(leaf, dtype):
+        a, b = leaf(3, 4), leaf(1, 4)
+        return stack_rows(a, b), [a, b]
+
     def add_row_case(leaf, dtype):
         a, b = leaf(3, 4), leaf(1, 4)
         return add_row(a, b), [a, b]
@@ -1049,6 +1080,7 @@ def _dtype_cases():
         "spmm": unary(lambda d: spmm(s.astype(d.data.dtype), d)),
         "add": binary(add),
         "add_row": add_row_case,
+        "stack_rows": stack_rows_case,
         "sub": binary(sub),
         "hadamard": binary(hadamard),
         "scale": unary(lambda a: scale(a, 0.5)),

@@ -1,13 +1,16 @@
 """Layer semantics, initialization statistics, equivariance properties, and
 gradient checks through full encoder/decoder stacks."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from latentgraph import engine, models
-from latentgraph.engine import SparseMatrix, Value, grad_check, matmul, mse_per, relu
+from latentgraph.engine import (SparseMatrix, Value, constant, grad_check, matmul, mse_per,
+                                relu)
 from latentgraph.graphs import Graph, batch_graphs
 from latentgraph.models import (
     BatchNorm,
@@ -326,6 +329,63 @@ class TestFusedBatchNorm:
         allocated = walk(loss, params)
         assert retained == again == plain == allocated
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_recomputable_input_is_rebuilt_not_held(self, training, dtype, strict,
+                                                      monkeypatch):
+        # the private input is a product of a constant, so xhat is not kept:
+        # the output's recompute rebuilds it bitwise the forward's and writes
+        # the output over it, and every gradient, from the backward's own
+        # rebuilt xhat, is bitwise that of holding it
+        monkeypatch.setattr(engine, "_STRICT", strict)
+        calls = []
+        affine_relu = models._affine_relu
+
+        def recorded(xhat, gamma, beta, out):
+            calls.append((xhat.tobytes(), out is xhat))
+            return affine_relu(xhat, gamma, beta, out)
+
+        monkeypatch.setattr(models, "_affine_relu", recorded)
+        n = 2 * models._BN_BLOCK_ROWS + 37
+
+        def run(rebuild):
+            del calls[:]
+            rng = np.random.default_rng(68)
+            bn = BatchNorm(6, dtype=dtype)
+            bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 6)).astype(dtype)
+            bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 6)).astype(dtype)
+            bn.running_mean[:] = rng.normal(size=(1, 6))
+            bn.running_var[:] = rng.uniform(0.5, 2.0, size=(1, 6))
+            a = constant(rng.normal(size=(n, 9)).astype(dtype))
+            w = Value(rng.normal(size=(9, 6)).astype(dtype))
+            v = Value(rng.normal(size=(6, 3)).astype(dtype))
+            x = matmul(a, w)
+            if not rebuild:
+                x._recompute = None
+            data = weakref.ref(x.data)
+            y = bn(x, training=training, overwrite_x=True)
+            engine.release(x)
+            gc.collect()
+            assert (data() is None) == rebuild
+            out = y.data.copy()
+            assert 0.0 < (out > 0.0).mean() < 1.0
+            assert y._recompute().tobytes() == out.tobytes()
+            loss = mse_per(matmul(y, v), Value(np.zeros((n, 3), dtype)), float(n))
+            engine.release(y)
+            grads = engine.backward(loss)
+            return [out] + [grads[p] for p in (w, bn.gamma, bn.beta, v)]
+
+        held = run(False)
+        assert [over for _, over in calls] == [False, False, False]
+        rebuilt = run(True)
+        # the forward, the explicit recompute, the matmul backward's recompute
+        assert [over for _, over in calls] == [False, True, True]
+        assert len({xhat for xhat, _ in calls}) == 1
+        for a, b in zip(held, rebuilt):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("training", [True, False])
     def test_a_callers_input_is_never_overwritten(self, training):
         rng = np.random.default_rng(65)
@@ -446,6 +506,83 @@ class TestGCNLayer:
         enc2 = Encoder("gcn", 3, 4, 2, np.random.default_rng(99))
         out_p = enc2.encode(batch_graphs([permute_graph(g, perm)]), training=True)[-1].data
         np.testing.assert_allclose(out[perm], out_p, atol=1e-10)
+
+
+    @staticmethod
+    def random_graph(rng, n, features):
+        dense = np.triu((rng.uniform(size=(n, n)) < 0.2).astype(float), 1)
+        return Graph(n, SparseMatrix.from_dense(dense + dense.T),
+                     rng.normal(size=(n, features)))
+
+    @staticmethod
+    def layer(in_dim, out_dim, seed):
+        rng = np.random.default_rng(seed)
+        layer = GCNLayer(in_dim, out_dim, rng)
+        layer.lin.b.data = rng.normal(size=(1, out_dim))
+        layer.bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, out_dim))
+        layer.bn.running_mean[:] = rng.normal(size=(1, out_dim))
+        layer.bn.running_var[:] = rng.uniform(0.5, 2.0, size=(1, out_dim))
+        return layer
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_constant_input_is_aggregated_first(self, training, monkeypatch):
+        # (A [X 1]) [W; b] equals A (X W + 1 b) to rounding, before and after
+        # the batch norm, and the sparse product is in_dim + 1 wide
+        rng = np.random.default_rng(11)
+        graph = self.random_graph(rng, 40, 5)
+        adjacency = batch_graphs([graph]).normalized_adjacency()
+        widths, pre = [], []
+        product, batch_norm = SparseMatrix._product, models.batch_norm
+
+        def recorded_product(s, kernel, shape, dense):
+            widths.append(np.shape(dense)[1])
+            return product(s, kernel, shape, dense)
+
+        def recorded_norm(x, *args, **kwargs):
+            pre.append(x.data.copy())
+            return batch_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(SparseMatrix, "_product", recorded_product)
+        monkeypatch.setattr(models, "batch_norm", recorded_norm)
+        layer = self.layer(5, 16, 12)
+        first = layer(adjacency, constant(graph.features), training).data
+        assert widths == [6]
+        last = self.layer(5, 16, 12)(adjacency, Value(graph.features), training).data
+        assert widths == [6, 16]
+        expected = adjacency.to_dense() @ (graph.features @ layer.lin.W.data
+                                           + layer.lin.b.data)
+        for got, want in [(pre[0], expected), (pre[1], expected), (first, last)]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradcheck_of_an_aggregated_first_layer(self, training):
+        rng = np.random.default_rng(13)
+        graph = self.random_graph(rng, 12, 3)
+        adjacency = batch_graphs([graph]).normalized_adjacency()
+        layer = self.layer(3, 4, 14)
+        running = layer.bn.running_mean.copy(), layer.bn.running_var.copy()
+        target = Value(rng.uniform(0.0, 2.0, size=(12, 4)))
+
+        def f():
+            layer.bn.running_mean[:], layer.bn.running_var[:] = running
+            return mse_per(layer(adjacency, constant(graph.features), training),
+                           target, 12.0)
+
+        report = grad_check(f, [layer.lin.W, layer.lin.b], step=1e-3, tol=1e-4)
+        assert report.ok, f"max rel err {report.max_rel_err:.3e}"
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_retained_graph_gives_the_same_gradients_twice(self, dtype):
+        rng = np.random.default_rng(15)
+        graph = self.random_graph(rng, 30, 4)
+        encoder = Encoder("gcn", 4, 8, 2, rng, dtype=dtype)
+        last = encoder.encode(batch_graphs([graph]), training=True)[-1]
+        loss = mse_per(last, Value(np.ones(last.shape, dtype)), 30.0)
+        params = [p for _, p in encoder.named_parameters()]
+        walks = [engine.backward(loss, retain_graph=True) for _ in range(2)]
+        walks.append(engine.backward(loss))
+        first, *others = [[grads[p].tobytes() for p in params] for grads in walks]
+        assert all(other == first for other in others)
 
 
 class TestGINLayer:

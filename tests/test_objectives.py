@@ -385,7 +385,7 @@ def _node_step_peak(dtype="float64"):
     model = build_model("node", "gcn", 8, 64, 2, 1, np.random.default_rng(1),
                         dtype=dtype)
     batch = batch_graphs([graph])
-    batch.normalized_adjacency()  # cached; not part of the step
+    batch.normalized_adjacency(dtype)  # cached in the model's dtype; not part of the step
     spec = MaskSpec(0.05, 0.5, "gaussian")
     tracemalloc.start()
     try:
@@ -456,6 +456,60 @@ def test_node_level_float32_step_peaks_at_five_activations():
     array = n * hidden * 4
     bound = 5 * array + 4 * n * features * 4 + 2**20
     assert peak <= bound, f"peak {peak / array:.2f} arrays, bound {bound / array:.2f}"
+
+
+def test_node_level_float32_step_peaks_at_four_activations():
+    # The step of the five-activation test below, with that test's bound
+    # less one array: 4 A, plus the same slack of A / 2 for the 8-wide
+    # feature arrays and 1 MiB for the batch norm backward's row blocks.
+    # Each pass's first layer aggregates the 8 features first, so its batch
+    # norm input is a product of a constant, and that batch norm rebuilds
+    # its xhat in backward instead of holding it. Only the two second
+    # layers' xhat are held. The step peaks at about 4.3 A in the clean
+    # pass's decoder backward: the second layer's xhat beside three
+    # gradients of that layer's output (the row_select's, the decoder's
+    # g @ W.T, and their sum). Holding every xhat gave about 5.8 A.
+    n, hidden, features = 8000, 64, 8
+    graph = make_sbm_graph(n, 8, 0.002, 0.0002, features, np.random.default_rng(0))
+    model = build_model("node", "gcn", features, hidden, 2, 1,
+                        np.random.default_rng(1), dtype="float32")
+    batch = batch_graphs([graph])
+    batch.normalized_adjacency(np.float32)  # cached; not part of the step
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = objective(model, batch, MaskSpec(0.05, 0.5), np.random.default_rng(2), 2.0)
+        grads = backward(out.total)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == len(model.parameters())
+    array = n * hidden * 4
+    bound = 4 * array + 4 * n * features * 4 + 2**20
+    assert peak <= bound, f"peak {peak / array:.2f} arrays, bound {bound / array:.2f}"
+
+
+def test_node_step_makes_two_wide_sparse_products_each_way(monkeypatch):
+    # each pass aggregates its 8 features and a ones column first, 9 wide;
+    # only the second layer multiplies by the adjacency 64 wide, once
+    # forward and once backward. Aggregating every layer last made four
+    # 64-wide products each way.
+    graph = make_sbm_graph(500, 4, 0.05, 0.005, 8, np.random.default_rng(0))
+    model = build_model("node", "gcn", 8, 64, 2, 1, np.random.default_rng(1))
+    batch = batch_graphs([graph])
+    batch.normalized_adjacency()
+    products = []
+    product = SparseMatrix._product
+
+    def recorded(s, kernel, shape, dense):
+        products.append((kernel, np.shape(dense)[1]))
+        return product(s, kernel, shape, dense)
+
+    monkeypatch.setattr(SparseMatrix, "_product", recorded)
+    out = objective(model, batch, MaskSpec(0.05, 0.5), np.random.default_rng(2), 2.0)
+    backward(out.total)
+    assert sorted(products) == [("csc_matvecs", 64)] * 2 + [
+        ("csr_matvecs", 9)] * 2 + [("csr_matvecs", 64)] * 2
 
 
 def test_one_graph_batch_scores_the_outputs_without_a_row_copy(monkeypatch):
