@@ -13,11 +13,12 @@ through the relu, mean and variance, written over the normalized activations
 it kept. Its output is rebuilt from those when a later matmul needs it, so a
 layer holds no output until backward.
 
-A GCN layer whose input is a constant, the encoder's features, aggregates
-first: ``A(XW + 1b) = (A[X 1])[W; b]``, so its sparse product is as narrow
-as the features and needs no gradient. The product with ``[W; b]`` is one
-GEMM away from arrays its backward holds anyway, so that layer's batch norm
-keeps not even its normalized activations: it rebuilds them from that GEMM.
+A GCN layer whose input is a constant, the encoder's features, and narrower
+than its output aggregates first: ``A(XW + 1b) = (A[X 1])[W; b]``, so its
+sparse product is as narrow as the features and needs no gradient. The
+product with ``[W; b]`` is one GEMM away from arrays its backward holds
+anyway, so that layer's batch norm keeps not even its normalized
+activations: it rebuilds them from that GEMM.
 
 A model computes in one dtype, float64 or float32, chosen by
 :func:`build_model`: its parameters and running statistics are created in
@@ -284,19 +285,24 @@ class GCNLayer:
 
     The input is released once the linear map has read it. An input that
     needs no gradient, a :func:`engine.constant` such as the encoder's
-    features, is aggregated first instead, as in SGC (Wu et al. 2019):
+    features, and is narrower than the output (``in_dim + 1 <= out_dim``)
+    is aggregated first instead, as in SGC (Wu et al. 2019):
     ``A_norm @ (x @ W + 1 b) = (A_norm @ [x 1]) @ [W; b]``. The sparse
     product is then ``in_dim + 1`` wide, needs no gradient and is not an
     autodiff op, and the dense product of a constant left operand can be
     recomputed, so the batch norm keeps no normalized activation for it.
+    A wider constant input keeps ``A_norm @ (x @ W + 1 b)``: ``[x 1]`` and
+    its aggregate would be wider than the one activation they save, and
+    each rebuild would rerun the ``in_dim``-deep GEMM.
     """
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.lin = Linear(in_dim, out_dim, rng, dtype)
         self.bn = BatchNorm(out_dim, dtype=dtype)
+        self.out_dim = out_dim
 
     def __call__(self, adjacency, h, training):
-        if h.op != "const":
+        if h.op != "const" or h.data.shape[1] + 1 > self.out_dim:
             return _chain(h, self.lin, functools.partial(spmm, adjacency),
                           _activation(self.bn, training), x_readers=1)
         x1 = np.hstack((h.data, np.ones((h.data.shape[0], 1), h.data.dtype)))
@@ -384,7 +390,8 @@ class Encoder:
         which lets callers push corrupted copies of the node features through
         the same graph structure. The input, cast to the encoder's dtype, is a
         :func:`engine.constant` leaf, so backward computes no gradient for it
-        and a first GCN layer aggregates it before its linear map.
+        and a first GCN layer aggregates it before its linear map when it is
+        narrower than the layer's output.
         """
         adjacency = self.adjacency_for(batch)
         h = constant(np.asarray(batch.features if features is None else features,

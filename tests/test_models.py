@@ -554,6 +554,34 @@ class TestGCNLayer:
         for got, want in [(pre[0], expected), (pre[1], expected), (first, last)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("in_dim, first", [(14, True), (15, True), (16, False),
+                                               (40, False)])
+    def test_only_a_narrow_constant_input_is_aggregated_first(self, in_dim, first,
+                                                              monkeypatch):
+        # [x 1] is aggregated first only while it is no wider than the
+        # output; a wider constant input keeps A (x W + 1 b), whose sparse
+        # product is out_dim wide and has a backward, and the same value
+        rng = np.random.default_rng(17)
+        graph = self.random_graph(rng, 40, in_dim)
+        adjacency = batch_graphs([graph]).normalized_adjacency()
+        products = []
+        product = SparseMatrix._product
+
+        def recorded(s, kernel, shape, dense):
+            products.append((kernel, np.shape(dense)[1]))
+            return product(s, kernel, shape, dense)
+
+        monkeypatch.setattr(SparseMatrix, "_product", recorded)
+        layer = self.layer(in_dim, 16, 18)
+        out = layer(adjacency, constant(graph.features), True)
+        engine.backward(mse_per(out, Value(np.zeros((40, 16))), 40.0))
+        if first:
+            assert products == [("csr_matvecs", in_dim + 1)]
+        else:
+            assert products == [("csr_matvecs", 16), ("csc_matvecs", 16)]
+        last = self.layer(in_dim, 16, 18)(adjacency, Value(graph.features), True).data
+        assert np.abs(out.data - last).max() <= 1e-12 * np.abs(last).max()
+
     @pytest.mark.parametrize("training", [True, False])
     def test_gradcheck_of_an_aggregated_first_layer(self, training):
         rng = np.random.default_rng(13)

@@ -422,22 +422,14 @@ def test_node_level_float32_step_peak_memory_holds_no_layer_output():
     assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_node_level_float32_step_peaks_at_five_activations():
-    # One float32 step of the node preset's 2-layer GCN at hidden 64 on 8000
-    # nodes; A is one 8000 x 64 array (1.95 MiB). The bound:
-    # - 4 A: the normalised activation (xhat) of each batch norm, two layers
-    #   in each of the clean and corrupted passes, which its backward reads;
-    # - 1 A: the one array being worked on beside them, the activation being
-    #   built or the gradient flowing back;
-    # - slack of A / 2 for four arrays of the 8 input features: the clean and
-    #   corrupted inputs the first matmuls hold, the reconstruction target
-    #   and the decoder output's gradient;
-    # - slack of 1 MiB (A / 2) for the batch norm backward's 512-row blocks,
-    #   the mask and the 1 x q rows.
-    # That is about 6 A, and the step peaks at about 5.8 A. Keeping a layer's
-    # input beside the next layer's product and sum, the recomputed operand
-    # beside its left gradient, or a fresh input gradient beside xhat each
-    # gave six arrays at one point, and a peak of about 6.8 A.
+def _float32_node_step_peak_arrays(activations):
+    """Traced peak of one float32 step of the node preset's 2-layer GCN at
+    hidden 64 on 8000 nodes, against ``activations`` arrays A of 8000 x 64
+    (1.95 MiB each) plus two slacks: A / 2 for four arrays of the 8 input
+    features (the clean and corrupted inputs, the reconstruction target and
+    the decoder output's gradient), and 1 MiB (A / 2) for the batch norm
+    backward's 512-row blocks, the mask and the 1 x q rows. Returns the peak
+    and the bound, both in arrays A."""
     n, hidden, features = 8000, 64, 8
     graph = make_sbm_graph(n, 8, 0.002, 0.0002, features, np.random.default_rng(0))
     model = build_model("node", "gcn", features, hidden, 2, 1,
@@ -454,39 +446,33 @@ def test_node_level_float32_step_peaks_at_five_activations():
         tracemalloc.stop()
     assert len(grads) == len(model.parameters())
     array = n * hidden * 4
-    bound = 5 * array + 4 * n * features * 4 + 2**20
-    assert peak <= bound, f"peak {peak / array:.2f} arrays, bound {bound / array:.2f}"
+    bound = activations * array + 4 * n * features * 4 + 2**20
+    return peak / array, bound / array
+
+
+def test_node_level_float32_step_peaks_at_five_activations():
+    # 5 A. When every batch norm held its normalised activation (xhat), the
+    # step held the four xhat of its two passes plus one working array and
+    # peaked at about 5.8 A; since the first layers rebuild theirs, only the
+    # two second layers' xhat are held and the four-activation test bounds
+    # the same step more tightly. Keeping a layer's input beside the next
+    # layer's product and sum, the recomputed operand beside its left
+    # gradient, or a fresh input gradient beside xhat each gave six arrays
+    # at one point, and a peak of about 6.8 A.
+    peak, bound = _float32_node_step_peak_arrays(5)
+    assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
 
 
 def test_node_level_float32_step_peaks_at_four_activations():
-    # The step of the five-activation test below, with that test's bound
-    # less one array: 4 A, plus the same slack of A / 2 for the 8-wide
-    # feature arrays and 1 MiB for the batch norm backward's row blocks.
-    # Each pass's first layer aggregates the 8 features first, so its batch
-    # norm input is a product of a constant, and that batch norm rebuilds
-    # its xhat in backward instead of holding it. Only the two second
-    # layers' xhat are held. The step peaks at about 4.3 A in the clean
-    # pass's decoder backward: the second layer's xhat beside three
+    # 4 A. Each pass's first layer aggregates the 8 features first, so its
+    # batch norm input is a product of a constant, and that batch norm
+    # rebuilds its xhat in backward instead of holding it. Only the two
+    # second layers' xhat are held. The step peaks at about 4.3 A in the
+    # clean pass's decoder backward: the second layer's xhat beside three
     # gradients of that layer's output (the row_select's, the decoder's
     # g @ W.T, and their sum). Holding every xhat gave about 5.8 A.
-    n, hidden, features = 8000, 64, 8
-    graph = make_sbm_graph(n, 8, 0.002, 0.0002, features, np.random.default_rng(0))
-    model = build_model("node", "gcn", features, hidden, 2, 1,
-                        np.random.default_rng(1), dtype="float32")
-    batch = batch_graphs([graph])
-    batch.normalized_adjacency(np.float32)  # cached; not part of the step
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = objective(model, batch, MaskSpec(0.05, 0.5), np.random.default_rng(2), 2.0)
-        grads = backward(out.total)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(grads) == len(model.parameters())
-    array = n * hidden * 4
-    bound = 4 * array + 4 * n * features * 4 + 2**20
-    assert peak <= bound, f"peak {peak / array:.2f} arrays, bound {bound / array:.2f}"
+    peak, bound = _float32_node_step_peak_arrays(4)
+    assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
 
 
 def test_node_step_makes_two_wide_sparse_products_each_way(monkeypatch):
