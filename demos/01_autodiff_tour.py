@@ -11,6 +11,7 @@ import numpy as np
 from latentgraph.engine import (
     SparseMatrix,
     Value,
+    backward,
     grad_check,
     matmul,
     relu,
@@ -34,12 +35,13 @@ def main():
     loss = sum_squares(out)
     print(f"   loss = sum of squares = {loss.data.item():.6f}")
 
-    print("3. backward() returns the gradient of this loss on every reachable")
-    print("   leaf, also left in its .grad; nothing carries over between calls.")
-    first = loss.backward(retain_graph=True)
+    print("3. backward(loss) returns the gradient of this loss on every")
+    print("   reachable leaf, also left in its .grad; nothing carries over")
+    print("   between calls.")
+    first = backward(loss, retain_graph=True)
     print(f"   |dL/dw1| Frobenius = {np.linalg.norm(w1.grad):.6f}")
     print(f"   |dL/dw2| Frobenius = {np.linalg.norm(w2.grad):.6f}")
-    second = loss.backward()
+    second = backward(loss)
     same = all(np.array_equal(second[w], first[w]) for w in (x, w1, w2))
     print(f"   a second backward over the retained graph gives the same "
           f"gradient: {same}")

@@ -2,8 +2,8 @@
 
 This module builds the one setting where the latent features behind a graph
 are known exactly, because we generate them: a latent matrix F is drawn from
-a prior, the observed features are X = F + noise with element-wise noise
-standard deviation bounded by a known sigma, and the topology A is fixed or
+a standard normal prior, the observed features are X = F + noise with
+element-wise noise standard deviation sigma, and the topology A is fixed or
 Erdos-Renyi. With F in hand, the package's documented bounds become
 measurable statements. The three bounds, stated over a predictor f that maps
 (A, X) to a matrix shaped like X, with J a random node subset and X~ the
@@ -51,16 +51,15 @@ from .models import ENCODER_KINDS, LEVELS, xavier_init
 from .objectives import MaskSpec, apply_mask, mask_size, sample_mask
 
 _GRAPH_MODELS = ("er", "fixed")
-_PRIORS = ("gaussian", "uniform")
 
 
 @dataclass(frozen=True)
 class SyntheticSetup:
     """Generator configuration for one verification scenario.
 
-    sigma is the element-wise noise-sd upper bound entering the bound's
-    multiplier; by construction it is taken from the generator itself and
-    must dominate noise_sd.
+    The latent features are standard normal. noise_sd is also the sigma in
+    the bounds' multipliers: the generator's own noise sd is the tightest
+    bound on it.
     """
 
     num_nodes: int = 16
@@ -68,11 +67,7 @@ class SyntheticSetup:
     graph_model: str = "er"
     edge_prob: float = 0.3
     adjacency: object = None
-    prior: str = "gaussian"
-    prior_mean: float = 0.0
-    prior_scale: float = 1.0
     noise_sd: float = 0.1
-    sigma: float = None
     mask_ratio: float = 0.25
     mask_noise_sd: float = 0.5
     mask_mode: str = "gaussian"
@@ -88,20 +83,10 @@ class SyntheticSetup:
             raise ValueError("edge_prob must be in [0, 1]")
         if self.graph_model == "fixed" and self.adjacency is None:
             raise ValueError("fixed graph_model needs an adjacency")
-        if self.prior not in _PRIORS:
-            raise ValueError(f"prior must be one of {_PRIORS}")
-        if self.prior_scale <= 0:
-            raise ValueError("prior_scale must be positive")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
-        if self.sigma is not None and self.sigma < self.noise_sd:
-            raise ValueError("sigma must dominate the generator's noise_sd")
         # MaskSpec rejects a bad mask_ratio, mask_noise_sd or mask_mode
         self.mask_spec
-
-    @property
-    def sigma_bound(self):
-        return self.noise_sd if self.sigma is None else self.sigma
 
     @property
     def mask_spec(self):
@@ -129,12 +114,10 @@ def gen_adjacency(setup, rng):
 
 
 def gen_latent_stack(setup, rng, count):
-    """Stack of latent feature matrices, shape (count, n, d)."""
-    shape = (count, setup.num_nodes, setup.feature_dim)
-    if setup.prior == "gaussian":
-        return rng.normal(setup.prior_mean, setup.prior_scale, size=shape)
-    return rng.uniform(setup.prior_mean - setup.prior_scale,
-                       setup.prior_mean + setup.prior_scale, size=shape)
+    """Stack of standard normal latent feature matrices, shape
+    (count, n, d)."""
+    return rng.normal(0.0, 1.0,
+                      size=(count, setup.num_nodes, setup.feature_dim))
 
 
 def gen_observation_stack(latent, setup, rng):
@@ -144,14 +127,6 @@ def gen_observation_stack(latent, setup, rng):
     observed = rng.normal(0.0, setup.noise_sd, size=latent.shape)
     observed += latent  # noise + F == F + noise bit for bit, in one stack
     return observed
-
-
-def gen_pair(setup, rng):
-    """One draw of (adjacency, latent F, observation X)."""
-    adj = gen_adjacency(setup, rng)
-    latent = gen_latent_stack(setup, rng, 1)[0]
-    observed = gen_observation_stack(latent, setup, rng)
-    return adj, latent, observed
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +228,13 @@ def spectral_norm(matrix):
 
 def lipschitz_upper(weights):
     """Upper bound on the Lipschitz constant of a dense relu network: the
-    product of its weight matrices' spectral norms.
-
-    Accepts a list of matrices or a StackPredictor (its head is used).
-    """
-    if isinstance(weights, StackPredictor):
-        mats = weights.decoder_weights
-    else:
-        mats = list(weights)
-    if not mats:
+    product of its weight matrices' spectral norms."""
+    if not weights:
         raise ValueError("no weight matrices given")
     bound = 1.0
-    for w in mats:
+    for w in weights:
         bound *= spectral_norm(w)
     return float(bound)
-
-
-@dataclass(frozen=True)
-class LipschitzBounds:
-    """Multiplier ingredients: ell bounds the head, k bounds the readout."""
-
-    ell: float
-    k: float = 1.0
-
-    def __post_init__(self):
-        if self.ell <= 0 or self.k <= 0:
-            raise ValueError("Lipschitz bounds must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -432,35 +388,33 @@ def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    multiplier = (2.0 * setup.sigma_bound * setup.num_nodes) * penalty_scale
+    multiplier = (2.0 * setup.noise_sd * setup.num_nodes) * penalty_scale
     return _estimate_bound("theorem1", predict, predict, multiplier, setup,
                            n_mc, mask_draws, rng)
 
 
-def estimate_corollary(level, predictor, setup, bounds=None, n_mc=512,
-                       mask_draws=8, rng=None, penalty_scale=1.0):
+def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8,
+                       rng=None, penalty_scale=1.0):
     """Estimate the embedding-level ("node") or readout-level ("graph")
-    bound for an encode/decode predictor.
+    bound for a StackPredictor.
 
-    When `bounds` is omitted, ell comes from the predictor's head via
-    spectral norms and k is sqrt(num_nodes).
+    ell is `lipschitz_upper` of the predictor's head, and the readout's k
+    is sqrt(num_nodes).
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    if bounds is None:
-        bounds = LipschitzBounds(ell=lipschitz_upper(predictor),
-                                 k=float(np.sqrt(setup.num_nodes)))
+    ell = lipschitz_upper(predictor.decoder_weights)
 
     if level == "node":
         which = "corollary1"
-        multiplier = 2.0 * setup.sigma_bound * setup.num_nodes * bounds.ell
+        multiplier = 2.0 * setup.noise_sd * setup.num_nodes * ell
         gap_map = predictor.embed
     else:
         which = "corollary2"
-        multiplier = (2.0 * setup.sigma_bound * setup.num_nodes
-                      * bounds.k * bounds.ell)
+        k = float(np.sqrt(setup.num_nodes))
+        multiplier = 2.0 * setup.noise_sd * setup.num_nodes * k * ell
 
         def gap_map(adj, x_stack):
             return predictor.readout(predictor.embed(adj, x_stack))

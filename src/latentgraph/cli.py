@@ -141,7 +141,10 @@ def _clock():
 
 
 def _write_json(path, doc):
-    write_atomic(path, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
+    """Write `doc` atomically; a NaN or infinity in it raises ValueError,
+    since JSON has no token for either, and leaves any earlier file."""
+    write_atomic(path, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True,
+                                            allow_nan=False))
 
 
 def _derive_seed(base, index):
@@ -477,12 +480,15 @@ def _inner_product_record(trial, which, estimate, expected):
 
 def cmd_verify(args, argv):
     _require_at_least(args, trials=1, samples=2, mask_draws=1)
+    scale = args.corrupt_multiplier
+    if not 0.0 <= scale < float("inf"):
+        raise CliError(f"corrupt-multiplier must be finite and at least 0, "
+                       f"got {scale}")
     run_dae = args.suite in ("dae", "all")
     if run_dae and args.samples // args.mask_draws < 2:
         raise CliError(
             f"suite {args.suite!r} needs at least 2 samples per mask draw, "
             f"got {args.samples} samples for {args.mask_draws} mask draws")
-    scale = args.corrupt_multiplier
 
     started = _clock()
     records = []

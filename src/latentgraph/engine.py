@@ -188,9 +188,6 @@ class Value:
             raise ValueError(f"item() needs a 1x1 value, got shape {self.data.shape}")
         return float(self.data[0, 0])
 
-    def backward(self, retain_graph=False):
-        return backward(self, retain_graph=retain_graph)
-
     def __repr__(self):
         shape = "released" if self.data is None else self.data.shape
         return f"Value(shape={shape}, op={self.op!r})"
@@ -416,13 +413,17 @@ def mse_per(a, b, divisor):
                  op="mse_per")
 
 
-def sqrt_eps(x, eps=1e-12):
-    """sqrt(x + eps) for a nonnegative scalar; eps keeps the slope finite at 0."""
+# The floor under sqrt_eps's root: it keeps the slope finite at 0.
+SQRT_EPS = 1e-12
+
+
+def sqrt_eps(x):
+    """sqrt(x + SQRT_EPS) for a nonnegative scalar."""
     if x.data.shape != (1, 1):
         raise ValueError("sqrt_eps expects a 1x1 value")
     if x.data[0, 0] < 0.0:
         raise ValueError("sqrt_eps: negative input")
-    root = np.sqrt(x.data[0, 0] + eps)
+    root = np.sqrt(x.data[0, 0] + SQRT_EPS)
 
     def _back(g):
         _accumulate(x, g * (0.5 / float(root)))

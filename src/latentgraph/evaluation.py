@@ -11,7 +11,6 @@ accuracy.
 """
 
 import dataclasses
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -103,9 +102,18 @@ class LinearClassifier:
         return out
 
 
-def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
-               num_classes=None):
-    """Full-batch softmax regression trained with Adam, unregularised.
+def _check_class_ids(labels, caller):
+    """Refuse labels that are not a 1-D vector of nonnegative integer class
+    ids: a probe fits and predicts classes 0 to labels.max() only."""
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or (labels.size and labels.min() < 0)):
+        raise ValueError(f"{caller}: labels must be a 1-D vector of "
+                         "nonnegative integers")
+
+
+def logreg_fit(reprs, labels, epochs=PROBE_EPOCHS, rng=None):
+    """Full-batch softmax regression trained with Adam at step size
+    ``PROBE_LR``, unregularised.
 
     Labels are a 1-D vector of nonnegative class ids. A training set with a
     single observed class is allowed but the returned classifier is flagged
@@ -117,23 +125,19 @@ def logreg_fit(reprs, labels, lr=PROBE_LR, epochs=PROBE_EPOCHS, rng=None,
         raise ValueError("logreg_fit: representations must be finite")
     if reprs.shape[0] != labels.shape[0]:
         raise ValueError("logreg_fit: representation/label count mismatch")
-    if labels.ndim != 1 or labels.dtype.kind not in "iu" or labels.min() < 0:
-        raise ValueError("logreg_fit: labels must be a 1-D vector of "
-                         "nonnegative integers")
+    _check_class_ids(labels, "logreg_fit")
     if epochs < 1:
         raise ValueError(f"logreg_fit: epochs must be at least 1, got {epochs}")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    out_dim = int(num_classes) if num_classes else int(labels.max()) + 1
-    if labels.max() >= out_dim:
-        raise ValueError("logreg_fit: label out of range")
+    out_dim = int(labels.max()) + 1
     targets = np.eye(out_dim)[labels]
     d = reprs.shape[1]
     W = Value(0.01 * rng.standard_normal((d, out_dim)))
     b = Value(np.zeros((1, out_dim)))
     x = constant(reprs)
-    optimizer = Adam([W, b], lr=lr)
+    optimizer = Adam([W, b], lr=PROBE_LR)
     for _ in range(epochs):
         grads = backward(softmax_ce(add_row(matmul(x, W), b), targets))
         optimizer.step(grads)
@@ -215,17 +219,17 @@ def stratified_folds(labels, folds, rng):
     return [np.sort(np.array(a, dtype=np.intp)) for a in assignments]
 
 
-def _select_c(x, labels, num_classes, c_grid, rng):
-    """Pick C by accuracy on a held-out tenth of the training data; ties go
-    to the smallest C."""
+def _select_c(x, labels, num_classes, rng):
+    """Pick C from ``DEFAULT_C_GRID`` by accuracy on a held-out tenth of the
+    training data; ties go to the smallest C."""
     n = x.shape[0]
     order = rng.permutation(n)
     n_val = max(1, n // 10)
     if n - n_val < 1:
-        return min(c_grid)
+        return DEFAULT_C_GRID[0]
     val_idx, fit_idx = order[:n_val], order[n_val:]
     best_c, best_acc = None, -1.0
-    for c in sorted(c_grid):
+    for c in DEFAULT_C_GRID:  # ascending
         clf = _svm_fit_ovr(x[fit_idx], labels[fit_idx], num_classes, c)
         acc = accuracy_score(labels[val_idx], clf.predict(x[val_idx]))
         if acc > best_acc:
@@ -249,9 +253,6 @@ class EvalReport:
     def as_dict(self):
         return dataclasses.asdict(self)
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.as_dict(), sort_keys=True, **kwargs)
-
 
 def _make_report(metric, scores, hyperparameters, seed, folds, caught):
     scores = [float(s) for s in scores]
@@ -267,22 +268,22 @@ def _make_report(metric, scores, hyperparameters, seed, folds, caught):
     )
 
 
-def linsvm_kfold(reprs, labels, folds=10, c_grid=DEFAULT_C_GRID, seed=0):
+def linsvm_kfold(reprs, labels, folds=10, seed=0):
     """k-fold cross-validated linear SVM accuracy on frozen representations.
 
     Folds are stratified by label. Within each fold's training portion, C is
     chosen on a 10% validation split, the SVM is refit on the full training
     portion with that C, and the fold score is test accuracy. The report
-    carries per-fold scores and chosen C values.
+    carries per-fold scores and chosen C values. Labels are a 1-D vector of
+    nonnegative class ids.
     """
     reprs = np.asarray(reprs, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = np.asarray(labels)
     if reprs.shape[0] != labels.shape[0]:
         raise ValueError("linsvm_kfold: representation/label count mismatch")
     if not np.isfinite(reprs).all():
         raise ValueError("linsvm_kfold: representations must be finite")
-    if not c_grid:
-        raise ValueError("linsvm_kfold: empty C grid")
+    _check_class_ids(labels, "linsvm_kfold")
 
     rng = np.random.default_rng(seed)
     caught = []
@@ -299,11 +300,12 @@ def linsvm_kfold(reprs, labels, folds=10, c_grid=DEFAULT_C_GRID, seed=0):
         mean, std = _standardizer(reprs[train_idx])
         x_train = (reprs[train_idx] - mean) / std
         x_test = (reprs[test_idx] - mean) / std
-        c = _select_c(x_train, labels[train_idx], num_classes, c_grid, rng)
+        c = _select_c(x_train, labels[train_idx], num_classes, rng)
         clf = _svm_fit_ovr(x_train, labels[train_idx], num_classes, c)
         scores.append(accuracy_score(labels[test_idx], clf.predict(x_test)))
         chosen.append(c)
-    return _make_report("accuracy", scores, {"C": chosen, "c_grid": list(c_grid)},
+    return _make_report("accuracy", scores,
+                        {"C": chosen, "c_grid": list(DEFAULT_C_GRID)},
                         seed, folds, caught)
 
 

@@ -67,6 +67,10 @@ def xavier_init(rows, cols, rng):
 # rows, whatever the batch size.
 _BN_BLOCK_ROWS = 512
 
+# Batch norm's running-stat momentum and the floor added to its variance.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 def _affine_relu(xhat, gamma, beta, out):
     """``relu(xhat * gamma + beta)`` written to ``out``: the fused batch
@@ -77,7 +81,7 @@ def _affine_relu(xhat, gamma, beta, out):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.9, eps=1e-5, overwrite_x=False):
+               overwrite_x=False):
     """Column-wise batch normalization with affine scale and shift, followed
     by relu: ``relu(gamma * xhat + beta)`` as one op.
 
@@ -122,13 +126,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         # np.var's steps on the centred copy, so the same bits
         var = np.square(xhat, out=out).sum(axis=0, keepdims=True)
         var /= n
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     _affine_relu(xhat, gamma_data, beta_data, out)
     # a private input that can be recomputed is not held: xhat is rebuilt
@@ -230,24 +234,21 @@ def _activation(bn, training):
 
 
 class BatchNorm:
-    def __init__(self, dim, momentum=0.9, eps=1e-5, dtype=np.float64):
+    def __init__(self, dim, dtype=np.float64):
         self.gamma = Value(np.ones((1, dim), dtype=dtype))
         self.beta = Value(np.zeros((1, dim), dtype=dtype))
         self.running_mean = np.zeros((1, dim), dtype=dtype)
         self.running_var = np.ones((1, dim), dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x, training, overwrite_x=False):
         """relu(batch norm of ``x``): see :func:`batch_norm`."""
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, training, self.momentum, self.eps,
-                          overwrite_x=overwrite_x)
+                          self.running_var, training, overwrite_x=overwrite_x)
 
     def set_identity_stats(self):
         """Make eval mode an exact no-op given unit gamma and zero beta."""
         self.running_mean[:] = 0.0
-        self.running_var[:] = 1.0 - self.eps
+        self.running_var[:] = 1.0 - BN_EPS
 
     def named_parameters(self, prefix):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
@@ -488,12 +489,6 @@ class Model:
         for name, buf in self.named_buffers():
             out[name] = buf
         return out
-
-    def parameter_checksum(self):
-        acc = 0.0
-        for _, v in sorted(self.state_arrays().items()):
-            acc += float(np.abs(v).sum())
-        return acc
 
 
 def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,

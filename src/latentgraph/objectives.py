@@ -173,7 +173,7 @@ def _view(variant, level, layers, out, batch, indices):
 
 
 def objective(model, batch, spec, rng, alpha, variant="mse-embed",
-              training=True, eps=1e-12):
+              training=True):
     """Evaluate one masked-prediction objective on a batch.
 
     Draws a fresh mask from `rng`, runs the clean and corrupted passes, and
@@ -215,7 +215,7 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
         raw = kl_div(clean_view, corrupt_view)
     else:
         raw = mse_per(clean_view, corrupt_view, float(len(indices)))
-    inv = sqrt_eps(raw, eps)
+    inv = sqrt_eps(raw)
     total = engine.add(recon, scale(inv, float(alpha)))
     return LossBreakdown(
         total=total,

@@ -184,6 +184,12 @@ def load_config(path, base=None):
         return parse_config(fh.read(), base=base)
 
 
+# Adam's moment decay rates and the floor added to its denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """The Adam optimizer, without weight decay.
 
@@ -194,31 +200,28 @@ class Adam:
     state as they were.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr < 0 or not 0 <= beta1 < 1 or not 0 <= beta2 < 1 or eps <= 0:
-            raise ValueError("invalid Adam hyperparameters")
+    def __init__(self, params, lr=1e-3):
+        if lr < 0:
+            raise ValueError(f"Adam: lr must be nonnegative, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads):
         t = self.t + 1
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         updates = []
         with np.errstate(over="ignore", invalid="ignore"):
             for i, p in enumerate(self.params):
                 g = grads.get(p)
                 if g is None:
                     continue
-                m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-                v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-                new = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
+                new = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
                 if not np.isfinite(new).all():
                     raise NonFiniteUpdateError("non-finite update of a parameter", p)
                 updates.append((i, p, new, m, v))

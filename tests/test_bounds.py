@@ -10,7 +10,6 @@ from latentgraph import bounds
 from latentgraph.bounds import (
     BoundEstimate,
     InnerProductEstimate,
-    LipschitzBounds,
     StackPredictor,
     SyntheticSetup,
     check_dae_inner_product,
@@ -21,7 +20,6 @@ from latentgraph.bounds import (
     gen_adjacency,
     gen_latent_stack,
     gen_observation_stack,
-    gen_pair,
     identity_predictor,
     lipschitz_upper,
     make_random_predictor,
@@ -40,7 +38,8 @@ class TestGenerator:
     def test_zero_noise_observation_is_latent(self):
         setup = small_setup(noise_sd=0.0)
         rng = np.random.default_rng(0)
-        _, latent, observed = gen_pair(setup, rng)
+        latent = gen_latent_stack(setup, rng, 3)
+        observed = gen_observation_stack(latent, setup, rng)
         assert np.array_equal(latent, observed)
 
     def test_noise_moments(self):
@@ -56,19 +55,11 @@ class TestGenerator:
         assert abs(var - setup.noise_sd ** 2) < 4 * se_var
 
     def test_gaussian_prior_moments(self):
-        setup = small_setup(prior_mean=2.0, prior_scale=0.5)
+        setup = small_setup()
         rng = np.random.default_rng(2)
         latent = gen_latent_stack(setup, rng, 3000).ravel()
-        assert abs(latent.mean() - 2.0) < 4 * 0.5 / np.sqrt(latent.size)
-        assert abs(latent.std(ddof=1) - 0.5) < 0.02
-
-    def test_uniform_prior_stays_in_bounds(self):
-        setup = small_setup(prior="uniform", prior_mean=1.0, prior_scale=0.25)
-        rng = np.random.default_rng(3)
-        latent = gen_latent_stack(setup, rng, 500)
-        assert latent.min() >= 0.75
-        assert latent.max() <= 1.25
-        assert latent.max() > 1.1  # actually spread out
+        assert abs(latent.mean()) < 4 / np.sqrt(latent.size)
+        assert abs(latent.std(ddof=1) - 1.0) < 0.04
 
     def test_er_adjacency_is_simple_symmetric(self):
         setup = small_setup(num_nodes=20, edge_prob=0.5)
@@ -112,10 +103,7 @@ class TestGenerator:
         dict(graph_model="barabasi"),
         dict(edge_prob=1.5),
         dict(graph_model="fixed"),
-        dict(prior="cauchy"),
-        dict(prior_scale=0.0),
         dict(noise_sd=-0.1),
-        dict(sigma=0.05, noise_sd=0.1),
         dict(mask_ratio=0.0),
         dict(mask_ratio=1.5),
         dict(mask_noise_sd=-1.0),
@@ -124,10 +112,6 @@ class TestGenerator:
     def test_setup_validation(self, bad):
         with pytest.raises(ValueError):
             small_setup(**bad)
-
-    def test_sigma_defaults_to_noise_sd(self):
-        assert small_setup(noise_sd=0.2).sigma_bound == 0.2
-        assert small_setup(noise_sd=0.2, sigma=0.5).sigma_bound == 0.5
 
 
 class TestLipschitz:
@@ -167,24 +151,18 @@ class TestLipschitz:
                                               "gin", rng)
             product = np.prod([np.linalg.svd(w, compute_uv=False)[0]
                                for w in predictor.decoder_weights])
-            assert lipschitz_upper(predictor) >= product
+            assert lipschitz_upper(predictor.decoder_weights) >= product
 
     def test_head_is_actually_lipschitz(self):
         rng = np.random.default_rng(8)
         predictor = make_random_predictor(4, 6, 2, 2, "gin", rng)
-        ell = lipschitz_upper(predictor)
+        ell = lipschitz_upper(predictor.decoder_weights)
         a = rng.normal(size=(300, 1, 6))
         b = rng.normal(size=(300, 1, 6))
         out_gap = np.linalg.norm(predictor.decode(a) - predictor.decode(b),
                                  axis=(1, 2))
         in_gap = np.linalg.norm(a - b, axis=(1, 2))
         assert np.all(out_gap <= ell * in_gap * (1 + 1e-9))
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            LipschitzBounds(ell=0.0)
-        with pytest.raises(ValueError):
-            LipschitzBounds(ell=1.0, k=-1.0)
 
 
 class TestStackPredictor:
@@ -379,32 +357,42 @@ class TestCorollaries:
         assert est_node.slack == est_out.slack
         assert est_node.penalty == est_out.penalty
 
-    def test_readout_multiplier_scales_with_k(self):
-        setup = small_setup(num_nodes=9, feature_dim=3)
-        rng = np.random.default_rng(24)
-        predictor = make_random_predictor(3, 4, 1, 1, "gcn", rng)
-        one = estimate_corollary("graph", predictor, setup,
-                                 bounds=LipschitzBounds(ell=1.0, k=1.0),
-                                 n_mc=64, mask_draws=2,
-                                 rng=np.random.default_rng(25))
-        two = estimate_corollary("graph", predictor, setup,
-                                 bounds=LipschitzBounds(ell=1.0, k=2.0),
-                                 n_mc=64, mask_draws=2,
-                                 rng=np.random.default_rng(25))
-        assert two.penalty == pytest.approx(2 * one.penalty, rel=1e-12)
-
-    def test_default_bounds_use_head_norms_and_sqrt_n(self):
+    def test_penalties_scale_with_the_heads_last_matrix(self):
+        # ell is the product of the head's spectral norms, and both
+        # corollaries' gaps read only the embedding: scaling the head's last
+        # matrix by c scales each penalty by c, down to a zero head
         setup = small_setup(num_nodes=16, feature_dim=3)
-        rng = np.random.default_rng(26)
-        predictor = make_random_predictor(3, 4, 1, 1, "gin", rng)
-        ell = lipschitz_upper(predictor)
-        explicit = LipschitzBounds(ell=ell, k=4.0)
-        auto = estimate_corollary("graph", predictor, setup, n_mc=64,
-                                  mask_draws=2, rng=np.random.default_rng(27))
-        manual = estimate_corollary("graph", predictor, setup,
-                                    bounds=explicit, n_mc=64, mask_draws=2,
-                                    rng=np.random.default_rng(27))
-        assert auto.penalty == manual.penalty
+        predictor = make_random_predictor(3, 4, 1, 2, "gin",
+                                          np.random.default_rng(26))
+        *inner, last = predictor.decoder_weights
+        for level in ("node", "graph"):
+            base, doubled, zeroed = (
+                estimate_corollary(
+                    level, StackPredictor("gin", predictor.encoder_weights,
+                                          inner + [c * last]),
+                    setup, n_mc=64, mask_draws=2,
+                    rng=np.random.default_rng(27))
+                for c in (1.0, 2.0, 0.0))
+            assert base.penalty > 0.0
+            assert doubled.penalty == pytest.approx(2 * base.penalty,
+                                                    rel=1e-12)
+            assert zeroed.penalty == 0.0
+
+    def test_multipliers_use_head_norms_and_sqrt_n(self, monkeypatch):
+        setup = small_setup(num_nodes=16, feature_dim=3, noise_sd=0.2)
+        predictor = make_random_predictor(3, 4, 1, 2, "gin",
+                                          np.random.default_rng(29))
+        seen = {}
+        monkeypatch.setattr(bounds, "_estimate_bound",
+                            lambda which, predict, gap_map, multiplier, *rest:
+                            seen.setdefault(which, multiplier))
+        for level in ("node", "graph"):
+            estimate_corollary(level, predictor, setup, penalty_scale=0.5)
+        ell = lipschitz_upper(predictor.decoder_weights)
+        assert seen["corollary1"] == pytest.approx(2 * 0.2 * 16 * ell * 0.5,
+                                                   rel=1e-12)
+        assert seen["corollary2"] == pytest.approx(
+            2 * 0.2 * 16 * 4.0 * ell * 0.5, rel=1e-12)
 
     def test_level_validation(self):
         setup = small_setup()

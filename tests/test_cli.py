@@ -213,6 +213,26 @@ class TestParserAndHelpers:
         assert re.findall(r"`(--[a-z-]+)`", sentence) == [
             s for action in group._group_actions for s in action.option_strings]
 
+    def test_readme_lists_the_level_flags(self):
+        """README's list of the flags that apply at one level only is
+        cli.LEVEL_FLAGS, level by level, in order, with their count."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        match = re.search(r"(\w+) flags apply at one level only, as "
+                          r"`cli\.LEVEL_FLAGS` lists: (.*?) at graph level, "
+                          r"(.*?) at node level\.", text)
+        count = ["one", "two", "three", "four", "five", "six", "seven"].index(
+            match.group(1).lower()) + 1
+        listed = {level: re.findall(r"`(--[a-z-]+)`", match.group(group))
+                  for level, group in (("graph", 2), ("node", 3))}
+        expected = {level: ["--" + name.replace("_", "-")
+                            for name, (at, _, _) in cli.LEVEL_FLAGS.items()
+                            if at == level]
+                    for level in ("graph", "node")}
+        assert listed == expected
+        assert count == len(cli.LEVEL_FLAGS)
+
     def test_derived_seeds_are_stable_and_distinct(self):
         seeds = [_derive_seed(0, i) for i in range(8)]
         assert seeds == [_derive_seed(0, i) for i in range(8)]
@@ -455,6 +475,18 @@ class TestTrain:
         before = path.read_bytes()
         with pytest.raises(TypeError):
             cli._write_json(str(path), {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_numbers_are_not_written(self, tmp_path, value):
+        # JSON has no token for NaN or infinity
+        path = tmp_path / "report.json"
+        cli._write_json(str(path), {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            cli._write_json(str(path), {"a": [1.0, value]})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -810,6 +842,19 @@ class TestVerify:
         failing = [r for r in doc["records"] if not r["passed"]]
         assert any(r["predictor"] == "identity" for r in failing)
 
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "-inf", "-0.5"])
+    def test_corrupt_multiplier_must_be_finite_and_nonnegative(
+            self, tmp_path, capsys, multiplier):
+        out = tmp_path / "x"
+        rc = main(["verify", "--out", str(out), "--suite", "theorem1",
+                   "--trials", "1", "--samples", "8", "--mask-draws", "1",
+                   f"--corrupt-multiplier={multiplier}"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: corrupt-multiplier must be finite and at "
+                       f"least 0, got {float(multiplier)}"]
+        assert not out.exists()
+
     def test_trial_count_validation(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path / "x"), "--trials", "0"])
         assert rc == 2
@@ -1027,7 +1072,7 @@ class TestMaskedArrayImport:
                 "from latentgraph.evaluation import linsvm_kfold, logreg_fit\n"
                 "rng = np.random.default_rng(0)\n"
                 "x, y = rng.normal(size=(12, 3)), np.arange(12) % 3\n"
-                "linsvm_kfold(x, y, folds=2, c_grid=(1.0,))\n"
+                "linsvm_kfold(x, y, folds=2)\n"
                 "logreg_fit(x, y, epochs=2)\n"
                 "print('numpy.ma' in sys.modules, 'scipy.sparse' in sys.modules)\n")
         result = subprocess.run(

@@ -139,14 +139,14 @@ class TestForwardOracles:
         assert out.data.dtype == np.float64 and (a.data == 1.0).all()
 
     def test_sqrt_eps_at_zero(self):
-        assert sqrt_eps(Value([[0.0]]), eps=1e-12).item() == pytest.approx(1e-6)
+        assert sqrt_eps(Value([[0.0]])).item() == pytest.approx(1e-6)
 
     def test_sqrt_eps_exact(self):
-        assert sqrt_eps(Value([[4.0]]), eps=0.0).item() == pytest.approx(2.0)
+        assert sqrt_eps(Value([[4.0]])).item() == pytest.approx(2.0)
 
     def test_sqrt_eps_gradient_at_zero(self):
         x = Value([[0.0]])
-        backward(sqrt_eps(x, eps=1e-12))
+        backward(sqrt_eps(x))
         assert x.grad[0, 0] == pytest.approx(5e5)
 
     def test_softmax_ce_uniform_logits(self):
@@ -382,7 +382,7 @@ class TestGradChecks:
     def test_sum_squares_and_sqrt(self):
         rng = np.random.default_rng(15)
         a = rand_value(rng, 3, 3)
-        self.check(lambda: sqrt_eps(sum_squares(a), eps=1e-12), [a])
+        self.check(lambda: sqrt_eps(sum_squares(a)), [a])
 
     def test_mse_per_both_sides(self):
         rng = np.random.default_rng(16)

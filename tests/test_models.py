@@ -13,6 +13,7 @@ from latentgraph.engine import (SparseMatrix, Value, constant, grad_check, matmu
                                 relu)
 from latentgraph.graphs import Graph, batch_graphs
 from latentgraph.models import (
+    BN_EPS,
     BatchNorm,
     Decoder,
     Encoder,
@@ -103,7 +104,7 @@ class TestBatchNorm:
         np.testing.assert_allclose((out.data - 10.0).var(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_blend(self):
-        bn = BatchNorm(2, momentum=0.9)
+        bn = BatchNorm(2)
         x = Value(np.array([[2.0, 4.0], [4.0, 8.0]]))
         bn(x, training=True)
         np.testing.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * np.array([[3.0, 6.0]]))
@@ -218,7 +219,7 @@ class TestFusedBatchNorm:
 
         # both kinds of unit, none within a step's reach of the kink
         mu, var = (x.data.mean(axis=0), x.data.var(axis=0)) if training else running
-        pre = bn.gamma.data * (x.data - mu) / np.sqrt(var + bn.eps) + bn.beta.data
+        pre = bn.gamma.data * (x.data - mu) / np.sqrt(var + BN_EPS) + bn.beta.data
         assert (pre > 0.05).any() and (pre < -0.05).any()
         assert np.abs(pre).min() > 0.05
         report = grad_check(f, [x, bn.gamma, bn.beta], step=1e-3, tol=1e-4)
@@ -916,9 +917,11 @@ class TestModelPlumbing:
         assert any(name.endswith("running_mean") for name in arrays)
         assert any(name.endswith("running_var") for name in arrays)
 
-    def test_checksum_changes_with_parameters(self):
+    def test_state_arrays_are_the_parameters_data(self):
         rng = np.random.default_rng(28)
         model = build_model("graph", "gin", 3, 4, 1, 1, rng)
-        before = model.parameter_checksum()
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
         model.parameters()[0].data += 1.0
-        assert model.parameter_checksum() != before
+        changed = [k for k, v in model.state_arrays().items()
+                   if not np.array_equal(v, before[k])]
+        assert changed == [model.named_parameters()[0][0]]

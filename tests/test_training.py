@@ -56,10 +56,8 @@ class TestAdam:
 
     def test_rejects_bad_hyperparameters(self):
         p = Value(np.ones((1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lr must be nonnegative"):
             Adam([p], lr=-1.0)
-        with pytest.raises(ValueError):
-            Adam([p], beta1=1.0)
 
     def test_non_finite_update_changes_nothing(self):
         # lr * m_hat overflows for the second parameter only; the first,
