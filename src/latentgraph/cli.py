@@ -269,6 +269,14 @@ def _load_data(args, level, purpose=None):
     return data, split, name
 
 
+def _check_subgraph_nodes(config, data):
+    """Refuse a subgraph size above a node-level graph's node count: the run
+    would train on the whole graph while recording that size."""
+    if config.level == "node" and config.subgraph_nodes > data.num_nodes:
+        raise CliError(f"--subgraph-nodes {config.subgraph_nodes} exceeds the "
+                       f"graph's {data.num_nodes} nodes")
+
+
 def _add_config_arguments(parser):
     """Training-configuration flags shared by `train` and `ablate`: one per
     TrainConfig field.
@@ -348,6 +356,7 @@ def cmd_train(args, argv):
     config = _resolve_config(args)
     _settle_level_flags(args, config.level)
     data, _, dataset_name = _load_data(args, config.level)
+    _check_subgraph_nodes(config, data)
 
     # The run writes into a staging directory inside --out and moves its
     # files over the final names only once all of them are written, so a
@@ -593,6 +602,8 @@ def cmd_ablate(args, argv):
     started = _clock()
     data, split, dataset_name = _load_data(args, level,
                                            f"study {args.study!r}")
+    if factor != "subgraph_nodes":
+        _check_subgraph_nodes(config, data)
     probe = _prober(args, data, split)
 
     cells_out = []

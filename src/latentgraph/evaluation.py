@@ -28,16 +28,33 @@ DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 # representation extraction
 
 
-def extract_graph_repr(dataset, encoder, batch_size=256):
+def _row_chunks(counts, max_rows):
+    """Consecutive slices of whole graphs whose node ``counts`` sum to at most
+    ``max_rows``, covering range(len(counts)). A graph larger than the budget
+    is a slice of its own."""
+    start, rows = 0, 0
+    for i, n in enumerate(counts):
+        if i > start and rows + n > max_rows:
+            yield slice(start, i)
+            start, rows = i, 0
+        rows += n
+    if counts:
+        yield slice(start, len(counts))
+
+
+def extract_graph_repr(dataset, encoder, max_rows=512):
     """Per-graph representation: sum-pooled embeddings of every encoder
     layer, concatenated, via eval-mode forward passes under ``no_grad``.
 
-    Returns a (num_graphs, num_layers * hidden_dim) matrix.
+    Each forward takes consecutive whole graphs of at most ``max_rows`` node
+    rows in all (a larger graph alone), so its memory follows a fixed number
+    of rows, not of graphs. Returns a (num_graphs, num_layers * hidden_dim)
+    matrix in the dataset's order.
     """
+    graphs = [dataset[i] for i in range(len(dataset))]
     chunks = []
-    for start in range(0, len(dataset), batch_size):
-        graphs = [dataset[i] for i in range(start, min(start + batch_size, len(dataset)))]
-        batch = batch_graphs(graphs)
+    for part in _row_chunks([g.num_nodes for g in graphs], max_rows):
+        batch = batch_graphs(graphs[part])
         with no_grad():
             layers = encoder.encode(batch, training=False)
             pooled = [readout_sum(h, batch).data for h in layers]

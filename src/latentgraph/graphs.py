@@ -417,9 +417,9 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
     """Parse the single-graph node classification layout.
 
     Edges: tab- or space-separated 0-indexed pairs, one per line. Features:
-    comma-separated floats, one node per line. Labels: one integer per line.
-    Split file (optional): lines ``train <id>``, ``valid <id>``, ``test <id>``,
-    each node at most once. Returns (Graph, NodeSplit | None).
+    comma-separated floats, one node per line. Labels: one nonnegative
+    integer (class id) per line. Split file (optional): lines ``train <id>``,
+    ``valid <id>``, ``test <id>``, each node at most once. Returns (Graph, NodeSplit | None).
     """
     features = _read_table(
         feature_file, np.float64, delimiter=",", complaint=lambda lineno, _, fields, width, ok: (
@@ -432,6 +432,7 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
     labels = _read_ints(label_file, "labels")
     if len(labels) != num_nodes:
         raise ValueError(f"label file has {len(labels)} entries for {num_nodes} nodes")
+    _check_rows(label_file, labels < 0, "labels: negative class id on line {lineno}: {line!r}")
 
     edges = _read_table(edge_file, np.intp, width=2, complaint=lambda lineno, line, fields, *_: (
         f"edge file: expected two tokens on line {lineno}" if len(fields) != 2

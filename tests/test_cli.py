@@ -368,6 +368,33 @@ class TestTrain:
                                  "on graph-level runs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_subgraph_nodes_above_the_node_count_is_an_error(
+            self, corpus, tmp_path, capsys, command):
+        # the corpus graph has 150 nodes
+        out = tmp_path / "out"
+        argv = {"train": ["train"], "ablate": ["ablate", "--study", "concat"]}[command]
+        rc = main([*argv, "--preset", "node", "--hidden-dim", "16",
+                   "--epochs", "1", "--subgraph-nodes", "151",
+                   "--dataset", corpus["node_dir"], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --subgraph-nodes 151 exceeds the graph's 150 nodes"]
+        assert not out.exists()
+
+    def test_subgraph_nodes_equal_to_the_node_count_is_the_whole_graph(
+            self, corpus, tmp_path, capsys):
+        logs = []
+        for extra in ([], ["--subgraph-nodes", "150"]):
+            out = tmp_path / f"out{len(logs)}"
+            rc = main(["train", "--preset", "node", "--hidden-dim", "16",
+                       "--epochs", "2", "--dataset", corpus["node_dir"],
+                       "--out", str(out), *extra])
+            assert rc == 0
+            logs.append((out / "loss_log.jsonl").read_bytes())
+        capsys.readouterr()
+        assert logs[0] == logs[1]
+
     def test_missing_dataset_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "out")])
@@ -766,6 +793,28 @@ class TestEval:
         report = doc["reports"][0]
         assert report["hyperparameters"]["micro_f1"] == report["mean"]
         assert report["mean"] < 1.0
+
+    @pytest.mark.parametrize("section", ["train", "test"])
+    def test_negative_label_is_an_error(self, corpus, tmp_path, capsys,
+                                        section):
+        data = write_node_corpus(tmp_path, num_nodes=60)
+        with open(os.path.join(data, "graph_split.txt"), encoding="utf-8") as fh:
+            node = next(int(line.split()[1]) for line in fh
+                        if line.startswith(section))
+        path = os.path.join(data, "graph_labels.txt")
+        with open(path, encoding="utf-8") as fh:
+            labels = fh.read().splitlines()
+        labels[node] = "-1"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(labels) + "\n")
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", corpus["node_ckpt"],
+                   "--dataset", data, "--out", str(out), "--reps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"labels: negative class id on line {node + 1}: '-1'")
+        assert not out.exists()
 
     def test_node_listed_twice_in_the_split(self, corpus, tmp_path, capsys):
         data = write_node_corpus(tmp_path, num_nodes=60)

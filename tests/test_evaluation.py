@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentgraph import evaluation, models
+from latentgraph import engine, evaluation, models
 from latentgraph.engine import no_grad
 from latentgraph.evaluation import (
     PROBE_LR,
@@ -285,9 +285,45 @@ class TestRepresentationExtraction:
         rng = np.random.default_rng(19)
         data = self.make_dataset(rng, num_graphs=7)
         model = build_model("graph", "gin", 4, 5, 2, 1, rng)
-        all_at_once = extract_graph_repr(data, model.encoder, batch_size=256)
-        chunked = extract_graph_repr(data, model.encoder, batch_size=2)
+        all_at_once = extract_graph_repr(data, model.encoder, max_rows=512)
+        chunked = extract_graph_repr(data, model.encoder, max_rows=20)
         np.testing.assert_allclose(all_at_once, chunked, atol=1e-12)
+
+    @pytest.mark.parametrize("counts, max_rows, expected", [
+        ([3, 4, 5], 7, [(0, 2), (2, 3)]),
+        ([3, 4, 5], 12, [(0, 3)]),
+        ([8, 2, 2], 5, [(0, 1), (1, 3)]),   # a graph above the budget alone
+        ([2, 9, 1], 5, [(0, 1), (1, 2), (2, 3)]),
+        ([2, 2], 1, [(0, 1), (1, 2)]),
+        ([], 4, []),
+    ])
+    def test_row_chunks_take_whole_graphs_up_to_the_budget(
+            self, counts, max_rows, expected):
+        chunks = list(evaluation._row_chunks(counts, max_rows))
+        assert [(c.start, c.stop) for c in chunks] == expected
+
+    def test_row_budget_cannot_change_rows(self, monkeypatch):
+        # strict determinism makes each row's bits independent of the other
+        # rows of its forward, so every budget gives the same matrix
+        monkeypatch.setattr(engine, "_STRICT", True)
+        rng = np.random.default_rng(24)
+        small = self.make_dataset(rng, num_graphs=7).graphs
+        big = make_blob_dataset(1, 2, rng, nodes_range=(30, 31), feature_dim=4)[0]
+        graphs = small[:3] + [big] + small[3:]
+        model = build_model("graph", "gin", 4, 5, 2, 1, rng)
+        total = sum(g.num_nodes for g in graphs)
+        reference = extract_graph_repr(graphs, model.encoder, max_rows=total + 1)
+        for max_rows in range(1, total + 2):
+            np.testing.assert_array_equal(
+                extract_graph_repr(graphs, model.encoder, max_rows=max_rows),
+                reference, err_msg=f"max_rows={max_rows}")
+        # the 30-node graph is larger than most budgets: its row is its own
+        # single-graph forward
+        batch = batch_graphs([big])
+        with no_grad():
+            layers = model.encoder.encode(batch, training=False)
+            alone = np.hstack([readout_sum(h, batch).data for h in layers])
+        np.testing.assert_array_equal(reference[3:4], alone)
 
     def test_node_repr_concat_flag(self):
         rng = np.random.default_rng(20)
@@ -327,13 +363,14 @@ class TestNoGradExtraction:
         rng = np.random.default_rng(22)
         data = make_blob_dataset(9, 2, rng, feature_dim=4)
         model = self.trained_like("graph", "gin", 4, rng)
-        reprs = extract_graph_repr(data, model.encoder, batch_size=4)
+        reprs = extract_graph_repr(data, model.encoder, max_rows=40)
         # the recording forward keeps every layer's data: releasing changes
         # no value, it only drops the inner layers' arrays
         monkeypatch.setattr(models, "release", lambda *values: None)
         chunks = []
-        for start in range(0, len(data), 4):
-            batch = batch_graphs(data.graphs[start:start + 4])
+        counts = [g.num_nodes for g in data.graphs]
+        for part in evaluation._row_chunks(counts, 40):
+            batch = batch_graphs(data.graphs[part])
             layers = model.encoder.encode(batch, training=False)
             assert layers[-1]._parents  # this forward records
             chunks.append(np.hstack([readout_sum(h, batch).data for h in layers]))
@@ -347,20 +384,32 @@ class TestNoGradExtraction:
         layers = model.encoder.encode(batch_graphs([graph]), training=False)
         np.testing.assert_array_equal(reprs, layers[-1].data)
 
-    def test_graph_extraction_peak_memory(self):
-        # 512 blob graphs (about 5k nodes) through GIN 3x32 in two chunks of
-        # 256: recording every op's output peaks at about 45 MiB of traced
-        # allocations, the DAG-free forward at about 7 MiB.
-        data = make_blob_dataset(512, 2, np.random.default_rng(0))
-        model = build_model("graph", "gin", data.feature_dim, 32, 3, 2,
-                            np.random.default_rng(1))
+    @staticmethod
+    def _traced_peak(fn):
+        """(peak traced bytes above the start, result) of ``fn()``."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            reprs = extract_graph_repr(data, model.encoder)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - base, result
         finally:
             tracemalloc.stop()
+
+    @staticmethod
+    def _blob_gin(num_graphs=512):
+        data = make_blob_dataset(num_graphs, 2, np.random.default_rng(0))
+        model = build_model("graph", "gin", data.feature_dim, 32, 3, 2,
+                            np.random.default_rng(1))
+        return data, model
+
+    def test_graph_extraction_peak_memory(self):
+        # 512 blob graphs (about 5k nodes) through GIN 3x32 in chunks of at
+        # most 512 node rows peak at about 1 MiB of traced allocations. A
+        # forward that records every op's output peaked at about 45 MiB on
+        # 256 of them, and the DAG-free one at about 7 MiB.
+        data, model = self._blob_gin()
+        peak, reprs = self._traced_peak(
+            lambda: extract_graph_repr(data, model.encoder))
         assert reprs.shape == (512, 96)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
@@ -368,24 +417,30 @@ class TestNoGradExtraction:
         # the same 64 graphs as one chunk and as two: the second chunk's
         # forward may not run while the first one's batch and layer outputs
         # are alive, so only the larger output separates the peaks
-        data = make_blob_dataset(64, 2, np.random.default_rng(0))
-        model = build_model("graph", "gin", data.feature_dim, 32, 3, 2,
-                            np.random.default_rng(1))
-
-        def peak(graphs):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                reprs = extract_graph_repr(graphs, model.encoder, batch_size=64)
-                return tracemalloc.get_traced_memory()[1] - base, reprs
-            finally:
-                tracemalloc.stop()
-
-        one, _ = peak(data.graphs)
-        two, reprs = peak(data.graphs + data.graphs)
+        data, model = self._blob_gin(64)
+        graphs = data.graphs
+        rows = sum(g.num_nodes for g in graphs)
+        one, _ = self._traced_peak(
+            lambda: extract_graph_repr(graphs, model.encoder, max_rows=rows))
+        two, reprs = self._traced_peak(
+            lambda: extract_graph_repr(graphs + graphs, model.encoder, max_rows=rows))
         assert reprs.shape == (128, 96)
         assert two <= one + reprs.nbytes + 64 * 2**10, (
             f"two chunks {two / 2**10:.0f} KiB, one {one / 2**10:.0f} KiB")
+
+    def test_extraction_peak_follows_the_row_budget(self):
+        # all 512 graphs peak no higher than the first budget's worth of
+        # them, one forward of nearly 512 rows: only the larger output
+        # separates the peaks, not the number of graphs
+        data, model = self._blob_gin()
+        first = next(evaluation._row_chunks([g.num_nodes for g in data.graphs], 512))
+        one, _ = self._traced_peak(
+            lambda: extract_graph_repr(data.graphs[first], model.encoder))
+        every, reprs = self._traced_peak(
+            lambda: extract_graph_repr(data, model.encoder))
+        assert reprs.shape == (512, 96)
+        assert every <= one + reprs.nbytes + 64 * 2**10, (
+            f"512 graphs {every / 2**10:.0f} KiB, one budget {one / 2**10:.0f} KiB")
 
 
 class TestNodeSplitEvaluation:

@@ -699,6 +699,7 @@ class TestTextFormat:
         (dict(feats="1.0,2.0\n 3.0 4.0\n"), "feature file: bad row on line 2"),
         (dict(labels="0\n1.5\n"), "labels: non-integer token on line 2: '1.5'"),
         (dict(labels="0\n1\n2\n"), "label file has 3 entries for 2 nodes"),
+        (dict(labels="0\n\n-1\n"), "labels: negative class id on line 3: '-1'"),
         (dict(split="train 0\nvalid 2\n"), "split file: node id out of range on line 2"),
         (dict(split="train 0\ntrain\n"), "split file: bad line 2: 'train'"),
         (dict(split="train 0\nholdout 1\n"), "split file: bad line 2: 'holdout 1'"),
