@@ -25,6 +25,13 @@ it over its normalized activations). A walk that retains the graph runs the
 closures again later; it says so through :func:`_retaining_graph`, and such a
 closure then allocates a fresh gradient.
 
+Gradients are summed by one helper, :func:`_accumulate`. A closure that
+hands it a fresh array, one that nothing else holds, says so; the node then
+owns that array, and a later contribution is added into it in place. A
+contribution that is not fresh, such as the gradient ``add`` passes on to
+both its operands, is never written. Float addition of two operands
+commutes, so the sums have the same bits either way.
+
 Inside ``with no_grad():`` ops record nothing: each result is a parentless
 Value, so an intermediate array is freed as soon as the next op has consumed
 it. Inference (representation extraction) runs this way; training and anything
@@ -162,14 +169,19 @@ class Value:
     (the fused batch norm sets it, and :func:`matmul` for a product of a
     constant left operand). :func:`matmul` captures it instead of the data,
     so the data need not live until backward.
+
+    ``_owns_grad`` tells whether ``grad`` is an array that only this node
+    holds, so :func:`_accumulate` may add into it in place; it is set
+    whenever ``grad`` is.
     """
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward", "_recompute",
-                 "__weakref__")
+                 "_owns_grad", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, op="leaf"):
         self.data = _as_matrix(data)
         self.grad = None
+        self._owns_grad = False
         self.op = op
         self._recompute = None
         if _RECORDING:
@@ -213,10 +225,29 @@ def _retaining_graph():
     return _RETAINING
 
 
-def _accumulate(node, g):
+def _accumulate(node, g, fresh=False):
+    """Add the contribution ``g`` to ``node.grad``, or make it the gradient.
+
+    ``fresh`` says that nothing else holds ``g``, so the node may own it
+    and write into it. A later contribution is added in place into an owned
+    gradient, or else into a fresh incoming one, whenever that needs no type
+    promotion; only when neither can be written is a third array made. An
+    array that is not fresh is never written.
+    """
     if node.op == "const":
         return
-    node.grad = g if node.grad is None else node.grad + g
+    grad = node.grad
+    if grad is None:
+        node.grad, node._owns_grad = g, fresh
+        return
+    dtype = np.result_type(grad, g)
+    if node._owns_grad and grad.dtype == dtype:
+        grad += g
+    elif fresh and g.dtype == dtype:
+        g += grad
+        node.grad, node._owns_grad = g, True
+    else:
+        node.grad, node._owns_grad = grad + g, True
 
 
 def _check_same_shape(a, b, opname):
@@ -244,10 +275,10 @@ def matmul(a, b):
         # a's gradient, as large as it, is allocated
         if b.op != "const":
             left = a_data if recompute is None else recompute()
-            _accumulate(b, _mm(left.T, g))
+            _accumulate(b, _mm(left.T, g), fresh=True)
             del left
         if a.op != "const":
-            _accumulate(a, _mm(g, b_data.T))
+            _accumulate(a, _mm(g, b_data.T), fresh=True)
 
     y = Value(_mm(a.data, b_data), parents=(a, b), backward=_back, op="matmul")
     if a.op == "const" and _RECORDING:
@@ -267,7 +298,7 @@ def spmm(s, d):
 
     def _back(g):
         if d.op != "const":
-            _accumulate(d, s.rmatmat(g))
+            _accumulate(d, s.rmatmat(g), fresh=True)
 
     return Value(s.matmat(d.data), parents=(d,), backward=_back, op="spmm")
 
@@ -295,7 +326,7 @@ def add_row(a, b, overwrite_a=False):
 
     def _back(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
+        _accumulate(b, g.sum(axis=0, keepdims=True), fresh=True)
 
     in_place = overwrite_a and np.result_type(a.data, b.data) == a.data.dtype
     out = np.add(a.data, b.data, out=a.data if in_place else None)
@@ -323,7 +354,7 @@ def sub(a, b):
 
     def _back(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, fresh=True)
 
     return Value(a.data - b.data, parents=(a, b), backward=_back, op="sub")
 
@@ -334,8 +365,8 @@ def hadamard(a, b):
     a_data, b_data = a.data, b.data
 
     def _back(g):
-        _accumulate(a, g * b_data)
-        _accumulate(b, g * a_data)
+        _accumulate(a, g * b_data, fresh=True)
+        _accumulate(b, g * a_data, fresh=True)
 
     return Value(a_data * b_data, parents=(a, b), backward=_back, op="hadamard")
 
@@ -344,7 +375,7 @@ def scale(a, c):
     c = float(c)
 
     def _back(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, fresh=True)
 
     return Value(a.data * c, parents=(a,), backward=_back, op="scale")
 
@@ -365,7 +396,7 @@ def relu(a):
     mask = a.data > 0.0
 
     def _back(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * mask, fresh=True)
 
     return Value(_rectify(a.data), parents=(a,), backward=_back, op="relu")
 
@@ -380,7 +411,7 @@ def row_select(h, indices):
     def _back(g):
         gh = np.zeros(shape, dtype=g.dtype)
         np.add.at(gh, idx, g)
-        _accumulate(h, gh)
+        _accumulate(h, gh, fresh=True)
 
     return Value(h.data[idx], parents=(h,), backward=_back, op="row_select")
 
@@ -390,27 +421,36 @@ def sum_squares(a):
     a_data = a.data
 
     def _back(g):
-        _accumulate(a, (2.0 * float(g[0, 0])) * a_data)
+        _accumulate(a, (2.0 * float(g[0, 0])) * a_data, fresh=True)
 
     return Value(np.sum(a_data * a_data), parents=(a,), backward=_back,
                  op="sum_squares")
 
 
 def mse_per(a, b, divisor):
-    """Sum of squared differences divided by a positive constant."""
+    """Sum of squared differences divided by a positive constant.
+
+    A :func:`constant` operand, such as a reconstruction target, is neither
+    a parent of the result nor held by its backward, so it can be freed as
+    soon as the op has run.
+    """
     _check_same_shape(a, b, "mse_per")
     divisor = float(divisor)
     if divisor <= 0.0:
         raise ValueError("mse_per: divisor must be positive")
     diff = a.data - b.data
+    a, b = (None if v.op == "const" else v for v in (a, b))
 
     def _back(g):
         gd = (2.0 * float(g[0, 0]) / divisor) * diff
-        _accumulate(a, gd)
-        _accumulate(b, -gd)
+        if a is not None:
+            _accumulate(a, gd, fresh=True)
+        if b is not None:
+            _accumulate(b, -gd, fresh=True)
 
-    return Value(np.sum(diff * diff) / divisor, parents=(a, b), backward=_back,
-                 op="mse_per")
+    return Value(np.sum(diff * diff) / divisor,
+                 parents=tuple(v for v in (a, b) if v is not None),
+                 backward=_back, op="mse_per")
 
 
 # The floor under sqrt_eps's root: it keeps the slope finite at 0.
@@ -426,7 +466,7 @@ def sqrt_eps(x):
     root = np.sqrt(x.data[0, 0] + SQRT_EPS)
 
     def _back(g):
-        _accumulate(x, g * (0.5 / float(root)))
+        _accumulate(x, g * (0.5 / float(root)), fresh=True)
 
     return Value(root, parents=(x,), backward=_back, op="sqrt_eps")
 
@@ -452,7 +492,7 @@ def softmax_ce(logits, targets):
     logp = _log_softmax(logits.data)
 
     def _back(g):
-        _accumulate(logits, (float(g[0, 0]) / n) * (np.exp(logp) - t))
+        _accumulate(logits, (float(g[0, 0]) / n) * (np.exp(logp) - t), fresh=True)
 
     return Value(-np.sum(t * logp) / n, parents=(logits,), backward=_back,
                  op="softmax_ce")
@@ -469,8 +509,8 @@ def kl_div(p_logits, q_logits):
 
     def _back(g):
         gs = float(g[0, 0]) / max(n, 1)
-        _accumulate(p_logits, gs * p * ((lp - lq) - row_kl))
-        _accumulate(q_logits, gs * (np.exp(lq) - p))
+        _accumulate(p_logits, gs * p * ((lp - lq) - row_kl), fresh=True)
+        _accumulate(q_logits, gs * (np.exp(lq) - p), fresh=True)
 
     return Value(row_kl.sum() / max(n, 1), parents=(p_logits, q_logits),
                  backward=_back, op="kl_div")
@@ -522,7 +562,7 @@ def backward(loss, retain_graph=False):
     # Every reached node, leaf or interior, starts this pass with no gradient;
     # its first contribution allocates it.
     for node in order:
-        node.grad = None
+        node.grad, node._owns_grad = None, False
     _accumulate(loss, np.ones((1, 1), dtype=loss.data.dtype))
     grads = {}
     previous, _RETAINING = _RETAINING, bool(retain_graph)
@@ -541,7 +581,7 @@ def backward(loss, retain_graph=False):
             if retain_graph:
                 grads[node] = node.grad
             else:
-                node.grad = None
+                node.grad, node._owns_grad = None, False
                 node._parents = ()
                 node._backward = None
                 node._recompute = None
@@ -684,10 +724,13 @@ class SparseMatrix:
     """Immutable CSR matrix used for adjacency and pooling indicators.
 
     Holds canonical CSR arrays in numpy: ``indptr``, ``indices`` (strictly
-    increasing within each row, so no duplicates), float64 ``data`` and
-    ``shape``; :meth:`astype` gives a float32 copy of ``data`` sharing the
-    index arrays. Index arrays are int32 whenever scipy would pick int32 for the
-    same shape and nnz, and int64 otherwise. Building, normalising and
+    increasing within each row, so no duplicates), ``data`` and ``shape``.
+    :meth:`from_dense` and :meth:`from_coo` give float64 ``data``; the
+    trusted constructor keeps float32 values as they are, which the 0/1
+    matrices of ``graphs`` use, since float32 ones are exact and half the
+    bytes. :meth:`astype` gives a copy of ``data`` in another dtype sharing
+    the index arrays. Index arrays are int32 whenever scipy would pick int32
+    for the same shape and nnz, and int64 otherwise. Building, normalising and
     densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` pass these
     arrays to scipy's compiled ``csr_matvecs`` and ``csc_matvecs``, the calls
     ``scipy.sparse`` makes for ``csr @ dense`` and ``csr.T @ dense``, so the
@@ -743,10 +786,13 @@ class SparseMatrix:
     @classmethod
     def _from_sorted_coo(cls, rows, cols, values, shape):
         """Trusted constructor: the entries must already be sorted by row, then
-        column, with no duplicate and in range. Nothing is checked."""
+        column, with no duplicate and in range. Nothing is checked. Float32
+        values stay float32; any other values become float64."""
         indptr = np.zeros(int(shape[0]) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=int(shape[0])), out=indptr[1:])
-        return cls._from_csr(indptr, cols, np.asarray(values, dtype=np.float64), shape)
+        values = np.asarray(values)
+        return cls._from_csr(indptr, cols, values if values.dtype == np.float32
+                             else values.astype(np.float64, copy=False), shape)
 
     @classmethod
     def _from_csr(cls, indptr, indices, data, shape):

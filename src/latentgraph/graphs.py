@@ -46,7 +46,12 @@ __all__ = [
 
 @dataclass
 class Graph:
-    """One graph: adjacency (symmetric, zero diagonal), features, labels."""
+    """One graph: adjacency (symmetric, zero diagonal), features, labels.
+
+    Every binary matrix this module builds (a graph's adjacency, a batch's
+    block adjacency and pooling matrix) holds float32 ones, exact for 0/1
+    and half the bytes of float64 ones.
+    """
 
     num_nodes: int
     adjacency: SparseMatrix
@@ -164,7 +169,7 @@ class GraphBatch:
             self._pool = SparseMatrix._from_sorted_coo(
                 self.membership,
                 np.arange(self.total_nodes, dtype=np.intp),
-                np.ones(self.total_nodes),
+                np.ones(self.total_nodes, dtype=np.float32),
                 shape=(self.num_graphs, self.total_nodes),
             )
         return self._pool
@@ -189,7 +194,8 @@ def _sorted_unique(values, return_inverse=False):
 
 
 def _symmetrized_adjacency(num_nodes, u, v):
-    """Deduplicated symmetric binary adjacency from endpoint arrays, no loops."""
+    """Deduplicated symmetric binary adjacency from endpoint arrays, no loops,
+    with float32 ones as values."""
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
     keep = u != v
@@ -197,7 +203,8 @@ def _symmetrized_adjacency(num_nodes, u, v):
     keys = _sorted_unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
     # sorted distinct keys are canonical CSR order
     return SparseMatrix._from_sorted_coo(keys // num_nodes, keys % num_nodes,
-                                         np.ones(len(keys)), shape=(num_nodes, num_nodes))
+                                         np.ones(len(keys), dtype=np.float32),
+                                         shape=(num_nodes, num_nodes))
 
 
 def _records(path):
@@ -330,7 +337,8 @@ def parse_tudataset(directory, dataset_name):
     graphs = []
     for s, e, a, b, label in zip(starts[:-1], starts[1:], cuts[:-1], cuts[1:], graph_labels):
         adjacency = SparseMatrix._from_sorted_coo(rows[a:b] - s, whole.indices[a:b] - s,
-                                                  np.ones(b - a), shape=(e - s, e - s))
+                                                  np.ones(b - a, dtype=np.float32),
+                                                  shape=(e - s, e - s))
         graphs.append(Graph(int(e - s), adjacency, features[s:e], int(label)))
     return GraphDataset(graphs, len(classes), features.shape[1], name=dataset_name)
 
@@ -359,7 +367,9 @@ def normalize_adjacency(a):
 
     Returns Dh^{-1/2} (A + I) Dh^{-1/2} where Dh is the degree matrix of A + I,
     as CSR built from A's: a stored diagonal entry gets 1 added, and every
-    other row gets a diagonal 1 at its sorted position.
+    other row gets a diagonal 1 at its sorted position. The values are
+    computed and returned in float64 whatever A's value dtype, so the
+    float32 ones of a binary adjacency give the same bits as float64 ones.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
@@ -369,7 +379,7 @@ def normalize_adjacency(a):
     # each row's sum in its entries' order, then the self-loop's 1
     inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=a.data, minlength=n) + 1.0)
     on_diagonal = cols == rows
-    scaled = a.data.copy()
+    scaled = a.data.astype(np.float64)
     scaled[on_diagonal] += 1.0
     scaled *= inv_sqrt[rows]
     scaled *= inv_sqrt[cols]
@@ -399,7 +409,7 @@ def sample_node_subset(g, n, rng):
     # ``position`` is increasing on the kept nodes, so CSR order survives
     adj = SparseMatrix._from_sorted_coo(
         position[rows[inside]], position[cols[inside]],
-        np.ones(int(inside.sum())), shape=(n, n),
+        np.ones(int(inside.sum()), dtype=np.float32), shape=(n, n),
     )
     return Graph(
         num_nodes=n,

@@ -187,9 +187,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
                 gb -= mean_g
                 gb -= shift
                 gb *= scale
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
-        _accumulate(x, dx)
+        _accumulate(gamma, dgamma, fresh=True)
+        _accumulate(beta, dbeta, fresh=True)
+        _accumulate(x, dx, fresh=True)
 
     def _rebuild_out():
         xhat = normalized()
@@ -307,9 +307,10 @@ class GCNLayer:
             return _chain(h, self.lin, functools.partial(spmm, adjacency),
                           _activation(self.bn, training), x_readers=1)
         x1 = np.hstack((h.data, np.ones((h.data.shape[0], 1), h.data.dtype)))
+        aggregated = constant(adjacency.matmat(x1))
+        del x1  # not held through the batch norm
         weights = stack_rows(self.lin.W, self.lin.b)
-        return _chain(constant(adjacency.matmat(x1)),
-                      lambda aggregated: matmul(aggregated, weights),
+        return _chain(aggregated, lambda a: matmul(a, weights),
                       _activation(self.bn, training))
 
     def named_parameters(self, prefix):

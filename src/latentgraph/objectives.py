@@ -189,6 +189,10 @@ def objective(model, batch, spec, rng, alpha, variant="mse-embed",
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
 
     indices, noise = sample_batch_mask(batch, spec, rng)
+    # made before the clean pass, although only the corrupted pass reads it:
+    # made just before that pass, it held fewer bytes, yet the node-level
+    # train process peaked about 2 MiB higher, as the allocator then placed
+    # the step's large arrays differently
     corrupted = apply_mask(batch.features, indices, noise, spec.mode,
                            model.encoder.dtype)
 

@@ -77,7 +77,8 @@ class TrainConfig:
 
     `subgraph_nodes` only applies to node-level runs: when positive, each
     step trains on a freshly sampled induced subgraph of that many nodes
-    instead of the full graph. `dtype` is the model's compute dtype for
+    instead of the full graph; the graph's own node count trains on the full
+    graph, and `train` refuses a larger one. `dtype` is the model's compute dtype for
     training and extraction.
     """
 
@@ -295,6 +296,9 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     if config.level == "node":
         if not isinstance(data, Graph):
             raise TypeError("node-level training expects a single Graph")
+        if config.subgraph_nodes > data.num_nodes:
+            raise ValueError(f"subgraph_nodes {config.subgraph_nodes} exceeds the "
+                             f"graph's {data.num_nodes} nodes")
         step_batches = None
         sample_subgraphs = 0 < config.subgraph_nodes < data.num_nodes
         # the full graph never changes: batch and normalise it once

@@ -271,6 +271,55 @@ class TestBackward:
         np.testing.assert_array_equal(second[w], first)
         assert w.grad is second[w]
 
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_a_gradient_shared_through_add_is_never_written(self, add_first):
+        # add hands one array to both operands as their gradient; p's later
+        # contribution must go into an array of its own, not into the one q
+        # holds. Either term of the loss may reach p first.
+        rng = np.random.default_rng(30)
+        p, q = rand_value(rng, 3, 2), rand_value(rng, 3, 2)
+        shared_term = sum_squares(add(p, q))
+        own_term = sum_squares(scale(p, 2.0))
+        loss = add(shared_term, own_term) if add_first else add(own_term, shared_term)
+        grads = backward(loss)
+        shared = 2.0 * (p.data + q.data)
+        assert grads[q].tobytes() == shared.tobytes()
+        assert not np.shares_memory(grads[p], grads[q])
+        assert grads[p].tobytes() == (shared + (2.0 * (2.0 * p.data)) * 2.0).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_owned_gradients_sum_to_the_bits_of_fresh_sums(self, monkeypatch, dtype):
+        # x gets three fresh matmul products, added in place into the first
+        rng = np.random.default_rng(31)
+        x = Value(rng.normal(size=(5, 4)).astype(dtype))
+        ws = [Value(rng.normal(size=(4, 3)).astype(dtype)) for _ in range(3)]
+        loss = sum_squares(add(add(matmul(x, ws[0]), matmul(x, ws[1])), matmul(x, ws[2])))
+        owned = backward(loss, retain_graph=True)[x]
+
+        def into_a_third_array(node, g, fresh=False):
+            if node.op != "const":
+                node.grad = g if node.grad is None else node.grad + g
+
+        monkeypatch.setattr(engine, "_accumulate", into_a_third_array)
+        assert backward(loss)[x].tobytes() == owned.tobytes()
+
+    def test_a_retained_graph_gives_the_same_owned_gradients_twice(self):
+        # w and h each sum fresh contributions in place; a second walk over
+        # the retained graph gives the same bits and leaves the first
+        # walk's arrays as they were
+        rng = np.random.default_rng(32)
+        x, w = rand_value(rng, 6, 4), rand_value(rng, 4, 3)
+        h = matmul(x, w)
+        loss = add(sum_squares(matmul(h, Value(rng.normal(size=(3, 2))))),
+                   sum_squares(add(matmul(x, w), scale(h, 3.0))))
+        first = backward(loss, retain_graph=True)
+        kept = {node: grad.tobytes() for node, grad in first.items()}
+        second = backward(loss, retain_graph=True)
+        assert set(second) == set(first)
+        for node, grad in second.items():
+            assert grad.tobytes() == kept[node]
+            assert first[node].tobytes() == kept[node]
+
     def test_each_backward_returns_only_its_own_gradient(self):
         rng = np.random.default_rng(8)
         x, w = rand_value(rng, 4, 3), rand_value(rng, 3, 2)
@@ -662,8 +711,18 @@ class TestSparseMatrixAgainstScipy:
         # 7 graphs, the SBM graph, the block adjacency, the pool, the subset
         assert len(calls) == 11
         for rows, cols, values, shape in calls:
-            self.assert_same_csr(SparseMatrix._from_sorted_coo(rows, cols, values, shape),
-                                 SparseMatrix.from_coo(rows, cols, values, shape))
+            # every caller builds a 0/1 matrix from float32 ones, which the
+            # trusted constructor keeps; the checked constructors give
+            # float64, so the arrays are compared with the values in float64
+            trusted = SparseMatrix._from_sorted_coo(rows, cols, values, shape)
+            checked = SparseMatrix.from_coo(rows, cols, values, shape)
+            assert values.dtype == trusted.data.dtype == np.float32
+            assert checked.data.dtype == np.float64
+            assert SparseMatrix.from_dense(trusted.to_dense()).data.dtype == np.float64
+            assert trusted.data.tobytes() == np.ones(trusted.nnz, np.float32).tobytes()
+            self.assert_same_csr(trusted.astype(np.float64), checked)
+            self.assert_same_csr(trusted.astype(np.float64),
+                                 self.scipy_csr(rows, cols, values, shape))
 
     @staticmethod
     def product_cases(rng):

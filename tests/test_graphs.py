@@ -280,6 +280,51 @@ class TestNormalizeAdjacency:
             assert (np.diff(norm.indices[norm.indptr[r]:norm.indptr[r + 1]]) > 0).all()
 
 
+def _binary_matrices(kind, tmp_path):
+    """The 0/1 matrices one builder of ``graphs`` makes."""
+    rng = np.random.default_rng(41)
+    if kind == "parse_nodelevel":
+        graph = make_sbm_graph(30, 3, 0.3, 0.05, 2, rng)
+        return [parse_nodelevel(*write_nodelevel(graph, str(tmp_path)))[0].adjacency]
+    if kind == "parse_tudataset":
+        root = write_tud(tmp_path, "TOY", "1, 2\n2, 3\n3, 1\n4, 5\n", "1\n1\n1\n2\n2\n2\n",
+                         "0\n1\n")
+        return [g.adjacency for g in parse_tudataset(str(root), "TOY")]
+    if kind == "make_sbm_graph":
+        return [make_sbm_graph(40, 2, 0.3, 0.05, 2, rng).adjacency]
+    if kind == "make_blob_dataset":
+        return [g.adjacency for g in make_blob_dataset(4, 2, rng)]
+    if kind == "sample_node_subset":
+        return [sample_node_subset(make_sbm_graph(40, 2, 0.3, 0.05, 2, rng), 15, rng).adjacency]
+    batch = batch_graphs(make_blob_dataset(3, 2, rng).graphs)
+    return [batch.block_adjacency if kind == "block_adjacency" else batch.pool_matrix()]
+
+
+class TestBinaryValues:
+    """Every 0/1 matrix holds float32 ones: exact, and half the bytes."""
+
+    @pytest.mark.parametrize("kind", ["parse_nodelevel", "parse_tudataset", "make_sbm_graph",
+                                      "make_blob_dataset", "sample_node_subset",
+                                      "block_adjacency", "pool_matrix"])
+    def test_builders_hold_float32_ones(self, tmp_path, kind):
+        matrices = _binary_matrices(kind, tmp_path)
+        assert sum(m.nnz for m in matrices) > 0
+        for m in matrices:
+            assert m.data.tobytes() == np.ones(m.nnz, dtype=np.float32).tobytes()
+
+    def test_float32_ones_normalize_to_the_bits_of_float64_ones(self):
+        rng = np.random.default_rng(42)
+        for graph in (make_sbm_graph(300, 3, 0.05, 0.01, 1, rng),
+                      *make_blob_dataset(4, 2, rng).graphs):
+            ones32 = graph.adjacency
+            ones64 = ones32.astype(np.float64)
+            assert ones32.data.dtype == np.float32
+            got, want = normalize_adjacency(ones32), normalize_adjacency(ones64)
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 class TestBatching:
     def test_one_graph_batch_shares_the_graphs_arrays(self):
         g = make_sbm_graph(30, 2, 0.3, 0.05, 3, np.random.default_rng(24))
@@ -527,7 +572,8 @@ def assert_adjacency(adj, n, pairs):
     indptr, indices = reference_csr(n, pairs)
     assert_same_bytes(adj.indptr, indptr)
     assert_same_bytes(adj.indices, indices)
-    assert_same_bytes(adj.data, np.ones(len(indices)))
+    # the parsers keep a binary adjacency's values as float32 ones
+    assert_same_bytes(adj.data, np.ones(len(indices), dtype=np.float32))
 
 
 def untidy(lines, rng):

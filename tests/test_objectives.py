@@ -423,13 +423,14 @@ def test_node_level_float32_step_peak_memory_holds_no_layer_output():
 
 
 def _float32_node_step_peak_arrays(activations):
-    """Traced peak of one float32 step of the node preset's 2-layer GCN at
+    """Traced peaks of one float32 step of the node preset's 2-layer GCN at
     hidden 64 on 8000 nodes, against ``activations`` arrays A of 8000 x 64
     (1.95 MiB each) plus two slacks: A / 2 for four arrays of the 8 input
     features (the clean and corrupted inputs, the reconstruction target and
     the decoder output's gradient), and 1 MiB (A / 2) for the batch norm
-    backward's 512-row blocks, the mask and the 1 x q rows. Returns the peak
-    and the bound, both in arrays A."""
+    backward's 512-row blocks, the mask and the 1 x q rows. Returns the
+    forward's peak (when the objective has returned), the whole step's peak
+    and the bound, all in arrays A."""
     n, hidden, features = 8000, 64, 8
     graph = make_sbm_graph(n, 8, 0.002, 0.0002, features, np.random.default_rng(0))
     model = build_model("node", "gcn", features, hidden, 2, 1,
@@ -440,6 +441,7 @@ def _float32_node_step_peak_arrays(activations):
     try:
         base = tracemalloc.get_traced_memory()[0]
         out = objective(model, batch, MaskSpec(0.05, 0.5), np.random.default_rng(2), 2.0)
+        forward = tracemalloc.get_traced_memory()[1] - base
         grads = backward(out.total)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -447,7 +449,7 @@ def _float32_node_step_peak_arrays(activations):
     assert len(grads) == len(model.parameters())
     array = n * hidden * 4
     bound = activations * array + 4 * n * features * 4 + 2**20
-    return peak / array, bound / array
+    return forward / array, peak / array, bound / array
 
 
 def test_node_level_float32_step_peaks_at_five_activations():
@@ -459,7 +461,7 @@ def test_node_level_float32_step_peaks_at_five_activations():
     # layer's product and sum, the recomputed operand beside its left
     # gradient, or a fresh input gradient beside xhat each gave six arrays
     # at one point, and a peak of about 6.8 A.
-    peak, bound = _float32_node_step_peak_arrays(5)
+    _, peak, bound = _float32_node_step_peak_arrays(5)
     assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
 
 
@@ -467,12 +469,33 @@ def test_node_level_float32_step_peaks_at_four_activations():
     # 4 A. Each pass's first layer aggregates the 8 features first, so its
     # batch norm input is a product of a constant, and that batch norm
     # rebuilds its xhat in backward instead of holding it. Only the two
-    # second layers' xhat are held. The step peaks at about 4.3 A in the
-    # clean pass's decoder backward: the second layer's xhat beside three
+    # second layers' xhat are held. The step peaked at about 4.3 A in the
+    # clean pass's decoder backward, the second layer's xhat beside three
     # gradients of that layer's output (the row_select's, the decoder's
-    # g @ W.T, and their sum). Holding every xhat gave about 5.8 A.
-    peak, bound = _float32_node_step_peak_arrays(4)
+    # g @ W.T, and their sum), until the sum went into an owned gradient;
+    # the tighter test below bounds it now. Holding every xhat gave about
+    # 5.8 A.
+    _, peak, bound = _float32_node_step_peak_arrays(4)
     assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
+
+
+def test_node_level_float32_forward_peaks_below_three_point_seven_activations():
+    # About 3.67 A. The forward used to hold the reconstruction target until
+    # backward, as a parent of its loss, and [X 1] through the first layer's
+    # batch norm, and peaked at about 3.90 A.
+    forward, _, _ = _float32_node_step_peak_arrays(0)
+    assert forward <= 3.7, f"forward peak {forward:.2f} arrays"
+
+
+def test_node_level_float32_step_peaks_below_three_point_eight_activations():
+    # About 3.76 A, in the backward of the corrupted pass's second-layer
+    # batch norm: the two second layers' xhat, the row_select's scattered
+    # gradient and that backward's 512-row blocks. It was 4.29 A, set in
+    # the clean decoder's matmul backward, when a second gradient
+    # contribution was always added into a third array instead of into one
+    # the node owns.
+    _, peak, _ = _float32_node_step_peak_arrays(0)
+    assert peak <= 3.8, f"step peak {peak:.2f} arrays"
 
 
 def test_node_step_makes_two_wide_sparse_products_each_way(monkeypatch):

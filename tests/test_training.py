@@ -270,6 +270,23 @@ class TestTrainLoop:
             record = json.loads(line)
             assert record["mask_count"] == mask_size(10, cfg.mask_ratio)
 
+    def test_subgraph_nodes_above_the_node_count_is_refused(self):
+        # the graph's own node count trains on the full graph, as 0 does;
+        # a larger size is refused, not run as a full-graph run that
+        # records the size
+        graph = make_sbm_graph(60, 3, 0.2, 0.02, 4, np.random.default_rng(4))
+
+        def run(subgraph_nodes):
+            cfg = TrainConfig(level="node", encoder="gcn", hidden_dim=8,
+                              encoder_layers=2, decoder_layers=1, epochs=2,
+                              seed=9, subgraph_nodes=subgraph_nodes).validate()
+            model = build_model("node", "gcn", 4, 8, 2, 1, np.random.default_rng(0))
+            return train(model, graph, cfg)
+
+        with pytest.raises(ValueError, match="subgraph_nodes 500 exceeds the graph's 60 nodes"):
+            run(500)
+        assert run(60) == run(0)
+
     def test_full_graph_is_batched_once(self, monkeypatch):
         calls = []
 
