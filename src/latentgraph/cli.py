@@ -395,7 +395,7 @@ def cmd_train(args, argv):
 
 
 def cmd_eval(args, argv):
-    _require_at_least(args, reps=1)
+    _require_at_least(args, reps=1, seed=0)
     # the level is known before loading when --level names it
     if args.level is not None:
         _settle_level_flags(args, args.level)
@@ -488,7 +488,7 @@ def _inner_product_record(trial, which, estimate, expected):
 
 
 def cmd_verify(args, argv):
-    _require_at_least(args, trials=1, samples=2, mask_draws=1)
+    _require_at_least(args, trials=1, samples=2, mask_draws=1, seed=0)
     scale = args.corrupt_multiplier
     if not 0.0 <= scale < float("inf"):
         raise CliError(f"corrupt-multiplier must be finite and at least 0, "

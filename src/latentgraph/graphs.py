@@ -437,6 +437,8 @@ def parse_nodelevel(edge_file, feature_file, label_file, split_file=None):
             if ok else f"feature file: bad row on line {lineno}"))
     if not len(features):
         raise ValueError("feature file has no rows")
+    _check_rows(feature_file, ~np.isfinite(features).all(axis=1),
+                "feature file: non-finite value on line {lineno}")
     num_nodes = features.shape[0]
 
     labels = _read_ints(label_file, "labels")

@@ -37,6 +37,7 @@ from .engine import (Value, _accumulate, _recording, _rectify, _retaining_graph,
 __all__ = [
     "xavier_init",
     "batch_norm",
+    "Layer",
     "BatchNorm",
     "Linear",
     "GCNLayer",
@@ -233,7 +234,31 @@ def _activation(bn, training):
     return functools.partial(bn, training=training, overwrite_x=True)
 
 
-class BatchNorm:
+class Layer:
+    """Names its parameters and buffers by walking its attributes in the
+    order they were set: a :class:`Value` is a parameter, an ``np.ndarray``
+    a buffer (a running statistic), a layer is walked under ``prefix.attr``
+    and a list of layers under ``prefix.i``; any other attribute is a
+    setting. So names read ``encoder.0.lin1.W``, ``decoder.0.bn.beta``."""
+
+    def named_parameters(self):
+        return [(name, v) for name, v in self._walk("") if isinstance(v, Value)]
+
+    def named_buffers(self):
+        return [(name, a) for name, a in self._walk("") if isinstance(a, np.ndarray)]
+
+    def _walk(self, prefix):
+        for attr, value in vars(self).items():
+            items = enumerate(value) if isinstance(value, list) else [(attr, value)]
+            for key, item in items:
+                name = f"{prefix}.{key}" if prefix else str(key)
+                if isinstance(item, Layer):
+                    yield from item._walk(name)
+                elif isinstance(item, (Value, np.ndarray)):
+                    yield name, item
+
+
+class BatchNorm(Layer):
     def __init__(self, dim, dtype=np.float64):
         self.gamma = Value(np.ones((1, dim), dtype=dtype))
         self.beta = Value(np.zeros((1, dim), dtype=dtype))
@@ -250,15 +275,8 @@ class BatchNorm:
         self.running_mean[:] = 0.0
         self.running_var[:] = 1.0 - BN_EPS
 
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
-    def named_buffers(self, prefix):
-        return [(f"{prefix}.running_mean", self.running_mean),
-                (f"{prefix}.running_var", self.running_var)]
-
-
-class Linear:
+class Linear(Layer):
     """Affine map x @ W + b; ``add_row`` broadcasts the 1 x q bias over rows,
     adding it into the product's fresh output, so the map holds one n x q
     array."""
@@ -273,14 +291,8 @@ class Linear:
         release(xw)
         return out
 
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
 
-    def named_buffers(self, prefix):
-        return []
-
-
-class GCNLayer:
+class GCNLayer(Layer):
     """relu(batchnorm(A_norm @ (x @ W + b))) on a normalized adjacency, with
     the batch norm and relu as one fused op.
 
@@ -313,15 +325,8 @@ class GCNLayer:
         return _chain(aggregated, lambda a: matmul(a, weights),
                       _activation(self.bn, training))
 
-    def named_parameters(self, prefix):
-        return (self.lin.named_parameters(f"{prefix}.lin")
-                + self.bn.named_parameters(f"{prefix}.bn"))
 
-    def named_buffers(self, prefix):
-        return self.bn.named_buffers(f"{prefix}.bn")
-
-
-class GINLayer:
+class GINLayer(Layer):
     """Two-layer MLP on (1 + 0) h + A h, sum aggregation over raw adjacency.
 
     Each linear map is followed by the fused batch normalization and relu.
@@ -340,18 +345,17 @@ class GINLayer:
                       self.lin1, _activation(self.bn1, training),
                       self.lin2, _activation(self.bn2, training), x_readers=2)
 
-    def named_parameters(self, prefix):
-        return (self.lin1.named_parameters(f"{prefix}.lin1")
-                + self.lin2.named_parameters(f"{prefix}.lin2")
-                + self.bn1.named_parameters(f"{prefix}.bn1")
-                + self.bn2.named_parameters(f"{prefix}.bn2"))
 
-    def named_buffers(self, prefix):
-        return (self.bn1.named_buffers(f"{prefix}.bn1")
-                + self.bn2.named_buffers(f"{prefix}.bn2"))
+class _HiddenLinear(Linear):
+    """A decoder's hidden layer: the affine map, followed in the decoder by
+    the fused batch norm and relu it holds as ``bn``."""
+
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
+        super().__init__(in_dim, out_dim, rng, dtype)
+        self.bn = BatchNorm(out_dim, dtype=dtype)
 
 
-class Encoder:
+class Encoder(Layer):
     """Stack of GCN or GIN layers; ``encode`` returns every layer's output
     Value, of which a recorded forward keeps the last one's data only.
 
@@ -366,8 +370,6 @@ class Encoder:
         if num_layers < 1:
             raise ValueError("encoder needs at least one layer")
         self.kind = kind
-        self.feature_dim = feature_dim
-        self.hidden_dim = hidden_dim
         self.dtype = np.dtype(dtype)
         layer_cls = GCNLayer if kind == "gcn" else GINLayer
         dims = [feature_dim] + [hidden_dim] * num_layers
@@ -404,20 +406,8 @@ class Encoder:
             outputs.append(h)
         return outputs
 
-    def named_parameters(self, prefix="encoder"):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out += layer.named_parameters(f"{prefix}.{i}")
-        return out
 
-    def named_buffers(self, prefix="encoder"):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out += layer.named_buffers(f"{prefix}.{i}")
-        return out
-
-
-class Decoder:
+class Decoder(Layer):
     """Node-wise MLP head: output row v depends on input row v only.
 
     Hidden layers are linear + fused batch norm and relu; the final layer is
@@ -427,32 +417,15 @@ class Decoder:
     def __init__(self, in_dim, out_dim, num_layers, rng, dtype=np.float64):
         if num_layers < 1:
             raise ValueError("decoder needs at least one layer")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        dims = [in_dim] + [in_dim] * (num_layers - 1) + [out_dim]
-        self.linears = [Linear(dims[i], dims[i + 1], rng, dtype) for i in range(num_layers)]
-        # one per hidden layer: the final linear map has none
-        self.bns = [BatchNorm(dim, dtype=dtype) for dim in dims[1:-1]]
+        self.layers = [_HiddenLinear(in_dim, in_dim, rng, dtype)
+                       for _ in range(num_layers - 1)]
+        self.layers.append(Linear(in_dim, out_dim, rng, dtype))
 
     def __call__(self, h, training=False):
-        stages = [self.linears[0]]
-        for bn, lin in zip(self.bns, self.linears[1:]):
-            stages += [_activation(bn, training), lin]
-        return _chain(h, *stages)
-
-    def named_parameters(self, prefix="decoder"):
-        out = []
-        for i, lin in enumerate(self.linears):
-            out += lin.named_parameters(f"{prefix}.{i}")
-            if i < len(self.bns):
-                out += self.bns[i].named_parameters(f"{prefix}.{i}.bn")
-        return out
-
-    def named_buffers(self, prefix="decoder"):
-        out = []
-        for i, bn in enumerate(self.bns):
-            out += bn.named_buffers(f"{prefix}.{i}.bn")
-        return out
+        stages = []
+        for layer in self.layers[:-1]:
+            stages += [layer, _activation(layer.bn, training)]
+        return _chain(h, *stages, self.layers[-1])
 
 
 def readout_sum(h, batch):
@@ -463,7 +436,7 @@ def readout_sum(h, batch):
     return spmm(batch.pool_matrix().astype(h.data.dtype), h)
 
 
-class Model:
+class Model(Layer):
     """Encoder + decoder pair with a declared representation level."""
 
     def __init__(self, encoder, decoder, level):
@@ -475,21 +448,13 @@ class Model:
         # populated by build_model; checkpointing requires it
         self.build_spec = None
 
-    def named_parameters(self):
-        return self.encoder.named_parameters() + self.decoder.named_parameters()
-
-    def named_buffers(self):
-        return self.encoder.named_buffers() + self.decoder.named_buffers()
-
     def parameters(self):
         return [v for _, v in self.named_parameters()]
 
     def state_arrays(self):
         """All learnable and running-stat arrays, keyed by stable names."""
-        out = {name: v.data for name, v in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            out[name] = buf
-        return out
+        return {name: v.data for name, v in self.named_parameters()} | dict(
+            self.named_buffers())
 
 
 def build_model(level, encoder_kind, feature_dim, hidden_dim, encoder_layers,

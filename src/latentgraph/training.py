@@ -103,10 +103,10 @@ class TrainConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        for name in ("hidden_dim", "encoder_layers", "decoder_layers",
-                     "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("hidden_dim", 1), ("encoder_layers", 1), ("decoder_layers", 1),
+                          ("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.alpha < np.inf:
@@ -471,11 +471,8 @@ def load_checkpoint(path, expect_level=None):
         if not np.isfinite(loaded).all():
             raise CheckpointError(f"array {name!r} holds NaN or inf values")
 
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    for name, loaded in arrays.items():
-        if name in params:
-            params[name].data = loaded
-        else:
-            buffers[name][:] = loaded
+    for name, param in model.named_parameters():
+        param.data = arrays[name]
+    for name, buf in model.named_buffers():
+        buf[:] = arrays[name]
     return model, doc.get("meta", {})

@@ -324,6 +324,21 @@ class TestTrain:
         assert "finite" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, source):
+        # the dataset does not exist: the seed is refused before loading
+        out = tmp_path / "out"
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = -1\n")
+        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(config)]}
+        rc = main(["train", "--dataset", str(tmp_path / "absent"),
+                   "--out", str(out), *seed[source]])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid configuration: seed must be at least 0, "
+                       "got -1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_degree_features_on_node_data_is_an_error(self, corpus, tmp_path,
                                                       capsys, command):
@@ -662,6 +677,17 @@ class TestEval:
         assert err == [f"error: probe-epochs must be at least 1, got {epochs}"]
         assert not out.exists()
 
+    def test_negative_seed_is_a_usage_error(self, corpus, tmp_path, capsys):
+        # the check comes before anything loads: the checkpoint is absent
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", str(tmp_path / "absent.json"),
+                   "--dataset", corpus["graph_dir"], "--seed", "-1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be at least 0, got -1"]
+        assert not out.exists()
+
     def test_more_folds_than_graphs(self, corpus, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["eval", "--checkpoint", corpus["graph_ckpt"],
@@ -908,6 +934,15 @@ class TestVerify:
         rc = main(["verify", "--out", str(tmp_path / "x"), "--trials", "0"])
         assert rc == 2
         capsys.readouterr()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # exit 1 would mean a failed bound
+        out = tmp_path / "x"
+        rc = main(["verify", "--out", str(out), "--trials", "1", "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be at least 0, got -1"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("suite,samples,mask_draws", [
         ("theorem1", "1", "1"),
@@ -1212,6 +1247,18 @@ class TestAblate:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: probe-epochs must be at least 1, got -1"]
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # the check comes before anything loads: the dataset is absent
+        out = tmp_path / "x"
+        rc = main(["ablate", "--study", "objective",
+                   "--dataset", str(tmp_path / "absent"), "--out", str(out),
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid configuration: seed must be at least 0, "
+                       "got -1"]
         assert not out.exists()
 
     def test_empty_split_section(self, tmp_path, capsys):

@@ -521,6 +521,12 @@ class TestNodeLevelFormat:
                            match="feature file: row on line 3 has 1 values, expected 2"):
             parse_nodelevel(*paths)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        paths = self.write_files(tmp_path, feats=f"1.0,2.0\n\n3.0,{value}\n")
+        with pytest.raises(ValueError, match="feature file: non-finite value on line 3"):
+            parse_nodelevel(*paths)
+
     def test_duplicate_reversed_and_self_loop_edges(self, tmp_path):
         edges = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3)]
         paths = self.write_files(tmp_path, edges="".join(f"{u}\t{v}\n" for u, v in edges),

@@ -25,6 +25,7 @@ from latentgraph.models import (
     readout_sum,
     xavier_init,
 )
+from latentgraph.training import preset_config
 
 
 def single_node_graph(features):
@@ -59,8 +60,8 @@ def dyadic_weights(model, rng):
     for name, v in model.named_parameters():
         if ".bn" not in name:
             v.data = rng.integers(-8, 9, size=v.data.shape).astype(float) / 16.0
-    parts = [part for layer in model.encoder.layers for part in vars(layer).values()]
-    for bn in parts + model.decoder.bns:
+    layers = model.encoder.layers + model.decoder.layers
+    for bn in [part for layer in layers for part in vars(layer).values()]:
         if isinstance(bn, BatchNorm):
             bn.set_identity_stats()
 
@@ -735,7 +736,7 @@ class TestDecoder:
     def test_identity_single_layer(self):
         rng = np.random.default_rng(19)
         dec = Decoder(3, 3, 1, rng)
-        dec.linears[0].W.data = np.eye(3)
+        dec.layers[0].W.data = np.eye(3)
         h = Value(rng.normal(size=(4, 3)))
         np.testing.assert_array_equal(dec(h).data, h.data)
 
@@ -810,7 +811,7 @@ class TestReleasedIntermediates:
         out = run(layer, batch, h)
         released = sum(v.data is None for v in engine._toposort(out))
         grads = engine.backward(mse_per(out, Value(np.ones(out.shape)), 7.0))
-        params = [v for _, v in layer.named_parameters("layer")]
+        params = [v for _, v in layer.named_parameters()]
         return released, [grads[p] for p in params + [h]]
 
     @pytest.mark.parametrize("kind", sorted(LAYERS))
@@ -899,6 +900,83 @@ class TestReadout:
         batch = batch_graphs([g])
         with pytest.raises(ValueError):
             readout_sum(Value(np.zeros((4, 2))), batch)
+
+
+def reachable_arrays(obj, seen=None):
+    """Every Value and ndarray reachable from ``obj`` through attributes,
+    lists, tuples and dicts, each once; a Value's own data is not entered."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (Value, np.ndarray)):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        yield from reachable_arrays(child, seen)
+
+
+def preset_model(name, feature_dim=7):
+    config = preset_config(name)
+    return build_model(config.level, config.encoder, feature_dim, config.hidden_dim,
+                       config.encoder_layers, config.decoder_layers,
+                       np.random.default_rng(0), dtype=config.dtype)
+
+
+GIN_PARAMETERS = ["lin1.W", "lin1.b", "lin2.W", "lin2.b",
+                  "bn1.gamma", "bn1.beta", "bn2.gamma", "bn2.beta"]
+GIN_BUFFERS = ["bn1.running_mean", "bn1.running_var",
+               "bn2.running_mean", "bn2.running_var"]
+GCN_PARAMETERS = ["lin.W", "lin.b", "bn.gamma", "bn.beta"]
+GCN_BUFFERS = ["bn.running_mean", "bn.running_var"]
+# the names a checkpoint stores: changing one breaks every earlier checkpoint
+PRESET_NAMES = {
+    "molecule": (
+        [f"encoder.{i}.{name}" for i in range(3) for name in GIN_PARAMETERS]
+        + ["decoder.0.W", "decoder.0.b", "decoder.0.bn.gamma", "decoder.0.bn.beta",
+           "decoder.1.W", "decoder.1.b"],
+        [f"encoder.{i}.{name}" for i in range(3) for name in GIN_BUFFERS]
+        + ["decoder.0.bn.running_mean", "decoder.0.bn.running_var"]),
+    "node": (
+        [f"encoder.{i}.{name}" for i in range(2) for name in GCN_PARAMETERS]
+        + ["decoder.0.W", "decoder.0.b"],
+        [f"encoder.{i}.{name}" for i in range(2) for name in GCN_BUFFERS]),
+}
+
+
+class TestNaming:
+    @pytest.mark.parametrize("preset", sorted(PRESET_NAMES))
+    def test_preset_names_are_pinned(self, preset):
+        model = preset_model(preset)
+        parameters, buffers = PRESET_NAMES[preset]
+        assert [name for name, _ in model.named_parameters()] == parameters
+        assert [name for name, _ in model.named_buffers()] == buffers
+
+    @pytest.mark.parametrize("preset", ["molecule", "protein", "node"])
+    def test_every_reachable_array_is_named_once(self, preset):
+        model = preset_model(preset)
+        found = list(reachable_arrays(model))
+        values = [id(v) for v in found if isinstance(v, Value)]
+        arrays = [id(a) for a in found if isinstance(a, np.ndarray)]
+        named = [id(v) for _, v in model.named_parameters()]
+        buffers = [id(a) for _, a in model.named_buffers()]
+        assert len(named) == len(set(named)) and set(named) == set(values)
+        assert len(buffers) == len(set(buffers)) and set(buffers) == set(arrays)
+        assert len(model.state_arrays()) == len(named) + len(buffers)
+
+    def test_a_new_parameter_is_named_by_its_path(self):
+        model = preset_model("node")
+        extra = model.decoder.layers[0].extra = Value(np.zeros((1, 1)))
+        name, value = model.named_parameters()[-1]
+        assert name == "decoder.0.extra" and value is extra
 
 
 class TestModelPlumbing:

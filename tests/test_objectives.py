@@ -129,7 +129,7 @@ def hand_model(decoder_gain):
     model = build_model("node", "gcn", 1, 1, 1, 1, np.random.default_rng(0))
     model.encoder.layers[0].lin.W.data = np.array([[1.0]])
     model.encoder.layers[0].bn.set_identity_stats()
-    model.decoder.linears[0].W.data = np.array([[decoder_gain]])
+    model.decoder.layers[0].W.data = np.array([[decoder_gain]])
     return model
 
 
@@ -167,7 +167,7 @@ class TestHandComputedObjectives:
         model = build_model("graph", "gcn", 1, 1, 1, 1, np.random.default_rng(0))
         model.encoder.layers[0].lin.W.data = np.array([[1.0]])
         model.encoder.layers[0].bn.set_identity_stats()
-        model.decoder.linears[0].W.data = np.array([[1.0]])
+        model.decoder.layers[0].W.data = np.array([[1.0]])
         batch = batch_graphs([edge_graph([[4.0], [8.0]])])
         out = objective(model, batch, self.SPEC, np.random.default_rng(0),
                         alpha=1.0, variant="mse-embed", training=False)

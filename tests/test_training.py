@@ -1,8 +1,10 @@
 """Optimizer math, config handling, the training loop's determinism, and
 bit-exact checkpoint round-trips."""
 
+import base64
 import copy
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -366,7 +368,7 @@ class TestTrainLoop:
         model = build_model("graph", cfg.encoder, data.feature_dim,
                             cfg.hidden_dim, cfg.encoder_layers,
                             cfg.decoder_layers, np.random.default_rng(0))
-        bias = model.decoder.linears[0].b
+        bias = model.decoder.layers[0].b
         real = training.backward
         calls, before = [], {}
 
@@ -448,7 +450,7 @@ class TestTrainLoop:
         model = build_model("graph", cfg.encoder, data.feature_dim,
                             cfg.hidden_dim, cfg.encoder_layers,
                             cfg.decoder_layers, np.random.default_rng(0))
-        model.decoder.linears[-1].W.data[:] = np.nan
+        model.decoder.layers[-1].W.data[:] = np.nan
         with pytest.raises(NonFiniteLossError,
                            match="non-finite reconstruction loss .* epoch 0, step 0"):
             train(model, data, cfg)
@@ -584,6 +586,23 @@ class TestCheckpoints:
         for name in original:
             assert restored[name].dtype == np.float32, name
             assert restored[name].tobytes() == original[name].tobytes(), name
+
+    # checkpoints written by an earlier version: a float64 GIN with two
+    # decoder layers and a float32 GCN, with non-trivial running statistics
+    @pytest.mark.parametrize("name", ["graph_gin_checkpoint.json",
+                                      "node_gcn_checkpoint.json"])
+    def test_golden_checkpoint_loads_and_saves_unchanged(self, tmp_path, name):
+        golden = pathlib.Path(__file__).parent / "golden" / name
+        stored = json.loads(golden.read_text())["arrays"]
+        model, meta = load_checkpoint(golden)
+        arrays = model.state_arrays()
+        assert sorted(arrays) == sorted(stored)
+        for key, arr in arrays.items():
+            assert list(arr.shape) == stored[key]["shape"], key
+            assert (np.asarray(arr, "<f8").tobytes()
+                    == base64.b64decode(stored[key]["data"])), key
+        save_checkpoint(model, tmp_path / "again.json", meta=meta)
+        assert (tmp_path / "again.json").read_bytes() == golden.read_bytes()
 
     def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
         model = self.build()
