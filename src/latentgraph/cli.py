@@ -88,13 +88,27 @@ LEVEL_FLAGS = {
     "file_prefix": ("node", "graph", None),
 }
 
-# help strings of the training flags derived from TrainConfig's fields
+# help strings of the training flags derived from TrainConfig's fields, and
+# of the LEVEL_FLAGS flags, whose help _level_help completes
 _FLAG_HELP = {
     "variant": "objective variant",
     "alpha": "invariance regularization weight",
-    "subgraph_nodes": "node-level: train on induced subgraphs this size",
+    "subgraph_nodes": "node-level: train on induced subgraphs this size "
+                      "(0 for the whole graph, else at least 2)",
     "dtype": "compute dtype of training and extraction",
+    "folds": "folds of the SVM probe's cross-validation",
+    "degree_features": "replace features with one-hot degrees capped at N, "
+                       "if N > 0",
+    "probe_epochs": "Adam epochs of the logistic-regression probe",
+    "no_concat": "drop raw features from the representation",
+    "file_prefix": "prefix of the dataset's file names",
 }
+
+
+def _level_help(name):
+    """Help of a LEVEL_FLAGS flag: its level, what it does, its default."""
+    level, default, _ = LEVEL_FLAGS[name]
+    return f"{level}-level: {_FLAG_HELP[name]} (default: {default})"
 
 
 class CliError(Exception):
@@ -300,14 +314,14 @@ def _add_dataset_arguments(parser):
     parser.add_argument("--dataset", required=True, metavar="PATH",
                         help="dataset directory")
     parser.add_argument("--degree-features", type=int, metavar="N",
-                        help="replace features with one-hot degrees capped at N")
-    parser.add_argument("--file-prefix",
-                        help="node-level file prefix (default: graph)")
+                        help=_level_help("degree_features"))
+    parser.add_argument("--file-prefix", help=_level_help("file_prefix"))
 
 
 def _add_probe_arguments(parser):
     group = parser.add_argument_group("linear probe")
-    group.add_argument("--probe-epochs", type=int)
+    group.add_argument("--probe-epochs", type=int,
+                       help=_level_help("probe_epochs"))
 
 
 def _resolve_config(args):
@@ -685,13 +699,12 @@ def build_parser():
     p_eval.add_argument("--out", required=True, metavar="DIR")
     p_eval.add_argument("--level", choices=CHOICES["level"],
                         help="expected checkpoint level (checked)")
-    p_eval.add_argument("--folds", type=int)
+    p_eval.add_argument("--folds", type=int, help=_level_help("folds"))
     p_eval.add_argument("--reps", type=int, default=5,
                         help="number of re-evaluations with shifted seeds")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--no-concat", action="store_true", default=None,
-                        help="node-level: drop raw features from the "
-                             "representation")
+                        help=_level_help("no_concat"))
     _add_probe_arguments(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -719,7 +732,7 @@ def build_parser():
     p_ablate.add_argument("--study", required=True, choices=STUDIES)
     _add_dataset_arguments(p_ablate)
     p_ablate.add_argument("--out", required=True, metavar="DIR")
-    p_ablate.add_argument("--folds", type=int)
+    p_ablate.add_argument("--folds", type=int, help=_level_help("folds"))
     _add_config_arguments(p_ablate)
     _add_probe_arguments(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)
@@ -727,6 +740,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one `lagraph` command; returns its exit code.
+
+    An in-process caller inherits the OpenSSL guard below: once `main` has
+    run, `hashlib` and `hmac` use CPython's built-in digests in that
+    process, unless it had already loaded `_hashlib`.
+    """
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
+    # libcrypto (3.3 MiB resident) into a process that computes no digest.
+    # A None entry makes hashlib and hmac fall back to the built-in digests;
+    # every rng here is seeded explicitly, so no output changes.
+    sys.modules.setdefault("_hashlib", None)
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     parser = build_parser()
     args = parser.parse_args(argv)

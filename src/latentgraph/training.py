@@ -78,8 +78,10 @@ class TrainConfig:
     `subgraph_nodes` only applies to node-level runs: when positive, each
     step trains on a freshly sampled induced subgraph of that many nodes
     instead of the full graph; the graph's own node count trains on the full
-    graph, and `train` refuses a larger one. `dtype` is the model's compute dtype for
-    training and extraction.
+    graph, and `train` refuses a larger one. It is 0 or at least 2, since
+    batch norm over one row zeroes every activation and the encoder would
+    learn nothing. `dtype` is the model's compute dtype for training and
+    extraction.
     """
 
     level: str = "graph"
@@ -114,6 +116,9 @@ class TrainConfig:
         if self.subgraph_nodes < 0 or (self.subgraph_nodes and self.level == "graph"):
             raise ValueError("subgraph_nodes must be nonnegative, and 0 on graph-level "
                              f"runs, got {self.subgraph_nodes}")
+        if self.subgraph_nodes == 1:
+            raise ValueError("subgraph_nodes must be 0 (whole graph) or at least 2, "
+                             "since batch norm over one node zeroes every activation")
         self.mask_spec()
         return self
 
@@ -427,7 +432,7 @@ def load_checkpoint(path, expect_level=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
         raise CheckpointError(f"not a valid checkpoint file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a valid checkpoint file: missing format marker")

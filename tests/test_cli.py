@@ -195,11 +195,21 @@ class TestParserAndHelpers:
                 value = next(c for c in reversed(CHOICES[field.name])
                              if c != old)
             else:
-                value = old + 1 if field.type is int else old + 0.5
+                # +2, since a subgraph size of 1 is refused
+                value = old + 2 if field.type is int else old + 0.5
             # a positive subgraph size is valid on node-level runs only
             level = ["--level", "node"] if field.name == "subgraph_nodes" else []
             args = parser.parse_args([*required, *level, flag, str(value)])
             assert getattr(cli._resolve_config(args), field.name) == value
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_level_flags_help_names_their_level_and_default(self, command):
+        actions = subparsers()[command]._option_string_actions
+        for name, (level, default, _) in cli.LEVEL_FLAGS.items():
+            action = actions.get("--" + name.replace("_", "-"))
+            if action is not None:
+                assert action.help.startswith(f"{level}-level: ")
+                assert action.help.endswith(f" (default: {default})")
 
     def test_readme_lists_the_training_flags(self):
         """README's list of the training flags is the parser's, in order."""
@@ -381,6 +391,20 @@ class TestTrain:
         assert err[0].startswith("error: invalid configuration: "
                                  "subgraph_nodes must be nonnegative, and 0 "
                                  "on graph-level runs")
+        assert not out.exists()
+
+    def test_one_node_subgraphs_are_an_error(self, corpus, tmp_path, capsys):
+        # batch norm over one node zeroes every activation: the encoder
+        # would not train
+        out = tmp_path / "out"
+        rc = main(["train", "--preset", "node", "--hidden-dim", "4",
+                   "--epochs", "1", "--subgraph-nodes", "1",
+                   "--dataset", corpus["node_dir"], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid configuration: subgraph_nodes "
+                                 "must be 0 (whole graph) or at least 2")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -774,6 +798,14 @@ class TestEval:
         err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
         assert "holds NaN or inf values" in err
 
+    def test_checkpoint_that_is_not_utf8_is_refused(self, corpus, tmp_path,
+                                                    capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+        err = self.eval_error(str(path), corpus, tmp_path, capsys)
+        assert err.startswith("error: cannot load checkpoint: not a valid "
+                              "checkpoint file: 'utf-8' codec can't decode")
+
     def test_missing_checkpoint(self, corpus, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.json"),
                    "--dataset", corpus["graph_dir"],
@@ -1082,6 +1114,15 @@ def command_argv(corpus, command):
     }[command]
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter; returns the finished process."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 def loaded_after(argv, module):
     """Whether ``module`` is in ``sys.modules`` once a fresh process has run
     the command to a successful end."""
@@ -1089,12 +1130,8 @@ def loaded_after(argv, module):
             "from latentgraph import cli\n"
             f"rc = cli.main({argv!r})\n"
             f"print(rc, {module!r} in sys.modules)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        cwd="/", env=dict(os.environ, PYTHONPATH=child_pythonpath()))
-    assert result.returncode == 0, result.stderr
-    rc, loaded = result.stdout.split()[-2:]
-    assert rc == "0", result.stdout
+    rc, loaded = run_fresh(code).stdout.split()[-2:]
+    assert rc == "0", rc
     return loaded == "True"
 
 
@@ -1112,6 +1149,55 @@ class TestSparseImport:
     def test_no_command_loads_it(self, corpus, tmp_path, command):
         argv = command_argv(corpus, command) + ["--out", str(tmp_path / "out")]
         assert not loaded_after(argv, "scipy.sparse")
+
+
+# what a fresh process reports about OpenSSL: whether libcrypto is mapped
+# (None where /proc/self/maps does not exist) and whether _hashlib is blocked
+OPENSSL_REPORT = (
+    "maps = '/proc/self/maps'\n"
+    "crypto = ('libcrypto' in open(maps).read()) if os.path.exists(maps) else None\n"
+    "print(json.dumps([crypto, sys.modules.get('_hashlib', 0) is None]))\n")
+SHA256_OF_NOTHING = ("e3b0c44298fc1c149afbf4c8996fb924"
+                     "27ae41e4649b934ca495991b7852b855")
+
+
+class TestOpenSSL:
+    """``cli.main`` keeps OpenSSL's libcrypto out of the process: nothing
+    computes a digest, and numpy.random would load it only through
+    secrets -> hmac -> _hashlib. A plain library import keeps it."""
+
+    @pytest.mark.parametrize("command", ["train-graph", "train-node", "eval-graph",
+                                         "eval-node", "verify"])
+    def test_no_command_maps_libcrypto(self, corpus, tmp_path, command):
+        argv = command_argv(corpus, command) + ["--out", str(tmp_path / "out")]
+        result = run_fresh(
+            "import json, os, sys\n"
+            "from latentgraph import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            + OPENSSL_REPORT +
+            "import hashlib\n"
+            "print(hashlib.sha256(b'').hexdigest())\n")
+        *_, report, digest = result.stdout.splitlines()
+        crypto, blocked = json.loads(report)
+        assert blocked
+        assert digest == SHA256_OF_NOTHING
+        # hashlib logs "code for hash ... was not found" for a digest that
+        # has no built-in fallback either
+        assert "code for hash" not in result.stderr
+        if crypto is None:
+            pytest.skip("no /proc/self/maps to read")
+        assert not crypto
+
+    def test_a_library_import_still_maps_it(self):
+        """The control: without ``main``, numpy.random loads libcrypto, so the
+        test above can see it, and the guard lives in the CLI only."""
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no /proc/self/maps to read")
+        result = run_fresh("import json, os, sys\n"
+                           "import numpy as np\n"
+                           "import latentgraph\n"
+                           "np.random.default_rng(0)\n" + OPENSSL_REPORT)
+        assert json.loads(result.stdout.splitlines()[-1]) == [True, False]
 
 
 class TestEnvironment:

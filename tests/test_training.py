@@ -3,6 +3,7 @@ bit-exact checkpoint round-trips."""
 
 import base64
 import copy
+import dataclasses
 import json
 import pathlib
 import tracemalloc
@@ -288,6 +289,24 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="subgraph_nodes 500 exceeds the graph's 60 nodes"):
             run(500)
         assert run(60) == run(0)
+
+    def test_one_node_subgraphs_are_refused(self):
+        # batch norm over a single row zeroes every activation, so one-node
+        # subgraphs would leave every encoder parameter where it started;
+        # two-node subgraphs train them all
+        graph = make_sbm_graph(60, 3, 0.2, 0.02, 4, np.random.default_rng(4))
+        config = TrainConfig(level="node", encoder="gcn", hidden_dim=8,
+                             encoder_layers=2, decoder_layers=1, epochs=2,
+                             seed=9)
+        with pytest.raises(ValueError, match=r"0 \(whole graph\) or at least 2"):
+            dataclasses.replace(config, subgraph_nodes=1).validate()
+        model = build_model("node", "gcn", 4, 8, 2, 1, np.random.default_rng(0))
+        before = {name: v.data.copy() for name, v in model.named_parameters()}
+        train(model, graph, dataclasses.replace(config, subgraph_nodes=2))
+        encoder = [(name, v.data) for name, v in model.named_parameters()
+                   if name.startswith("encoder.")]
+        assert encoder and not any(np.array_equal(data, before[name])
+                                   for name, data in encoder)
 
     def test_full_graph_is_batched_once(self, monkeypatch):
         calls = []
