@@ -102,10 +102,7 @@ def gen_adjacency(setup, rng):
     """Dense symmetric 0/1 adjacency with an empty diagonal."""
     n = setup.num_nodes
     if setup.graph_model == "fixed":
-        adj = setup.adjacency
-        if isinstance(adj, SparseMatrix):
-            adj = adj.to_dense()
-        adj = np.asarray(adj, dtype=float)
+        adj = np.asarray(setup.adjacency, dtype=float)
         if adj.shape != (n, n):
             raise ValueError(f"fixed adjacency shape {adj.shape} != ({n}, {n})")
         return adj

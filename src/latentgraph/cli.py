@@ -1,9 +1,9 @@
 """Command-line entry point: train, eval, verify, ablate.
 
-Every run resolves its configuration (preset, then config file, then flags,
-each layer overriding the previous), writes its outputs under --out, and
-finishes with a manifest.json that records the command, the fully resolved
-configuration, the dataset, the seed, and the output paths. Manifests plus
+Every run resolves its configuration (a preset, then the flags given,
+which override it), writes its outputs under --out, and finishes with a
+manifest.json that records the command, the fully resolved configuration,
+the dataset, the seed, and the output paths. Manifests plus
 the referenced inputs are enough to re-execute a run; with the
 LAGRAPH_STRICT_DETERMINISM=1 environment variable set, re-execution
 reproduces outputs bit for bit.
@@ -57,7 +57,6 @@ from .training import (
     PRESETS,
     TrainConfig,
     load_checkpoint,
-    load_config,
     preset_config,
     train,
     write_atomic,
@@ -241,6 +240,17 @@ def _write_outputs(args, argv, started, docs, config, seed, dataset=None,
     })
 
 
+def _check_out(path):
+    """Refuse an --out that cannot become a directory (an existing file, or a
+    path under one) before any work, creating nothing."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not path or not os.path.isdir(head):
+        raise CliError(f"--out {path!r} is not a directory and cannot be "
+                       f"made one")
+
+
 def _load_data(args, level, purpose=None):
     """Load --dataset as a graph corpus or a single node-level graph; returns
     (data, split_or_None, name).
@@ -296,13 +306,11 @@ def _add_config_arguments(parser):
     TrainConfig field.
 
     Defaults are None so that only flags the user actually passed override
-    the preset/config-file values.
+    the preset's values.
     """
     group = parser.add_argument_group("training configuration")
     group.add_argument("--preset", choices=sorted(PRESETS),
                        help="named hyperparameter bundle to start from")
-    group.add_argument("--config", metavar="FILE",
-                       help="key = value configuration file")
     for field in dataclasses.fields(TrainConfig):
         group.add_argument("--" + field.name.replace("_", "-"),
                            dest=field.name, type=field.type,
@@ -325,15 +333,14 @@ def _add_probe_arguments(parser):
 
 
 def _resolve_config(args):
-    """Preset -> config file -> CLI flags, then validate."""
+    """Preset -> CLI flags, then validate."""
     try:
-        base = preset_config(args.preset) if args.preset else TrainConfig()
-        config = load_config(args.config, base=base) if args.config else base
+        config = preset_config(args.preset) if args.preset else TrainConfig()
         overrides = {field.name: getattr(args, field.name)
                      for field in dataclasses.fields(TrainConfig)
                      if getattr(args, field.name) is not None}
         return dataclasses.replace(config, **overrides).validate()
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
@@ -755,6 +762,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args, argv)
     except (CliError, NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -725,17 +725,16 @@ class SparseMatrix:
 
     Holds canonical CSR arrays in numpy: ``indptr``, ``indices`` (strictly
     increasing within each row, so no duplicates), ``data`` and ``shape``.
-    :meth:`from_dense` and :meth:`from_coo` give float64 ``data``; the
-    trusted constructor keeps float32 values as they are, which the 0/1
-    matrices of ``graphs`` use, since float32 ones are exact and half the
-    bytes. :meth:`astype` gives a copy of ``data`` in another dtype sharing
-    the index arrays. Index arrays are int32 whenever scipy would pick int32
-    for the same shape and nnz, and int64 otherwise. Building, normalising and
-    densifying need numpy only. :meth:`matmat` and :meth:`rmatmat` pass these
-    arrays to scipy's compiled ``csr_matvecs`` and ``csc_matvecs``, the calls
-    ``scipy.sparse`` makes for ``csr @ dense`` and ``csr.T @ dense``, so the
-    products are bit for bit scipy's; ``scipy.sparse`` itself is never
-    imported.
+    :meth:`from_dense` gives float64 ``data``; the trusted constructor keeps
+    float32 values as they are, which the 0/1 matrices of ``graphs`` use,
+    since float32 ones are exact and half the bytes. :meth:`astype` gives a
+    copy of ``data`` in another dtype sharing the index arrays. Index arrays
+    are int32 whenever scipy would pick int32 for the same shape and nnz, and
+    int64 otherwise. Building, normalising and densifying need numpy only.
+    :meth:`matmat` and :meth:`rmatmat` pass these arrays to scipy's compiled
+    ``csr_matvecs`` and ``csc_matvecs``, the calls ``scipy.sparse`` makes for
+    ``csr @ dense`` and ``csr.T @ dense``, so the products are bit for bit
+    scipy's; ``scipy.sparse`` itself is never imported.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -747,41 +746,6 @@ class SparseMatrix:
             raise ValueError(f"from_dense expects a matrix, got ndim={a.ndim}")
         rows, cols = np.nonzero(a)
         return cls._from_sorted_coo(rows, cols, a[rows, cols], a.shape)
-
-    @classmethod
-    def from_coo(cls, rows, cols, values, shape):
-        """CSR of the COO triplets, checked against ``shape``.
-
-        Explicit zeros are kept and duplicates are summed in input order, as
-        scipy's COO-to-CSR conversion does for rows of up to 16 entries (its
-        sort is not stable beyond that).
-        """
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if not rows.size == cols.size == values.size:
-            raise ValueError("from_coo: rows, cols and values differ in length")
-        shape = tuple(int(n) for n in shape)
-        if len(shape) != 2 or min(shape) < 0 or shape[0] * shape[1] >= 2**63:
-            raise ValueError(f"from_coo: bad shape {shape}")
-        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]):
-            raise IndexError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= shape[1]):
-            raise IndexError("column index out of range")
-        # a stable sort keeps duplicates in input order, and runs that are
-        # already sorted (most callers' rows) cost little
-        key = rows.astype(np.int64, copy=False) * shape[1] + cols
-        order = np.argsort(key, kind="stable")
-        key, rows, cols, values = key[order], rows[order], cols[order], values[order]
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
-            # scipy's order: each entry starts at its first duplicate and the
-            # rest are added one at a time.
-            summed = values[first]
-            np.add.at(summed, np.cumsum(first)[~first] - 1, values[~first])
-            rows, cols, values = rows[first], cols[first], summed
-        return cls._from_sorted_coo(rows, cols, values, shape)
 
     @classmethod
     def _from_sorted_coo(cls, rows, cols, values, shape):

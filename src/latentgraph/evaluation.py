@@ -271,10 +271,11 @@ class EvalReport:
         return dataclasses.asdict(self)
 
 
-def _make_report(metric, scores, hyperparameters, seed, folds, caught):
+def _make_report(scores, hyperparameters, seed, folds, caught):
+    """An accuracy report of these per-fold scores."""
     scores = [float(s) for s in scores]
     return EvalReport(
-        metric=metric,
+        metric="accuracy",
         fold_scores=scores,
         mean=float(np.mean(scores)),
         std=float(np.std(scores)),
@@ -321,8 +322,7 @@ def linsvm_kfold(reprs, labels, folds=10, seed=0):
         clf = _svm_fit_ovr(x_train, labels[train_idx], num_classes, c)
         scores.append(accuracy_score(labels[test_idx], clf.predict(x_test)))
         chosen.append(c)
-    return _make_report("accuracy", scores,
-                        {"C": chosen, "c_grid": list(DEFAULT_C_GRID)},
+    return _make_report(scores, {"C": chosen, "c_grid": list(DEFAULT_C_GRID)},
                         seed, folds, caught)
 
 
@@ -340,6 +340,6 @@ def evaluate_node_split(reprs, labels, split, epochs=PROBE_EPOCHS, seed=0):
     # with one label and one prediction per node, micro-F1 is 2c / 2n, the
     # accuracy c / n to the bit
     return _make_report(
-        "accuracy", [accuracy],
+        [accuracy],
         {"lr": PROBE_LR, "epochs": epochs, "micro_f1": accuracy},
         seed, 1, ["degenerate training labels"] if clf.degenerate else [])

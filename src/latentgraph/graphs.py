@@ -125,7 +125,6 @@ class GraphBatch:
         offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         total = int(offsets[-1])
-        self.graphs = graphs
         self.num_graphs = len(graphs)
         self.total_nodes = total
         self.offsets = offsets

@@ -13,7 +13,6 @@ the arrays are cast back to.
 
 import base64
 import contextlib
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -155,39 +154,6 @@ def preset_config(name, **overrides):
     kwargs = dict(PRESETS[name])
     kwargs.update(overrides)
     return TrainConfig(**kwargs).validate()
-
-
-# field -> its type, int, float or str, which parses the field's text
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
-def parse_config(text, base=None):
-    """Parse `key = value` lines into a TrainConfig.
-
-    Blank lines and `#` comments are ignored. Unknown keys are an error, as
-    are values that do not parse as the field's type.
-    """
-    config = dataclasses.replace(base) if base is not None else TrainConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            coerced = _CONFIG_FIELDS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from exc
-        setattr(config, key, coerced)
-    return config.validate()
-
-
-def load_config(path, base=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base=base)
 
 
 # Adam's moment decay rates and the floor added to its denominator.
@@ -381,7 +347,7 @@ def _decode_array(name, entry):
         raw = base64.b64decode(entry["data"], validate=True)
         flat = np.frombuffer(raw, dtype="<f8")
         return flat.reshape(shape).astype(np.float64, copy=True)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"corrupt array entry for {name!r}: {exc}") from exc
 
 
@@ -432,7 +398,7 @@ def load_checkpoint(path, expect_level=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise CheckpointError(f"not a valid checkpoint file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a valid checkpoint file: missing format marker")
@@ -451,7 +417,7 @@ def load_checkpoint(path, expect_level=None):
             f"expected {expect_level!r}")
     try:
         model = build_model(rng=np.random.default_rng(0), **build)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint build recipe is invalid: {exc}") from exc
 
     stored = doc.get("arrays")

@@ -156,7 +156,7 @@ class TestParserAndHelpers:
 
     def test_option_strings_are_frozen(self):
         config_flags = [
-            "--preset", "--config", "--level", "--encoder", "--hidden-dim",
+            "--preset", "--level", "--encoder", "--hidden-dim",
             "--encoder-layers", "--decoder-layers",
             "--variant", "--alpha", "--mask-ratio", "--noise-sd", "--lr",
             "--batch-size", "--epochs", "--seed", "--subgraph-nodes", "--dtype"]
@@ -284,21 +284,7 @@ class TestTrain:
         for line in lines:
             check(line, "step_log")
 
-    def test_flags_override_config_file(self, corpus, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("alpha = 5.0\nlr = 0.1\nepochs = 1\n"
-                          "hidden_dim = 8\nbatch_size = 6\n")
-        out = str(tmp_path / "out")
-        rc = main(["train", "--dataset", corpus["graph_dir"], "--out", out,
-                   "--config", str(config), "--lr", "0.01"])
-        assert rc == 0
-        capsys.readouterr()
-        resolved = read_json(os.path.join(out, "manifest.json"))["config"]
-        assert resolved["alpha"] == 5.0  # from the file
-        assert resolved["lr"] == 0.01  # flag wins
-        assert resolved["epochs"] == 1
-
-    def test_preset_under_config_under_flags(self, corpus, tmp_path, capsys):
+    def test_flags_override_the_preset(self, corpus, tmp_path, capsys):
         out = str(tmp_path / "out")
         rc = main(["train", "--dataset", corpus["graph_dir"], "--out", out,
                    "--preset", "molecule", "--epochs", "1",
@@ -309,6 +295,17 @@ class TestTrain:
         assert resolved["mask_ratio"] == 0.05  # preset value survives
         assert resolved["alpha"] == 10.0
         assert resolved["hidden_dim"] == 8  # flag override
+
+    def test_config_file_flag_is_unrecognized(self, corpus, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs = 1\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--dataset", corpus["graph_dir"], "--out", str(out),
+                  "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_is_a_clean_error(self, corpus, tmp_path, capsys):
         out = str(tmp_path / "nope")
@@ -334,15 +331,11 @@ class TestTrain:
         assert "finite" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, source):
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         # the dataset does not exist: the seed is refused before loading
         out = tmp_path / "out"
-        config = tmp_path / "seed.cfg"
-        config.write_text("seed = -1\n")
-        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(config)]}
         rc = main(["train", "--dataset", str(tmp_path / "absent"),
-                   "--out", str(out), *seed[source]])
+                   "--out", str(out), "--seed", "-1"])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: invalid configuration: seed must be at least 0, "
@@ -806,6 +799,20 @@ class TestEval:
         assert err.startswith("error: cannot load checkpoint: not a valid "
                               "checkpoint file: 'utf-8' codec can't decode")
 
+    def test_checkpoint_nested_too_deeply_is_refused(self, corpus, tmp_path,
+                                                     capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        err = self.eval_error(str(path), corpus, tmp_path, capsys)
+        assert "maximum recursion depth exceeded" in err
+
+    def test_infinite_array_shape_is_refused(self, corpus, tmp_path, capsys):
+        checkpoint = self.edited_checkpoint(
+            corpus, tmp_path, lambda doc: next(iter(doc["arrays"].values()))
+            .update(shape=[float("inf")]))
+        err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
+        assert "corrupt array entry" in err
+
     def test_missing_checkpoint(self, corpus, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.json"),
                    "--dataset", corpus["graph_dir"],
@@ -891,6 +898,48 @@ class TestEval:
         assert (f"split file: node {node} is listed on line {first_test + 1} "
                 f"and again on line {len(lines) + 1}") in err
         assert not out.exists()
+
+
+class TestUnusableOut:
+    """An --out that cannot become a directory is a usage error before any
+    work, and the command creates nothing."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started work")
+        # train, eval and ablate load their data first; verify sets up trials
+        monkeypatch.setattr(cli, "_load_data", refuse)
+        monkeypatch.setattr(cli, "_trial_setup", refuse)
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["train", "eval", "verify", "ablate"])
+    def test_is_refused(self, corpus, tmp_path, capsys, no_work, command,
+                        under):
+        argv = {
+            "train": ["train", "--dataset", corpus["graph_dir"], "--epochs", "1"],
+            "eval": ["eval", "--checkpoint", corpus["graph_ckpt"],
+                     "--dataset", corpus["graph_dir"]],
+            "verify": ["verify", "--trials", "1"],
+            "ablate": ["ablate", "--study", "batch-size",
+                       "--dataset", corpus["graph_dir"], "--epochs", "1"],
+        }[command]
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "run" if under else blocker
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(out)!r} is not a directory and cannot be made one"]
+        assert os.listdir(tmp_path) == ["taken"]
+        assert blocker.read_text() == "kept\n"
+
+    def test_empty_path_is_refused(self, tmp_path, capsys, no_work,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: --out ''")
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerify:

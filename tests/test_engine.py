@@ -60,7 +60,7 @@ class TestForwardOracles:
         np.testing.assert_array_equal(spmm(adj, h).data, [[2.0], [1.0]])
 
     def test_spmm_all_zero(self):
-        s = SparseMatrix.from_coo([], [], [], shape=(3, 3))
+        s = SparseMatrix.from_dense(np.zeros((3, 3)))
         h = Value(np.arange(6.0).reshape(3, 2))
         np.testing.assert_array_equal(spmm(s, h).data, np.zeros((3, 2)))
 
@@ -591,20 +591,6 @@ class TestSparseMatrix:
             d = rng.normal(size=(k, 4))
             np.testing.assert_allclose(s.matmat(d), dense @ d, rtol=1e-13, atol=1e-15)
 
-    def test_csr_fields_strictly_increasing(self):
-        s = SparseMatrix.from_coo([0, 0, 1, 0], [2, 0, 1, 2], [1.0, 2.0, 3.0, 4.0], (2, 3))
-        for r in range(s.shape[0]):
-            row_cols = s.indices[s.indptr[r]:s.indptr[r + 1]]
-            assert (np.diff(row_cols) > 0).all()
-
-    def test_duplicate_coo_entries_are_summed(self):
-        s = SparseMatrix.from_coo([0, 0], [1, 1], [1.5, 2.5], (1, 2))
-        np.testing.assert_array_equal(s.to_dense(), [[0.0, 4.0]])
-
-    def test_out_of_range_coo_indices_rejected(self):
-        with pytest.raises(IndexError):
-            SparseMatrix.from_coo([0], [5], [1.0], (2, 3))
-
     def test_rmatmat_equals_the_transposed_product_bitwise(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
@@ -642,35 +628,6 @@ class TestSparseMatrixAgainstScipy:
             assert ours.dtype == theirs.dtype, name
             assert ours.tobytes() == theirs.tobytes(), name
 
-    @pytest.mark.parametrize("rows, cols, values, shape", [
-        # unsorted rows and columns
-        ([2, 0, 1, 0, 2], [1, 3, 0, 0, 0], [1.5, -2.0, 3.0, 4.0, 0.25], (3, 4)),
-        # duplicates, one summed from three non-dyadic terms in input order
-        ([0, 1, 0, 0, 1], [2, 0, 2, 2, 0], [0.1, 1.0, 0.2, 0.3, -1.0], (2, 3)),
-        # explicit zeros, a negative zero and a duplicate pair that cancels
-        ([0, 1, 1, 2], [0, 1, 1, 2], [0.0, 2.5, -2.5, -0.0], (3, 3)),
-        # empty rows in the middle and at the end
-        ([3, 1, 3], [2, 0, 0], [1.0, 2.0, 3.0], (7, 3)),
-        ([], [], [], (4, 2)),
-        ([], [], [], (0, 0)),
-    ])
-    def test_from_coo_matches_scipy(self, rows, cols, values, shape):
-        self.assert_same_csr(SparseMatrix.from_coo(rows, cols, values, shape),
-                             self.scipy_csr(rows, cols, values, shape))
-
-    def test_from_coo_matches_scipy_on_random_triplets(self):
-        # dyadic values: scipy's sort is not stable on rows of more than 16
-        # entries, so its order of summing three or more duplicates is its own
-        rng = np.random.default_rng(35)
-        for _ in range(40):
-            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
-            nnz = int(rng.integers(0, 60))
-            rows = rng.integers(0, shape[0], size=nnz)
-            cols = rng.integers(0, shape[1], size=nnz)
-            values = rng.integers(-8, 9, size=nnz) / 4.0
-            self.assert_same_csr(SparseMatrix.from_coo(rows, cols, values, shape),
-                                 self.scipy_csr(rows, cols, values, shape))
-
     def test_from_dense_and_to_dense_round_trip(self):
         import scipy.sparse as sp
         rng = np.random.default_rng(36)
@@ -683,11 +640,33 @@ class TestSparseMatrixAgainstScipy:
             assert back.dtype == np.float64 and back.flags.c_contiguous
             assert back.tobytes() == dense.tobytes()
             self.assert_same_csr(SparseMatrix.from_dense(back), sp.csr_matrix(dense))
-        s = SparseMatrix.from_coo([0, 1, 1], [1, 0, 1], [-0.0, 2.0, 0.0], (2, 2))
-        assert s.to_dense().tobytes() == \
-            self.scipy_csr([0, 1, 1], [1, 0, 1], [-0.0, 2.0, 0.0], (2, 2)).toarray().tobytes()
 
-    def test_trusted_constructor_equals_from_coo_on_every_callers_input(self, monkeypatch):
+    @pytest.mark.parametrize("dense", [
+        # zeros, a negative zero among them, are not stored
+        [[0.0, -0.0, 1.5], [-0.0, 2.5, 0.0], [0.0, 0.0, -3.0]],
+        # empty rows in the middle and at the end
+        [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 3.0], [0.0, 0.0]],
+        # integer and float32 inputs become float64
+        np.array([[0, 3, 0], [-1, 0, 2]], dtype=np.int64),
+        np.array([[0.1, 0.0], [0.0, 0.2]], dtype=np.float32),
+        np.zeros((0, 0)),
+        np.zeros((0, 4)),
+        np.zeros((4, 0)),
+    ])
+    def test_from_dense_matches_scipy(self, dense):
+        import scipy.sparse as sp
+        s = SparseMatrix.from_dense(dense)
+        assert s.data.dtype == np.float64
+        for r in range(s.shape[0]):
+            assert (np.diff(s.indices[s.indptr[r]:s.indptr[r + 1]]) > 0).all()
+        self.assert_same_csr(s, sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+
+    @pytest.mark.parametrize("a", [np.float64(1.0), np.ones(3), np.ones((2, 2, 2))])
+    def test_from_dense_rejects_a_non_matrix(self, a):
+        with pytest.raises(ValueError, match="expects a matrix"):
+            SparseMatrix.from_dense(a)
+
+    def test_trusted_constructor_equals_scipy_on_every_callers_input(self, monkeypatch):
         from latentgraph import graphs
 
         calls = []
@@ -712,15 +691,12 @@ class TestSparseMatrixAgainstScipy:
         assert len(calls) == 11
         for rows, cols, values, shape in calls:
             # every caller builds a 0/1 matrix from float32 ones, which the
-            # trusted constructor keeps; the checked constructors give
-            # float64, so the arrays are compared with the values in float64
+            # trusted constructor keeps; scipy's is built from float64
+            # values, so the arrays are compared with the values in float64
             trusted = SparseMatrix._from_sorted_coo(rows, cols, values, shape)
-            checked = SparseMatrix.from_coo(rows, cols, values, shape)
             assert values.dtype == trusted.data.dtype == np.float32
-            assert checked.data.dtype == np.float64
             assert SparseMatrix.from_dense(trusted.to_dense()).data.dtype == np.float64
             assert trusted.data.tobytes() == np.ones(trusted.nnz, np.float32).tobytes()
-            self.assert_same_csr(trusted.astype(np.float64), checked)
             self.assert_same_csr(trusted.astype(np.float64),
                                  self.scipy_csr(rows, cols, values, shape))
 
@@ -736,7 +712,7 @@ class TestSparseMatrixAgainstScipy:
         wide = SparseMatrix.from_dense(cases[1].to_dense())
         wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
         cases.append(wide)
-        cases += [SparseMatrix.from_coo([], [], [], shape) for shape in [(5, 3), (0, 4), (4, 0)]]
+        cases += [SparseMatrix.from_dense(np.zeros(shape)) for shape in [(5, 3), (0, 4), (4, 0)]]
         return cases
 
     def test_products_match_scipy_bitwise(self):

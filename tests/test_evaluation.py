@@ -270,7 +270,7 @@ class TestRepresentationExtraction:
 
     def test_single_node_graph_concatenates_its_embeddings(self):
         rng = np.random.default_rng(18)
-        g = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)),
+        g = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))),
                   np.array([[1.0, -2.0, 0.5, 3.0]]))
         data = GraphDataset([g], num_classes=1, feature_dim=4)
         model = build_model("graph", "gin", 4, 3, 2, 1, rng)

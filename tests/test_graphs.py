@@ -168,17 +168,15 @@ class TestTUDatasetParser:
 
 class TestDegreeOnehot:
     def test_isolated_node(self):
-        g = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 1)))
+        g = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 1)))
         row = degree_onehot(g, 5)
         np.testing.assert_array_equal(row, [[1, 0, 0, 0, 0, 0]])
 
     def test_degree_clamps_to_threshold(self):
         n = 201
-        pairs = [(0, i) for i in range(1, n)]
-        rows = [u for u, v in pairs] + [v for u, v in pairs]
-        cols = [v for u, v in pairs] + [u for u, v in pairs]
-        g = Graph(n, SparseMatrix.from_coo(rows, cols, np.ones(len(rows)), (n, n)),
-                  np.zeros((n, 1)))
+        star = np.zeros((n, n))
+        star[0, 1:] = star[1:, 0] = 1.0
+        g = Graph(n, SparseMatrix.from_dense(star), np.zeros((n, 1)))
         onehot = degree_onehot(g, 128)
         assert onehot.shape == (n, 129)
         assert onehot[0, 128] == 1.0  # hub with degree 200 lands in the clamp bucket
@@ -205,15 +203,18 @@ class TestDegreeOnehot:
 
 def coo_normalized(a):
     """The COO construction ``normalize_adjacency`` replaced: every entry
-    of A plus a unit diagonal, scaled, then sorted and summed by
-    ``SparseMatrix.from_coo``."""
+    of A plus a unit diagonal, scaled, then sorted and summed by scipy's
+    COO-to-CSR conversion."""
+    import scipy.sparse as sp
     n = a.shape[0]
     rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.indptr)), np.arange(n)])
     cols = np.concatenate([a.indices, np.arange(n)])
     vals = np.concatenate([a.data, np.ones(n)])
     inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=vals, minlength=n))
-    return SparseMatrix.from_coo(rows, cols, vals * inv_sqrt[rows] * inv_sqrt[cols],
-                                 shape=(n, n))
+    csr = sp.csr_matrix((vals * inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)),
+                        shape=(n, n))
+    csr.sum_duplicates()
+    return csr
 
 
 def dense_normalized(dense):
@@ -225,7 +226,7 @@ def dense_normalized(dense):
 
 class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
-        a = SparseMatrix.from_coo([], [], [], (1, 1))
+        a = SparseMatrix.from_dense(np.zeros((1, 1)))
         np.testing.assert_array_equal(normalize_adjacency(a).to_dense(), [[1.0]])
 
     def test_two_node_path(self):
@@ -381,7 +382,7 @@ class TestBatching:
 
     def test_pool_matrix_sums_rows_per_graph(self):
         g1 = Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        g2 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.array([[5.0, 6.0]]))
+        g2 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.array([[5.0, 6.0]]))
         batch = batch_graphs([g1, g2])
         pooled = batch.pool_matrix().matmat(batch.features)
         np.testing.assert_array_equal(pooled, [[4.0, 6.0], [5.0, 6.0]])
@@ -421,8 +422,8 @@ class TestBatching:
             batch_graphs([])
 
     def test_mixed_feature_dims_rejected(self):
-        g1 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 2)))
-        g2 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 3)))
+        g1 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 2)))
+        g2 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="mixed feature dims"):
             batch_graphs([g1, g2])
 
@@ -440,9 +441,9 @@ class TestNodeSubsetSampling:
     def test_star_leaves_are_isolated(self):
         # star with center node 0; force a leaf-only sample by trying seeds
         n = 10
-        rows = [0] * (n - 1) + list(range(1, n))
-        cols = list(range(1, n)) + [0] * (n - 1)
-        g = Graph(n, SparseMatrix.from_coo(rows, cols, np.ones(2 * (n - 1)), (n, n)),
+        star = np.zeros((n, n))
+        star[0, 1:] = star[1:, 0] = 1.0
+        g = Graph(n, SparseMatrix.from_dense(star),
                   np.arange(n, dtype=float).reshape(-1, 1))
         for seed in range(50):
             sub = sample_node_subset(g, 2, np.random.default_rng(seed))
@@ -839,10 +840,10 @@ class TestSyntheticGenerators:
             assert_canonical(g.adjacency, np.zeros((g.num_nodes, g.num_nodes)))
 
     def test_dataset_invariants_enforced(self):
-        g1 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 2)), label=0)
-        g2 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 3)), label=0)
+        g1 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 2)), label=0)
+        g2 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 3)), label=0)
         with pytest.raises(ValueError):
             GraphDataset([g1, g2], 1, 2)
-        g3 = Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), np.zeros((1, 2)), label=5)
+        g3 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 2)), label=5)
         with pytest.raises(ValueError):
             GraphDataset([g3], 1, 2)

@@ -30,7 +30,7 @@ from latentgraph.training import preset_config
 
 def single_node_graph(features):
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    return Graph(1, SparseMatrix.from_coo([], [], [], (1, 1)), features)
+    return Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), features)
 
 
 def triangle_graph(features):
@@ -41,9 +41,9 @@ def triangle_graph(features):
 def cube_graph(features):
     """3-regular graph on 8 nodes: vertices are 3-bit strings, edges flip one bit."""
     pairs = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < (u ^ (1 << b))]
-    rows = [u for u, v in pairs] + [v for u, v in pairs]
-    cols = [v for u, v in pairs] + [u for u, v in pairs]
-    adj = SparseMatrix.from_coo(rows, cols, np.ones(len(rows)), (8, 8))
+    dense = np.zeros((8, 8))
+    dense[tuple(np.transpose(pairs))] = 1.0
+    adj = SparseMatrix.from_dense(dense + dense.T)
     return Graph(8, adj, np.asarray(features, dtype=float))
 
 

@@ -25,8 +25,6 @@ from latentgraph.training import (
     NonFiniteUpdateError,
     TrainConfig,
     load_checkpoint,
-    load_config,
-    parse_config,
     preset_config,
     save_checkpoint,
     train,
@@ -109,8 +107,6 @@ class TestTrainConfig:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             TrainConfig(**{name: float(value)}).validate()
-        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            parse_config(f"{name} = {value}")
 
     def test_presets_exist_and_validate(self):
         molecule = preset_config("molecule")
@@ -136,54 +132,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
             TrainConfig(level="graph", subgraph_nodes=5).validate()
         with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
-            parse_config("level = graph\nsubgraph_nodes = 5\n")
-        with pytest.raises(ValueError, match="subgraph_nodes .*graph-level"):
             preset_config("molecule", subgraph_nodes=5)
         assert preset_config("node", subgraph_nodes=5).subgraph_nodes == 5
         assert TrainConfig(level="graph", subgraph_nodes=0).validate()
-
-
-class TestConfigParser:
-    def test_parses_types_and_comments(self):
-        cfg = parse_config("""
-            # a comment
-            level = node
-            hidden_dim = 16   # trailing comment
-            lr = 0.5
-            alpha = 2
-        """)
-        assert cfg.level == "node"
-        assert cfg.hidden_dim == 16
-        assert cfg.lr == 0.5
-        assert cfg.alpha == 2.0
-
-    def test_unknown_key_rejected_with_line_number(self):
-        with pytest.raises(ValueError, match="line 2.*momentum"):
-            parse_config("lr = 0.1\nmomentum = 0.9\n")
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_config("epochs = soon\n")
-
-    @pytest.mark.parametrize("line", ["use_bn = true", "mask_mode = gaussian"])
-    def test_removed_settings_are_unknown_keys(self, line):
-        with pytest.raises(ValueError, match="line 2: unknown key"):
-            parse_config(f"lr = 0.1\n{line}\n")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
-            parse_config("just some words\n")
-
-    def test_base_config_is_not_mutated(self):
-        base = TrainConfig(hidden_dim=7)
-        cfg = parse_config("hidden_dim = 9\n", base=base)
-        assert base.hidden_dim == 7 and cfg.hidden_dim == 9
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("epochs = 2\nseed = 5\n")
-        cfg = load_config(path)
-        assert cfg.epochs == 2 and cfg.seed == 5
 
 
 def tiny_config(**overrides):
@@ -669,6 +620,26 @@ class TestCheckpoints:
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
         with pytest.raises(CheckpointError, match="format marker"):
+            load_checkpoint(path)
+
+    def test_nesting_past_the_recursion_limit_raises(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        with pytest.raises(CheckpointError, match="not a valid checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, edit", [
+        ("corrupt array", lambda doc: doc["arrays"]["decoder.0.W"].update(
+            shape=[float("inf")])),
+        ("build recipe is invalid", lambda doc: doc["build"].update(
+            hidden_dim=float("nan"))),
+    ], ids=["infinite-shape", "nan-hidden-dim"])
+    def test_non_finite_number_where_an_int_belongs_raises(self, tmp_path,
+                                                           section, edit):
+        path, doc = self.saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))  # writes Infinity and NaN tokens
+        with pytest.raises(CheckpointError, match=section):
             load_checkpoint(path)
 
     def test_level_expectation_enforced(self, tmp_path):
