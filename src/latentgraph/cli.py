@@ -165,9 +165,9 @@ def _derive_seed(base, index):
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
 
 
-def _blas_threads():
-    """Thread count of the OpenBLAS bundled with numpy, or None when there is
-    none to ask."""
+def _openblas_function(*symbols):
+    """The first of `symbols` that numpy's bundled OpenBLAS exports, as a
+    ctypes function of no arguments, or None when there is none to ask."""
     import ctypes  # only the manifest needs it
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                         "*openblas*")
@@ -176,20 +176,39 @@ def _blas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in symbols:
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
+                fn.argtypes = []
+                return fn
     return None
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, or None."""
+    fn = _openblas_function("scipy_openblas_get_num_threads64_",
+                            "openblas_get_num_threads64_",
+                            "openblas_get_num_threads")
+    return None if fn is None else int(fn())
+
+
+def _blas_core():
+    """The CPU core whose kernels numpy's bundled OpenBLAS chose at run time,
+    which set the bits of its products, or None."""
+    import ctypes
+    fn = _openblas_function("scipy_openblas_get_corename64_",
+                            "openblas_get_corename64_",
+                            "openblas_get_corename")
+    if fn is None:
+        return None
+    fn.restype = ctypes.c_char_p
+    return fn().decode("ascii", "replace")
 
 
 def _environment():
     """The numeric environment a run's numbers depend on: the Python, numpy
-    and scipy versions, numpy's BLAS (null when numpy does not say) and its
-    thread count (null when it cannot be read)."""
+    and scipy versions, numpy's BLAS (null when numpy does not say), its
+    thread count and its run-time core (each null when it cannot be read)."""
     deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = deps.get("blas") or {}
     return {
@@ -199,6 +218,7 @@ def _environment():
         "blas": {"name": blas["name"], "version": blas.get("version")}
         if blas.get("name") else None,
         "blas_threads": _blas_threads(),
+        "blas_core": _blas_core(),
     }
 
 

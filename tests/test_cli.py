@@ -1273,6 +1273,12 @@ class TestEnvironment:
                                          "numpy.libs", "*openblas*"))
         assert result.stdout.split()[-1] == (threads if bundled else "None")
 
+    def test_blas_core_is_read_where_openblas_is_bundled(self):
+        bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                         "numpy.libs", "*openblas*"))
+        core = cli._environment()["blas_core"]
+        assert bool(core) if bundled else core is None
+
 
 class TestMaskedArrayImport:
     """No command loads ``numpy.ma``: neither our code (``np.unique`` would,
