@@ -27,16 +27,6 @@ from .objectives import MaskSpec, VARIANTS, objective
 CHECKPOINT_FORMAT = "latentgraph-checkpoint"
 CHECKPOINT_VERSION = 1
 
-# Removed build settings an older recipe may name: the one value that loads
-# as before (the key is dropped), and the message refusing any other.
-_REMOVED_BUILD_SETTINGS = {
-    "decoder_kind": ("mlp", "checkpoint holds a {value!r} decoder; only the "
-                     "MLP decoder is supported, the graph-convolutional "
-                     "decoder was removed"),
-    "use_bn": (True, "checkpoint holds a model without batch norm; "
-               "batch-norm-free models were removed"),
-}
-
 # The allowed values of each string-valued TrainConfig field: `validate`
 # checks them and the CLI offers them as its flags' choices.
 CHOICES = {
@@ -407,10 +397,6 @@ def load_checkpoint(path, expect_level=None):
     build = doc.get("build")
     if not isinstance(build, dict):
         raise CheckpointError("checkpoint is missing its build recipe")
-    for key, (kept, message) in _REMOVED_BUILD_SETTINGS.items():
-        value = build.pop(key, kept)
-        if value != kept:
-            raise CheckpointError(message.format(value=value))
     if expect_level is not None and build.get("level") != expect_level:
         raise CheckpointError(
             f"checkpoint holds a {build.get('level')!r}-level model, "

@@ -751,34 +751,15 @@ class TestEval:
         assert not out.exists()
         return err[0]
 
-    def test_recorded_gcn_decoder_is_refused(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("setting", [{"decoder_kind": "mlp"},
+                                         {"use_bn": True}])
+    def test_recorded_removed_setting_is_refused(self, corpus, tmp_path,
+                                                 capsys, setting):
+        """A recipe naming a setting that no longer exists does not build."""
         checkpoint = self.edited_checkpoint(
-            corpus, tmp_path, lambda doc: doc["build"].update(decoder_kind="gcn"))
+            corpus, tmp_path, lambda doc: doc["build"].update(setting))
         err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
-        assert "graph-convolutional decoder was removed" in err
-
-    def test_recorded_batch_norm_loads_as_before(self, corpus, tmp_path,
-                                                  capsys):
-        checkpoint = self.edited_checkpoint(
-            corpus, tmp_path, lambda doc: doc["build"].update(use_bn=True))
-        reports = []
-        for name, path in (("recorded", checkpoint),
-                           ("current", corpus["graph_ckpt"])):
-            out = tmp_path / name
-            rc = main(["eval", "--checkpoint", path, "--dataset",
-                       corpus["graph_dir"], "--out", str(out), "--folds", "3",
-                       "--reps", "1"])
-            assert rc == 0
-            reports.append((out / "eval_report.json").read_bytes())
-        capsys.readouterr()
-        assert reports[0] == reports[1]
-
-    def test_recorded_batch_norm_free_model_is_refused(self, corpus, tmp_path,
-                                                       capsys):
-        checkpoint = self.edited_checkpoint(
-            corpus, tmp_path, lambda doc: doc["build"].update(use_bn=False))
-        err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
-        assert "batch-norm-free models were removed" in err
+        assert "build recipe is invalid" in err and next(iter(setting)) in err
 
     def test_non_finite_arrays_are_refused(self, corpus, tmp_path, capsys):
         def poison(doc):

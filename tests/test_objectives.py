@@ -407,13 +407,6 @@ def test_node_level_step_peak_memory():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_node_level_float32_step_peak_memory():
-    # About 12 MiB, against 21 MiB in float64: one 4000 x 64 array upcast to
-    # float64 for the whole step would add 2 MiB.
-    peak = _node_step_peak("float32")
-    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
 def test_node_level_float32_step_peak_memory_holds_no_layer_output():
     # About 7 MiB. Holding the four encoder layer outputs and the decoder's
     # hidden output until backward, with both passes built before either
@@ -422,15 +415,10 @@ def test_node_level_float32_step_peak_memory_holds_no_layer_output():
     assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def _float32_node_step_peak_arrays(activations):
+def _float32_node_step_peak_arrays():
     """Traced peaks of one float32 step of the node preset's 2-layer GCN at
-    hidden 64 on 8000 nodes, against ``activations`` arrays A of 8000 x 64
-    (1.95 MiB each) plus two slacks: A / 2 for four arrays of the 8 input
-    features (the clean and corrupted inputs, the reconstruction target and
-    the decoder output's gradient), and 1 MiB (A / 2) for the batch norm
-    backward's 512-row blocks, the mask and the 1 x q rows. Returns the
-    forward's peak (when the objective has returned), the whole step's peak
-    and the bound, all in arrays A."""
+    hidden 64 on 8000 nodes, in arrays A of 8000 x 64 (1.95 MiB each): the
+    forward's peak (when the objective has returned) and the whole step's."""
     n, hidden, features = 8000, 64, 8
     graph = make_sbm_graph(n, 8, 0.002, 0.0002, features, np.random.default_rng(0))
     model = build_model("node", "gcn", features, hidden, 2, 1,
@@ -448,42 +436,14 @@ def _float32_node_step_peak_arrays(activations):
         tracemalloc.stop()
     assert len(grads) == len(model.parameters())
     array = n * hidden * 4
-    bound = activations * array + 4 * n * features * 4 + 2**20
-    return forward / array, peak / array, bound / array
-
-
-def test_node_level_float32_step_peaks_at_five_activations():
-    # 5 A. When every batch norm held its normalised activation (xhat), the
-    # step held the four xhat of its two passes plus one working array and
-    # peaked at about 5.8 A; since the first layers rebuild theirs, only the
-    # two second layers' xhat are held and the four-activation test bounds
-    # the same step more tightly. Keeping a layer's input beside the next
-    # layer's product and sum, the recomputed operand beside its left
-    # gradient, or a fresh input gradient beside xhat each gave six arrays
-    # at one point, and a peak of about 6.8 A.
-    _, peak, bound = _float32_node_step_peak_arrays(5)
-    assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
-
-
-def test_node_level_float32_step_peaks_at_four_activations():
-    # 4 A. Each pass's first layer aggregates the 8 features first, so its
-    # batch norm input is a product of a constant, and that batch norm
-    # rebuilds its xhat in backward instead of holding it. Only the two
-    # second layers' xhat are held. The step peaked at about 4.3 A in the
-    # clean pass's decoder backward, the second layer's xhat beside three
-    # gradients of that layer's output (the row_select's, the decoder's
-    # g @ W.T, and their sum), until the sum went into an owned gradient;
-    # the tighter test below bounds it now. Holding every xhat gave about
-    # 5.8 A.
-    _, peak, bound = _float32_node_step_peak_arrays(4)
-    assert peak <= bound, f"peak {peak:.2f} arrays, bound {bound:.2f}"
+    return forward / array, peak / array
 
 
 def test_node_level_float32_forward_peaks_below_three_point_seven_activations():
     # About 3.67 A. The forward used to hold the reconstruction target until
     # backward, as a parent of its loss, and [X 1] through the first layer's
     # batch norm, and peaked at about 3.90 A.
-    forward, _, _ = _float32_node_step_peak_arrays(0)
+    forward, _ = _float32_node_step_peak_arrays()
     assert forward <= 3.7, f"forward peak {forward:.2f} arrays"
 
 
@@ -494,7 +454,7 @@ def test_node_level_float32_step_peaks_below_three_point_eight_activations():
     # the clean decoder's matmul backward, when a second gradient
     # contribution was always added into a third array instead of into one
     # the node owns.
-    _, peak, _ = _float32_node_step_peak_arrays(0)
+    _, peak = _float32_node_step_peak_arrays()
     assert peak <= 3.8, f"step peak {peak:.2f} arrays"
 
 

@@ -677,25 +677,6 @@ class TestCheckpoints:
         save_checkpoint(self.build(), path)
         return path, json.loads(path.read_text())
 
-    def test_recorded_mlp_decoder_kind_is_dropped(self, tmp_path):
-        # a build recipe that still names the decoder kind, as checkpoints did
-        # while a graph-convolutional decoder existed
-        path, doc = self.saved_doc(tmp_path)
-        assert "decoder_kind" not in doc["build"]
-        doc["build"]["decoder_kind"] = "mlp"
-        path.write_text(json.dumps(doc))
-        loaded, _ = load_checkpoint(path)
-        assert "decoder_kind" not in loaded.build_spec
-        for name, arr in self.build().state_arrays().items():
-            assert loaded.state_arrays()[name].tobytes() == arr.tobytes(), name
-
-    def test_recorded_gcn_decoder_is_refused(self, tmp_path):
-        path, doc = self.saved_doc(tmp_path)
-        doc["build"]["decoder_kind"] = "gcn"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="graph-convolutional decoder was removed"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_is_refused_by_name(self, tmp_path, value):
         path, doc = self.saved_doc(tmp_path)
