@@ -40,7 +40,11 @@ from .bounds import (
     identity_predictor,
     make_random_predictor,
 )
-from .engine import scipy_version, strict_determinism_enabled
+from .engine import (
+    first_non_stochastic_row,
+    scipy_version,
+    strict_determinism_enabled,
+)
 from .evaluation import (
     PROBE_EPOCHS,
     evaluate_node_split,
@@ -321,6 +325,21 @@ def _check_subgraph_nodes(config, data):
                        f"graph's {data.num_nodes} nodes")
 
 
+def _check_ce_features(config, data):
+    """Refuse a cross-entropy variant on node features whose rows are not
+    distributions, before any epoch: softmax_ce reads them as its targets
+    and would stop the first step. A graph corpus's features are one-hot
+    node labels or degrees, or a constant 1, so their rows always are."""
+    if config.level != "node" or not config.variant.startswith("ce-"):
+        return
+    rows = data.features.astype(config.dtype, copy=False)
+    row = first_non_stochastic_row(rows)
+    if row is not None:
+        raise CliError(f"variant {config.variant!r} needs feature rows that "
+                       f"sum to 1, and node {row}'s sums to "
+                       f"{rows[row].sum():.6g}")
+
+
 def _add_config_arguments(parser):
     """Training-configuration flags shared by `train` and `ablate`: one per
     TrainConfig field.
@@ -372,10 +391,19 @@ def _build_from_config(config, feature_dim):
                        dtype=config.dtype)
 
 
-def _extract(level, data, encoder, concat_raw=True):
-    if level == "graph":
-        return extract_graph_repr(data, encoder)
-    return extract_node_repr(data, encoder, concat_raw=concat_raw)
+def _extract(level, data, encoder, source, concat_raw=True):
+    """The frozen encoder's representations of `data`. Finite weights can
+    still overflow; non-finite representations are refused, naming
+    `source`, since no probe can score them."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if level == "graph":
+            reprs = extract_graph_repr(data, encoder)
+        else:
+            reprs = extract_node_repr(data, encoder, concat_raw=concat_raw)
+    if not np.isfinite(reprs).all():
+        raise CliError(f"{source} gives representations that are not "
+                       f"finite: its weights overflow {reprs.dtype}")
+    return reprs
 
 
 def _prober(args, data, split):
@@ -398,6 +426,7 @@ def cmd_train(args, argv):
     _settle_level_flags(args, config.level)
     data, _, dataset_name = _load_data(args, config.level)
     _check_subgraph_nodes(config, data)
+    _check_ce_features(config, data)
 
     # The run writes into a staging directory inside --out and moves its
     # files over the final names only once all of them are written, so a
@@ -456,6 +485,7 @@ def cmd_eval(args, argv):
             f"dataset feature dim {data.feature_dim} does not match "
             f"checkpoint feature dim {model.build_spec['feature_dim']}")
     reprs = _extract(model.level, data, model.encoder,
+                     f"checkpoint {args.checkpoint!r}",
                      concat_raw=not args.no_concat)
     probe = _prober(args, data, split)
     reports = [probe(reprs, args.seed + rep) for rep in range(args.reps)]
@@ -645,6 +675,7 @@ def cmd_ablate(args, argv):
                                            f"study {args.study!r}")
     if factor != "subgraph_nodes":
         _check_subgraph_nodes(config, data)
+    _check_ce_features(config, data)
     probe = _prober(args, data, split)
 
     cells_out = []
@@ -657,7 +688,9 @@ def cmd_ablate(args, argv):
             cell_config = dataclasses.replace(config, seed=seed, **overrides)
             model = _build_from_config(cell_config, data.feature_dim)
             final_loss = float(train(model, data, cell_config)[-1].loss)
-        reprs = _extract(level, data, model.encoder, cell.get("concat", True))
+        reprs = _extract(level, data, model.encoder,
+                         f"the model of cell {_cell_label(cell)}",
+                         cell.get("concat", True))
         cells_out.append({
             "cell": cell,
             "seed": seed,

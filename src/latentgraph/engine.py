@@ -62,6 +62,7 @@ from __future__ import annotations
 import contextlib
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -84,6 +85,7 @@ __all__ = [
     "mse_per",
     "sqrt_eps",
     "softmax_ce",
+    "first_non_stochastic_row",
     "kl_div",
     "backward",
     "release",
@@ -110,6 +112,7 @@ def strict_determinism_enabled():
 
 
 _RECORDING = True
+_SEQ = itertools.count()  # the creation number of the next Value
 
 
 @contextlib.contextmanager
@@ -173,12 +176,16 @@ class Value:
     ``_owns_grad`` tells whether ``grad`` is an array that only this node
     holds, so :func:`_accumulate` may add into it in place; it is set
     whenever ``grad`` is.
+
+    ``_seq`` numbers the nodes in creation order. A node is made after its
+    parents, so :func:`backward` walks them by decreasing ``_seq``.
     """
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward", "_recompute",
-                 "_owns_grad", "__weakref__")
+                 "_owns_grad", "_seq", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, op="leaf"):
+        self._seq = next(_SEQ)
         self.data = _as_matrix(data)
         self.grad = None
         self._owns_grad = False
@@ -485,7 +492,7 @@ def softmax_ce(logits, targets):
     t = _as_matrix(targets)
     if t.shape != logits.data.shape:
         raise ValueError(f"softmax_ce: shape mismatch {logits.data.shape} vs {t.shape}")
-    if not np.allclose(t.sum(axis=1), 1.0, atol=1e-6):
+    if first_non_stochastic_row(t) is not None:
         raise ValueError("softmax_ce: target rows must sum to 1")
     t = t.astype(logits.data.dtype, copy=False)
     n = logits.data.shape[0]
@@ -496,6 +503,13 @@ def softmax_ce(logits, targets):
 
     return Value(-np.sum(t * logp) / n, parents=(logits,), backward=_back,
                  op="softmax_ce")
+
+
+def first_non_stochastic_row(rows):
+    """Index of the first row of `rows` whose sum is not 1, within
+    :func:`softmax_ce`'s tolerance, or None when every row's is."""
+    bad = np.flatnonzero(~np.isclose(rows.sum(axis=1), 1.0, atol=1e-6))
+    return int(bad[0]) if bad.size else None
 
 
 def kl_div(p_logits, q_logits):
@@ -517,25 +531,16 @@ def kl_div(p_logits, q_logits):
 
 
 def _toposort(root):
-    order = []
-    visited = set()
-    stack = [(root, iter(root._parents))]
-    on_stack = {id(root)}
+    """Every node reachable from `root`, in creation order, which is a
+    topological order."""
+    reached = {id(root): root}
+    stack = [root]
     while stack:
-        node, parents = stack[-1]
-        advanced = False
-        for parent in parents:
-            if id(parent) not in visited and id(parent) not in on_stack:
-                stack.append((parent, iter(parent._parents)))
-                on_stack.add(id(parent))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            on_stack.discard(id(node))
-            visited.add(id(node))
-            order.append(node)
-    return order
+        for parent in stack.pop()._parents:
+            if id(parent) not in reached:
+                reached[id(parent)] = parent
+                stack.append(parent)
+    return sorted(reached.values(), key=lambda node: node._seq)
 
 
 def backward(loss, retain_graph=False):
@@ -567,7 +572,7 @@ def backward(loss, retain_graph=False):
     grads = {}
     previous, _RETAINING = _RETAINING, bool(retain_graph)
     try:
-        # Popping walks the nodes in reverse topological order, so a node has
+        # Popping walks the nodes in reverse creation order, so a node has
         # all its contributions when it is reached, and its arrays can go as
         # soon as its closure has run.
         while order:

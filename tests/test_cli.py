@@ -414,6 +414,22 @@ class TestTrain:
         assert err == ["error: --subgraph-nodes 151 exceeds the graph's 150 nodes"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_ce_variant_on_features_that_are_not_distributions(
+            self, corpus, tmp_path, capsys, command):
+        # the SBM corpus's features are Gaussian, so no row sums to 1
+        out = tmp_path / "out"
+        argv = {"train": ["train"], "ablate": ["ablate", "--study", "concat"]}[command]
+        rc = main([*argv, "--preset", "node", "--hidden-dim", "8",
+                   "--epochs", "1", "--variant", "ce-embed",
+                   "--dataset", corpus["node_dir"], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: variant 'ce-embed' needs feature rows "
+                            r"that sum to 1, and node 0's sums to \S+", err[0])
+        assert not out.exists()
+
     def test_subgraph_nodes_equal_to_the_node_count_is_the_whole_graph(
             self, corpus, tmp_path, capsys):
         logs = []
@@ -771,6 +787,27 @@ class TestEval:
         checkpoint = self.edited_checkpoint(corpus, tmp_path, poison)
         err = self.eval_error(checkpoint, corpus, tmp_path, capsys)
         assert "holds NaN or inf values" in err
+
+    def test_weights_that_overflow_are_refused(self, corpus, tmp_path, capsys):
+        # finite weights whose representations are not: every first GIN
+        # map scaled by 1e200 overflows float64 in the second layer
+        def inflate(doc):
+            for name, entry in doc["arrays"].items():
+                if name.startswith("encoder.") and name.endswith("lin1.W"):
+                    big = np.frombuffer(base64.b64decode(entry["data"]),
+                                        "<f8") * 1e200
+                    entry["data"] = base64.b64encode(big.tobytes()).decode()
+
+        checkpoint = self.edited_checkpoint(corpus, tmp_path, inflate)
+        out = tmp_path / "x"
+        rc = main(["eval", "--checkpoint", checkpoint,
+                   "--dataset", corpus["graph_dir"], "--out", str(out),
+                   "--folds", "3", "--reps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: checkpoint {checkpoint!r} gives representations "
+                       f"that are not finite: its weights overflow float64"]
+        assert not out.exists()
 
     def test_checkpoint_that_is_not_utf8_is_refused(self, corpus, tmp_path,
                                                     capsys):

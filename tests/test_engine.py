@@ -203,6 +203,26 @@ class TestBackward:
         backward(sum_squares(add(w, w)))
         assert w.grad[0, 0] == pytest.approx(8.0 * 1.5)
 
+    def test_contributions_arrive_in_reverse_creation_order(self):
+        # x feeds three consumers, which the loss sums out of creation
+        # order; float addition is not associative, so the order is part of
+        # the gradient's bits
+        x = Value([[0.0]])
+        arrived = []
+
+        def consumer(tag, g_out):
+            def _back(g):
+                arrived.append(tag)
+                engine._accumulate(x, np.full((1, 1), g_out))
+            return Value([[0.0]], parents=(x,), backward=_back, op=tag)
+
+        first, second, third = (consumer("first", 1e16),
+                                consumer("second", 1.0),
+                                consumer("third", -1e16))
+        grads = backward(add(add(third, first), second))
+        assert arrived == ["third", "second", "first"]
+        assert grads[x][0, 0] == (-1e16 + 1.0) + 1e16 == 0.0
+
     def test_fanout_accumulates_path_sum(self):
         # z = w*w (hadamard), loss = sum(z) via mse against 0: d/dw sum(w^2)/1 = 2w
         rng = np.random.default_rng(4)
