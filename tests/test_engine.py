@@ -1155,7 +1155,8 @@ DTYPE_CASES = _dtype_cases()
 # engine.__all__ names that are not differentiable ops
 NOT_OPS = {"Value", "SparseMatrix", "backward", "release", "no_grad", "grad_check",
            "GradCheckReport", "constant", "set_strict_determinism",
-           "strict_determinism_enabled", "scipy_version"}
+           "strict_determinism_enabled", "scipy_version",
+           "first_non_stochastic_row"}
 
 
 class TestDtypes:
