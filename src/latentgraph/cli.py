@@ -169,9 +169,10 @@ def _derive_seed(base, index):
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1)[0])
 
 
-def _openblas_function(*symbols):
-    """The first of `symbols` that numpy's bundled OpenBLAS exports, as a
-    ctypes function of no arguments, or None when there is none to ask."""
+def _openblas_call(restype, *symbols):
+    """Call the first of `symbols`, functions of no arguments, that numpy's
+    bundled OpenBLAS exports, with the ctypes type named `restype` as its
+    result type; None when there is none to call."""
     import ctypes  # only the manifest needs it
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                         "*openblas*")
@@ -183,30 +184,24 @@ def _openblas_function(*symbols):
         for symbol in symbols:
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes = []
-                return fn
+                fn.argtypes, fn.restype = [], getattr(ctypes, restype)
+                return fn()
     return None
 
 
 def _blas_threads():
     """Thread count of the OpenBLAS bundled with numpy, or None."""
-    fn = _openblas_function("scipy_openblas_get_num_threads64_",
-                            "openblas_get_num_threads64_",
-                            "openblas_get_num_threads")
-    return None if fn is None else int(fn())
+    return _openblas_call("c_int", "scipy_openblas_get_num_threads64_",
+                          "openblas_get_num_threads64_",
+                          "openblas_get_num_threads")
 
 
 def _blas_core():
     """The CPU core whose kernels numpy's bundled OpenBLAS chose at run time,
     which set the bits of its products, or None."""
-    import ctypes
-    fn = _openblas_function("scipy_openblas_get_corename64_",
-                            "openblas_get_corename64_",
-                            "openblas_get_corename")
-    if fn is None:
-        return None
-    fn.restype = ctypes.c_char_p
-    return fn().decode("ascii", "replace")
+    core = _openblas_call("c_char_p", "scipy_openblas_get_corename64_",
+                          "openblas_get_corename64_", "openblas_get_corename")
+    return None if core is None else core.decode("ascii", "replace")
 
 
 def _environment():
