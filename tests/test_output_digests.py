@@ -108,10 +108,10 @@ def write_inputs(root):
     return {"graph": str(graph_dir), "node": str(root / "sbm")}
 
 
-def run_all(root, expected_env):
+def run_all(root):
     """Run every command in a fresh process under `root`; returns
     {"<run>/<file>": sha256} for every output but the manifests."""
-    root = Path(root)
+    root, expected_env = Path(root), _environment()
     paths = write_inputs(root)
     src = str(Path(latentgraph.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(
@@ -153,14 +153,14 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     if recorded is None:
         pytest.skip(f"no output digests recorded for this numeric "
                     f"environment: {mismatch(key, entries)}")
-    assert run_all(tmp_path, _environment()) == recorded
+    assert run_all(tmp_path) == recorded
 
 
 def regenerate():
     """Rewrite this environment's entry of the table, keeping the others."""
     key = environment_key()
     with tempfile.TemporaryDirectory() as root:
-        digests = run_all(root, _environment())
+        digests = run_all(root)
     entries = [e for e in json.loads(TABLE.read_text())["entries"]
                if e["environment"] != key] if TABLE.exists() else []
     entries.append({"environment": key, "digests": digests})
