@@ -390,7 +390,7 @@ def _extract(level, data, encoder, source, concat_raw=True):
     """The frozen encoder's representations of `data`. Finite weights can
     still overflow; non-finite representations are refused, naming
     `source`, since no probe can score them."""
-    with np.errstate(all="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if level == "graph":
             reprs = extract_graph_repr(data, encoder)
         else:
