@@ -32,12 +32,15 @@ masked entries. Estimates carry delta-method standard errors; the slack of
 each bound is required to clear -2 combined SE, and equalities to sit within
 3 SE.
 
-An estimate draws its latent, observed and mask-noise stacks whole, in one
-fixed rng order, then runs the predictor and the gap maps over chunks of 64
-draws (`_CHUNK_SAMPLES`). Every per-draw statistic reads only its own draw,
-so the estimates do not depend on the chunk size, bit for bit; peak memory
-holds the latent, observed and clean stacks plus one chunk's work, whatever
-the number of draws or the predictor's depth.
+An estimate draws from one rng in a fixed order: the latent stack whole,
+then its observation noise, then each mask's indices and noise. It runs the
+predictor and the gap maps over chunks of 64 draws (`_CHUNK_SAMPLES`), and
+draws the noise one chunk at a time as well: consecutive draws from one
+Generator equal one whole draw, so the latent stack becomes the observed
+stack in place. Every per-draw statistic reads only its own draw, so the
+estimates do not depend on the chunk size, bit for bit; peak memory holds
+the observed stack and the clean map plus one chunk's work, whatever the
+number of draws or the predictor's depth.
 """
 
 import dataclasses
@@ -48,7 +51,14 @@ import numpy as np
 from .engine import SparseMatrix
 from .graphs import normalize_adjacency
 from .models import ENCODER_KINDS, LEVELS, xavier_init
-from .objectives import MaskSpec, apply_mask, mask_size, sample_mask
+from .objectives import (
+    MaskSpec,
+    apply_mask,
+    mask_size,
+    sample_mask,
+    sample_mask_indices,
+    sample_mask_noise,
+)
 
 _GRAPH_MODELS = ("er", "fixed")
 
@@ -310,8 +320,8 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     if mask_draws < 1:
         raise ValueError("need at least 1 mask draw")
     adj = gen_adjacency(setup, rng)
-    latent = gen_latent_stack(setup, rng, n_mc)
-    observed = gen_observation_stack(latent, setup, rng)
+    # the latent stack, made the observed stack chunk by chunk below
+    observed = gen_latent_stack(setup, rng, n_mc)
     chunks = _chunks(n_mc)
 
     axes = (1, 2)
@@ -320,18 +330,20 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     noise_energy = np.empty(n_mc)
     clean = None  # gap_map of the uncorrupted stack, filled chunk by chunk
     for c in chunks:
-        predicted = predict(adj, observed[c])
-        if predicted.shape != observed[c].shape:
+        latent = observed[c]  # a view: overwritten by x once read
+        x = gen_observation_stack(latent, setup, rng)
+        predicted = predict(adj, x)
+        if predicted.shape != x.shape:
             raise ValueError(f"predictor output shape {predicted.shape} "
-                             f"!= {observed[c].shape}")
-        recon[c] = np.sum((predicted - observed[c]) ** 2, axis=axes)
-        to_latent[c] = np.sum((predicted - latent[c]) ** 2, axis=axes)
-        noise_energy[c] = np.sum((observed[c] - latent[c]) ** 2, axis=axes)
-        mapped = predicted if gap_map is predict else gap_map(adj, observed[c])
+                             f"!= {x.shape}")
+        recon[c] = np.sum((predicted - x) ** 2, axis=axes)
+        to_latent[c] = np.sum((predicted - latent) ** 2, axis=axes)
+        noise_energy[c] = np.sum((x - latent) ** 2, axis=axes)
+        mapped = predicted if gap_map is predict else gap_map(adj, x)
         if clean is None:
             clean = np.empty((n_mc,) + mapped.shape[1:])
         clean[c] = mapped
-    del latent
+        observed[c] = x
     lhs_draws = to_latent + noise_energy
     cross = recon - lhs_draws  # equals -2 <f - F, X - F> draw by draw
 
@@ -339,9 +351,12 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     k_mask = setup.mask_count
     gap_columns = np.empty((n_mc, mask_draws))
     for m in range(mask_draws):
-        indices, noise = sample_mask(observed.shape, spec, rng)
+        indices = sample_mask_indices(setup.num_nodes, spec, rng)
         for c in chunks:
-            corrupted = apply_mask(observed[c], indices, noise[c], spec.mode)
+            x = observed[c]
+            noise = sample_mask_noise((len(x), k_mask, setup.feature_dim),
+                                      spec, rng)
+            corrupted = apply_mask(x, indices, noise, spec.mode)
             gap_columns[c, m] = _gap(clean[c], gap_map(adj, corrupted),
                                      indices) / k_mask
 

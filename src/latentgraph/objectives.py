@@ -65,23 +65,35 @@ def mask_size(num_nodes, ratio):
     return max(1, int(np.floor(ratio * num_nodes + 0.5)))
 
 
+def sample_mask_indices(num_nodes, spec, rng):
+    """Draw the sorted indices of the nodes to corrupt, `mask_size` of
+    `num_nodes`."""
+    k = mask_size(num_nodes, spec.ratio)
+    return np.sort(rng.choice(num_nodes, size=k, replace=False))
+
+
+def sample_mask_noise(shape, spec, rng):
+    """Draw the additive noise of shape (..., k, d) for the k rows that
+    `sample_mask_indices` picked: all zeros in "zeros" mode, where apply_mask
+    blanks the rows instead of adding. Noise drawn in consecutive pieces
+    along the leading axis equals one whole draw, bit for bit."""
+    if spec.mode == "gaussian":
+        return rng.normal(0.0, spec.noise_sd, size=shape)
+    return np.zeros(shape)
+
+
 def sample_mask(shape, spec, rng):
     """Draw the corrupted-node index set and its noise for features of shape
     (..., n, d): one graph's matrix, or a stack of matrices over the same n
     nodes that all share the index set.
 
     Returns (indices, noise): sorted node indices, and additive noise of shape
-    (..., k, d) aligned with them (all zeros in "zeros" mode, where
-    apply_mask blanks the rows instead of adding).
+    (..., k, d) aligned with them.
     """
     *lead, num_nodes, feature_dim = shape
-    k = mask_size(num_nodes, spec.ratio)
-    indices = np.sort(rng.choice(num_nodes, size=k, replace=False))
-    if spec.mode == "gaussian":
-        noise = rng.normal(0.0, spec.noise_sd, size=(*lead, k, feature_dim))
-    else:
-        noise = np.zeros((*lead, k, feature_dim))
-    return indices, noise
+    indices = sample_mask_indices(num_nodes, spec, rng)
+    return indices, sample_mask_noise((*lead, len(indices), feature_dim),
+                                      spec, rng)
 
 
 def sample_batch_mask(batch, spec, rng):

@@ -287,10 +287,13 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
                 for s in range(0, step_batches, config.batch_size)
             )
         for step, batch in enumerate(batches):
-            out = objective(model, batch, spec, mask_rng, config.alpha,
-                            config.variant, training=True)
-            _check_finite(epoch, step, out)
-            grads = backward(out.total)
+            # an overflow is not warned about: the finite checks stop the
+            # run with one error that names the step and the term
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = objective(model, batch, spec, mask_rng, config.alpha,
+                                config.variant, training=True)
+                _check_finite(epoch, step, out)
+                grads = backward(out.total)
             _check_finite_grads(epoch, step, named_params, grads)
             try:
                 optimizer.step(grads)

@@ -25,6 +25,7 @@ from latentgraph.bounds import (
     make_random_predictor,
     spectral_norm,
 )
+from latentgraph.objectives import MaskSpec, sample_mask_noise
 
 
 def small_setup(**overrides):
@@ -450,6 +451,40 @@ class TestBlindInnerProduct:
                                     mask_draws=0, rng=np.random.default_rng(0))
 
 
+class TestStreams:
+    """The estimators draw noise one chunk at a time, and their records do
+    not depend on the chunk size because of this: drawn in chunks of 64, 64
+    and 2 draws from one Generator, noise equals one whole draw bit for bit
+    and leaves the same state."""
+
+    BOUNDS = (0, 64, 128, 130)
+
+    def _chunked_equals_whole(self, draw):
+        """`draw(span, rng)` draws the noise of the draws in `span`."""
+        chunked_rng, whole_rng = (np.random.default_rng(60) for _ in range(2))
+        chunked = np.concatenate([
+            draw(slice(start, stop), chunked_rng)
+            for start, stop in zip(self.BOUNDS[:-1], self.BOUNDS[1:])])
+        whole = draw(slice(0, self.BOUNDS[-1]), whole_rng)
+        assert chunked.tobytes() == whole.tobytes()
+        assert (chunked_rng.bit_generator.state
+                == whole_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "zeros"])
+    def test_mask_noise(self, mode):
+        spec = MaskSpec(ratio=0.25, noise_sd=0.5, mode=mode)
+        self._chunked_equals_whole(lambda span, rng: sample_mask_noise(
+            (span.stop - span.start, 3, 5), spec, rng))
+
+    @pytest.mark.parametrize("noise_sd", [0.1, 0.0])
+    def test_observation_noise(self, noise_sd):
+        setup = small_setup(noise_sd=noise_sd)
+        latent = gen_latent_stack(setup, np.random.default_rng(61),
+                                  self.BOUNDS[-1])
+        self._chunked_equals_whole(lambda span, rng: gen_observation_stack(
+            latent[span], setup, rng))
+
+
 class TestChunking:
     """The estimators run their predictors over chunks of
     `bounds._CHUNK_SAMPLES` draws; one chunk of every draw is the
@@ -541,8 +576,10 @@ class TestChunking:
 class TestWorkingSet:
     """At n=32, d=8, hidden 8 and 2048 draws one (n_mc, n, d) stack is
     4 MiB. Running the predictor on the whole stack at once peaked at about
-    33 MiB of traced allocations for corollary1 and 25 MiB for the dae check;
-    by chunks they hold the drawn stacks plus one chunk's work."""
+    33 MiB of traced allocations for corollary1 and 25 MiB for the dae check.
+    By chunks, the bound estimates hold the observed stack and the clean map
+    plus one chunk's work (2.2-2.3 stacks), and the dae check holds its
+    drawn stacks plus one chunk's work."""
 
     N_MC = 2048
 
@@ -556,7 +593,7 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    def _check(self, run):
+    def _check(self, run, stacks):
         setup = SyntheticSetup(num_nodes=32, feature_dim=8, edge_prob=0.4,
                                noise_sd=0.1, mask_ratio=0.25,
                                mask_noise_sd=0.5)
@@ -564,15 +601,20 @@ class TestWorkingSet:
                                           np.random.default_rng(50))
         stack = self.N_MC * 32 * 8 * 8
         peak = self._traced_peak(lambda: run(predictor, setup))
-        assert peak < 4 * stack, (
+        assert peak < stacks * stack, (
             f"peak {peak / 2**20:.1f} MiB, stack {stack / 2**20:.1f} MiB")
+
+    def test_theorem1_peak(self):
+        self._check(lambda predictor, setup: estimate_theorem1(
+            predictor.predict, setup, n_mc=self.N_MC, mask_draws=2,
+            rng=np.random.default_rng(51)), 2.5)
 
     def test_corollary_peak(self):
         self._check(lambda predictor, setup: estimate_corollary(
             "node", predictor, setup, n_mc=self.N_MC, mask_draws=2,
-            rng=np.random.default_rng(51)))
+            rng=np.random.default_rng(51)), 2.5)
 
     def test_dae_check_peak(self):
         self._check(lambda predictor, setup: check_dae_inner_product(
             predictor.predict, setup, n_mc=self.N_MC, mask_draws=1,
-            rng=np.random.default_rng(52)))
+            rng=np.random.default_rng(52)), 4)

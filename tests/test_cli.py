@@ -493,10 +493,10 @@ class TestTrain:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(before) == ["checkpoint.json", "loss_log.jsonl",
                                   "manifest.json"]
-        with np.errstate(all="ignore"):
-            # the second epoch runs on the parameters the first one blew up
-            rc = main(args + ["--epochs", "2", "--lr", "1e300",
-                              "--alpha", "1e300"])
+        # the first step's update overflows the next step's forward, whose
+        # numpy warnings this suite turns into errors
+        rc = main(args + ["--preset", "molecule", "--epochs", "3",
+                          "--lr", "1e300", "--dtype", "float64"])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite")
@@ -542,6 +542,22 @@ class TestTrain:
         assert len(err) == 1, result.stderr
         assert err[0].startswith("error: non-finite update of ")
         assert "epoch 0, step 0" in err[0]
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_loss_is_one_error_line(self, tmp_path):
+        # a child process, so numpy's warnings would reach its real stderr;
+        # the first step's update overflows the second step's forward
+        corpus = write_graph_corpus(tmp_path, num_graphs=40)
+        out = tmp_path / "diverged"
+        result = subprocess.run(
+            [sys.executable, "-m", "latentgraph", "train",
+             "--dataset", corpus, "--out", str(out), "--preset", "molecule",
+             "--epochs", "3", "--lr", "1e300", "--dtype", "float64"],
+            capture_output=True, text=True, cwd="/",
+            env=dict(os.environ, PYTHONPATH=child_pythonpath()))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: non-finite reconstruction loss (nan) at epoch 0, step 1"]
         assert list(out.iterdir()) == []
 
     def test_failed_json_write_keeps_the_earlier_file(self, tmp_path):

@@ -21,6 +21,8 @@ from latentgraph.objectives import (
     objective,
     sample_batch_mask,
     sample_mask,
+    sample_mask_indices,
+    sample_mask_noise,
 )
 
 
@@ -65,6 +67,21 @@ class TestMaskSpec:
         rng = np.random.default_rng(1)
         _, noise = sample_mask((8, 2), MaskSpec(ratio=0.25, mode="zeros"), rng)
         np.testing.assert_array_equal(noise, 0.0)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "zeros"])
+    @pytest.mark.parametrize("shape", [(10, 3), (5, 10, 3)])
+    def test_sample_mask_is_its_two_halves_in_turn(self, mode, shape):
+        spec = MaskSpec(ratio=0.3, noise_sd=0.7, mode=mode)
+        whole_rng, split_rng = (np.random.default_rng(4) for _ in range(2))
+        idx, noise = sample_mask(shape, spec, whole_rng)
+        split_idx = sample_mask_indices(shape[-2], spec, split_rng)
+        split_noise = sample_mask_noise(
+            (*shape[:-2], len(split_idx), shape[-1]), spec, split_rng)
+        assert idx.tobytes() == split_idx.tobytes()
+        assert noise.shape == split_noise.shape
+        assert noise.tobytes() == split_noise.tobytes()
+        assert (whole_rng.bit_generator.state
+                == split_rng.bit_generator.state)
 
     def test_apply_mask_gaussian_touches_only_masked_rows(self):
         rng = np.random.default_rng(2)

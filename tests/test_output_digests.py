@@ -1,8 +1,9 @@
 """Every document the commands write stays byte-identical to a recorded table.
 
 Tiny runs of graph `train` (default and strict), node `train`, graph and
-node `eval`, `verify --suite all` and its `--corrupt-multiplier 0.1`
-control run in fresh processes. The SHA-256 of each output except the
+node `eval`, `verify --suite all` at 64 and at 130 samples (one chunk of
+the lab's draws, and several) and its `--corrupt-multiplier 0.1` control
+run in fresh processes. The SHA-256 of each output except the
 manifests, which hold times and paths, is compared with
 `tests/golden/output_digests.json`.
 
@@ -62,6 +63,10 @@ RUNS = (
     ("verify-control", ["verify", "--suite", "corollaries", "--trials", "2",
                         "--samples", "64", "--mask-draws", "4", "--seed", "1",
                         "--corrupt-multiplier", "0.1"], {}, 1),
+    # 130 draws make two full chunks of bounds._CHUNK_SAMPLES and a partial
+    ("verify-chunked", ["verify", "--suite", "all", "--trials", "2",
+                        "--samples", "130", "--mask-draws", "2", "--seed", "1"],
+     {}, 0),
 )
 
 
