@@ -10,7 +10,7 @@ reproduces outputs bit for bit.
 
 Exit codes: 0 on success, 1 when a verification suite finds a hard failure,
 2 for configuration or usage errors, including a training run stopped by a
-non-finite loss or gradient.
+non-finite loss, gradient or update.
 """
 
 import argparse

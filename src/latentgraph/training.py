@@ -45,19 +45,23 @@ class NonFiniteLossError(ArithmeticError):
     """Raised when a training step's loss or one of its terms is NaN or inf."""
 
 
-class NonFiniteGradientError(NonFiniteLossError):
-    """Raised when a training step's gradient of a parameter holds NaN or inf."""
+class NonFiniteParameterError(NonFiniteLossError):
+    """Raised when an optimizer step meets a NaN or inf: `param` is the first
+    parameter affected, and no parameter has been changed."""
 
-
-class NonFiniteUpdateError(NonFiniteLossError):
-    """Raised when an optimizer step would leave a parameter NaN or inf.
-
-    `param` is that parameter's Value; no parameter has been changed.
-    """
-
-    def __init__(self, message, param):
-        super().__init__(message)
+    def __init__(self, param, where="a parameter"):
+        super().__init__(f"non-finite {self.quantity} of {where}")
         self.param = param
+
+
+class NonFiniteGradientError(NonFiniteParameterError):
+    """Raised when a training step's gradient of a parameter holds NaN or inf."""
+    quantity = "gradient"
+
+
+class NonFiniteUpdateError(NonFiniteParameterError):
+    """Raised when an optimizer step would leave a parameter NaN or inf."""
+    quantity = "update"
 
 
 @dataclass
@@ -153,43 +157,49 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """The Adam optimizer, without weight decay.
+    """The Adam optimizer, without weight decay, over parameters of one dtype.
 
-    Parameters that do not appear in the gradient map are skipped entirely.
-    A step computes every new moment and parameter value before it assigns
-    any; if one of those values is NaN or inf it raises
-    `NonFiniteUpdateError` and leaves the parameters and the optimizer's
-    state as they were.
+    A step takes a gradient for every parameter and updates them all in one
+    pass over their concatenated values, with the same float ops per element
+    as a loop over the parameters. If the gradient or a new value holds a
+    NaN or inf it raises `NonFiniteGradientError` or `NonFiniteUpdateError`
+    and leaves the parameters and the optimizer's state as they were.
     """
 
     def __init__(self, params, lr=1e-3):
         if lr < 0:
             raise ValueError(f"Adam: lr must be nonnegative, got {lr}")
         self.params = list(params)
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam: parameters must share one dtype, got {dtypes}")
         self.lr = float(lr)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # parameter k holds [_ends[k] - its size, _ends[k]) of each flat array
+        self._ends = np.cumsum([p.data.size for p in self.params])
+        self._m = np.zeros(self._ends[-1], dtype=dtypes.pop())
+        self._v = np.zeros_like(self._m)
+
+    def _raise_if_non_finite(self, flat, error):
+        finite = np.isfinite(flat)
+        if not finite.all():
+            raise error(self.params[np.searchsorted(self._ends, finite.argmin(), "right")])
 
     def step(self, grads):
+        g = np.concatenate([grads[p].ravel() for p in self.params])
+        self._raise_if_non_finite(g, NonFiniteGradientError)
         t = self.t + 1
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        updates = []
+        data = np.concatenate([p.data.ravel() for p in self.params])
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, p in enumerate(self.params):
-                g = grads.get(p)
-                if g is None:
-                    continue
-                m = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
-                v = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
-                new = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-                if not np.isfinite(new).all():
-                    raise NonFiniteUpdateError("non-finite update of a parameter", p)
-                updates.append((i, p, new, m, v))
-        self.t = t
-        for i, p, new, m, v in updates:
-            p.data, self._m[i], self._v[i] = new, m, v
+            m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * (g * g)
+            new = data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        self._raise_if_non_finite(new, NonFiniteUpdateError)
+        self.t, self._m, self._v = t, m, v
+        for p, end in zip(self.params, self._ends):
+            p.data = new[end - p.data.size:end].reshape(p.data.shape)
 
 
 @dataclass
@@ -213,14 +223,6 @@ def _check_finite(epoch, step, out):
         if not np.isfinite(value):
             raise NonFiniteLossError(
                 f"non-finite {name} loss ({value}) at epoch {epoch}, step {step}")
-
-
-def _check_finite_grads(epoch, step, named_params, grads):
-    for name, param in named_params:
-        grad = grads.get(param)
-        if grad is not None and not np.isfinite(grad).all():
-            raise NonFiniteGradientError(
-                f"non-finite gradient of {name} at epoch {epoch}, step {step}")
 
 
 def train(model, data, config, log_fh=None, checkpoint_path=None):
@@ -251,7 +253,6 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     subgraph_rng = np.random.default_rng(streams[2])
 
     optimizer = Adam(model.parameters(), lr=config.lr)
-    named_params = model.named_parameters()
     spec = config.mask_spec()
 
     if config.level == "node":
@@ -294,14 +295,11 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
                                 config.variant, training=True)
                 _check_finite(epoch, step, out)
                 grads = backward(out.total)
-            _check_finite_grads(epoch, step, named_params, grads)
             try:
                 optimizer.step(grads)
-            except NonFiniteUpdateError as exc:
-                name = next(n for n, p in named_params if p is exc.param)
-                raise NonFiniteUpdateError(
-                    f"non-finite update of {name} at epoch {epoch}, step {step}",
-                    exc.param) from None
+            except NonFiniteParameterError as exc:
+                name = next(n for n, p in model.named_parameters() if p is exc.param)
+                raise type(exc)(exc.param, f"{name} at epoch {epoch}, step {step}") from None
             losses.append(out.total.item())
             recons.append(out.reconstruction)
             invs.append(out.invariance)

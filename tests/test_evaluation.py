@@ -126,6 +126,21 @@ class TestLogreg:
         np.testing.assert_allclose(grad_b, residual.sum(axis=0, keepdims=True),
                                    rtol=1e-9, atol=1e-15)
 
+    def test_every_step_gets_a_gradient_for_W_and_b(self, monkeypatch):
+        # Adam.step reads a gradient for every parameter it was given
+        rng = np.random.default_rng(7)
+        x, y = blobs(rng, 15, dim=3)
+        real_step, keys = Adam.step, []
+
+        def recording(optimizer, grads):
+            keys.append((set(grads), set(optimizer.params)))
+            return real_step(optimizer, grads)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        logreg_fit(x, y, epochs=2, rng=rng)
+        assert len(keys) == 2
+        assert keys[0][0] == keys[0][1] and len(keys[0][1]) == 2
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="finite"):
             logreg_fit(np.array([[np.inf]]), np.array([0]))

@@ -1,9 +1,10 @@
 """Every document the commands write stays byte-identical to a recorded table.
 
-Tiny runs of graph `train` (default and strict), node `train`, graph and
-node `eval`, `verify --suite all` at 64 and at 130 samples (one chunk of
-the lab's draws, and several) and its `--corrupt-multiplier 0.1` control
-run in fresh processes. The SHA-256 of each output except the
+Tiny runs of graph `train` (default, strict, and float64 with no preset),
+node `train`, graph and node `eval`, an `ablate --study objective` over the
+four objective variants, `verify --suite all` at 64 and at 130 samples (one
+chunk of the lab's draws, and several) and its `--corrupt-multiplier 0.1`
+control run in fresh processes. The SHA-256 of each output except the
 manifests, which hold times and paths, is compared with
 `tests/golden/output_digests.json`.
 
@@ -50,6 +51,10 @@ RUNS = (
                             "molecule", "--hidden-dim", "16", "--epochs", "2",
                             "--batch-size", "8", "--seed", "1"],
      {"LAGRAPH_STRICT_DETERMINISM": "1"}, 0),
+    # no preset: the only float64 Adam run
+    ("graph-train-f64", ["train", "--dataset", "{graph}", "--hidden-dim", "16",
+                         "--epochs", "2", "--batch-size", "8", "--seed", "1"],
+     {}, 0),
     ("node-train", ["train", "--dataset", "{node}", "--preset", "node",
                     "--hidden-dim", "8", "--epochs", "3", "--seed", "1"], {}, 0),
     ("graph-eval", ["eval", "--checkpoint", "graph-train/checkpoint.json",
@@ -63,6 +68,11 @@ RUNS = (
     ("verify-control", ["verify", "--suite", "corollaries", "--trials", "2",
                         "--samples", "64", "--mask-draws", "4", "--seed", "1",
                         "--corrupt-multiplier", "0.1"], {}, 1),
+    # one train per objective variant
+    ("ablate-objective", ["ablate", "--study", "objective", "--dataset",
+                          "{graph}", "--hidden-dim", "8", "--epochs", "1",
+                          "--batch-size", "8", "--folds", "3", "--seed", "1"],
+     {}, 0),
     # 130 draws make two full chunks of bounds._CHUNK_SAMPLES and a partial
     ("verify-chunked", ["verify", "--suite", "all", "--trials", "2",
                         "--samples", "130", "--mask-draws", "2", "--seed", "1"],

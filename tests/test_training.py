@@ -13,10 +13,13 @@ import pytest
 
 from latentgraph.engine import Value, backward
 from latentgraph.graphs import make_blob_dataset, make_sbm_graph, batch_graphs
-from latentgraph.models import build_model
-from latentgraph.objectives import mask_size, objective
+from latentgraph.models import LEVELS, build_model
+from latentgraph.objectives import VARIANTS, mask_size, objective
 from latentgraph import graphs, training
 from latentgraph.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     CheckpointError,
     EpochStats,
@@ -29,6 +32,28 @@ from latentgraph.training import (
     save_checkpoint,
     train,
 )
+
+
+class LoopAdam:
+    """Adam as a loop over the parameters, each with its own moments: the
+    reference the flat step must reproduce bit for bit."""
+
+    def __init__(self, arrays, lr):
+        self.data = [a.copy() for a in arrays]
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.lr, self.t = lr, 0
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for i, g in enumerate(grads):
+            m = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+            self.data[i] = (self.data[i]
+                            - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+            self.m[i], self.v[i] = m, v
 
 
 class TestAdam:
@@ -49,20 +74,60 @@ class TestAdam:
         opt.step({p: np.zeros((1, 1))})
         assert p.data[0, 0] == 2.0
 
-    def test_missing_gradient_skips_parameter(self):
-        p = Value(np.array([[2.0]]))
-        opt = Adam([p], lr=0.1)
-        opt.step({})
-        assert p.data[0, 0] == 2.0
-
     def test_rejects_bad_hyperparameters(self):
         p = Value(np.ones((1, 1)))
         with pytest.raises(ValueError, match="lr must be nonnegative"):
             Adam([p], lr=-1.0)
 
+    def test_parameters_of_two_dtypes_are_refused(self):
+        # one flat moment array holds every parameter's moments, so a mix
+        # would upcast the float32 ones
+        p = Value(np.ones((2, 3)))
+        q = Value(np.ones((1, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam([p, q])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr", [1e-5, 1e-3])
+    def test_flat_step_matches_a_per_parameter_loop_bit_for_bit(self, dtype,
+                                                                lr):
+        rng = np.random.default_rng(11)
+        shapes = [(7, 32), (1, 32), (32, 7)]
+        params = [Value(rng.standard_normal(s).astype(dtype)) for s in shapes]
+        reference = LoopAdam([p.data for p in params], lr)
+        opt = Adam(params, lr=lr)
+        for _ in range(5):
+            # magnitudes over six decades, so the moments' roundings differ
+            grads = [(rng.standard_normal(s) * 10.0 ** rng.uniform(-4, 2, s))
+                     .astype(dtype) for s in shapes]
+            opt.step(dict(zip(params, grads)))
+            reference.step(grads)
+        assert opt.t == reference.t == 5
+        for p, data, shape in zip(params, reference.data, shapes):
+            assert p.data.shape == shape and p.data.dtype == dtype
+            assert p.data.tobytes() == data.tobytes()
+        for flat, moments in ((opt._m, reference.m), (opt._v, reference.v)):
+            assert flat.dtype == dtype
+            assert flat.tobytes() == b"".join(m.tobytes() for m in moments)
+
+    def test_non_finite_gradient_names_its_parameter_and_changes_nothing(self):
+        params = [Value(np.full((2, 3), 1.0)), Value(np.full((1, 3), 2.0)),
+                  Value(np.full((3, 2), 3.0))]
+        opt = Adam(params, lr=0.1)
+        grads = {p: np.ones(p.shape) for p in params}
+        grads[params[1]][0, 1] = np.nan
+        with pytest.raises(NonFiniteGradientError,
+                           match="^non-finite gradient of a parameter$") as info:
+            opt.step(grads)
+        assert info.value.param is params[1]
+        assert opt.t == 0
+        assert not opt._m.any() and not opt._v.any()
+        for p, value in zip(params, (1.0, 2.0, 3.0)):
+            np.testing.assert_array_equal(p.data, value)
+
     def test_non_finite_update_changes_nothing(self):
         # lr * m_hat overflows for the second parameter only; the first,
-        # updated earlier in the loop, must not be assigned either
+        # whose new values are finite, must not be assigned either
         p = Value(np.array([[1.0, -2.0]]))
         q = Value(np.array([[0.5]]))
         opt = Adam([p, q], lr=1e300)
@@ -72,7 +137,7 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
         np.testing.assert_array_equal(q.data, [[0.5]])
         assert opt.t == 0
-        assert not any(m.any() for m in opt._m + opt._v)
+        assert not opt._m.any() and not opt._v.any()
 
     def test_converges_on_quadratic(self):
         p = Value(np.array([[5.0, -3.0]]))
@@ -361,6 +426,35 @@ class TestTrainLoop:
         for name, v in model.named_parameters():
             np.testing.assert_array_equal(v.data, before[name])
 
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_parameter_gets_a_gradient(self, variant, level,
+                                             monkeypatch):
+        # Adam.step reads a gradient for every parameter: no level or
+        # objective variant leaves one out of the map backward returns
+        if level == "graph":
+            data, encoder = self.make_data(), "gin"
+        else:
+            data = make_sbm_graph(40, 2, 0.3, 0.05, 5, np.random.default_rng(4))
+            encoder = "gcn"
+        if variant.startswith("ce-"):  # cross-entropy needs rows on the simplex
+            for g in (data.graphs if level == "graph" else [data]):
+                g.features = np.eye(g.feature_dim)[g.features.argmax(axis=1)]
+        cfg = tiny_config(level=level, encoder=encoder, variant=variant,
+                          epochs=1)
+        model = build_model(level, encoder, data.feature_dim, cfg.hidden_dim,
+                            cfg.encoder_layers, cfg.decoder_layers,
+                            np.random.default_rng(0))
+        real_step, keys = Adam.step, []
+
+        def recording(optimizer, grads):
+            keys.append(set(grads))
+            return real_step(optimizer, grads)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        train(model, data, cfg)
+        assert keys[0] == set(model.parameters())
+
     def test_non_finite_update_stops_before_any_parameter_moves(self):
         data = self.make_data()
         cfg = tiny_config(lr=1e300, alpha=1e300)
@@ -452,7 +546,7 @@ class TestTrainLoop:
         def step(optimizer, grads):
             real_step(optimizer, grads)
             seen["grads"] = list(grads.values())
-            seen["moments"] = optimizer._m + optimizer._v
+            seen["moments"] = [optimizer._m, optimizer._v]
 
         monkeypatch.setattr(Adam, "step", step)
         assert train(model, graph, cfg)[0].steps == 1
