@@ -32,15 +32,19 @@ masked entries. Estimates carry delta-method standard errors; the slack of
 each bound is required to clear -2 combined SE, and equalities to sit within
 3 SE.
 
-An estimate draws from one rng in a fixed order: the latent stack whole,
-then its observation noise, then each mask's indices and noise. It runs the
-predictor and the gap maps over chunks of 64 draws (`_CHUNK_SAMPLES`), and
-draws the noise one chunk at a time as well: consecutive draws from one
-Generator equal one whole draw, so the latent stack becomes the observed
-stack in place. Every per-draw statistic reads only its own draw, so the
-estimates do not depend on the chunk size, bit for bit; peak memory holds
-the observed stack and the clean map plus one chunk's work, whatever the
-number of draws or the predictor's depth.
+An estimate draws its adjacency from the rng it is given, then spawns
+independent child Generators from it (`Generator.spawn`), one per stream:
+the latent features, their observation noise, and each mask draw (its
+indices, then its noise) in the bound estimates; the latent features, the
+observation noise and the masks in the dae check. It then walks the draws in
+chunks of 64 (`_CHUNK_SAMPLES`): each chunk draws its rows from every
+stream, runs the predictor and the gap maps, and reduces to per-draw
+scalars before the next chunk starts. Every stream is read front to back and
+every per-draw statistic reads only its own draw, so the estimates do not
+depend on the chunk size, bit for bit, and peak memory holds one chunk's
+work plus the per-draw scalars, whatever the number of draws or the
+predictor's depth. Spawning advances the parent's spawn counter, so
+successive estimates on one rng draw fresh data.
 """
 
 import dataclasses
@@ -55,7 +59,6 @@ from .objectives import (
     MaskSpec,
     apply_mask,
     mask_size,
-    sample_mask,
     sample_mask_indices,
     sample_mask_noise,
 )
@@ -292,9 +295,10 @@ def _gap(clean, noisy, indices):
     return np.sum((clean - noisy) ** 2, axis=tuple(range(1, clean.ndim)))
 
 
-# Samples per chunk: predictors and gap maps run on at most this many draws
-# at a time, so their temporaries span one chunk whatever n_mc is. Every
-# per-draw statistic reads only its own draw, so no estimate depends on it.
+# Samples per chunk: the estimators draw, predict and reduce at most this
+# many draws at a time, so their arrays span one chunk whatever n_mc is.
+# Every stream is read front to back and every per-draw statistic reads only
+# its own draw, so no estimate depends on it.
 _CHUNK_SAMPLES = 64
 
 
@@ -320,18 +324,20 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     if mask_draws < 1:
         raise ValueError("need at least 1 mask draw")
     adj = gen_adjacency(setup, rng)
-    # the latent stack, made the observed stack chunk by chunk below
-    observed = gen_latent_stack(setup, rng, n_mc)
-    chunks = _chunks(n_mc)
+    latent_rng, noise_rng, *mask_rngs = rng.spawn(2 + mask_draws)
+    spec = setup.mask_spec
+    k_mask = setup.mask_count
+    masks = [sample_mask_indices(setup.num_nodes, spec, mask_rng)
+             for mask_rng in mask_rngs]
 
     axes = (1, 2)
     recon = np.empty(n_mc)
     to_latent = np.empty(n_mc)
     noise_energy = np.empty(n_mc)
-    clean = None  # gap_map of the uncorrupted stack, filled chunk by chunk
-    for c in chunks:
-        latent = observed[c]  # a view: overwritten by x once read
-        x = gen_observation_stack(latent, setup, rng)
+    gap_columns = np.empty((n_mc, mask_draws))
+    for c in _chunks(n_mc):
+        latent = gen_latent_stack(setup, latent_rng, c.stop - c.start)
+        x = gen_observation_stack(latent, setup, noise_rng)
         predicted = predict(adj, x)
         if predicted.shape != x.shape:
             raise ValueError(f"predictor output shape {predicted.shape} "
@@ -339,26 +345,15 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
         recon[c] = np.sum((predicted - x) ** 2, axis=axes)
         to_latent[c] = np.sum((predicted - latent) ** 2, axis=axes)
         noise_energy[c] = np.sum((x - latent) ** 2, axis=axes)
-        mapped = predicted if gap_map is predict else gap_map(adj, x)
-        if clean is None:
-            clean = np.empty((n_mc,) + mapped.shape[1:])
-        clean[c] = mapped
-        observed[c] = x
+        clean = predicted if gap_map is predict else gap_map(adj, x)
+        for m, (indices, mask_rng) in enumerate(zip(masks, mask_rngs)):
+            noise = sample_mask_noise((len(x), k_mask, setup.feature_dim),
+                                      spec, mask_rng)
+            corrupted = apply_mask(x, indices, noise, spec.mode)
+            gap_columns[c, m] = _gap(clean, gap_map(adj, corrupted),
+                                     indices) / k_mask
     lhs_draws = to_latent + noise_energy
     cross = recon - lhs_draws  # equals -2 <f - F, X - F> draw by draw
-
-    spec = setup.mask_spec
-    k_mask = setup.mask_count
-    gap_columns = np.empty((n_mc, mask_draws))
-    for m in range(mask_draws):
-        indices = sample_mask_indices(setup.num_nodes, spec, rng)
-        for c in chunks:
-            x = observed[c]
-            noise = sample_mask_noise((len(x), k_mask, setup.feature_dim),
-                                      spec, rng)
-            corrupted = apply_mask(x, indices, noise, spec.mode)
-            gap_columns[c, m] = _gap(clean[c], gap_map(adj, corrupted),
-                                     indices) / k_mask
 
     u = gap_columns.mean(axis=0)
     roots = np.sqrt(u)
@@ -468,25 +463,31 @@ def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, rng=None,
         rng = np.random.default_rng(0)
     if mask_draws < 1:
         raise ValueError("need at least 1 mask draw")
-    block = n_mc // mask_draws
-    if block < 2:
+    if n_mc // mask_draws < 2:
         raise ValueError("n_mc too small for the requested mask draws")
     spec = setup.mask_spec
+    k_mask = setup.mask_count
     adj = gen_adjacency(setup, rng)
-    values = np.empty((mask_draws, block))
-    for m in range(mask_draws):
-        latent = gen_latent_stack(setup, rng, block)
-        observed = gen_observation_stack(latent, setup, rng)
-        indices, noise = sample_mask(observed.shape, spec, rng)
-        for c in _chunks(block):
+    latent_rng, noise_rng, mask_rng = rng.spawn(3)
+    values = np.empty(n_mc)
+    # each mask draw scores n_mc // mask_draws draws or one more: all n_mc
+    edges = [m * n_mc // mask_draws for m in range(mask_draws + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        indices = sample_mask_indices(setup.num_nodes, spec, mask_rng)
+        for c in _chunks(stop - start):
+            count = c.stop - c.start
+            latent = gen_latent_stack(setup, latent_rng, count)
+            observed = gen_observation_stack(latent, setup, noise_rng)
             if pass_full_input:
-                inputs = observed[c]
+                inputs = observed
             else:
-                inputs = apply_mask(observed[c], indices, noise[c], spec.mode)
-            err = predict(adj, inputs)[:, indices, :] - latent[c, indices, :]
-            residual = observed[c, indices, :] - latent[c, indices, :]
-            values[m, c] = np.sum(err * residual, axis=(1, 2))
-    values = values.ravel()
+                noise = sample_mask_noise((count, k_mask, setup.feature_dim),
+                                          spec, mask_rng)
+                inputs = apply_mask(observed, indices, noise, spec.mode)
+            err = predict(adj, inputs)[:, indices, :] - latent[:, indices, :]
+            residual = observed[:, indices, :] - latent[:, indices, :]
+            values[start + c.start:start + c.stop] = np.sum(err * residual,
+                                                            axis=(1, 2))
     se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return InnerProductEstimate(mean=float(values.mean()), se=se,
                                 n_samples=len(values))

@@ -319,6 +319,21 @@ class TestTheorem1:
             estimate_theorem1(identity_predictor(), setup, n_mc=8,
                               mask_draws=0, rng=np.random.default_rng(0))
 
+    def test_successive_estimates_draw_fresh_data(self):
+        # each estimate spawns its streams from the rng it is given, which
+        # advances the rng's spawn counter: the records of one trial must
+        # not share their draws
+        setup = small_setup()
+        rng = np.random.default_rng(16)
+        first, second = (estimate_theorem1(identity_predictor(), setup,
+                                           n_mc=64, mask_draws=2, rng=rng)
+                         for _ in range(2))
+        assert first != second
+        assert first.lhs_mean != second.lhs_mean
+        assert first == estimate_theorem1(identity_predictor(), setup,
+                                          n_mc=64, mask_draws=2,
+                                          rng=np.random.default_rng(16))
+
 
 class TestCorollaries:
     def test_random_network_node_level(self):
@@ -450,12 +465,19 @@ class TestBlindInnerProduct:
             check_dae_inner_product(identity_predictor(), setup, n_mc=8,
                                     mask_draws=0, rng=np.random.default_rng(0))
 
+    def test_every_draw_is_used(self):
+        # 100 draws over 8 mask draws: four score 12 draws and four score 13
+        est = check_dae_inner_product(identity_predictor(), small_setup(),
+                                      n_mc=100, mask_draws=8,
+                                      rng=np.random.default_rng(0))
+        assert est.n_samples == 100
+
 
 class TestStreams:
-    """The estimators draw noise one chunk at a time, and their records do
-    not depend on the chunk size because of this: drawn in chunks of 64, 64
-    and 2 draws from one Generator, noise equals one whole draw bit for bit
-    and leaves the same state."""
+    """The estimators read each of their streams one chunk at a time, and
+    their records do not depend on the chunk size because of this: drawn in
+    chunks of 64, 64 and 2 draws from one Generator, noise equals one whole
+    draw bit for bit and leaves the same state."""
 
     BOUNDS = (0, 64, 128, 130)
 
@@ -475,6 +497,11 @@ class TestStreams:
         spec = MaskSpec(ratio=0.25, noise_sd=0.5, mode=mode)
         self._chunked_equals_whole(lambda span, rng: sample_mask_noise(
             (span.stop - span.start, 3, 5), spec, rng))
+
+    def test_latent_stack(self):
+        setup = small_setup()
+        self._chunked_equals_whole(lambda span, rng: gen_latent_stack(
+            setup, rng, span.stop - span.start))
 
     @pytest.mark.parametrize("noise_sd", [0.1, 0.0])
     def test_observation_noise(self, noise_sd):
@@ -511,20 +538,27 @@ class TestChunking:
         assert spans == [(0, 64), (64, 128), (128, 130)]
 
     def test_predictor_sees_one_chunk_at_a_time(self, monkeypatch):
-        sizes = []
+        runs = []
         identity = identity_predictor()
 
         def spy(adj, x_stack):
-            sizes.append(len(x_stack))
+            runs[-1].append(len(x_stack))
             return identity(adj, x_stack)
 
-        chunked, whole = self._both(monkeypatch, lambda: estimate_theorem1(
-            spy, self._setup(), n_mc=self.N_MC, mask_draws=2,
-            rng=np.random.default_rng(40)))
+        def run():
+            runs.append([])
+            return estimate_theorem1(spy, self._setup(), n_mc=self.N_MC,
+                                     mask_draws=2,
+                                     rng=np.random.default_rng(40))
+
+        chunked, whole = self._both(monkeypatch, run)
         assert chunked == whole
-        # three chunks for the clean stack and per mask draw, then one call
-        # each for the reference
-        assert sizes == [64, 64, 2] * 3 + [self.N_MC] * 3
+        chunked_sizes, whole_sizes = runs
+        assert max(chunked_sizes) <= bounds._CHUNK_SAMPLES
+        # per chunk one clean call and one per mask draw; the reference
+        # makes the same three calls on one chunk of every draw
+        assert sorted(chunked_sizes) == [2] * 3 + [64] * 6
+        assert whole_sizes == [self.N_MC] * 3
 
     @pytest.mark.parametrize("regime", ["gcn", "gin", "identity", "constant"])
     def test_theorem1_is_bit_identical(self, monkeypatch, regime):
@@ -574,14 +608,17 @@ class TestChunking:
 
 
 class TestWorkingSet:
-    """At n=32, d=8, hidden 8 and 2048 draws one (n_mc, n, d) stack is
-    4 MiB. Running the predictor on the whole stack at once peaked at about
-    33 MiB of traced allocations for corollary1 and 25 MiB for the dae check.
-    By chunks, the bound estimates hold the observed stack and the clean map
-    plus one chunk's work (2.2-2.3 stacks), and the dae check holds its
-    drawn stacks plus one chunk's work."""
+    """At n=32, d=8 and hidden 8 one (n_mc, n, d) stack of 2048 draws is
+    4 MiB. An estimate holds one chunk's work plus the per-draw scalars,
+    so its traced peak stays well under one stack, and four times the draws
+    add only the scalars: the per-draw statistics, the gap columns and the
+    delta method's copies, a few float64 each (a whole stack would add 256
+    per draw)."""
 
     N_MC = 2048
+    STACK = N_MC * 32 * 8 * 8
+    # bytes that one more draw may add to the peak: 16 float64 scalars
+    PER_DRAW = 16 * 8
 
     @staticmethod
     def _traced_peak(run):
@@ -593,28 +630,30 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    def _check(self, run, stacks):
+    def _check(self, run):
         setup = SyntheticSetup(num_nodes=32, feature_dim=8, edge_prob=0.4,
                                noise_sd=0.1, mask_ratio=0.25,
                                mask_noise_sd=0.5)
         predictor = make_random_predictor(8, 8, 2, 2, "gcn",
                                           np.random.default_rng(50))
-        stack = self.N_MC * 32 * 8 * 8
-        peak = self._traced_peak(lambda: run(predictor, setup))
-        assert peak < stacks * stack, (
-            f"peak {peak / 2**20:.1f} MiB, stack {stack / 2**20:.1f} MiB")
+        small, large = (self._traced_peak(lambda: run(predictor, setup, n_mc))
+                        for n_mc in (self.N_MC, 4 * self.N_MC))
+        assert small < self.STACK / 2, (
+            f"peak {small / 2**20:.2f} MiB, stack {self.STACK / 2**20:.1f} MiB")
+        assert large - small < 3 * self.N_MC * self.PER_DRAW, (
+            f"peak {small / 2**20:.2f} -> {large / 2**20:.2f} MiB")
 
     def test_theorem1_peak(self):
-        self._check(lambda predictor, setup: estimate_theorem1(
-            predictor.predict, setup, n_mc=self.N_MC, mask_draws=2,
-            rng=np.random.default_rng(51)), 2.5)
+        self._check(lambda predictor, setup, n_mc: estimate_theorem1(
+            predictor.predict, setup, n_mc=n_mc, mask_draws=2,
+            rng=np.random.default_rng(51)))
 
     def test_corollary_peak(self):
-        self._check(lambda predictor, setup: estimate_corollary(
-            "node", predictor, setup, n_mc=self.N_MC, mask_draws=2,
-            rng=np.random.default_rng(51)), 2.5)
+        self._check(lambda predictor, setup, n_mc: estimate_corollary(
+            "node", predictor, setup, n_mc=n_mc, mask_draws=2,
+            rng=np.random.default_rng(51)))
 
     def test_dae_check_peak(self):
-        self._check(lambda predictor, setup: check_dae_inner_product(
-            predictor.predict, setup, n_mc=self.N_MC, mask_draws=1,
-            rng=np.random.default_rng(52)), 4)
+        self._check(lambda predictor, setup, n_mc: check_dae_inner_product(
+            predictor.predict, setup, n_mc=n_mc, mask_draws=1,
+            rng=np.random.default_rng(52)))

@@ -1018,6 +1018,17 @@ class TestVerify:
                     if r["which"] == "dae_identity_control"]
         assert all(r["expected"] > 0 for r in controls)
 
+    def test_dae_records_use_every_sample(self, tmp_path, capsys):
+        # 100 samples do not divide into 8 mask draws; none is dropped
+        out = str(tmp_path / "verify")
+        rc = main(["verify", "--out", out, "--suite", "dae", "--trials", "1",
+                   "--samples", "100", "--mask-draws", "8"])
+        assert rc == 0
+        capsys.readouterr()
+        doc = read_json(os.path.join(out, "verification.json"))
+        assert doc["samples"] == 100
+        assert [r["estimate"]["n_samples"] for r in doc["records"]] == [100, 100]
+
     def test_corrupted_multiplier_fails_loudly(self, tmp_path, capsys):
         out = str(tmp_path / "verify")
         rc = main(["verify", "--out", out, "--suite", "theorem1",
