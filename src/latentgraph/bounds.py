@@ -385,7 +385,7 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     )
 
 
-def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, rng=None,
+def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, *, rng,
                       penalty_scale=1.0):
     """Estimate both sides of the output-level bound for a predictor.
 
@@ -393,15 +393,13 @@ def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, rng=None,
     of predictions. `penalty_scale` is a fault-injection hook for the
     verification harness's negative control; leave it at 1.0.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     multiplier = (2.0 * setup.noise_sd * setup.num_nodes) * penalty_scale
     return _estimate_bound("theorem1", predict, predict, multiplier, setup,
                            n_mc, mask_draws, rng)
 
 
-def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8,
-                       rng=None, penalty_scale=1.0):
+def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8, *,
+                       rng, penalty_scale=1.0):
     """Estimate the embedding-level ("node") or readout-level ("graph")
     bound for a StackPredictor.
 
@@ -410,8 +408,6 @@ def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8,
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     ell = lipschitz_upper(predictor.decoder_weights)
 
     if level == "node":
@@ -447,7 +443,7 @@ class InnerProductEstimate:
         return dataclasses.asdict(self)
 
 
-def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, rng=None,
+def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, *, rng,
                             pass_full_input=False):
     """Estimate the correlation between prediction error and observation
     noise on masked rows.
@@ -459,8 +455,6 @@ def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, rng=None,
     identity map the expectation becomes the summed noise variance,
     `dae_identity_expectation(setup)`.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if mask_draws < 1:
         raise ValueError("need at least 1 mask draw")
     if n_mc // mask_draws < 2:

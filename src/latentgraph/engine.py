@@ -22,8 +22,16 @@ a gradient; a released Value is unusable as the input of a later op.
 A walk runs each closure once and then drops it, so a closure may write its
 input gradient over an array nothing else reads (the fused batch norm writes
 it over its normalized activations). A walk that retains the graph runs the
-closures again later; it says so through :func:`_retaining_graph`, and such a
-closure then allocates a fresh gradient.
+closures again later; it says so through ``_RETAINING``, and such a closure
+then allocates a fresh gradient.
+
+Batch normalization is the one op that keeps state, fused with the relu after
+it (:func:`batch_norm`): its forward uses batch statistics in training mode
+and running statistics in eval mode and works in place, and its backward is
+the closed-form expression obtained by differentiating through the relu, mean
+and variance, written over the normalized activations it kept. Its output is
+rebuilt from those when a later matmul needs it, so a layer holds no output
+until backward.
 
 Gradients are summed by one helper, :func:`_accumulate`. A closure that
 hands it a fresh array, one that nothing else holds, says so; the node then
@@ -80,6 +88,7 @@ __all__ = [
     "hadamard",
     "scale",
     "relu",
+    "batch_norm",
     "row_select",
     "sum_squares",
     "mse_per",
@@ -169,7 +178,7 @@ class Value:
 
     ``_recompute`` is ``None``, or, on a recorded node whose data can be
     rebuilt cheaply, a closure that returns that data again, bit for bit
-    (the fused batch norm sets it, and :func:`matmul` for a product of a
+    (:func:`batch_norm` sets it, and :func:`matmul` for a product of a
     constant left operand). :func:`matmul` captures it instead of the data,
     so the data need not live until backward.
 
@@ -217,19 +226,9 @@ def constant(data):
     return Value(data, op="const")
 
 
-def _recording():
-    """Whether ops record parents and backward closures (false under
-    :func:`no_grad`)."""
-    return _RECORDING
-
-
+# Whether the running :func:`backward` walk keeps the graph, so a later walk
+# runs the same backward closures again.
 _RETAINING = False
-
-
-def _retaining_graph():
-    """Whether the running :func:`backward` walk keeps the graph, so a later
-    walk runs the same backward closures again."""
-    return _RETAINING
 
 
 def _accumulate(node, g, fresh=False):
@@ -408,6 +407,147 @@ def relu(a):
     return Value(_rectify(a.data), parents=(a,), backward=_back, op="relu")
 
 
+# Rows per block of batch norm's backward: its temporaries span this many
+# rows, whatever the batch size.
+_BN_BLOCK_ROWS = 512
+
+# Batch norm's running-stat momentum and the floor added to its variance.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
+def _affine_relu(xhat, gamma, beta, out):
+    """``relu(xhat * gamma + beta)`` written to ``out``: the fused batch
+    norm's output, by the same float ops in its forward and its recompute."""
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return _rectify(out, out=out)
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training,
+               overwrite_x=False):
+    """Column-wise batch normalization with affine scale and shift, followed
+    by relu: ``relu(gamma * xhat + beta)`` as one op.
+
+    Training mode normalizes with the batch mean and biased batch variance and
+    folds them into the running stats in place; eval mode normalizes with the
+    running stats only. ``gamma`` and ``beta`` are 1 x q Values.
+
+    The forward makes one centred copy of ``x``, which becomes ``xhat`` in
+    place, and one output array, which first serves as the variance's
+    scratch; in eval mode under :func:`no_grad` the copy is the
+    output. With ``overwrite_x`` the centring happens in ``x.data`` itself,
+    so no copy is made: only for an ``x`` that nothing reads afterwards.
+    The backward keeps ``xhat`` and 1 x q rows only: each of its two passes
+    over the rows recomputes the relu mask from them with the forward's own
+    float ops, and it writes the input gradient over ``xhat``, which nothing
+    reads afterwards, so it allocates temporaries of ``_BN_BLOCK_ROWS`` rows
+    only. In a walk that retains the graph, or when the gradient's dtype is
+    not ``xhat``'s, it allocates the input gradient instead. The output is
+    not kept for backward either: its ``_recompute`` closure rebuilds it
+    from ``xhat`` with the same ops, for a :func:`matmul` that reads
+    it, whose backward runs before this one.
+
+    When ``overwrite_x`` is set and ``x`` has a ``_recompute`` closure, not
+    even ``xhat`` is kept: only the 1 x q ``mu`` and ``inv``. The backward
+    and the output's ``_recompute`` each rebuild ``xhat = (x - mu) * inv``
+    from a recomputed ``x``, with the forward's float ops, into an array of
+    their own: the backward writes the input gradient over it, also in a
+    walk that retains the graph, and the recompute writes the output over it.
+    """
+    data, gamma_data, beta_data = x.data, gamma.data, beta.data
+    n = data.shape[0]
+    # the running mean is copied: a rebuild must see the forward's mu
+    mu = data.mean(axis=0, keepdims=True) if training else running_mean.copy()
+    in_place = overwrite_x and np.result_type(data, mu) == data.dtype
+    xhat = np.subtract(data, mu, out=data if in_place else None)
+    dtype = np.result_type(xhat, gamma_data, beta_data)
+    if training or _RECORDING or xhat.dtype != dtype:
+        out = np.empty(xhat.shape, dtype)
+    else:
+        out = xhat  # no backward will read xhat
+    if training:
+        # np.var's steps on the centred copy, so the same bits
+        var = np.square(xhat, out=out).sum(axis=0, keepdims=True)
+        var /= n
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
+    else:
+        var = running_var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv
+    _affine_relu(xhat, gamma_data, beta_data, out)
+    # a private input that can be recomputed is not held: xhat is rebuilt
+    # from it, with the forward's float ops, into an array of its own
+    rebuild_x = x._recompute if overwrite_x else None
+    held = xhat if rebuild_x is None else None
+
+    def normalized():
+        if rebuild_x is None:
+            return held
+        xhat = rebuild_x()
+        xhat = np.subtract(xhat, mu, out=xhat if in_place else None)
+        xhat *= inv
+        return xhat
+
+    def _back(g):
+        xhat = normalized()
+        blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
+        grad_dtype = np.result_type(g, dtype)
+        # nothing reads xhat after this closure, so dx is written over it,
+        # block by block once each block is read, unless a retained graph
+        # runs the closure again on the held one
+        if xhat.dtype == grad_dtype and (held is None or not _RETAINING):
+            dx = xhat
+        else:
+            dx = np.empty(xhat.shape, grad_dtype)
+        dgamma = np.zeros((1, dx.shape[1]), dx.dtype)
+        dbeta = np.zeros_like(dgamma)
+        scale = gamma_data * inv
+        masked = np.empty((min(n, _BN_BLOCK_ROWS), dx.shape[1]), dx.dtype)
+
+        def masked_grad(rows, out):
+            # g times the forward's relu mask, rebuilt with the forward's
+            # float ops
+            pre = np.multiply(xhat[rows], gamma_data)
+            pre += beta_data
+            return np.multiply(g[rows], pre > 0.0, out=out)
+
+        for rows in blocks:
+            xb = xhat[rows]
+            gb = masked_grad(rows, masked[:xb.shape[0]])
+            dbeta += gb.sum(axis=0, keepdims=True)
+            dgamma += (gb * xb).sum(axis=0, keepdims=True)
+            if not training:
+                np.multiply(gb, scale, out=dx[rows])
+        if training:
+            # dx = gamma * inv * (gb - mean(gb) - xhat * mean(gb * xhat))
+            mean_g, mean_gx = dbeta / n, dgamma / n
+            for rows in blocks:
+                shift = xhat[rows] * mean_gx
+                gb = masked_grad(rows, dx[rows])
+                gb -= mean_g
+                gb -= shift
+                gb *= scale
+        _accumulate(gamma, dgamma, fresh=True)
+        _accumulate(beta, dbeta, fresh=True)
+        _accumulate(x, dx, fresh=True)
+
+    def _rebuild_out():
+        xhat = normalized()
+        # a rebuilt xhat is private, so the output is written over it
+        private = held is None and xhat.dtype == dtype
+        return _affine_relu(xhat, gamma_data, beta_data,
+                            xhat if private else np.empty(xhat.shape, dtype))
+
+    y = Value(out, parents=(x, gamma, beta), backward=_back, op="batch_norm")
+    if _RECORDING:
+        y._recompute = _rebuild_out
+    return y
+
+
 def row_select(h, indices):
     """Gather rows of ``h`` in the given order; gradient scatters back."""
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
@@ -554,7 +694,7 @@ def backward(loss, retain_graph=False):
     is freed during the walk and a second backward needs a fresh forward
     pass; a closure may then write a gradient over an array only it
     captured. With ``retain_graph`` interior gradients are kept and returned
-    as well, closures see :func:`_retaining_graph` true and leave what they
+    as well, closures see ``_RETAINING`` true and leave what they
     captured intact, and a second backward over the same graph returns the
     same gradients.
 

@@ -128,7 +128,7 @@ def _check_class_ids(labels, caller):
                          "nonnegative integers")
 
 
-def logreg_fit(reprs, labels, epochs=PROBE_EPOCHS, rng=None):
+def logreg_fit(reprs, labels, epochs=PROBE_EPOCHS, *, rng):
     """Full-batch softmax regression trained with Adam at step size
     ``PROBE_LR``, unregularised.
 
@@ -145,8 +145,6 @@ def logreg_fit(reprs, labels, epochs=PROBE_EPOCHS, rng=None):
     _check_class_ids(labels, "logreg_fit")
     if epochs < 1:
         raise ValueError(f"logreg_fit: epochs must be at least 1, got {epochs}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     out_dim = int(labels.max()) + 1
     targets = np.eye(out_dim)[labels]

@@ -278,7 +278,7 @@ def parse_tudataset(directory, dataset_name):
     Edges are 1-indexed ``u, v`` pairs; the indicator file assigns each node to
     a graph; node labels (when present) become one-hot features. Graph labels
     are remapped to contiguous ids sorted by original value. Edges crossing
-    graph boundaries are rejected.
+    graph boundaries, and a corpus of no graphs, are rejected.
     """
     prefix = os.path.join(directory, dataset_name, dataset_name)
     if not os.path.exists(prefix + "_A.txt"):
@@ -293,6 +293,8 @@ def parse_tudataset(directory, dataset_name):
     indicator = _read_ints(indicator_path, "graph_indicator")
     total_nodes = len(indicator)
     graph_ids, graph_pos = _sorted_unique(indicator, return_inverse=True)
+    if not len(graph_ids):
+        raise ValueError(f"graph_indicator assigns no node to a graph: {indicator_path}")
     classes, graph_labels = _sorted_unique(_read_ints(labels_path, "graph_labels"),
                                            return_inverse=True)
     if len(graph_labels) != len(graph_ids):

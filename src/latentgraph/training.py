@@ -269,6 +269,8 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
         if isinstance(data, Graph):
             raise TypeError("graph-level training expects a GraphDataset")
         step_batches = len(data)
+        if not step_batches:
+            raise ValueError("graph-level training needs at least one graph")
 
     history = []
     for epoch in range(config.epochs):

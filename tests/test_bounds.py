@@ -403,7 +403,8 @@ class TestCorollaries:
                             lambda which, predict, gap_map, multiplier, *rest:
                             seen.setdefault(which, multiplier))
         for level in ("node", "graph"):
-            estimate_corollary(level, predictor, setup, penalty_scale=0.5)
+            estimate_corollary(level, predictor, setup, penalty_scale=0.5,
+                               rng=np.random.default_rng(0))
         ell = lipschitz_upper(predictor.decoder_weights)
         assert seen["corollary1"] == pytest.approx(2 * 0.2 * 16 * ell * 0.5,
                                                    rel=1e-12)

@@ -414,6 +414,22 @@ class TestTrain:
         assert err == ["error: --subgraph-nodes 151 exceeds the graph's 150 nodes"]
         assert not out.exists()
 
+    def test_corpus_of_no_graphs_is_an_error(self, tmp_path, capsys):
+        corpus = tmp_path / "EMPTY"
+        corpus.mkdir()
+        for kind in ("A", "graph_indicator", "graph_labels"):
+            (corpus / f"EMPTY_{kind}.txt").write_text("")
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(corpus), "--out", str(out),
+                   "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot load graph dataset at ")
+        assert err[0].endswith("graph_indicator assigns no node to a graph: "
+                               f"{corpus / 'EMPTY_graph_indicator.txt'}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_ce_variant_on_features_that_are_not_distributions(
             self, corpus, tmp_path, capsys, command):
@@ -1343,7 +1359,7 @@ class TestMaskedArrayImport:
                 "rng = np.random.default_rng(0)\n"
                 "x, y = rng.normal(size=(12, 3)), np.arange(12) % 3\n"
                 "linsvm_kfold(x, y, folds=2)\n"
-                "logreg_fit(x, y, epochs=2)\n"
+                "logreg_fit(x, y, epochs=2, rng=rng)\n"
                 "print('numpy.ma' in sys.modules, 'scipy.sparse' in sys.modules)\n")
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

@@ -2,8 +2,10 @@
 checks for every operation, DAG accumulation within one backward (and none
 across calls), and the strict deterministic matrix product."""
 
+import ast
 import gc
 import os
+import pathlib
 import subprocess
 import sys
 import weakref
@@ -19,6 +21,7 @@ from latentgraph.engine import (
     add,
     add_row,
     backward,
+    batch_norm,
     constant,
     grad_check,
     hadamard,
@@ -891,9 +894,7 @@ class TestStrictDeterminism:
 
 class TestNoGrad:
     def all_ops(self, rng):
-        """One result of every engine op plus batch norm, in both modes."""
-        from latentgraph.models import batch_norm
-
+        """One result of every engine op, in both modes."""
         a, b = rand_value(rng, 3, 4), rand_value(rng, 3, 4)
         w, row = rand_value(rng, 4, 2), rand_value(rng, 1, 4)
         s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
@@ -978,7 +979,6 @@ class TestRelease:
             np.testing.assert_array_equal(kept, released)
 
     def test_every_op_backward_ignores_released_inputs(self):
-        from latentgraph.models import batch_norm
         s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
         targets = np.full((3, 4), 0.25)
         ops = {
@@ -1087,8 +1087,6 @@ class TestRecompute:
 def _dtype_cases():
     """Per op: a builder taking (leaf maker, dtype) that returns the op's
     output and the leaves it should send a gradient to."""
-    from latentgraph.models import batch_norm
-
     s = SparseMatrix.from_dense(np.array([[1.0, 0, 2], [0, 0, 1], [3, 0, 0]]))
     one_hot = np.eye(4)[[0, 3, 1]]  # float64 targets whatever the logits
 
@@ -1165,7 +1163,7 @@ class TestDtypes:
 
     def test_every_op_has_a_case(self):
         ops = {name.split("-")[0] for name in DTYPE_CASES}
-        assert ops == set(engine.__all__) - NOT_OPS | {"batch_norm"}
+        assert ops == set(engine.__all__) - NOT_OPS
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(DTYPE_CASES))
@@ -1219,3 +1217,25 @@ class TestDtypes:
             assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
         # a float64 operand promotes the product, as numpy would
         assert s.matmat(d.astype(np.float64)).dtype == np.float64
+
+
+def test_no_module_uses_an_engine_private():
+    """The engine's protocol (``_accumulate``, the recording flags, ...) stays
+    inside it: every other module imports or reads public engine names only."""
+    package = pathlib.Path(engine.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level, node.module) in ((1, "engine"), (0, "latentgraph.engine"))):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "engine"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_")]
+    assert found == []

@@ -143,14 +143,15 @@ class TestLogreg:
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="finite"):
-            logreg_fit(np.array([[np.inf]]), np.array([0]))
+            logreg_fit(np.array([[np.inf]]), np.array([0]), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="mismatch"):
-            logreg_fit(np.zeros((3, 2)), np.array([0, 1]))
+            logreg_fit(np.zeros((3, 2)), np.array([0, 1]), rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("epochs", [0, -5])
     def test_needs_at_least_one_epoch(self, epochs):
         with pytest.raises(ValueError, match="epochs must be at least 1"):
-            logreg_fit(np.zeros((3, 2)), np.array([0, 1, 1]), epochs=epochs)
+            logreg_fit(np.zeros((3, 2)), np.array([0, 1, 1]), epochs=epochs,
+                       rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("labels", [
         np.array([[1, 0], [0, 1], [1, 1]]),  # a multi-label indicator matrix
@@ -159,7 +160,7 @@ class TestLogreg:
     ])
     def test_labels_must_be_single_label_class_ids(self, labels):
         with pytest.raises(ValueError, match="1-D vector of nonnegative integers"):
-            logreg_fit(np.zeros((3, 2)), labels)
+            logreg_fit(np.zeros((3, 2)), labels, rng=np.random.default_rng(0))
 
 
 class TestStratifiedFolds:

@@ -106,6 +106,11 @@ class TestTUDatasetParser:
         with pytest.raises(FileNotFoundError):
             parse_tudataset(str(tmp_path), "TOY")
 
+    def test_corpus_of_no_graphs_rejected(self, tmp_path):
+        root = write_tud(tmp_path, "TOY", "", "", "")
+        with pytest.raises(ValueError, match="no node to a graph"):
+            parse_tudataset(str(root), "TOY")
+
     def test_non_integer_token_rejected(self, tmp_path):
         root = write_tud(tmp_path, "TOY", "1, x\n", "1\n1\n", "1\n")
         with pytest.raises(ValueError, match="non-integer"):

@@ -591,6 +591,12 @@ class TestTrainLoop:
         with pytest.raises(TypeError, match="GraphDataset"):
             train(model, graph, tiny_config(epochs=1))
 
+    def test_empty_corpus_is_refused(self):
+        data = graphs.GraphDataset([], num_classes=1, feature_dim=3)
+        model = build_model("graph", "gin", 3, 4, 1, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one graph"):
+            train(model, data, tiny_config(epochs=1))
+
 
 class TestCheckpoints:
     def build(self, seed=0):
