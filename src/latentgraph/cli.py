@@ -10,7 +10,8 @@ reproduces outputs bit for bit.
 
 Exit codes: 0 on success, 1 when a verification suite finds a hard failure,
 2 for configuration or usage errors, including a training run stopped by a
-non-finite loss, gradient or update.
+non-finite loss, gradient or update, and a verify run stopped by a record
+that is not finite.
 """
 
 import argparse
@@ -157,11 +158,14 @@ def _clock():
     return utc.strftime("%Y-%m-%dT%H:%M:%SZ"), time.monotonic()
 
 
+# how every JSON document the commands write is encoded
+_JSON_FORMAT = {"indent": 2, "sort_keys": True, "allow_nan": False}
+
+
 def _write_json(path, doc):
     """Write `doc` atomically; a NaN or infinity in it raises ValueError,
     since JSON has no token for either, and leaves any earlier file."""
-    write_atomic(path, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True,
-                                            allow_nan=False))
+    write_atomic(path, lambda fh: json.dump(doc, fh, **_JSON_FORMAT))
 
 
 def _derive_seed(base, index):
@@ -553,6 +557,64 @@ def _inner_product_record(trial, which, estimate, expected):
     }
 
 
+def _describe(record):
+    """A record's trial, check and predictor, and its estimate."""
+    detail = record.get("predictor", record["kind"])
+    return (f"trial {record['trial']} {record['which']} ({detail}): "
+            f"{json.dumps(record['estimate'], sort_keys=True)}")
+
+
+class _RecordSpool:
+    """A verify run's records, encoded as they are made.
+
+    Each record's JSON text goes to `fh`, an unlinked file, as _write_json
+    would lay it out two levels deep, in the document's "records" list. Only
+    the count of passed records and the failed records stay in memory, so a
+    run's peak does not grow with its trials.
+    """
+
+    # line breaks indented as the document's keys are, and as its records are
+    KEY_BREAK = "\n" + " " * _JSON_FORMAT["indent"]
+    RECORD_BREAK = KEY_BREAK + " " * _JSON_FORMAT["indent"]
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.passed = 0
+        self.failed = []
+
+    def add(self, record):
+        """Spool `record`; one holding a NaN or infinity is a CliError."""
+        try:
+            text = json.dumps(record, **_JSON_FORMAT)
+        except ValueError as exc:
+            raise CliError(f"a value is not finite, and JSON cannot encode "
+                           f"it, in {_describe(record)}") from exc
+        # JSON escapes a newline inside a string, so each one here starts a
+        # line that the nesting indents by two levels
+        self.fh.write(("," if self.passed or self.failed else "")
+                      + self.RECORD_BREAK
+                      + text.replace("\n", self.RECORD_BREAK))
+        if record["passed"]:
+            self.passed += 1
+        else:
+            self.failed.append(record)
+
+    def write(self, path, doc):
+        """Write `doc` plus these records as its "records" list to `path`,
+        atomically and byte for byte as _write_json would write the whole."""
+        # JSON escapes a quote inside a string, so this marker can only be
+        # the key itself
+        head, tail = json.dumps({**doc, "records": []},
+                                **_JSON_FORMAT).split('"records": []')
+
+        def dump(fh):
+            fh.write(head + '"records": [')
+            self.fh.seek(0)
+            shutil.copyfileobj(self.fh, fh)
+            fh.write(self.KEY_BREAK + "]" + tail)
+        write_atomic(path, dump)
+
+
 def cmd_verify(args, argv):
     _require_at_least(args, trials=1, samples=2, mask_draws=1, seed=0)
     scale = args.corrupt_multiplier
@@ -566,80 +628,80 @@ def cmd_verify(args, argv):
             f"got {args.samples} samples for {args.mask_draws} mask draws")
 
     started = _clock()
-    records = []
-    for trial in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial]))
-        setup = _trial_setup(rng)
-        kind = "gin" if trial % 2 else "gcn"
-        predictor = make_random_predictor(setup.feature_dim, 8, 2, 2, kind,
-                                          rng)
-        mc = dict(n_mc=args.samples, mask_draws=args.mask_draws, rng=rng)
-        if args.suite in ("theorem1", "all"):
-            # three regimes: a random network, the identity map (where the
-            # penalty term is what keeps the bound true), and a constant
-            # (where the bound collapses to an equality)
-            target = np.zeros((setup.num_nodes, setup.feature_dim))
-            for name, predict, criterion in (
-                    ("random-gnn", predictor.predict, "lower"),
-                    ("identity", identity_predictor(), "lower"),
-                    ("constant", constant_predictor(target), "equality")):
-                est = estimate_theorem1(predict, setup, penalty_scale=scale,
-                                        **mc)
-                records.append(_bound_record(trial, est, name, criterion))
-        if args.suite in ("corollaries", "all"):
-            # relu passthrough on an edgeless graph correlates predictions
-            # with the observation noise, so these records genuinely need
-            # the penalty term
-            eye = np.eye(setup.feature_dim)
-            stress_setup = dataclasses.replace(
-                setup, graph_model="fixed",
-                adjacency=np.zeros((setup.num_nodes, setup.num_nodes)))
-            for name, network, network_setup in (
-                    ("random-gnn", predictor, setup),
-                    ("relu-passthrough", StackPredictor("gin", [eye], [eye]),
-                     stress_setup)):
-                for level in ("node", "graph"):
-                    est = estimate_corollary(level, network, network_setup,
-                                             penalty_scale=scale, **mc)
-                    records.append(_bound_record(trial, est, name, "lower"))
-        if run_dae:
-            blind_setup = dataclasses.replace(setup, mask_mode="zeros")
-            for which, predict, leaky, expected in (
-                    ("dae_blind", predictor.predict, False, 0.0),
-                    ("dae_identity_control", identity_predictor(), True,
-                     dae_identity_expectation(blind_setup))):
-                est = check_dae_inner_product(predict, blind_setup,
-                                              pass_full_input=leaky, **mc)
-                records.append(_inner_product_record(trial, which, est,
-                                                     expected))
+    os.makedirs(args.out, exist_ok=True)
+    # in --out, not in a temporary directory that may be held in memory
+    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=args.out) as fh:
+        records = _RecordSpool(fh)
+        for trial in range(args.trials):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([args.seed, trial]))
+            setup = _trial_setup(rng)
+            kind = "gin" if trial % 2 else "gcn"
+            predictor = make_random_predictor(setup.feature_dim, 8, 2, 2,
+                                              kind, rng)
+            mc = dict(n_mc=args.samples, mask_draws=args.mask_draws, rng=rng)
+            if args.suite in ("theorem1", "all"):
+                # three regimes: a random network, the identity map (where
+                # the penalty term is what keeps the bound true), and a
+                # constant (where the bound collapses to an equality)
+                target = np.zeros((setup.num_nodes, setup.feature_dim))
+                for name, predict, criterion in (
+                        ("random-gnn", predictor.predict, "lower"),
+                        ("identity", identity_predictor(), "lower"),
+                        ("constant", constant_predictor(target), "equality")):
+                    est = estimate_theorem1(predict, setup,
+                                            penalty_scale=scale, **mc)
+                    records.add(_bound_record(trial, est, name, criterion))
+            if args.suite in ("corollaries", "all"):
+                # relu passthrough on an edgeless graph correlates
+                # predictions with the observation noise, so these records
+                # genuinely need the penalty term
+                eye = np.eye(setup.feature_dim)
+                stress_setup = dataclasses.replace(
+                    setup, graph_model="fixed",
+                    adjacency=np.zeros((setup.num_nodes, setup.num_nodes)))
+                for name, network, network_setup in (
+                        ("random-gnn", predictor, setup),
+                        ("relu-passthrough",
+                         StackPredictor("gin", [eye], [eye]), stress_setup)):
+                    for level in ("node", "graph"):
+                        est = estimate_corollary(level, network,
+                                                 network_setup,
+                                                 penalty_scale=scale, **mc)
+                        records.add(_bound_record(trial, est, name, "lower"))
+            if run_dae:
+                blind_setup = dataclasses.replace(setup, mask_mode="zeros")
+                for which, predict, leaky, expected in (
+                        ("dae_blind", predictor.predict, False, 0.0),
+                        ("dae_identity_control", identity_predictor(), True,
+                         dae_identity_expectation(blind_setup))):
+                    est = check_dae_inner_product(predict, blind_setup,
+                                                  pass_full_input=leaky, **mc)
+                    records.add(_inner_product_record(trial, which, est,
+                                                      expected))
 
-    failed = sum(1 for record in records if not record["passed"])
-    doc = {
-        "suite": args.suite,
-        "trials": args.trials,
-        "seed": args.seed,
-        "samples": args.samples,
-        "mask_draws": args.mask_draws,
-        "records": records,
-        "passed": len(records) - failed,
-        "failed": failed,
-        "ok": failed == 0,
-    }
+        failed = len(records.failed)
+        records.write(os.path.join(args.out, "verification.json"), {
+            "suite": args.suite,
+            "trials": args.trials,
+            "seed": args.seed,
+            "samples": args.samples,
+            "mask_draws": args.mask_draws,
+            "passed": records.passed,
+            "failed": failed,
+            "ok": failed == 0,
+        })
     _write_outputs(
-        args, argv, started, {"verification": doc},
+        args, argv, started, {},
         {"suite": args.suite, "trials": args.trials, "samples": args.samples,
          "mask_draws": args.mask_draws, "penalty_scale": scale},
-        args.seed)
+        args.seed, written={"verification": "verification.json"})
 
-    for record in records:
-        if not record["passed"]:
-            detail = record.get("predictor", record["kind"])
-            print(f"FAIL trial {record['trial']} {record['which']} "
-                  f"({detail}): "
-                  f"{json.dumps(record['estimate'], sort_keys=True)}")
-    print(f"verify suite {args.suite}: {doc['passed']}/{len(records)} "
-          f"checks passed")
-    return 0 if doc["ok"] else 1
+    for record in records.failed:
+        print(f"FAIL {_describe(record)}")
+    print(f"verify suite {args.suite}: {records.passed}/"
+          f"{records.passed + failed} checks passed")
+    return 0 if failed == 0 else 1
 
 
 # ---------------------------------------------------------------------------

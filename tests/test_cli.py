@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import jsonschema
 import numpy as np
@@ -1114,6 +1115,99 @@ class TestVerify:
             blobs.append((out / "verification.json").read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--suite", "all"], 0),
+        (["--suite", "corollaries", "--corrupt-multiplier", "0.1"], 1),
+    ], ids=["all", "control"])
+    def test_report_bytes_and_fail_lines(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "verify"
+        rc = main(["verify", "--out", str(out), "--trials", "2",
+                   "--samples", "64", "--mask-draws", "4", "--seed", "1",
+                   *argv])
+        assert rc == code
+        data = (out / "verification.json").read_bytes()
+        doc = json.loads(data)
+        assert data == (json.dumps(doc, indent=2, sort_keys=True)
+                        + "\n").encode("utf-8")
+        failed = [r for r in doc["records"] if not r["passed"]]
+        assert len(failed) == doc["failed"] and bool(failed) == (code == 1)
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if line.startswith("FAIL")] == [
+            f"FAIL trial {r['trial']} {r['which']} "
+            f"({r.get('predictor', r['kind'])}): "
+            f"{json.dumps(r['estimate'], sort_keys=True)}" for r in failed]
+        assert printed[-1] == (f"verify suite {doc['suite']}: "
+                               f"{doc['passed']}/{len(doc['records'])} "
+                               f"checks passed")
+
+    def test_earlier_records_are_released(self, tmp_path, capsys,
+                                          monkeypatch):
+        """Records are not held until the report is written: when a trial
+        starts, no record of the trials before the previous one is alive."""
+        class Record(dict):
+            """A record that a weak reference can watch."""
+
+        watched = []
+        for name in ("_bound_record", "_inner_product_record"):
+            def watch(trial, *args, make=getattr(cli, name)):
+                record = Record(make(trial, *args))
+                watched.append((trial, weakref.ref(record)))
+                return record
+            monkeypatch.setattr(cli, name, watch)
+
+        make_predictor, started = cli.make_random_predictor, []
+
+        def start_trial(*args, **kwargs):
+            trial = len(started)
+            started.append(trial)
+            assert [t for t, ref in watched
+                    if t < trial - 1 and ref() is not None] == []
+            return make_predictor(*args, **kwargs)
+        monkeypatch.setattr(cli, "make_random_predictor", start_trial)
+
+        rc = main(["verify", "--out", str(tmp_path / "verify"), "--suite",
+                   "all", "--trials", "4", "--samples", "64",
+                   "--mask-draws", "2", "--seed", "0"])
+        assert rc == 0  # none fails, so none is kept for a FAIL line
+        capsys.readouterr()
+        assert started == [0, 1, 2, 3]
+        assert len(watched) == 4 * 9
+
+    def test_non_finite_record_is_a_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """JSON has no token for NaN: the record is named, with exit 2 (1
+        would mean a failed bound), and an earlier report stays."""
+        out = tmp_path / "verify"
+        argv = ["verify", "--out", str(out), "--suite", "theorem1",
+                "--trials", "2", "--samples", "64", "--mask-draws", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = {name: (out / name).read_bytes()
+                  for name in os.listdir(out)}
+
+        estimate, calls = cli.estimate_theorem1, []
+
+        def nan_slack(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            if len(calls) == 4:  # trial 1's identity record
+                est = dataclasses.replace(est, slack=float("nan"))
+            calls.append(est)
+            return est
+        monkeypatch.setattr(cli, "estimate_theorem1", nan_slack)
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: a value is not finite, and JSON "
+                                 "cannot encode it, in trial 1 theorem1 "
+                                 "(identity): {")
+        assert '"slack": NaN' in err[0]
+        assert len(calls) == 5  # the run stopped at that record
+        assert {name: (out / name).read_bytes()
+                for name in os.listdir(out)} == before
 
 
 # a small run of each command at each level, and a value per level flag
