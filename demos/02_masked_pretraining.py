@@ -21,7 +21,7 @@ def main():
     dataset = make_blob_dataset(num_graphs=60, num_classes=2, rng=rng)
     print(f"corpus: {len(dataset.graphs)} graphs, "
           f"{dataset.feature_dim} features, "
-          f"{dataset.num_classes} classes")
+          f"{len(np.unique(dataset.labels()))} classes")
 
     config = TrainConfig(level="graph", encoder="gin", hidden_dim=16,
                          encoder_layers=2, decoder_layers=1, variant="mse-embed",

@@ -32,18 +32,24 @@ masked entries. Estimates carry delta-method standard errors; the slack of
 each bound is required to clear -2 combined SE, and equalities to sit within
 3 SE.
 
+theorem1 as stated fails outside the scenarios `lagraph verify` draws
+(d sigma^2 < 1 + sigma^2, mask noise sd s > sigma sqrt(d)). For the identity
+at |V| = 16, mask ratio 0.25 and 2048 x 8 draws (seed 0), `estimate_theorem1`
+reads slack -13.6 +- 0.18 with rows replaced ("zeros"), d = 8, sigma = 0.5,
+and -1.66 +- 0.007 with additive masks at d = 8, sigma = 0.1, s = 0.1.
+
 An estimate draws its adjacency from the rng it is given, then spawns
 independent child Generators from it (`Generator.spawn`), one per stream:
 the latent features, their observation noise, and each mask draw (its
 indices, then its noise) in the bound estimates; the latent features, the
 observation noise and the masks in the dae check. It then walks the draws in
 chunks of 64 (`_CHUNK_SAMPLES`): each chunk draws its rows from every
-stream, runs the predictor and the gap maps, and reduces to per-draw
-scalars before the next chunk starts. Every stream is read front to back and
-every per-draw statistic reads only its own draw, so the estimates do not
-depend on the chunk size, bit for bit, and peak memory holds one chunk's
-work plus the per-draw scalars, whatever the number of draws or the
-predictor's depth. Spawning advances the parent's spawn counter, so
+stream, encodes its clean draws once and each corrupted copy once, and
+reduces to per-draw scalars before the next chunk starts. Every stream is
+read front to back and every per-draw statistic reads only its own draw, so
+the estimates do not depend on the chunk size, bit for bit, and peak memory
+holds one chunk's work plus the per-draw scalars, whatever the number of
+draws or the predictor's depth. Spawning advances the parent's spawn counter, so
 successive estimates on one rng draw fresh data.
 """
 
@@ -63,21 +69,19 @@ from .objectives import (
     sample_mask_noise,
 )
 
-_GRAPH_MODELS = ("er", "fixed")
-
 
 @dataclass(frozen=True)
 class SyntheticSetup:
     """Generator configuration for one verification scenario.
 
-    The latent features are standard normal. noise_sd is also the sigma in
-    the bounds' multipliers: the generator's own noise sd is the tightest
-    bound on it.
+    A given `adjacency` is the fixed graph of every draw; None draws an
+    Erdos-Renyi graph with edge probability `edge_prob`. The latent features
+    are standard normal. noise_sd is also the sigma in the bounds'
+    multipliers: the generator's own noise sd is the tightest bound on it.
     """
 
     num_nodes: int = 16
     feature_dim: int = 4
-    graph_model: str = "er"
     edge_prob: float = 0.3
     adjacency: object = None
     noise_sd: float = 0.1
@@ -90,12 +94,8 @@ class SyntheticSetup:
             raise ValueError("num_nodes must be at least 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
-        if self.graph_model not in _GRAPH_MODELS:
-            raise ValueError(f"graph_model must be one of {_GRAPH_MODELS}")
-        if self.graph_model == "er" and not 0.0 <= self.edge_prob <= 1.0:
+        if self.adjacency is None and not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0, 1]")
-        if self.graph_model == "fixed" and self.adjacency is None:
-            raise ValueError("fixed graph_model needs an adjacency")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         # MaskSpec rejects a bad mask_ratio, mask_noise_sd or mask_mode
@@ -114,7 +114,7 @@ class SyntheticSetup:
 def gen_adjacency(setup, rng):
     """Dense symmetric 0/1 adjacency with an empty diagonal."""
     n = setup.num_nodes
-    if setup.graph_model == "fixed":
+    if setup.adjacency is not None:
         adj = np.asarray(setup.adjacency, dtype=float)
         if adj.shape != (n, n):
             raise ValueError(f"fixed adjacency shape {adj.shape} != ({n}, {n})")
@@ -279,8 +279,6 @@ def _delta_se(columns, grad):
     """SE of grad . column_means via the sample covariance of the columns."""
     columns = np.asarray(columns, dtype=float)
     n = columns.shape[0]
-    if n < 2:
-        return 0.0
     cov = np.atleast_2d(np.cov(columns, rowvar=False, ddof=1))
     grad = np.asarray(grad, dtype=float)
     return float(np.sqrt(max(grad @ cov @ grad, 0.0) / n))
@@ -308,15 +306,21 @@ def _chunks(count):
             for start in range(0, count, _CHUNK_SAMPLES)]
 
 
-def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
-                    mask_draws, rng):
-    """Shared Monte-Carlo core.
+def _unchanged(stack):
+    return stack
 
-    predict: (adj, x_stack) -> prediction stack, the f whose reconstruction
-        errors form both sides of the bound.
-    gap_map: (adj, x_stack) -> the stack whose clean-vs-corrupted
-        disagreement (see `_gap`) forms the invariance gap: `predict`
-        itself, an embedding, or a pooled readout.
+
+def _estimate_bound(which, multiplier, setup, n_mc, mask_draws, rng, *,
+                    encode, decode=_unchanged, view=_unchanged):
+    """Shared Monte-Carlo core, over a network given as its stages.
+
+    encode: (adj, x_stack) -> the stack whose clean-vs-corrupted
+        disagreement forms the invariance gap: the whole predictor, or an
+        embedding.
+    decode: clean encoding -> the prediction f whose reconstruction errors
+        form both sides of the bound.
+    view: encoding -> what the gap (see `_gap`) is taken on, such as a
+        pooled readout.
     multiplier: the constant in front of E_J[sqrt(gap / |J|)].
     """
     if n_mc < 2:
@@ -338,19 +342,20 @@ def _estimate_bound(which, predict, gap_map, multiplier, setup, n_mc,
     for c in _chunks(n_mc):
         latent = gen_latent_stack(setup, latent_rng, c.stop - c.start)
         x = gen_observation_stack(latent, setup, noise_rng)
-        predicted = predict(adj, x)
+        encoded = encode(adj, x)
+        predicted = decode(encoded)
         if predicted.shape != x.shape:
             raise ValueError(f"predictor output shape {predicted.shape} "
                              f"!= {x.shape}")
         recon[c] = np.sum((predicted - x) ** 2, axis=axes)
         to_latent[c] = np.sum((predicted - latent) ** 2, axis=axes)
         noise_energy[c] = np.sum((x - latent) ** 2, axis=axes)
-        clean = predicted if gap_map is predict else gap_map(adj, x)
+        clean = view(encoded)
         for m, (indices, mask_rng) in enumerate(zip(masks, mask_rngs)):
             noise = sample_mask_noise((len(x), k_mask, setup.feature_dim),
                                       spec, mask_rng)
             corrupted = apply_mask(x, indices, noise, spec.mode)
-            gap_columns[c, m] = _gap(clean, gap_map(adj, corrupted),
+            gap_columns[c, m] = _gap(clean, view(encode(adj, corrupted)),
                                      indices) / k_mask
     lhs_draws = to_latent + noise_energy
     cross = recon - lhs_draws  # equals -2 <f - F, X - F> draw by draw
@@ -394,8 +399,8 @@ def estimate_theorem1(predict, setup, n_mc=512, mask_draws=8, *, rng,
     verification harness's negative control; leave it at 1.0.
     """
     multiplier = (2.0 * setup.noise_sd * setup.num_nodes) * penalty_scale
-    return _estimate_bound("theorem1", predict, predict, multiplier, setup,
-                           n_mc, mask_draws, rng)
+    return _estimate_bound("theorem1", multiplier, setup, n_mc, mask_draws,
+                           rng, encode=predict)
 
 
 def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8, *,
@@ -411,20 +416,16 @@ def estimate_corollary(level, predictor, setup, n_mc=512, mask_draws=8, *,
     ell = lipschitz_upper(predictor.decoder_weights)
 
     if level == "node":
-        which = "corollary1"
+        which, view = "corollary1", _unchanged
         multiplier = 2.0 * setup.noise_sd * setup.num_nodes * ell
-        gap_map = predictor.embed
     else:
-        which = "corollary2"
+        which, view = "corollary2", predictor.readout
         k = float(np.sqrt(setup.num_nodes))
         multiplier = 2.0 * setup.noise_sd * setup.num_nodes * k * ell
 
-        def gap_map(adj, x_stack):
-            return predictor.readout(predictor.embed(adj, x_stack))
-
-    return _estimate_bound(which, predictor.predict, gap_map,
-                           multiplier * penalty_scale, setup, n_mc,
-                           mask_draws, rng)
+    return _estimate_bound(which, multiplier * penalty_scale, setup, n_mc,
+                           mask_draws, rng, encode=predictor.embed,
+                           decode=predictor.decode, view=view)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +483,7 @@ def check_dae_inner_product(predict, setup, n_mc=512, mask_draws=8, *, rng,
             residual = observed[:, indices, :] - latent[:, indices, :]
             values[start + c.start:start + c.stop] = np.sum(err * residual,
                                                             axis=(1, 2))
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    se = float(values.std(ddof=1) / np.sqrt(len(values)))
     return InnerProductEstimate(mean=float(values.mean()), se=se,
                                 n_samples=len(values))
 

@@ -658,8 +658,7 @@ def cmd_verify(args, argv):
                 # genuinely need the penalty term
                 eye = np.eye(setup.feature_dim)
                 stress_setup = dataclasses.replace(
-                    setup, graph_model="fixed",
-                    adjacency=np.zeros((setup.num_nodes, setup.num_nodes)))
+                    setup, adjacency=np.zeros((setup.num_nodes, setup.num_nodes)))
                 for name, network, network_setup in (
                         ("random-gnn", predictor, setup),
                         ("relu-passthrough",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Value, add_row, backward, constant, matmul, no_grad, softmax_ce
-from .graphs import _sorted_unique, batch_graphs
+from .graphs import batch_graphs, sorted_unique
 from .models import readout_sum
 from .training import Adam
 
@@ -216,7 +216,7 @@ def stratified_folds(labels, folds, rng):
         raise ValueError(f"need at least 2 folds, got {folds}")
     if labels.shape[0] < folds:
         raise ValueError(f"{labels.shape[0]} samples cannot fill {folds} folds")
-    classes, class_of = _sorted_unique(labels, return_inverse=True)
+    classes, class_of = sorted_unique(labels, return_inverse=True)
     counts = np.bincount(class_of)
     assignments = [[] for _ in range(folds)]
     if counts.min() < folds:

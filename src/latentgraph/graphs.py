@@ -76,17 +76,17 @@ class Graph:
 
 @dataclass
 class GraphDataset:
+    """Graphs that share one feature dimension."""
+
     graphs: list
-    num_classes: int
-    feature_dim: int
-    name: str = ""
 
     def __post_init__(self):
-        for g in self.graphs:
-            if g.feature_dim != self.feature_dim:
-                raise ValueError("all graphs must share one feature dimension")
-            if g.label is not None and not (0 <= g.label < self.num_classes):
-                raise ValueError("graph label out of range")
+        if len({g.feature_dim for g in self.graphs}) > 1:
+            raise ValueError("all graphs must share one feature dimension")
+
+    @property
+    def feature_dim(self):
+        return self.graphs[0].feature_dim
 
     def __len__(self):
         return len(self.graphs)
@@ -108,7 +108,6 @@ class NodeSplit:
 class GraphBatch:
     """Block-diagonal stacking of several graphs.
 
-    ``membership[r]`` is the index of the graph owning stacked row ``r``;
     ``offsets[i]`` is the first row of graph ``i`` (with a final sentinel
     equal to the total node count). A batch of one graph holds that graph's
     own adjacency and a read-only view of its features, not copies.
@@ -128,7 +127,6 @@ class GraphBatch:
         self.num_graphs = len(graphs)
         self.total_nodes = total
         self.offsets = offsets
-        self.membership = np.repeat(np.arange(len(graphs), dtype=np.intp), counts)
         if len(graphs) == 1:
             self.block_adjacency = graphs[0].adjacency
             self.features = graphs[0].features.view()
@@ -166,7 +164,7 @@ class GraphBatch:
         """num_graphs x total_nodes indicator; spmm with it sum-pools rows."""
         if self._pool is None:
             self._pool = SparseMatrix._from_sorted_coo(
-                self.membership,
+                np.repeat(np.arange(self.num_graphs, dtype=np.intp), np.diff(self.offsets)),
                 np.arange(self.total_nodes, dtype=np.intp),
                 np.ones(self.total_nodes, dtype=np.float32),
                 shape=(self.num_graphs, self.total_nodes),
@@ -178,7 +176,7 @@ def batch_graphs(graphs):
     return GraphBatch(graphs)
 
 
-def _sorted_unique(values, return_inverse=False):
+def sorted_unique(values, return_inverse=False):
     """``np.unique(values, return_inverse=...)`` by one sort and a neighbour
     compare: ``np.unique`` hashes, slower here, and imports ``numpy.ma``."""
     values = np.asarray(values).reshape(-1)
@@ -199,7 +197,7 @@ def _symmetrized_adjacency(num_nodes, u, v):
     v = np.asarray(v, dtype=np.intp)
     keep = u != v
     u, v = u[keep], v[keep]
-    keys = _sorted_unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    keys = sorted_unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
     # sorted distinct keys are canonical CSR order
     return SparseMatrix._from_sorted_coo(keys // num_nodes, keys % num_nodes,
                                          np.ones(len(keys), dtype=np.float32),
@@ -280,23 +278,24 @@ def parse_tudataset(directory, dataset_name):
     are remapped to contiguous ids sorted by original value. Edges crossing
     graph boundaries, and a corpus of no graphs, are rejected.
     """
-    prefix = os.path.join(directory, dataset_name, dataset_name)
+    nested = os.path.join(directory, dataset_name, dataset_name)
+    flat = os.path.join(directory, dataset_name)  # the files directly in `directory`
+    prefix = nested if os.path.exists(nested + "_A.txt") else flat
     if not os.path.exists(prefix + "_A.txt"):
-        # also accept the files directly in `directory`
-        prefix = os.path.join(directory, dataset_name)
+        raise FileNotFoundError(f"missing mandatory file: {nested}_A.txt or {flat}_A.txt")
     edge_path, indicator_path, labels_path, node_labels_path = (
         f"{prefix}_{kind}.txt" for kind in ("A", "graph_indicator", "graph_labels", "node_labels"))
-    for path in (edge_path, indicator_path, labels_path):
+    for path in (indicator_path, labels_path):
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory file: {path}")
 
     indicator = _read_ints(indicator_path, "graph_indicator")
     total_nodes = len(indicator)
-    graph_ids, graph_pos = _sorted_unique(indicator, return_inverse=True)
+    graph_ids, graph_pos = sorted_unique(indicator, return_inverse=True)
     if not len(graph_ids):
         raise ValueError(f"graph_indicator assigns no node to a graph: {indicator_path}")
-    classes, graph_labels = _sorted_unique(_read_ints(labels_path, "graph_labels"),
-                                           return_inverse=True)
+    _, graph_labels = sorted_unique(_read_ints(labels_path, "graph_labels"),
+                                    return_inverse=True)
     if len(graph_labels) != len(graph_ids):
         raise ValueError(f"graph_labels has {len(graph_labels)} entries "
                          f"for {len(graph_ids)} graphs")
@@ -324,7 +323,7 @@ def parse_tudataset(directory, dataset_name):
     starts = np.concatenate([[0], np.cumsum(np.bincount(graph_pos, minlength=len(graph_ids)))])
     grouped = np.argsort(order)  # each node's row in that order
     if node_labels is not None:
-        label_values, label_pos = _sorted_unique(node_labels, return_inverse=True)
+        label_values, label_pos = sorted_unique(node_labels, return_inverse=True)
         features = np.zeros((total_nodes, len(label_values)))
         features[np.arange(total_nodes), label_pos[order]] = 1.0
     else:
@@ -341,7 +340,7 @@ def parse_tudataset(directory, dataset_name):
                                                   np.ones(b - a, dtype=np.float32),
                                                   shape=(e - s, e - s))
         graphs.append(Graph(int(e - s), adjacency, features[s:e], int(label)))
-    return GraphDataset(graphs, len(classes), features.shape[1], name=dataset_name)
+    return GraphDataset(graphs)
 
 
 def degree_onehot(g, threshold):
@@ -360,7 +359,7 @@ def with_degree_features(dataset, threshold):
         Graph(g.num_nodes, g.adjacency, degree_onehot(g, threshold), g.label, g.node_labels)
         for g in dataset.graphs
     ]
-    return GraphDataset(graphs, dataset.num_classes, threshold + 1, dataset.name)
+    return GraphDataset(graphs)
 
 
 def normalize_adjacency(a):
@@ -568,4 +567,4 @@ def make_blob_dataset(num_graphs, num_classes, rng, nodes_range=(6, 14),
         ))
     order = rng.permutation(num_graphs)
     graphs = [graphs[i] for i in order]
-    return GraphDataset(graphs, num_classes, feature_dim, name="blobs")
+    return GraphDataset(graphs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import backward
-from .graphs import sample_node_subset
+from .graphs import Graph, batch_graphs, sample_node_subset
 from .models import DTYPES, ENCODER_KINDS, LEVELS, build_model
 from .objectives import MaskSpec, VARIANTS, objective
 
@@ -238,8 +238,6 @@ def train(model, data, config, log_fh=None, checkpoint_path=None):
     not finite raises `NonFiniteUpdateError`, all before the step is logged
     or applied.
     """
-    from .graphs import Graph, batch_graphs
-
     config.validate()
     if config.level != model.level:
         raise ValueError(

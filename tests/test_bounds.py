@@ -84,13 +84,12 @@ class TestGenerator:
         ring = np.zeros((4, 4))
         for i in range(4):
             ring[i, (i + 1) % 4] = ring[(i + 1) % 4, i] = 1.0
-        setup = small_setup(num_nodes=4, graph_model="fixed", adjacency=ring)
+        setup = small_setup(num_nodes=4, adjacency=ring)
         adj = gen_adjacency(setup, np.random.default_rng(0))
         assert np.array_equal(adj, ring)
 
     def test_fixed_adjacency_shape_mismatch(self):
-        setup = small_setup(num_nodes=5, graph_model="fixed",
-                            adjacency=np.zeros((4, 4)))
+        setup = small_setup(num_nodes=5, adjacency=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="shape"):
             gen_adjacency(setup, np.random.default_rng(0))
 
@@ -101,9 +100,7 @@ class TestGenerator:
     @pytest.mark.parametrize("bad", [
         dict(num_nodes=0),
         dict(feature_dim=0),
-        dict(graph_model="barabasi"),
         dict(edge_prob=1.5),
-        dict(graph_model="fixed"),
         dict(noise_sd=-0.1),
         dict(mask_ratio=0.0),
         dict(mask_ratio=1.5),
@@ -400,7 +397,7 @@ class TestCorollaries:
                                           np.random.default_rng(29))
         seen = {}
         monkeypatch.setattr(bounds, "_estimate_bound",
-                            lambda which, predict, gap_map, multiplier, *rest:
+                            lambda which, multiplier, *rest, **stages:
                             seen.setdefault(which, multiplier))
         for level in ("node", "graph"):
             estimate_corollary(level, predictor, setup, penalty_scale=0.5,
@@ -561,6 +558,23 @@ class TestChunking:
         assert sorted(chunked_sizes) == [2] * 3 + [64] * 6
         assert whole_sizes == [self.N_MC] * 3
 
+    def test_corollary_embeds_each_input_once_per_chunk(self, monkeypatch):
+        # the clean embedding feeds both the prediction and the gap, so per
+        # chunk the encoder runs once on it and once per corrupted copy
+        sizes = []
+        embed = StackPredictor.embed
+
+        def spy(predictor, adj, x_stack):
+            sizes.append(len(x_stack))
+            return embed(predictor, adj, x_stack)
+
+        monkeypatch.setattr(StackPredictor, "embed", spy)
+        predictor = make_random_predictor(5, 8, 2, 2, "gin",
+                                          np.random.default_rng(45))
+        estimate_corollary("node", predictor, self._setup(), n_mc=self.N_MC,
+                           mask_draws=2, rng=np.random.default_rng(46))
+        assert sizes == [64] * 3 + [64] * 3 + [2] * 3
+
     @pytest.mark.parametrize("regime", ["gcn", "gin", "identity", "constant"])
     def test_theorem1_is_bit_identical(self, monkeypatch, regime):
         setup = self._setup()
@@ -585,8 +599,7 @@ class TestChunking:
                                               np.random.default_rng(43))
         else:
             predictor = StackPredictor("gin", [np.eye(5)], [np.eye(5)])
-            setup = dataclasses.replace(setup, graph_model="fixed",
-                                        adjacency=np.zeros((11, 11)))
+            setup = dataclasses.replace(setup, adjacency=np.zeros((11, 11)))
         chunked, whole = self._both(monkeypatch, lambda: estimate_corollary(
             level, predictor, setup, n_mc=self.N_MC, mask_draws=5,
             rng=np.random.default_rng(44)))

@@ -279,7 +279,7 @@ class TestRepresentationExtraction:
     def test_duplicate_graphs_get_identical_rows(self):
         rng = np.random.default_rng(17)
         g = self.make_dataset(rng)[0]
-        data = GraphDataset([g, g], num_classes=2, feature_dim=4)
+        data = GraphDataset([g, g])
         model = build_model("graph", "gcn", 4, 5, 2, 1, rng)
         reprs = extract_graph_repr(data, model.encoder)
         np.testing.assert_allclose(reprs[0], reprs[1], atol=1e-12)
@@ -288,7 +288,7 @@ class TestRepresentationExtraction:
         rng = np.random.default_rng(18)
         g = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))),
                   np.array([[1.0, -2.0, 0.5, 3.0]]))
-        data = GraphDataset([g], num_classes=1, feature_dim=4)
+        data = GraphDataset([g])
         model = build_model("graph", "gin", 4, 3, 2, 1, rng)
         reprs = extract_graph_repr(data, model.encoder)
         # a recorded forward releases the inner layers' data

@@ -73,7 +73,6 @@ class TestTUDatasetParser:
         root = write_tud(tmp_path, "TOY", "1, 2\n3, 4\n",
                          "1\n1\n2\n2\n", "-1\n1\n")
         ds = parse_tudataset(str(root), "TOY")
-        assert ds.num_classes == 2
         assert [g.label for g in ds.graphs] == [0, 1]
 
     def test_node_labels_become_one_hot_features(self, tmp_path):
@@ -105,6 +104,12 @@ class TestTUDatasetParser:
         (d / "TOY_A.txt").write_text("1, 2\n")
         with pytest.raises(FileNotFoundError):
             parse_tudataset(str(tmp_path), "TOY")
+
+    def test_missing_corpus_names_both_layouts(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            parse_tudataset(str(tmp_path), "TOY")
+        for path in (tmp_path / "TOY" / "TOY_A.txt", tmp_path / "TOY_A.txt"):
+            assert str(path) in str(info.value)
 
     def test_corpus_of_no_graphs_rejected(self, tmp_path):
         root = write_tud(tmp_path, "TOY", "", "", "")
@@ -200,7 +205,7 @@ class TestDegreeOnehot:
         np.testing.assert_array_equal(degree_onehot(g, 4).sum(axis=1), np.ones(10))
 
     def test_with_degree_features_swaps_features(self):
-        ds = GraphDataset([triangle()], 1, 3)
+        ds = GraphDataset([triangle()])
         swapped = with_degree_features(ds, 3)
         assert swapped.feature_dim == 4
         np.testing.assert_array_equal(swapped[0].features.sum(axis=1), np.ones(3))
@@ -357,7 +362,7 @@ class TestBatching:
         np.testing.assert_array_equal(batch.block_adjacency.to_dense(),
                                       g.adjacency.to_dense())
         np.testing.assert_array_equal(batch.features, g.features)
-        np.testing.assert_array_equal(batch.membership, [0, 0, 0])
+        np.testing.assert_array_equal(batch.pool_matrix().to_dense(), [[1, 1, 1]])
 
     def test_two_graphs_block_diagonal(self):
         path = Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.ones((2, 2)))
@@ -366,7 +371,8 @@ class TestBatching:
         expected[0, 1] = expected[1, 0] = 1.0
         expected[2, 3] = expected[3, 2] = 1.0
         np.testing.assert_array_equal(batch.block_adjacency.to_dense(), expected)
-        np.testing.assert_array_equal(batch.membership, [0, 0, 1, 1])
+        np.testing.assert_array_equal(batch.pool_matrix().to_dense(),
+                                      [[1, 1, 0, 0], [0, 0, 1, 1]])
         assert batch.node_range(1) == (2, 4)
 
     def test_batched_spmm_equals_per_graph_concat(self):
@@ -659,7 +665,7 @@ class TestReaderOracle:
         pairs = [(int(u) - 1, int(v) - 1)
                  for u, v in reference_rows(f"{prefix}_A.txt", commas_are_spaces=True)]
         classes, values = sorted(set(raw)), sorted(set(atoms))
-        assert (ds.num_classes, ds.feature_dim) == (len(classes), len(values))
+        assert ds.feature_dim == len(values)
         for g, gid, label in zip(ds.graphs, sorted(set(ind)), raw):
             nodes = [i for i, x in enumerate(ind) if x == gid]
             local = {node: k for k, node in enumerate(nodes)}
@@ -848,7 +854,4 @@ class TestSyntheticGenerators:
         g1 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 2)), label=0)
         g2 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 3)), label=0)
         with pytest.raises(ValueError):
-            GraphDataset([g1, g2], 1, 2)
-        g3 = Graph(1, SparseMatrix.from_dense(np.zeros((1, 1))), np.zeros((1, 2)), label=5)
-        with pytest.raises(ValueError):
-            GraphDataset([g3], 1, 2)
+            GraphDataset([g1, g2])

@@ -331,7 +331,7 @@ class TestTrainLoop:
             calls.append(len(graph_list))
             return batch_graphs(graph_list)
 
-        monkeypatch.setattr(graphs, "batch_graphs", counting)
+        monkeypatch.setattr(training, "batch_graphs", counting)
         graph = make_sbm_graph(30, 2, 0.3, 0.05, 5, np.random.default_rng(4))
         cfg = TrainConfig(level="node", encoder="gcn", hidden_dim=8,
                           encoder_layers=2, decoder_layers=1, epochs=3,
@@ -355,7 +355,7 @@ class TestTrainLoop:
             def write(self, text):
                 self.built_at_write.append(len(built))
 
-        monkeypatch.setattr(graphs, "batch_graphs", counting)
+        monkeypatch.setattr(training, "batch_graphs", counting)
         data = self.make_data()
         log = Log()
         history = train(build_model("graph", "gin", data.feature_dim, 6, 2, 1,
@@ -592,7 +592,7 @@ class TestTrainLoop:
             train(model, graph, tiny_config(epochs=1))
 
     def test_empty_corpus_is_refused(self):
-        data = graphs.GraphDataset([], num_classes=1, feature_dim=3)
+        data = graphs.GraphDataset([])
         model = build_model("graph", "gin", 3, 4, 1, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least one graph"):
             train(model, data, tiny_config(epochs=1))
