@@ -19,11 +19,10 @@ drop an interior Value's data once no later forward op reads it: the array
 then stays alive only if some closure captured it. Releasing can never change
 a gradient; a released Value is unusable as the input of a later op.
 
-A walk runs each closure once and then drops it, so a closure may write its
-input gradient over an array nothing else reads (the fused batch norm writes
-it over its normalized activations). A walk that retains the graph runs the
-closures again later; it says so through ``_RETAINING``, and such a closure
-then allocates a fresh gradient.
+A graph is walked once: the walk runs each closure once and then drops it,
+so a closure may write its input gradient over an array nothing else reads
+(the fused batch norm writes it over its normalized activations). A later walk
+that reaches a walked node raises; a second gradient needs a fresh forward.
 
 Batch normalization is the one op that keeps state, fused with the relu after
 it (:func:`batch_norm`): its forward uses batch statistics in training mode
@@ -224,11 +223,6 @@ class Value:
 def constant(data):
     """Leaf Value holding fixed data; it never receives a gradient."""
     return Value(data, op="const")
-
-
-# Whether the running :func:`backward` walk keeps the graph, so a later walk
-# runs the same backward closures again.
-_RETAINING = False
 
 
 def _accumulate(node, g, fresh=False):
@@ -442,18 +436,17 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     over the rows recomputes the relu mask from them with the forward's own
     float ops, and it writes the input gradient over ``xhat``, which nothing
     reads afterwards, so it allocates temporaries of ``_BN_BLOCK_ROWS`` rows
-    only. In a walk that retains the graph, or when the gradient's dtype is
-    not ``xhat``'s, it allocates the input gradient instead. The output is
-    not kept for backward either: its ``_recompute`` closure rebuilds it
-    from ``xhat`` with the same ops, for a :func:`matmul` that reads
-    it, whose backward runs before this one.
+    only. When the gradient's dtype is not ``xhat``'s, it allocates the
+    input gradient instead. The output is not kept for backward either: its
+    ``_recompute`` closure rebuilds it from ``xhat`` with the same ops, for a
+    :func:`matmul` that reads it, whose backward runs before this one.
 
     When ``overwrite_x`` is set and ``x`` has a ``_recompute`` closure, not
     even ``xhat`` is kept: only the 1 x q ``mu`` and ``inv``. The backward
     and the output's ``_recompute`` each rebuild ``xhat = (x - mu) * inv``
     from a recomputed ``x``, with the forward's float ops, into an array of
-    their own: the backward writes the input gradient over it, also in a
-    walk that retains the graph, and the recompute writes the output over it.
+    their own: the backward writes the input gradient over it, and the
+    recompute writes the output over it.
     """
     data, gamma_data, beta_data = x.data, gamma.data, beta.data
     n = data.shape[0]
@@ -497,9 +490,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         blocks = [slice(i, i + _BN_BLOCK_ROWS) for i in range(0, n, _BN_BLOCK_ROWS)]
         grad_dtype = np.result_type(g, dtype)
         # nothing reads xhat after this closure, so dx is written over it,
-        # block by block once each block is read, unless a retained graph
-        # runs the closure again on the held one
-        if xhat.dtype == grad_dtype and (held is None or not _RETAINING):
+        # block by block once each block is read
+        if xhat.dtype == grad_dtype:
             dx = xhat
         else:
             dx = np.empty(xhat.shape, grad_dtype)
@@ -670,13 +662,23 @@ def kl_div(p_logits, q_logits):
                  backward=_back, op="kl_div")
 
 
+def _walked(g):
+    """The backward closure of a node a walk has consumed. It never runs:
+    :func:`_toposort` refuses a graph that reaches such a node."""
+    raise AssertionError("a walked node's closure ran")
+
+
 def _toposort(root):
     """Every node reachable from `root`, in creation order, which is a
-    topological order."""
+    topological order. A node an earlier walk consumed raises ValueError."""
     reached = {id(root): root}
     stack = [root]
     while stack:
-        for parent in stack.pop()._parents:
+        node = stack.pop()
+        if node._backward is _walked:
+            raise ValueError(f"backward: a {node.op!r} node was already walked; "
+                             "run the forward again")
+        for parent in node._parents:
             if id(parent) not in reached:
                 reached[id(parent)] = parent
                 stack.append(parent)
@@ -688,19 +690,20 @@ def backward(loss, retain_graph=False):
 
     Returns a dict mapping each reachable leaf Value to the gradient of this
     loss alone, which is also left in the leaf's ``.grad``; a gradient from an
-    earlier call is replaced, never added to. Unless ``retain_graph`` is set,
-    each interior node's gradient, parents, backward closure and recompute
-    closure are dropped as soon as its backward closure has run, so the DAG
-    is freed during the walk and a second backward needs a fresh forward
-    pass; a closure may then write a gradient over an array only it
-    captured. With ``retain_graph`` interior gradients are kept and returned
-    as well, closures see ``_RETAINING`` true and leave what they
-    captured intact, and a second backward over the same graph returns the
-    same gradients.
+    earlier call is replaced, never added to. Each interior node's gradient,
+    parents and recompute closure are dropped as soon as its backward closure
+    has run, and the closure is replaced by a marker, so the DAG is freed
+    during the walk and a closure may write a gradient over an array only it
+    captured. A graph is walked once: a later call that reaches a walked node,
+    by the same loss or by a new loss built on a walked subgraph, raises
+    ValueError before it changes anything, and a second gradient needs a fresh
+    forward pass. ``retain_graph`` must stay false.
 
     Gradient arrays may be shared between nodes; treat them as read-only.
     """
-    global _RETAINING
+    if retain_graph:
+        raise ValueError("backward: a graph is walked once, so retain_graph "
+                         "must be false; run the forward again")
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a 1x1 loss, got shape {loss.data.shape}")
     order = _toposort(loss)
@@ -710,28 +713,20 @@ def backward(loss, retain_graph=False):
         node.grad, node._owns_grad = None, False
     _accumulate(loss, np.ones((1, 1), dtype=loss.data.dtype))
     grads = {}
-    previous, _RETAINING = _RETAINING, bool(retain_graph)
-    try:
-        # Popping walks the nodes in reverse creation order, so a node has
-        # all its contributions when it is reached, and its arrays can go as
-        # soon as its closure has run.
-        while order:
-            node = order.pop()
-            if not node._parents:
-                if node.grad is not None:
-                    grads[node] = node.grad
-                continue
-            if node._backward is not None:
-                node._backward(node.grad)
-            if retain_graph:
+    # Popping walks the nodes in reverse creation order, so a node has all
+    # its contributions when it is reached, and its arrays can go as soon as
+    # its closure has run.
+    while order:
+        node = order.pop()
+        if not node._parents:
+            if node.grad is not None:
                 grads[node] = node.grad
-            else:
-                node.grad, node._owns_grad = None, False
-                node._parents = ()
-                node._backward = None
-                node._recompute = None
-    finally:
-        _RETAINING = previous
+            continue
+        node._backward(node.grad)
+        node.grad, node._owns_grad = None, False
+        node._parents = ()
+        node._backward = _walked
+        node._recompute = None
     return grads
 
 

@@ -253,6 +253,19 @@ class TestTheorem1:
         assert est.penalty == pytest.approx(penalty_expected, rel=0.05)
         assert est.rhs_mean == pytest.approx(est.penalty)
 
+    def test_additive_masks_weaker_than_the_noise_break_the_bound(self):
+        # a known counterexample to theorem1 as stated: with f = X the slack
+        # is 2 sigma n sqrt(d) (s - sigma sqrt(d)), negative once the mask
+        # noise sd s is below sigma sqrt(d); the lab must read it as failing
+        n, d, sigma, s = 16, 8, 0.1, 0.1
+        setup = small_setup(num_nodes=n, feature_dim=d, noise_sd=sigma,
+                            mask_ratio=0.25, mask_noise_sd=s)
+        est = estimate_theorem1(identity_predictor(), setup, n_mc=512,
+                                mask_draws=8, rng=np.random.default_rng(0))
+        analytic = 2 * sigma * n * np.sqrt(d) * (s - sigma * np.sqrt(d))
+        assert est.slack < -10 * est.slack_se
+        assert abs(est.slack - analytic) <= 4 * est.slack_se
+
     def test_random_networks_respect_bound(self):
         failures = 0
         for trial in range(10):

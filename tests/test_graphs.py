@@ -256,6 +256,17 @@ class TestNormalizeAdjacency:
         assert np.abs(eigs).max() <= 1.0 + 1e-12
         assert (np.abs(norm @ np.ones(8)) <= np.sqrt(8) + 1e-12).all()
 
+    def test_an_undirected_binary_graph_normalizes_bitwise_symmetric(self):
+        # entry (i, j) is 1 * inv_sqrt[i] * inv_sqrt[j], so its transpose has
+        # the same bits, in float64 and once cast to float32
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 17, 200, 3000):
+            graph = make_sbm_graph(n, 4, min(1.0, 8.0 / n), 1.0 / n, 1, rng)
+            norm = normalize_adjacency(graph.adjacency)
+            for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
+                dense = norm.astype(dtype).to_dense().view(bits)
+                assert np.array_equal(dense, dense.T), (n, dtype)
+
     def test_bitwise_the_coo_construction_on_zero_diagonal_graphs(self):
         rng = np.random.default_rng(21)
         sizes = [1, 2, 3, 5, 17, 40, 40, 40, 200]

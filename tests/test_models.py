@@ -289,44 +289,6 @@ class TestFusedBatchNorm:
             assert held.dtype == recomputed.dtype == dtype
             assert held.tobytes() == recomputed.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("training", [True, False])
-    def test_a_retained_graph_runs_the_backward_again_bitwise(self, training, dtype):
-        # a plain walk writes the input gradient over xhat; a walk that
-        # retains the graph leaves xhat, and the output rebuilt from it, for
-        # the next walk, so it allocates the input gradient. Every walk gives
-        # the same gradients bitwise. Three full row blocks and a ragged one.
-        n = 3 * engine._BN_BLOCK_ROWS + 37
-
-        def forward():
-            rng = np.random.default_rng(67)
-            bn = BatchNorm(6, dtype=dtype)
-            bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 6)).astype(dtype)
-            bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 6)).astype(dtype)
-            bn.running_mean[:] = rng.normal(size=(1, 6))
-            bn.running_var[:] = rng.uniform(0.5, 2.0, size=(1, 6))
-            x = Value(rng.normal(size=(n, 6)).astype(dtype))
-            w = Value(rng.normal(size=(6, 3)).astype(dtype))
-            y = bn(x, training=training)
-            assert 0.0 < (y.data > 0.0).mean() < 1.0
-            loss = mse_per(matmul(y, w), Value(np.zeros((n, 3), dtype)), float(n))
-            return loss, y, [x, bn.gamma, bn.beta, w]
-
-        def walk(loss, params, **kwargs):
-            grads = engine.backward(loss, **kwargs)
-            assert all(grads[p].dtype == dtype for p in params)
-            return [grads[p].tobytes() for p in params]
-
-        loss, y, params = forward()
-        rebuild = y._recompute
-        retained = walk(loss, params, retain_graph=True)
-        assert rebuild().tobytes() == y.data.tobytes()  # xhat is intact
-        again = walk(loss, params)
-        assert rebuild().tobytes() != y.data.tobytes()  # xhat now holds dx
-        loss, _, params = forward()
-        plain = walk(loss, params)
-        assert retained == again == plain
-
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
@@ -596,19 +558,6 @@ class TestGCNLayer:
 
         report = grad_check(f, [layer.lin.W, layer.lin.b], step=1e-3, tol=1e-4)
         assert report.ok, f"max rel err {report.max_rel_err:.3e}"
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_a_retained_graph_gives_the_same_gradients_twice(self, dtype):
-        rng = np.random.default_rng(15)
-        graph = self.random_graph(rng, 30, 4)
-        encoder = Encoder("gcn", 4, 8, 2, rng, dtype=dtype)
-        last = encoder.encode(batch_graphs([graph]), training=True)[-1]
-        loss = mse_per(last, Value(np.ones(last.shape, dtype)), 30.0)
-        params = [p for _, p in encoder.named_parameters()]
-        walks = [engine.backward(loss, retain_graph=True) for _ in range(2)]
-        walks.append(engine.backward(loss))
-        first, *others = [[grads[p].tobytes() for p in params] for grads in walks]
-        assert all(other == first for other in others)
 
 
 class TestGINLayer:

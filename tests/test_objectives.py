@@ -519,3 +519,32 @@ def test_one_graph_batch_scores_the_outputs_without_a_row_copy(monkeypatch):
         engine.constant(batch.features), 5.0), 1.0)
     assert term.item() == expected.item()
     assert backward(term)[outputs].tobytes() == backward(expected)[reference].tobytes()
+
+
+def test_eval_mse_output_is_theorem1s_loss_on_one_draw():
+    # alpha = M/|V| with theorem 1's multiplier M = 2 sigma |V|: the objective
+    # times |V| is ||f(X) - X||^2 + M sqrt(||f(X)_J - f(X~)_J||^2/|J| + eps)
+    # for the one (X, J) draw, so the trainer and the bound lab state one loss
+    rng = np.random.default_rng(16)
+    graph = small_random_graph(rng, 12, 3)
+    model = build_model("node", "gcn", 3, 5, 2, 2, rng)
+    batch = batch_graphs([graph])
+    spec = MaskSpec(ratio=0.25, noise_sd=1.0)
+    n = graph.num_nodes
+    multiplier = 2.0 * spec.noise_sd * n
+    out = objective(model, batch, spec, np.random.default_rng(3), multiplier / n,
+                    variant="mse-output", training=False)
+
+    indices, noise = sample_batch_mask(batch, spec, np.random.default_rng(3))
+    corrupted = apply_mask(batch.features, indices, noise, spec.mode)
+    with engine.no_grad():
+        def f(features):
+            layers = model.encoder.encode(batch, False, features=features)
+            return model.decoder(layers[-1]).data
+
+        clean, noisy = f(batch.features), f(corrupted)
+    gap = np.sum((clean[indices] - noisy[indices]) ** 2) / len(indices)
+    expected = (np.sum((clean - graph.features) ** 2)
+                + multiplier * np.sqrt(gap + engine.SQRT_EPS))
+    assert out.total.item() * n == pytest.approx(expected, rel=1e-12)
+    assert out.invariance == pytest.approx(np.sqrt(gap + engine.SQRT_EPS), rel=1e-12)
