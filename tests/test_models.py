@@ -289,6 +289,44 @@ class TestFusedBatchNorm:
             assert held.dtype == recomputed.dtype == dtype
             assert held.tobytes() == recomputed.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_walk_writes_over_xhat_and_a_fresh_forward_repeats_it_bitwise(
+            self, training, dtype):
+        # the backward writes the input gradient over xhat, so the walked
+        # graph cannot be walked again; a fresh forward gives the same
+        # gradients bitwise. Three full row blocks and a ragged one.
+        n = 3 * engine._BN_BLOCK_ROWS + 37
+
+        def forward():
+            rng = np.random.default_rng(67)
+            bn = BatchNorm(6, dtype=dtype)
+            bn.gamma.data = rng.uniform(0.5, 1.5, size=(1, 6)).astype(dtype)
+            bn.beta.data = rng.uniform(-0.5, 0.5, size=(1, 6)).astype(dtype)
+            bn.running_mean[:] = rng.normal(size=(1, 6))
+            bn.running_var[:] = rng.uniform(0.5, 2.0, size=(1, 6))
+            x = Value(rng.normal(size=(n, 6)).astype(dtype))
+            w = Value(rng.normal(size=(6, 3)).astype(dtype))
+            y = bn(x, training=training)
+            assert 0.0 < (y.data > 0.0).mean() < 1.0
+            loss = mse_per(matmul(y, w), Value(np.zeros((n, 3), dtype)), float(n))
+            return loss, y, [x, bn.gamma, bn.beta, w]
+
+        def walk(loss, params):
+            grads = engine.backward(loss)
+            assert all(grads[p].dtype == dtype for p in params)
+            return [grads[p].tobytes() for p in params]
+
+        loss, y, params = forward()
+        rebuild = y._recompute
+        assert rebuild().tobytes() == y.data.tobytes()  # xhat is intact
+        first = walk(loss, params)
+        assert rebuild().tobytes() != y.data.tobytes()  # xhat now holds dx
+        with pytest.raises(ValueError, match="already walked"):
+            engine.backward(loss)
+        loss, _, params = forward()
+        assert walk(loss, params) == first
+
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
@@ -558,6 +596,25 @@ class TestGCNLayer:
 
         report = grad_check(f, [layer.lin.W, layer.lin.b], step=1e-3, tol=1e-4)
         assert report.ok, f"max rel err {report.max_rel_err:.3e}"
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_fresh_forward_gives_the_same_gradients_twice(self, dtype):
+        rng = np.random.default_rng(15)
+        graph = self.random_graph(rng, 30, 4)
+        encoder = Encoder("gcn", 4, 8, 2, rng, dtype=dtype)
+        params = [p for _, p in encoder.named_parameters()]
+
+        def forward():
+            last = encoder.encode(batch_graphs([graph]), training=True)[-1]
+            return mse_per(last, Value(np.ones(last.shape, dtype)), 30.0)
+
+        loss = forward()
+        grads = engine.backward(loss)
+        first = [grads[p].tobytes() for p in params]
+        with pytest.raises(ValueError, match="already walked"):
+            engine.backward(loss)
+        again = engine.backward(forward())
+        assert [again[p].tobytes() for p in params] == first
 
 
 class TestGINLayer:
