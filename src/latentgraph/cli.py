@@ -8,8 +8,10 @@ the referenced inputs are enough to re-execute a run; with the
 LAGRAPH_STRICT_DETERMINISM=1 environment variable set, re-execution
 reproduces outputs bit for bit.
 
-Exit codes: 0 on success, 1 when a verification suite finds a hard failure,
-2 for configuration or usage errors, including a training run stopped by a
+Exit codes: 0 on success, 1 when a verify record fails its own test (with
+no correction for the number of records, so working code can exit 1 by
+chance: `verify --suite all --trials 120 --seed 1` passes 1078 of 1080), 2
+for configuration or usage errors, including a training run stopped by a
 non-finite loss, gradient or update, and a verify run stopped by a record
 that is not finite.
 """

@@ -171,67 +171,65 @@ def _standardizer(x):
     return mean, std
 
 
-def _svm_fit_binary(x, y, c):
-    """L2-regularized squared-hinge SVM by full-batch gradient descent.
+def _svm_fit(x, labels, num_classes, cs):
+    """One-vs-rest L2-regularized squared-hinge SVMs by full-batch gradient
+    descent, one classifier per C in ``cs``.
 
-    x is standardized, y is +-1. The objective is
+    x is standardized. Weight column (C, k) fits class k with y = +-1 to
         (1 / (2 C n)) ||w||^2 + mean_i max(0, 1 - y_i (x_i w + b))^2,
     smooth and convex, so plain gradient descent with a curvature-matched
-    step size converges without a line search.
+    step size converges without a line search. All columns step together.
     """
     n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    lam = 1.0 / (c * n)
+    y = np.tile(np.where(labels[:, None] == np.arange(num_classes), 1.0, -1.0),
+                len(cs))
+    lam = np.repeat(1.0 / (np.asarray(cs) * n), num_classes)
     # Lipschitz bound for the gradient: lam + 2 * mean row norm^2 (plus bias)
     step = 1.0 / (lam + 2.0 * (np.mean(np.sum(x * x, axis=1)) + 1.0))
+    w = np.zeros((d, y.shape[1]))
+    b = np.zeros(y.shape[1])
+    coef = np.empty_like(y)
     for _ in range(500):
-        margin = 1.0 - y * (x @ w + b)
-        active = margin > 0.0
-        coef = -2.0 * y * margin * active / n
+        # coef = -2 y max(0, 1 - y (x w + b)) / n, in place
+        np.matmul(x, w, out=coef)
+        coef += b
+        coef *= y
+        np.maximum(1.0 - coef, 0.0, out=coef)
+        coef *= y
+        coef *= -2.0
+        coef /= n
         gw = lam * w + x.T @ coef
-        gb = float(np.sum(coef))
         w -= step * gw
-        b -= step * gb
-    return w, b
-
-
-def _svm_fit_ovr(x, labels, num_classes, c):
-    ws = np.zeros((x.shape[1], num_classes))
-    bs = np.zeros(num_classes)
-    for k in range(num_classes):
-        y = np.where(labels == k, 1.0, -1.0)
-        ws[:, k], bs[k] = _svm_fit_binary(x, y, c)
-    return LinearClassifier(W=ws, b=bs)
+        b -= step * coef.sum(axis=0)
+    return [LinearClassifier(W=w[:, i:i + num_classes].copy(), b=b[i:i + num_classes])
+            for i in range(0, w.shape[1], num_classes)]
 
 
 def stratified_folds(labels, folds, rng):
-    """Index lists for k folds, class proportions preserved.
+    """Sorted index arrays for k folds, class proportions preserved.
 
     Falls back to plain round-robin assignment (with a warning) when some
     class has fewer members than there are folds.
     """
     labels = np.asarray(labels)
+    n = labels.shape[0]
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
-    if labels.shape[0] < folds:
-        raise ValueError(f"{labels.shape[0]} samples cannot fill {folds} folds")
+    if n < folds:
+        raise ValueError(f"{n} samples cannot fill {folds} folds")
     classes, class_of = sorted_unique(labels, return_inverse=True)
     counts = np.bincount(class_of)
-    assignments = [[] for _ in range(folds)]
+    fold_of = np.empty(n, dtype=np.intp)
     if counts.min() < folds:
         warnings.warn(
             f"class with {counts.min()} members cannot be stratified over "
             f"{folds} folds; using unstratified folds", stacklevel=2)
-        order = rng.permutation(labels.shape[0])
-        for pos, idx in enumerate(order):
-            assignments[pos % folds].append(int(idx))
+        fold_of[rng.permutation(n)] = np.arange(n) % folds
     else:
         for cls in classes:
             members = rng.permutation(np.flatnonzero(labels == cls))
-            for pos, idx in enumerate(members):
-                assignments[pos % folds].append(int(idx))
-    return [np.sort(np.array(a, dtype=np.intp)) for a in assignments]
+            fold_of[members] = np.arange(members.shape[0]) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 def _select_c(x, labels, num_classes, rng):
@@ -243,13 +241,10 @@ def _select_c(x, labels, num_classes, rng):
     if n - n_val < 1:
         return DEFAULT_C_GRID[0]
     val_idx, fit_idx = order[:n_val], order[n_val:]
-    best_c, best_acc = None, -1.0
-    for c in DEFAULT_C_GRID:  # ascending
-        clf = _svm_fit_ovr(x[fit_idx], labels[fit_idx], num_classes, c)
-        acc = accuracy_score(labels[val_idx], clf.predict(x[val_idx]))
-        if acc > best_acc:
-            best_c, best_acc = c, acc
-    return best_c
+    fits = _svm_fit(x[fit_idx], labels[fit_idx], num_classes, DEFAULT_C_GRID)
+    accs = [accuracy_score(labels[val_idx], clf.predict(x[val_idx])) for clf in fits]
+    # the grid ascends and argmax keeps the first best
+    return DEFAULT_C_GRID[int(np.argmax(accs))]
 
 
 @dataclass
@@ -317,7 +312,7 @@ def linsvm_kfold(reprs, labels, folds=10, seed=0):
         x_train = (reprs[train_idx] - mean) / std
         x_test = (reprs[test_idx] - mean) / std
         c = _select_c(x_train, labels[train_idx], num_classes, rng)
-        clf = _svm_fit_ovr(x_train, labels[train_idx], num_classes, c)
+        clf, = _svm_fit(x_train, labels[train_idx], num_classes, [c])
         scores.append(accuracy_score(labels[test_idx], clf.predict(x_test)))
         chosen.append(c)
     return _make_report(scores, {"C": chosen, "c_grid": list(DEFAULT_C_GRID)},

@@ -196,6 +196,25 @@ class TestStratifiedFolds:
             stratified_folds(np.array([0, 1, 0]), 5, rng)
 
 
+def one_svm_at_a_time(x, y, c):
+    """The probe's fit as one column and one C at a time: the same 500
+    gradient steps on one +-1 target vector, each a GEMV."""
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    lam = 1.0 / (c * n)
+    step = 1.0 / (lam + 2.0 * (np.mean(np.sum(x * x, axis=1)) + 1.0))
+    for _ in range(500):
+        margin = 1.0 - y * (x @ w + b)
+        active = margin > 0.0
+        coef = -2.0 * y * margin * active / n
+        gw = lam * w + x.T @ coef
+        gb = float(np.sum(coef))
+        w -= step * gw
+        b -= step * gb
+    return w, b
+
+
 class TestLinearSvm:
     def test_separable_data_scores_one(self):
         rng = np.random.default_rng(11)
@@ -254,6 +273,42 @@ class TestLinearSvm:
             linsvm_kfold(np.zeros((4, 2)), np.array([0, 1]))
         with pytest.raises(ValueError, match="finite"):
             linsvm_kfold(np.full((12, 2), np.nan), np.array([0, 1] * 6), folds=2)
+
+    def test_grid_fit_matches_one_svm_at_a_time(self):
+        rng = np.random.default_rng(16)
+        labels = np.repeat(np.arange(3), 30)
+        x = rng.normal(size=(90, 5)) + 2.0 * np.eye(3, 5)[labels]
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        fit = labels != 2  # the fit rows lack class 2, as a held-out split can
+        fits = evaluation._svm_fit(x[fit], labels[fit], 3, evaluation.DEFAULT_C_GRID)
+        assert len(fits) == len(evaluation.DEFAULT_C_GRID)
+        for c, clf in zip(evaluation.DEFAULT_C_GRID, fits):
+            columns = [one_svm_at_a_time(x[fit], np.where(labels[fit] == k, 1.0, -1.0), c)
+                       for k in range(3)]
+            ref = LinearClassifier(W=np.stack([w for w, _ in columns], axis=1),
+                                   b=np.array([b for _, b in columns]))
+            np.testing.assert_array_equal(clf.predict(x), ref.predict(x))
+            np.testing.assert_allclose(clf.W, ref.W, rtol=1e-9)
+            np.testing.assert_allclose(clf.b, ref.b, rtol=1e-9)
+
+    def test_select_c_ties_go_to_the_smallest_c(self):
+        x = np.ones((40, 3))
+        labels = np.array([0] * 25 + [1] * 15)
+        # constant features: every C predicts the majority class, so every
+        # C scores the same on the validation rows
+        order = np.random.default_rng(5).permutation(40)
+        val, fit = order[:4], order[4:]
+        accs = {accuracy_score(labels[val], clf.predict(x[val]))
+                for clf in evaluation._svm_fit(x[fit], labels[fit], 2,
+                                               evaluation.DEFAULT_C_GRID)}
+        assert len(accs) == 1
+        c = evaluation._select_c(x, labels, 2, np.random.default_rng(5))
+        assert c == evaluation.DEFAULT_C_GRID[0]
+
+    def test_select_c_on_one_row_takes_the_smallest_c(self):
+        c = evaluation._select_c(np.zeros((1, 2)), np.array([0]), 1,
+                                 np.random.default_rng(0))
+        assert c == evaluation.DEFAULT_C_GRID[0]
 
     @pytest.mark.parametrize("labels", [
         np.array([-1, 0] * 6),      # class -1 would be neither fit nor predicted
