@@ -36,6 +36,8 @@ __all__ = [
     "degree_onehot",
     "normalize_adjacency",
     "batch_graphs",
+    "sorted_unique",
+    "with_degree_features",
     "sample_node_subset",
     "parse_nodelevel",
     "write_nodelevel",
@@ -132,16 +134,14 @@ class GraphBatch:
             self.features = graphs[0].features.view()
             self.features.flags.writeable = False
         else:
-            rows, cols, vals = [], [], []
-            for g, off in zip(graphs, offsets[:-1]):
-                r = np.repeat(np.arange(g.num_nodes, dtype=np.intp),
-                              np.diff(g.adjacency.indptr))
-                rows.append(r + off)
-                cols.append(g.adjacency.indices + off)
-                vals.append(g.adjacency.data)
-            # each block is canonical and starts below and right of the previous one
-            self.block_adjacency = SparseMatrix._from_sorted_coo(
-                np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+            blocks = [g.adjacency for g in graphs]
+            before = np.cumsum([0] + [a.nnz for a in blocks])  # entries before each block
+            # each block is canonical and starts below and right of the previous
+            # one, so its CSR arrays shift by the entries and the rows before it
+            self.block_adjacency = SparseMatrix._from_csr(
+                np.concatenate([before[:1]] + [a.indptr[1:] + n for a, n in zip(blocks, before)]),
+                np.concatenate([a.indices + off for a, off in zip(blocks, offsets)]),
+                np.concatenate([a.data for a in blocks]),
                 shape=(total, total),
             )
             self.features = np.vstack([g.features for g in graphs])
@@ -163,9 +163,8 @@ class GraphBatch:
     def pool_matrix(self):
         """num_graphs x total_nodes indicator; spmm with it sum-pools rows."""
         if self._pool is None:
-            self._pool = SparseMatrix._from_sorted_coo(
-                np.repeat(np.arange(self.num_graphs, dtype=np.intp), np.diff(self.offsets)),
-                np.arange(self.total_nodes, dtype=np.intp),
+            self._pool = SparseMatrix._from_csr(
+                self.offsets, np.arange(self.total_nodes, dtype=np.intp),
                 np.ones(self.total_nodes, dtype=np.float32),
                 shape=(self.num_graphs, self.total_nodes),
             )
@@ -331,14 +330,13 @@ def parse_tudataset(directory, dataset_name):
         features = np.ones((total_nodes, 1))
 
     # one block-diagonal adjacency for the corpus; no edge crosses graphs,
-    # so graph g's entries are one run of its CSR order
+    # so graph g's entries are one run of its CSR order, cut out and shifted
     whole = _symmetrized_adjacency(total_nodes, grouped[us], grouped[vs])
-    rows, cuts = np.repeat(np.arange(total_nodes), np.diff(whole.indptr)), whole.indptr[starts]
+    cuts = whole.indptr[starts]
     graphs = []
     for s, e, a, b, label in zip(starts[:-1], starts[1:], cuts[:-1], cuts[1:], graph_labels):
-        adjacency = SparseMatrix._from_sorted_coo(rows[a:b] - s, whole.indices[a:b] - s,
-                                                  np.ones(b - a, dtype=np.float32),
-                                                  shape=(e - s, e - s))
+        adjacency = SparseMatrix._from_csr(whole.indptr[s:e + 1] - a, whole.indices[a:b] - s,
+                                           np.ones(b - a, dtype=np.float32), (e - s, e - s))
         graphs.append(Graph(int(e - s), adjacency, features[s:e], int(label)))
     return GraphDataset(graphs)
 

@@ -409,6 +409,44 @@ class TestBatching:
         pooled = batch.pool_matrix().matmat(batch.features)
         np.testing.assert_array_equal(pooled, [[4.0, 6.0], [5.0, 6.0]])
 
+    def test_csr_assembly_equals_scipy_bitwise(self, tmp_path):
+        import scipy.sparse as sp
+
+        def assert_same_binary_csr(ours, reference):
+            assert ours.shape == reference.shape
+            for name in ("indptr", "indices"):
+                mine, theirs = getattr(ours, name), getattr(reference, name)
+                assert mine.dtype == theirs.dtype == np.int32
+                assert mine.tobytes() == theirs.tobytes()
+            assert ours.data.dtype == np.float32
+            assert ours.data.tobytes() == np.ones(reference.nnz, np.float32).tobytes()
+
+        # a triangle with an isolated last node, one node, three edgeless
+        # nodes, and a path given twice, reversed, and with a self-loop
+        edges = [(1, 2), (2, 3), (3, 1), (9, 10), (10, 11), (11, 10), (9, 9)]
+        sizes = [4, 1, 3, 3]
+        root = write_tud(tmp_path, "TOY", "".join(f"{u}, {v}\n" for u, v in edges),
+                         "".join(f"{g}\n" * n for g, n in enumerate(sizes, 1)),
+                         "0\n1\n0\n1\n")
+        parsed = list(parse_tudataset(str(root), "TOY"))
+        first = np.cumsum([1] + sizes)
+        for g, start, n in zip(parsed, first, sizes):
+            local = [(u - start, v - start) for u, v in edges if start <= u < start + n]
+            u, v = np.array(local, dtype=np.intp).reshape(-1, 2).T
+            assert_same_binary_csr(g.adjacency, sp.csr_matrix(dense_reference(n, u, v)))
+
+        rng = np.random.default_rng(26)
+        sbm = [make_sbm_graph(n, 2, 0.5, 0.2, 4, rng) for n in (7, 5)]
+        for members in (parsed, sbm[:1] + parsed[::-1], parsed[1:] + sbm + parsed[:1]):
+            # parsed and SBM graphs differ in feature width
+            members = [Graph(g.num_nodes, g.adjacency, np.ones((g.num_nodes, 2)))
+                       for g in members]
+            batch = batch_graphs(members)
+            assert_same_binary_csr(batch.block_adjacency, sp.block_diag(
+                [sp.csr_matrix(g.adjacency.to_dense()) for g in members], format="csr"))
+            assert_same_binary_csr(batch.pool_matrix(), sp.block_diag(
+                [np.ones((1, g.num_nodes)) for g in members], format="csr"))
+
     def test_normalized_adjacency_is_cast_once_per_dtype(self):
         rng = np.random.default_rng(4)
         batch = batch_graphs([make_sbm_graph(30, 2, 0.3, 0.05, 3, rng)])

@@ -548,3 +548,28 @@ def test_eval_mse_output_is_theorem1s_loss_on_one_draw():
                 + multiplier * np.sqrt(gap + engine.SQRT_EPS))
     assert out.total.item() * n == pytest.approx(expected, rel=1e-12)
     assert out.invariance == pytest.approx(np.sqrt(gap + engine.SQRT_EPS), rel=1e-12)
+
+
+def test_eval_mse_output_averaged_over_observations_is_below_theorem1s_bound():
+    # theorem 1's bound takes the root after averaging over X = F + sigma N,
+    # the trainer's loss before: by Jensen the trainer's mean sits below it,
+    # strictly when the disagreement varies from draw to draw
+    rng = np.random.default_rng(17)
+    graph = small_random_graph(rng, 12, 3)
+    model = build_model("node", "gcn", 3, 5, 2, 2, rng)
+    spec = MaskSpec(ratio=0.25, noise_sd=0.5)
+    n = graph.num_nodes
+    multiplier = 2.0 * spec.noise_sd * n
+    scores = []
+    for _ in range(16):
+        observed = graph.features + spec.noise_sd * rng.normal(size=graph.features.shape)
+        batch = batch_graphs([Graph(n, graph.adjacency, observed)])
+        # one mask seed: every draw shares J and its noise
+        out = objective(model, batch, spec, np.random.default_rng(3), multiplier / n,
+                        variant="mse-output", training=False)
+        scores.append((out.total.item(), out.reconstruction, out.invariance))
+    total, reconstruction, invariance = np.array(scores).T
+    gap = np.mean(invariance ** 2 - engine.SQRT_EPS)
+    bound = np.mean(n * reconstruction) + multiplier * np.sqrt(gap + engine.SQRT_EPS)
+    assert np.mean(n * total) <= bound
+    assert bound - np.mean(n * total) > 0
